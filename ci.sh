@@ -261,6 +261,22 @@ for bin in fig09_apps fig10_loc_breakdown fig11_compile_times fig12_stage_ratio 
   target/release/"$bin" --smoke --json | json_check
 done
 
+echo "== repo benchmark (benchmark/)"
+# The standalone benchmark package (declared to the driver by
+# BENCHMARK.json) builds against this checkout: its unit tests, then a
+# reduced-size run of the two engine workloads. `flood` and `flood_w1`
+# execute the same driver loop — sequential is the round loop at one
+# worker — and each must still reproduce its pinned digests.
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+for wl in flood flood_w1; do
+  line=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+           --quick --workload "$wl" | tail -n1)
+  case "$line" in
+    *'"correct":true'*) echo "-- benchmark $wl: correct" ;;
+    *) echo "repo benchmark: $wl did not report \"correct\":true: $line" >&2; exit 1 ;;
+  esac
+done
+
 echo "== docs gate"
 # Rustdoc over the first-party crates must be warning-clean (broken
 # intra-doc links, redundant targets, bad code fences all fail); the
@@ -300,21 +316,14 @@ echo "== perf trajectory gate (BENCH_PR.json)"
 #   fig_workload_scale  bytecode_speedup >= 10.0  (measured ~11-13x; the
 #                       binary itself asserts the same floor)
 #   fig_workload_scale  min_events_per_sec >= 20000 (measured ~170k)
-#   fig_parallel_scale  speedup_w1 >= 0.93        (measured ~0.97-1.1:
-#                       at one worker the sharded engine runs a single
-#                       barrier-free round through the same scheduling
-#                       core as the sequential driver, so the true ratio
-#                       is parity; the bench reports the cleanest of its
-#                       interleaved warmed rounds, and the floor is a
-#                       backstop against a real machinery-cost
-#                       regression — the precise number is tracked via
-#                       BENCH_PR.json's trajectory)
 #   fig_serve_ingest    events_per_sec >= 20000   (measured ~40-45k: the
 #                       served rate includes per-request JSON parsing
 #                       and reply rendering on top of the engine)
-# fig_parallel_scale's scaling curve above one worker is recorded and
-# its monotonicity flagged, but not gated: this container is
-# single-core, so every extra worker is pure synchronization overhead.
+# fig_parallel_scale has no floor: its one-worker row *is* the sequential
+# engine (one driver loop runs every worker count), and the scaling curve
+# above one worker is recorded and its monotonicity flagged, but not
+# gated — on a host without spare cores every extra worker is pure
+# synchronization overhead.
 st_json=$(target/release/fig_sim_throughput --smoke --json)
 ws_json=$(target/release/fig_workload_scale --smoke --json)
 ps_json=$(target/release/fig_parallel_scale --smoke --json)
@@ -335,7 +344,6 @@ floor() { # floor <label> <value> <min>
 floor "fig_sim_throughput bytecode_speedup" "$(field "$st_json" bytecode_speedup)" 6.0
 floor "fig_workload_scale bytecode_speedup" "$(field "$ws_json" bytecode_speedup)" 10.0
 floor "fig_workload_scale min_events_per_sec" "$(field "$ws_json" min_events_per_sec)" 20000
-floor "fig_parallel_scale speedup_w1" "$(field "$ps_json" speedup_w1)" 0.93
 floor "fig_serve_ingest events_per_sec" "$(field "$sv_json" events_per_sec)" 20000
 # The monotone flag is only interpretable against the core count the
 # sweep actually had, so both are printed (and recorded) together: on a

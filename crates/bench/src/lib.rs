@@ -816,35 +816,28 @@ pub struct ParallelScaleRow {
     pub events_processed: u64,
     pub wall_ms: f64,
     pub events_per_sec: f64,
-    /// This row over the sequential-bytecode baseline: the best
-    /// per-round throughput ratio (shared-host contention is strictly
-    /// one-sided, so the cleanest of the interleaved rounds is the
-    /// least contaminated comparison).
+    /// This row over the first row (one worker, the baseline): the
+    /// best per-round throughput ratio (shared-host contention is
+    /// strictly one-sided, so the cleanest of the interleaved rounds is
+    /// the least contaminated comparison).
     pub speedup: f64,
     pub state_digest: u64,
 }
 
 /// The `fig_parallel_scale` result: the sharded engine's worker-count
-/// scaling curve against a sequential baseline, all under the bytecode
-/// executor at O2 on the generator-driven mesh workload.
+/// scaling curve, all under the bytecode executor at O2 on the
+/// generator-driven mesh workload. The first row is the baseline — at
+/// one worker the sharded engine *is* the sequential engine.
 #[derive(Debug, Clone)]
 pub struct ParallelScale {
     pub switches: u64,
     /// Total generator-sourced injections per run.
     pub target_events: u64,
-    /// The sequential-bytecode baseline's events/sec.
-    pub sequential_events_per_sec: f64,
     /// One row per swept worker count, ascending.
     pub rows: Vec<ParallelScaleRow>,
     /// State digest, metrics digest, statistics, and per-generator
-    /// counts agreed between the baseline and every worker count.
+    /// counts agreed between every worker count.
     pub identical: bool,
-    /// Sharded at one worker over sequential — CI floors this at 0.93
-    /// (parity less wall-clock measurement tolerance): with a single
-    /// worker the engine runs barrier-free through the same scheduling
-    /// core as the sequential driver, so the parallel machinery must
-    /// cost nothing when it buys nothing.
-    pub speedup_w1: f64,
     /// Whether throughput never dropped more than 5% from one worker
     /// count to the next. Not a hard gate — on a single-core host every
     /// extra worker is pure overhead — but recorded into `BENCH_PR.json`
@@ -862,9 +855,10 @@ pub struct ParallelScale {
 }
 
 /// Sweep the sharded engine across `worker_counts` on the generator
-/// mesh workload and compare every run — digest for digest — against a
-/// sequential-bytecode baseline. Deterministic: the scaling curve is
-/// only meaningful if every point computes the same run.
+/// mesh workload and compare every run — digest for digest — against
+/// the first (one worker, which is the sequential engine).
+/// Deterministic: the scaling curve is only meaningful if every point
+/// computes the same run.
 pub fn parallel_scale(switches: u64, target_events: u64, worker_counts: &[usize]) -> ParallelScale {
     use lucid_core::{OptLevel, SimOptions};
     let src = mesh_workload(switches);
@@ -874,37 +868,26 @@ pub fn parallel_scale(switches: u64, target_events: u64, worker_counts: &[usize]
     type Observed = (u64, u64, lucid_core::interp::Stats, Vec<(String, u64)>);
     let mut observed: Vec<Observed> = Vec::new();
     let mut tail: Option<LatencyTail> = None;
-    // Best of four trials per configuration, interleaved round-robin
-    // across the sequential baseline and every worker count (like
-    // `workload_scale`): the headline `speedup_w1` is a ratio of two
-    // wall-clock samples gated near parity, and running each
-    // configuration's trials back-to-back would let one co-tenant burst
-    // poison a whole configuration — and with it the ratio. One more
-    // round than the other benches because a ratio floor this close to
-    // 1.0 needs both sides' best-of to converge. Every trial still
-    // joins the identity check.
-    let configs: Vec<Option<usize>> = std::iter::once(None)
-        .chain(worker_counts.iter().copied().map(Some))
-        .collect();
-    let mut best: Vec<Option<(u64, f64, f64, u64)>> = vec![None; configs.len()];
+    // Best of four trials per worker count, interleaved round-robin
+    // (like `workload_scale`): running each count's trials back-to-back
+    // would let one co-tenant burst poison a whole row — and with it
+    // every ratio against the baseline. Every trial joins the identity
+    // check.
+    let mut best: Vec<Option<(u64, f64, f64, u64)>> = vec![None; worker_counts.len()];
     // Per-round events/sec, for the speedup estimator below.
-    let mut eps_rounds: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
+    let mut eps_rounds: Vec<Vec<f64>> = vec![Vec::new(); worker_counts.len()];
     // Round -1 is an untimed warmup: the process's very first run pays
     // page faults and lazy initialization that no later run repays, and
-    // it always lands on the sequential baseline — a per-round ratio
-    // against a cold round-0 baseline would read far above truth. The
-    // warmup run still joins the identity check.
+    // it always lands on the baseline row — a per-round ratio against a
+    // cold round-0 baseline would read far above truth. The warmup run
+    // still joins the identity check.
     for round in -1i32..4 {
-        for (slot, cfg) in configs.iter().enumerate() {
-            let engine = match cfg {
-                None => Engine::Sequential,
-                Some(workers) => Engine::Sharded {
-                    workers: *workers,
-                    epoch_ns: 0,
-                },
-            };
+        for (slot, &workers) in worker_counts.iter().enumerate() {
             let ov = SimOptions {
-                engine: Some(engine),
+                engine: Some(Engine::Sharded {
+                    workers,
+                    epoch_ns: 0,
+                }),
                 exec: Some(ExecMode::Bytecode),
                 opt: Some(OptLevel::O2),
                 // Identity here is digest/stats/counts-based; skip
@@ -938,14 +921,12 @@ pub fn parallel_scale(switches: u64, target_events: u64, worker_counts: &[usize]
             ));
         }
     }
-    // Speedups are the best per-round ratio. Contention on a shared
-    // host is strictly one-sided — a co-tenant can only slow a sample
-    // down, never speed it up — so of the four sequential/sharded pairs
-    // the round with the highest ratio is the comparison least
-    // contaminated on the sharded side, and floors gated near parity
-    // need that robustness (a ratio of two independently-noisy samples
-    // spreads +-10% here, which would swamp the gate). Throughput
-    // columns still report best-of per configuration.
+    // Speedups are the best per-round ratio over the baseline row.
+    // Contention on a shared host is strictly one-sided — a co-tenant
+    // can only slow a sample down, never speed it up — so of the four
+    // pairs the round with the highest ratio is the comparison least
+    // contaminated on the numerator's side. Throughput columns still
+    // report best-of per worker count.
     let ratio_best = |slot: usize| -> f64 {
         eps_rounds[slot]
             .iter()
@@ -953,22 +934,21 @@ pub fn parallel_scale(switches: u64, target_events: u64, worker_counts: &[usize]
             .map(|(e, s)| e / s.max(1.0))
             .fold(0.0, f64::max)
     };
-    let mut picks = best.into_iter().map(|b| b.expect("every config ran"));
-    let (_, _, seq_eps, _) = picks.next().expect("sequential baseline ran");
     let rows: Vec<ParallelScaleRow> = worker_counts
         .iter()
-        .zip(picks)
+        .zip(best)
         .enumerate()
-        .map(
-            |(i, (&workers, (processed, wall_ms, eps, digest)))| ParallelScaleRow {
+        .map(|(i, (&workers, pick))| {
+            let (processed, wall_ms, eps, digest) = pick.expect("every worker count ran");
+            ParallelScaleRow {
                 workers,
                 events_processed: processed,
                 wall_ms,
                 events_per_sec: eps,
-                speedup: ratio_best(i + 1),
+                speedup: ratio_best(i),
                 state_digest: digest,
-            },
-        )
+            }
+        })
         .collect();
     let identical = observed.iter().all(|o| *o == observed[0]);
     let monotone = rows
@@ -977,8 +957,6 @@ pub fn parallel_scale(switches: u64, target_events: u64, worker_counts: &[usize]
     ParallelScale {
         switches,
         target_events,
-        sequential_events_per_sec: seq_eps,
-        speedup_w1: rows.first().map_or(0.0, |r| r.speedup),
         rows,
         identical,
         monotone,

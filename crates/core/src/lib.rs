@@ -61,8 +61,6 @@ pub use lucid_tofino as tofino;
 pub use lucid_backend::{BackendOptions, Compiled, HandlerIr, Layout, LayoutOptions, P4Program};
 pub use lucid_check::{Analysis, CheckOptions, CheckedProgram};
 pub use lucid_frontend::{Diagnostic, Diagnostics, Program, SourceMap};
-#[allow(deprecated)]
-pub use lucid_interp::SimOverrides;
 pub use lucid_interp::{
     disassemble, disassemble_opt, handle_line, json_escape, run_scenario, run_scenario_with,
     serve_lines, ArgDist, CheckHost, ClassHists, ClassMetrics, CmpOp, Engine, ErrorKind,
@@ -274,32 +272,6 @@ impl Build {
     ) -> Result<SimSession, SimError> {
         let prog = self.checked_arc().map_err(SimError::Diagnostics)?;
         SimSession::open_arc(prog, scenario, opts).map_err(SimError::from)
-    }
-
-    #[deprecated(note = "use `Build::interp(scenario, &SimOptions::new().engine(..).exec(..))`")]
-    pub fn interp_with(
-        &mut self,
-        scenario: &Scenario,
-        engine_override: Option<Engine>,
-        exec_override: Option<ExecMode>,
-    ) -> Result<SimReport, SimError> {
-        self.interp(
-            scenario,
-            &SimOptions {
-                engine: engine_override,
-                exec: exec_override,
-                ..SimOptions::default()
-            },
-        )
-    }
-
-    #[deprecated(note = "renamed to `Build::interp`")]
-    pub fn interp_overrides(
-        &mut self,
-        scenario: &Scenario,
-        overrides: &SimOptions,
-    ) -> Result<SimReport, SimError> {
-        self.interp(scenario, overrides)
     }
 
     /// Compile this session's checked program to interpreter bytecode at

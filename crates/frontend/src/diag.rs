@@ -187,10 +187,12 @@ fn json_span(sm: &SourceMap, span: Option<Span>) -> String {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+/// Escape a string's content for embedding inside a JSON string literal
+/// (quotes, backslashes, control characters; surrounding quotes not
+/// included). The workspace builds offline with no serde, so every
+/// hand-built JSON emitter shares this one table.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -202,8 +204,11 @@ fn json_str(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out.push('"');
     out
+}
+
+fn json_str(s: &str) -> String {
+    format!("\"{}\"", json_escape(s))
 }
 
 fn render_span(out: &mut String, sm: &SourceMap, span: Span) {

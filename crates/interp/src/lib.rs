@@ -51,8 +51,6 @@ pub use machine::{
     Engine, FaultAt, Handled, Interp, InterpError, InterpFault, NetConfig, Stats, SwitchState,
 };
 pub use metrics::{ClassHists, ClassMetrics, Histogram, MetricSel, Metrics};
-#[allow(deprecated)]
-pub use scenario::SimOverrides;
 pub use scenario::{
     json_escape, run_scenario, run_scenario_with, CmpOp, MetricExpect, Mismatch, Scenario,
     ScenarioError, SimOptions, SimReport, SimRunError,

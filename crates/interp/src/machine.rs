@@ -12,10 +12,15 @@
 //! # Engines
 //!
 //! Per-switch state is an independent *shard*: its register arrays, its
-//! event queue, and its emission counter. Two drivers execute the shards:
+//! clock, and its emission counter. One driver executes the shards — the
+//! lockstep round loop — and [`Engine`] only chooses how many workers it
+//! runs on:
 //!
-//! * [`Engine::Sequential`] — the reference: one global queue, events
-//!   dispatched strictly in `Key` order (virtual time, then origin).
+//! * [`Engine::Sequential`] — the reference: one worker owns every shard
+//!   and the one event queue, and dispatches strictly in `Key` order
+//!   (virtual time, then origin). A lone worker has no horizon, no
+//!   mailbox traffic and nobody to wait for at a barrier, so the round
+//!   loop is a straight single-threaded drain.
 //! * [`Engine::Sharded`] — a conservative parallel discrete-event
 //!   simulation: shards are partitioned across a small worker pool, each
 //!   worker scheduling its whole slice through one local heap. Workers
@@ -24,31 +29,40 @@
 //!   per-round mailboxes at the round barrier. Because a cross-switch
 //!   event can never arrive sooner than one wire hop, every event a
 //!   worker dispatches below its horizon is final, so each shard
-//!   observes exactly the event order the sequential engine would
-//!   produce. Successful runs are bit-identical between the two engines:
-//!   final array state, statistics, trace, printf output, and metrics
-//!   all match (each worker's dispatch log is a key-sorted run; the
-//!   global trace is a k-way merge of them at run's end).
+//!   observes exactly the event order a lone worker would produce.
+//!   Successful runs are bit-identical at every worker count: final
+//!   array state, statistics, trace, printf output, and metrics all
+//!   match (each worker's dispatch log is a key-sorted run; the global
+//!   trace is a k-way merge of them at run's end). A sharded run that
+//!   resolves to one worker — one requested, a single switch, or a
+//!   zero-latency wire, which admits no conservative horizon — *is* the
+//!   sequential engine.
 //!
-//! Error runs differ in bookkeeping only: the sharded engine checks the
-//! event budget at epoch barriers (so it may overshoot `max_events`
-//! before reporting [`InterpFault::FuelExhausted`]), and a runtime fault
-//! aborts the faulting shard's epoch while sibling shards finish theirs.
-//! The *reported* error is still deterministic (the fault with the
-//! smallest event key wins).
+//! At one worker every stop is exact: the budget is checked before each
+//! dispatch and a fault ends the run on the spot. Above one worker the
+//! budget and the fault cell are checked at round barriers, so a run may
+//! overshoot `max_events` before reporting
+//! [`InterpFault::FuelExhausted`], and sibling shards finish the round a
+//! fault happened in. The *reported* error is still deterministic (the
+//! fault with the smallest event key wins).
 
 use crate::bytecode::{CompiledProg, ExecMode, OptLevel};
 use crate::metrics::{ClassHists, Metrics, ShardMetrics};
-use crate::snap;
 use crate::value::{lucid_hash, EventVal, Location, Value};
-use crate::workload::{EventSource, GenSpec, LocalGen, SourcedEvent, Workload};
+use crate::workload::EventSource;
 use lucid_check::{eval_memop, mask, CheckedProgram, GlobalId};
 use lucid_frontend::ast::*;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
+
+mod engine;
+mod sched;
+mod world;
+
+pub(crate) use sched::Key;
+use sched::{SchedHeap, Scheduled};
+pub use world::SwapStats;
 
 // The sharded engine shares `&CheckedProgram` across worker threads; this
 // fails to compile if the checked AST ever grows thread-unsafe interior
@@ -58,14 +72,17 @@ fn _assert_prog_thread_safe() {
     check::<CheckedProgram>();
 }
 
-/// Which driver executes the shards.
+/// How many workers the round loop executes the shards on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// One global queue, one thread: the reference engine.
+    /// One worker, one queue, one thread: the reference engine — strict
+    /// `Key` order with no horizon, mailbox or barrier wait.
     #[default]
     Sequential,
     /// Lockstep-round parallel execution on a worker pool, with adaptive
-    /// epoch horizons and batched cross-worker mailboxes.
+    /// epoch horizons and batched cross-worker mailboxes. Resolves to
+    /// one worker (the sequential engine) on a single switch or a
+    /// zero-latency wire.
     Sharded {
         /// Worker threads; `0` means one per available core (capped at
         /// the number of switches).
@@ -73,7 +90,8 @@ pub enum Engine {
         /// Epoch cap in sim-nanoseconds; `0` (the default) means purely
         /// adaptive horizons sized from observed wire latency. A nonzero
         /// value additionally caps each round's horizon (clamped down to
-        /// the wire latency — wider would add nothing).
+        /// the wire latency — wider would add nothing; a lone worker has
+        /// no horizon to cap).
         epoch_ns: u64,
     },
 }
@@ -416,60 +434,6 @@ impl SwitchState {
     }
 }
 
-/// The deterministic total order on events. Ties in virtual time break on
-/// class and origin: externally injected events come first — explicitly
-/// scheduled ones (origin 0, in schedule order) before sourced ones (one
-/// origin per workload source, in per-source pull order) — then generated
-/// events by source switch and per-source emission count. Both engines
-/// schedule with the same keys, which is what makes their per-shard
-/// execution orders — and therefore their results — identical; no key
-/// component depends on *when* an engine materializes the event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Key {
-    time_ns: u64,
-    /// 0 = externally injected, 1 = handler-generated.
-    class: u8,
-    /// Source switch for generated events; for injections, 0 when
-    /// explicitly scheduled or `1 + source index` when pulled from an
-    /// attached [`EventSource`].
-    origin: u64,
-    /// Injection counter / per-source pull counter / per-switch emission
-    /// counter, matching `class`/`origin`.
-    seq: u64,
-}
-
-impl Key {
-    /// The fault location this key describes, for error reports.
-    fn fault_at(&self, switch: u64, event: &str) -> FaultAt {
-        FaultAt {
-            time_ns: self.time_ns,
-            switch,
-            event: event.to_string(),
-            origin: (self.class == 1).then_some(self.origin),
-            seq: self.seq,
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct Scheduled {
-    key: Key,
-    /// Destination switch.
-    switch: u64,
-    event_id: usize,
-    args: Vec<u64>,
-    /// Virtual instant this entry was enqueued: the emitting shard's
-    /// clock for generated events, the arrival time itself for external
-    /// injections. `key.time_ns - enq_ns` is the queue residency the
-    /// metrics layer records. (Keys are unique, so these trailing fields
-    /// never influence the derived `Ord`.)
-    enq_ns: u64,
-    /// Arrival time of the external injection at the root of this
-    /// event's causal chain, inherited across `generate`.
-    /// `key.time_ns - root_ns` is the dispatch latency.
-    root_ns: u64,
-}
-
 /// Flow of control inside a handler body.
 enum Flow {
     Normal,
@@ -477,8 +441,8 @@ enum Flow {
 }
 
 /// One switch's independent slice of the simulation: persistent arrays,
-/// the local event queue, and run-local buffers that the drivers drain
-/// back into the [`Interp`] at barriers.
+/// its clock, and run-local buffers that the driver drains back into the
+/// [`Interp`] at the end of a run.
 #[derive(Debug)]
 pub(crate) struct Shard {
     switch: u64,
@@ -486,11 +450,6 @@ pub(crate) struct Shard {
     /// as dropped) but loses its state.
     alive: bool,
     pub(crate) state: SwitchState,
-    /// Events parked on a shard between runs. During a run both engines
-    /// keep live events elsewhere (the interpreter's global queue, a
-    /// worker's own heap); this holds only arrivals stashed for a shard
-    /// whose handler faulted, until the driver re-parks them globally.
-    queue: BinaryHeap<Reverse<Scheduled>>,
     /// Per-source emission counter feeding [`Key::seq`].
     emit_seq: u64,
     /// This shard's virtual clock: the latest event time it has executed.
@@ -529,7 +488,6 @@ impl Shard {
             switch,
             alive: true,
             state: SwitchState::zeroed(prog),
-            queue: BinaryHeap::new(),
             emit_seq: 0,
             now_ns: 0,
             trace: Vec::new(),
@@ -797,10 +755,8 @@ impl Exec {
         }
     }
 
-    /// Schedule a generated event according to its location and delay.
-    /// Local targets go straight onto the shard's queue (a recirculation
-    /// can land within the current epoch); every other target goes to the
-    /// outbox for the driver to route.
+    /// Schedule a generated event according to its location and delay:
+    /// one outbox entry per target, for the worker to route.
     pub(crate) fn emit(&self, shard: &mut Shard, mut ev: EventVal) {
         let from = shard.switch;
         let lat_to = |target: u64| {
@@ -857,8 +813,8 @@ impl Exec {
         } else {
             shard.stats.sent_remote += 1;
         }
-        // Both drivers route every emission (recirculation or remote)
-        // through the outbox; the caller owns the queue it lands on.
+        // Every emission (recirculation or remote) goes through the
+        // outbox; the worker owns the queue it lands on.
         shard.outbox.push(sched);
     }
 
@@ -1115,743 +1071,6 @@ impl Exec {
     }
 }
 
-// ------------------------------------------------------------------ pool
-//
-// The sharded driver is coordinator-free: the calling thread doubles as
-// worker 0 and every worker runs the identical lockstep round protocol
-// against a handful of shared cells. Each round has two phases separated
-// by barriers:
-//
-//   P1  drain this worker's mailbox into its event heap, then publish
-//       one word of "activity" — the earliest virtual instant this
-//       worker could still produce work at (min over its heap head and
-//       its partitioned sources' next emissions).
-//   P2  every worker reads all published words and computes the same
-//       reduction, so all of them agree — with no messages — on whether
-//       to stop (drained / fuel / fault) and on each worker's *horizon*:
-//       how far its shards may run this round.
-//
-// The horizon is adaptive per worker (a conservative null-message bound
-// in the CMB tradition): worker `w` may process strictly below
-// `min(min(other workers' activity) + link, global min + 2·link)`. The
-// first term bounds arrivals from events already queued on a sibling
-// (one wire hop past its floor); the second bounds arrivals from chain
-// events still in flight — in-flight mail is itself at least one hop
-// past some worker's floor, so its re-emissions are two hops past the
-// global minimum. Both are needed: the first alone lets a worker's own
-// emissions bounce off a sibling and return below its already-consumed
-// frontier. The global laggard therefore gets a double-wide window and
-// everyone else the classic conservative one — and with one worker the
-// horizon is unbounded, so the round loop degrades into a straight
-// single-threaded drain with no synchronization cost.
-//
-// Cross-worker events are not exchanged per event: a round's emissions
-// accumulate into per-destination batches and are appended to the
-// destination's mailbox with one lock per (destination, round). Mail
-// sent in round `k` is drained at round `k+1`'s P1, which is sound
-// because a mailed arrival is at least one wire hop past its emitter's
-// published activity — at or beyond every receiver horizon of round `k`.
-
-/// How many sourced events a driver materializes per refill. Chunking
-/// amortizes the per-pull dispatch overhead while keeping in-flight
-/// memory bounded by the frontier; correctness never depends on the
-/// chunk size because sourced keys are pull-order-independent.
-const SOURCE_CHUNK: usize = 64;
-
-/// The per-worker shared cells. Plain `std` sync everywhere: the round
-/// barriers provide the happens-before edges, so the atomics only need
-/// `Relaxed` ordering.
-#[derive(Default)]
-struct WorkerCell {
-    /// Cross-worker deliveries, appended in per-round batches.
-    mailbox: Mutex<Vec<Scheduled>>,
-    /// The worker's published activity floor (`u64::MAX`: idle).
-    activity: AtomicU64,
-    /// Cumulative events processed, published once per round.
-    processed: AtomicU64,
-}
-
-/// Why the round loop stopped (every worker computes the same answer;
-/// the driver reads worker 0's).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum StopWhy {
-    /// Queues and sources drained, or the time horizon passed.
-    Done,
-    /// The event budget ran out (or the last round overshot it).
-    Fuel,
-    /// A handler faulted; the smallest-key fault is in the shared cell.
-    Fault,
-    /// The barrier was fused by a panicking sibling.
-    Died,
-}
-
-/// A switch-id lookup table on the per-event routing path. Configs
-/// number switches densely from 1, so the common case is a flat-array
-/// read; arbitrary ids fall back to hashing. (The hash map's per-event
-/// SipHash showed up directly in the workers=1-vs-sequential ratio.)
-enum SwitchMap {
-    Dense(Vec<u32>),
-    Sparse(HashMap<u64, u32>),
-}
-
-impl SwitchMap {
-    const NONE: u32 = u32::MAX;
-
-    /// Build from `(switch id, value)` pairs; values must be below
-    /// [`Self::NONE`].
-    fn build(pairs: &[(u64, u32)]) -> SwitchMap {
-        let max = pairs.iter().map(|&(id, _)| id).max().unwrap_or(0);
-        // Dense storage pays one u32 per id up to the largest; cap the
-        // slack at a few KiB beyond what the entry count justifies.
-        if (max as usize) < pairs.len() * 4 + 1024 {
-            let mut v = vec![Self::NONE; max as usize + 1];
-            for &(id, w) in pairs {
-                v[id as usize] = w;
-            }
-            SwitchMap::Dense(v)
-        } else {
-            SwitchMap::Sparse(pairs.iter().map(|&(id, w)| (id, w)).collect())
-        }
-    }
-
-    #[inline]
-    fn get(&self, id: u64) -> Option<u32> {
-        let w = match self {
-            SwitchMap::Dense(v) => usize::try_from(id)
-                .ok()
-                .and_then(|i| v.get(i).copied())
-                .unwrap_or(Self::NONE),
-            SwitchMap::Sparse(m) => m.get(&id).copied().unwrap_or(Self::NONE),
-        };
-        (w != Self::NONE).then_some(w)
-    }
-}
-
-/// Shared read-only round state (cells, reductions, network constants).
-struct RoundCtx<'a> {
-    cells: &'a [WorkerCell],
-    /// Head time of the shared (non-partitioned) source, `u64::MAX` when
-    /// exhausted or absent. Published by worker 0, read by everyone:
-    /// shared arrivals carry their own absolute times, so every horizon
-    /// is clamped at this instant.
-    shared_peek: &'a AtomicU64,
-    /// Sourced events bound for unknown switches (dropped, counted).
-    dropped: &'a AtomicU64,
-    /// The smallest-key fault of the run, min-merged by every worker.
-    fault: &'a Mutex<Option<(Key, InterpError)>>,
-    barrier: &'a RoundBarrier,
-    /// switch id → owning worker.
-    owner: &'a SwitchMap,
-    link_ns: u64,
-    /// Explicit `epoch_ns` override: an additional cap of
-    /// `global_min + epoch` on every horizon (narrower rounds, same
-    /// results). `None` is the adaptive default.
-    epoch_cap: Option<u64>,
-    max_events: u64,
-    max_time_ns: u64,
-}
-
-/// A reusable rendezvous replacing [`std::sync::Barrier`] with one that
-/// can be *fused*: a worker that unwinds mid-round breaks the barrier on
-/// the way out ([`FuseOnPanic`]), waking every sibling with an error
-/// instead of leaving them blocked on a rendezvous that can no longer
-/// complete. (`std`'s barrier has no such escape hatch, and a panicking
-/// handler — AST-walker invariants panic — must not deadlock the pool.)
-struct RoundBarrier {
-    /// (arrived, generation, fused)
-    state: Mutex<(usize, u64, bool)>,
-    cv: Condvar,
-    n: usize,
-}
-
-impl RoundBarrier {
-    fn new(n: usize) -> Self {
-        RoundBarrier {
-            state: Mutex::new((0, 0, false)),
-            cv: Condvar::new(),
-            n,
-        }
-    }
-
-    /// Rendezvous with the other `n - 1` workers. `Err(())` means the
-    /// barrier was fused and the round protocol is dead.
-    fn wait(&self) -> Result<(), ()> {
-        let mut st = self.state.lock().expect("barrier state");
-        if st.2 {
-            return Err(());
-        }
-        st.0 += 1;
-        if st.0 == self.n {
-            st.0 = 0;
-            st.1 += 1;
-            self.cv.notify_all();
-            return Ok(());
-        }
-        let generation = st.1;
-        while st.1 == generation && !st.2 {
-            st = self.cv.wait(st).expect("barrier wait");
-        }
-        if st.2 {
-            Err(())
-        } else {
-            Ok(())
-        }
-    }
-
-    fn fuse(&self) {
-        let mut st = self.state.lock().expect("barrier state");
-        st.2 = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Fuses the round barrier if the owning worker unwinds, so siblings
-/// exit their round loop instead of blocking forever; the panic itself
-/// still propagates through the scope join.
-struct FuseOnPanic<'a>(&'a RoundBarrier);
-
-impl Drop for FuseOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.fuse();
-        }
-    }
-}
-
-/// A min-queue of [`Scheduled`] events built as an index heap over a
-/// slab: the binary heap orders compact `(Key, slot)` pairs while the
-/// much larger payloads stay put in a pooled slab, so every heap sift
-/// moves less than half the bytes a `BinaryHeap<Scheduled>` would, and
-/// head peeks never touch the slab at all. Keys are globally unique,
-/// so pair order is exactly the key order the engine contract
-/// requires. A popped slot leaves a dead record behind (empty args —
-/// no allocation) and recycles through a freelist. Both drivers
-/// schedule through this: the sequential loop directly, each sharded
-/// worker for its own per-worker heap.
-#[derive(Default)]
-struct SchedHeap {
-    pool: Vec<Scheduled>,
-    free: Vec<u32>,
-    heap: BinaryHeap<Reverse<(Key, u32)>>,
-}
-
-impl SchedHeap {
-    fn with_capacity(n: usize) -> Self {
-        SchedHeap {
-            pool: Vec::with_capacity(n),
-            free: Vec::new(),
-            heap: BinaryHeap::with_capacity(n),
-        }
-    }
-
-    fn dead() -> Scheduled {
-        Scheduled {
-            key: Key {
-                time_ns: 0,
-                class: 0,
-                origin: 0,
-                seq: 0,
-            },
-            switch: 0,
-            event_id: 0,
-            args: Vec::new(),
-            enq_ns: 0,
-            root_ns: 0,
-        }
-    }
-
-    fn push(&mut self, s: Scheduled) {
-        let key = s.key;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.pool[slot as usize] = s;
-                slot
-            }
-            None => {
-                self.pool.push(s);
-                u32::try_from(self.pool.len() - 1).expect("in-flight events fit u32")
-            }
-        };
-        self.heap.push(Reverse((key, slot)));
-    }
-
-    /// Key of the minimum pending event, straight off the heap head.
-    fn peek_key(&self) -> Option<Key> {
-        self.heap.peek().map(|&Reverse((k, _))| k)
-    }
-
-    fn pop(&mut self) -> Option<Scheduled> {
-        let Reverse((_, slot)) = self.heap.pop()?;
-        self.free.push(slot);
-        Some(std::mem::replace(
-            &mut self.pool[slot as usize],
-            Self::dead(),
-        ))
-    }
-
-    /// Tear down into the undispatched events, in no particular order.
-    fn into_events(self) -> impl Iterator<Item = Scheduled> {
-        let mut pool = self.pool;
-        self.heap.into_iter().map(move |Reverse((_, slot))| {
-            std::mem::replace(&mut pool[slot as usize], Self::dead())
-        })
-    }
-}
-
-/// What a worker hands back when the round loop stops.
-struct WorkerOut {
-    shards: Vec<Shard>,
-    /// Undispatched events (above the final horizon, or past a stop).
-    heap: SchedHeap,
-    /// This worker's dispatch log, already in global key order (one
-    /// worker's dispatches are totally ordered), merged across workers
-    /// once at run end.
-    trace: Vec<(Key, TraceRec)>,
-    output: Vec<(Key, OutRec)>,
-    /// Partitioned sources, cursors advanced to wherever the run ended.
-    locals: Vec<LocalGen>,
-    /// Per-source pull counters (authoritative for this worker's slots).
-    counts: Vec<u64>,
-    why: StopWhy,
-    /// Events processed across all workers at stop time (identical on
-    /// every worker; the driver reads worker 0's).
-    total: u64,
-}
-
-/// What a worker starts the round loop with — the input counterpart of
-/// [`WorkerOut`].
-struct WorkerSeed {
-    shards: Vec<Shard>,
-    /// Pending events already owned by this worker's shards.
-    heap: SchedHeap,
-    /// Partitioned single-switch generators owned by this worker.
-    locals: Vec<LocalGen>,
-    /// Per-source pull counters (a full-width copy; each worker advances
-    /// only its own slots).
-    counts: Vec<u64>,
-}
-
-/// The lockstep round loop every worker (including the calling thread,
-/// as worker 0) runs until all of them agree to stop. `shared` is the
-/// non-partitioned remainder of the event source; only worker 0 holds
-/// it and materializes its stream one window ahead, mailing each event
-/// to its owner.
-#[allow(clippy::too_many_lines)]
-fn run_round_worker(
-    ctx: &RoundCtx<'_>,
-    exec: &Exec,
-    id: usize,
-    seed: WorkerSeed,
-    mut shared: Option<&mut Box<dyn EventSource + Send>>,
-) -> WorkerOut {
-    let WorkerSeed {
-        mut shards,
-        mut heap,
-        mut locals,
-        mut counts,
-    } = seed;
-    let _fuse = FuseOnPanic(ctx.barrier);
-    let nworkers = ctx.cells.len();
-    let mut outgoing: Vec<Vec<Scheduled>> = (0..nworkers).map(|_| Vec::new()).collect();
-    // switch id → index into this worker's `shards` (hot: every dispatch
-    // resolves its shard through it).
-    let at = SwitchMap::build(
-        &shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.switch, u32::try_from(i).expect("shard count fits u32")))
-            .collect::<Vec<_>>(),
-    );
-    let local = |id: u64| at.get(id).expect("routed to owning worker") as usize;
-    let mut trace: Vec<(Key, TraceRec)> = Vec::new();
-    let mut output: Vec<(Key, OutRec)> = Vec::new();
-    // Scratch buffer for chunked source pulls, reused across rounds.
-    let mut batch: Vec<SourcedEvent> = Vec::new();
-    // A shard whose handler faulted sits out the rest of the run (its
-    // siblings still finish the round, exactly like the old per-epoch
-    // engine); the next round's reduction sees the fault and stops.
-    let mut poisoned = vec![false; shards.len()];
-    let mut cum = 0u64;
-    let mut round_err: Option<(Key, InterpError)> = None;
-    let (why, total) = loop {
-        // ---- P1: drain mail, publish the previous round's results and
-        // this worker's activity floor. Everything any decision reads is
-        // written here, before the rendezvous — the P2-end barrier keeps
-        // a fast worker's next P1 writes from racing a slow worker's
-        // current decision reads.
-        let mail = std::mem::take(&mut *ctx.cells[id].mailbox.lock().expect("mailbox"));
-        for s in mail {
-            heap.push(s);
-        }
-        ctx.cells[id].processed.store(cum, Relaxed);
-        if let Some((k, e)) = round_err.take() {
-            let mut cell = ctx.fault.lock().expect("fault cell");
-            if cell.as_ref().is_none_or(|(fk, _)| k < *fk) {
-                *cell = Some((k, e));
-            }
-        }
-        let mut act = heap.peek_key().map_or(u64::MAX, |k| k.time_ns);
-        for ls in &locals {
-            if let Some(t) = ls.gen.peek_ns() {
-                act = act.min(t);
-            }
-        }
-        ctx.cells[id].activity.store(act, Relaxed);
-        if let Some(src) = shared.as_deref() {
-            ctx.shared_peek
-                .store(src.peek_ns().unwrap_or(u64::MAX), Relaxed);
-        }
-        if ctx.barrier.wait().is_err() {
-            break (StopWhy::Died, 0);
-        }
-
-        // ---- Decision: every worker computes the identical reduction
-        // from the published cells, so they agree without messages.
-        let speek = ctx.shared_peek.load(Relaxed);
-        let mut gmin = speek;
-        let mut min_other = u64::MAX;
-        let mut total = 0u64;
-        for (w, cell) in ctx.cells.iter().enumerate() {
-            let a = cell.activity.load(Relaxed);
-            gmin = gmin.min(a);
-            if w != id {
-                min_other = min_other.min(a);
-            }
-            total += cell.processed.load(Relaxed);
-        }
-        if ctx.fault.lock().expect("fault cell").is_some() {
-            break (StopWhy::Fault, total);
-        }
-        // Overshoot from the previous round outranks "drained": each
-        // worker gets the full remaining budget, so a draining round can
-        // still blow past it — report fuel exhaustion exactly like the
-        // sequential engine would have at event `max_events + 1`.
-        if total > ctx.max_events {
-            break (StopWhy::Fuel, total);
-        }
-        if gmin == u64::MAX || gmin > ctx.max_time_ns {
-            break (StopWhy::Done, total);
-        }
-        if total >= ctx.max_events {
-            break (StopWhy::Fuel, total);
-        }
-
-        // ---- P2: process strictly below this worker's adaptive horizon.
-        // Two bounds, both needed: an arrival from an event already
-        // queued on a sibling is at least one wire hop past that
-        // sibling's activity floor (`min_other + link`), while an
-        // arrival from a *chain* event that is still in flight is at
-        // least two hops past the global minimum (`gmin + 2*link` —
-        // in-flight mail is itself a hop past some floor). The laggard
-        // therefore gets a double-wide window and everyone else the
-        // classic conservative one; a lone worker has no cross-worker
-        // causality at all and drains without bound. Shared-source
-        // arrivals carry absolute times, so the stream head clamps
-        // every horizon.
-        let mut horizon = if nworkers == 1 {
-            // A lone worker merges the shared stream head straight into
-            // its dispatch scan (below), so nothing clamps it: the whole
-            // run drains in one round with no synchronization at all.
-            u64::MAX
-        } else {
-            min_other
-                .saturating_add(ctx.link_ns)
-                .min(gmin.saturating_add(ctx.link_ns.saturating_mul(2)))
-                .min(speek)
-        };
-        if let Some(epoch) = ctx.epoch_cap {
-            horizon = horizon.min(gmin.saturating_add(epoch));
-        }
-        horizon = horizon.min(ctx.max_time_ns.saturating_add(1));
-        let budget = ctx.max_events - total;
-
-        // With siblings to feed, worker 0 materializes the shared stream
-        // one window ahead and mails each event to its owner (delivered
-        // next round; sound because every sibling horizon is clamped at
-        // the published stream head). Keys are pull-order-independent,
-        // so pulling ahead of execution cannot perturb the schedule.
-        if nworkers > 1 {
-            if let Some(src) = shared.as_deref_mut() {
-                let width = ctx.epoch_cap.unwrap_or(ctx.link_ns);
-                let pull_end = gmin
-                    .saturating_add(width)
-                    .min(ctx.max_time_ns.saturating_add(1));
-                loop {
-                    batch.clear();
-                    src.next_batch(pull_end.saturating_sub(1), SOURCE_CHUNK, &mut batch);
-                    if batch.is_empty() {
-                        break;
-                    }
-                    for ev in batch.drain(..) {
-                        let sched = shape_sourced(&exec.prog, &mut counts, ev);
-                        match ctx.owner.get(sched.switch) {
-                            Some(w) if w as usize == id => heap.push(sched),
-                            Some(w) => outgoing[w as usize].push(sched),
-                            None => {
-                                ctx.dropped.fetch_add(1, Relaxed);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        /// What the dispatch scan picked as the globally-next item.
-        enum Pick {
-            Queued,
-            Local(usize),
-            Shared,
-        }
-        let mut done = 0u64;
-        // Minimum time over every source head this worker can still pull
-        // (partitioned locals, plus the shared stream for a lone
-        // worker). Source heads move only on pulls, so the scan below
-        // refreshes this and the pull arms invalidate it; between
-        // pulls, dispatching a queued head strictly below the floor
-        // costs one integer compare instead of rebuilding and comparing
-        // a source key per head per event.
-        let mut src_floor: Option<u64> = None;
-        while done < budget {
-            // Smallest key among this worker's event heap and its
-            // partitioned source heads. One heap spans all of the
-            // worker's shards: its shards must interleave in global key
-            // order anyway (a sibling shard's emission can land below
-            // the horizon and has to sort between the events already
-            // queued), so a single pop beats a per-shard head scan.
-            let mut best: Option<(Key, Pick)> = None;
-            if let Some(k) = heap.peek_key() {
-                if k.time_ns < horizon {
-                    best = Some((k, Pick::Queued));
-                }
-            }
-            // Any source event's key starts at its head time, so a
-            // queued head strictly below every source head wins without
-            // a scan. Ties (and an empty or over-horizon heap) fall
-            // through to the full key comparison.
-            let scan = match (&best, src_floor) {
-                (Some((k, _)), Some(f)) => k.time_ns >= f,
-                _ => true,
-            };
-            if scan {
-                let mut floor = u64::MAX;
-                for (i, ls) in locals.iter().enumerate() {
-                    if let Some(t) = ls.gen.peek_ns() {
-                        floor = floor.min(t);
-                        if t < horizon {
-                            let key = Key {
-                                time_ns: t,
-                                class: 0,
-                                origin: ls.slot as u64 + 1,
-                                seq: counts.get(ls.slot).copied().unwrap_or(0) + 1,
-                            };
-                            if best.as_ref().is_none_or(|(bk, _)| key < *bk) {
-                                best = Some((key, Pick::Local(i)));
-                            }
-                        }
-                    }
-                }
-                // A lone worker owns every shard, so the shared stream
-                // needs no mailing ahead: its head competes in the scan
-                // under its exact schedule key and is pulled in chunks.
-                if nworkers == 1 {
-                    if let Some((t, slot)) = shared.as_deref().and_then(|s| s.peek_key()) {
-                        floor = floor.min(t);
-                        if t < horizon {
-                            let key = Key {
-                                time_ns: t,
-                                class: 0,
-                                origin: slot as u64 + 1,
-                                seq: counts.get(slot).copied().unwrap_or(0) + 1,
-                            };
-                            if best.as_ref().is_none_or(|(bk, _)| key < *bk) {
-                                best = Some((key, Pick::Shared));
-                            }
-                        }
-                    }
-                }
-                src_floor = Some(floor);
-            }
-            // Sourced keys are pull-order-independent, so a pull may
-            // materialize any prefix of a stream without perturbing the
-            // schedule. Cap each pull at the queued head (never below
-            // the winning source head's own time, so a time tie still
-            // makes progress): events past the queued head would only
-            // sit in the heap adding sift depth to every push, exactly
-            // the frontier the sequential driver's head-bounded refill
-            // avoids.
-            let pull_bound = |bk: Key, heap: &SchedHeap| {
-                heap.peek_key()
-                    .map_or(u64::MAX, |k| k.time_ns.saturating_sub(1).max(bk.time_ns))
-                    .min(horizon.saturating_sub(1))
-            };
-            match best {
-                None => break,
-                Some((bk, Pick::Local(i))) => {
-                    // Drain this generator's window below the cap in
-                    // chunks: every one of these events is due below the
-                    // horizon, so materializing them now (instead of one
-                    // per scan) cannot change any key.
-                    batch.clear();
-                    locals[i]
-                        .gen
-                        .next_batch(pull_bound(bk, &heap), SOURCE_CHUNK, &mut batch);
-                    for ev in batch.drain(..) {
-                        heap.push(shape_sourced(&exec.prog, &mut counts, ev));
-                    }
-                    src_floor = None;
-                    continue;
-                }
-                Some((bk, Pick::Shared)) => {
-                    let bound = pull_bound(bk, &heap);
-                    let src = shared.as_deref_mut().expect("peeked");
-                    batch.clear();
-                    src.next_batch(bound, SOURCE_CHUNK, &mut batch);
-                    for ev in batch.drain(..) {
-                        let sched = shape_sourced(&exec.prog, &mut counts, ev);
-                        if ctx.owner.get(sched.switch).is_some() {
-                            heap.push(sched);
-                        } else {
-                            ctx.dropped.fetch_add(1, Relaxed);
-                        }
-                    }
-                    src_floor = None;
-                    continue;
-                }
-                Some((_, Pick::Queued)) => {}
-            }
-            let sched = heap.pop().expect("peeked");
-            let idx = local(sched.switch);
-            if poisoned[idx] {
-                // A faulted shard sits out the rest of the run; stash
-                // its arrivals on the shard's own queue (off the hot
-                // path) so the driver parks them for a later run.
-                shards[idx].queue.push(Reverse(sched));
-                continue;
-            }
-            let shard = &mut shards[idx];
-            shard.now_ns = shard.now_ns.max(sched.key.time_ns);
-            done += 1;
-            let key = sched.key;
-            if let Err(e) = exec.dispatch(shard, sched) {
-                // Keep the smallest-key fault; this shard sits out the
-                // rest of the run. Its partial emissions still route
-                // below, exactly like the sequential engine's.
-                if round_err.as_ref().is_none_or(|(k, _)| key < *k) {
-                    round_err = Some((key, e));
-                }
-                poisoned[idx] = true;
-            }
-            // Route what the handler produced: same-worker siblings get
-            // immediate delivery (their arrivals can precede this round's
-            // horizon), remote workers get batched into the outgoing
-            // mail, flushed once per round.
-            let mut produced = std::mem::take(&mut shards[idx].outbox);
-            for ev in produced.drain(..) {
-                match ctx.owner.get(ev.switch) {
-                    Some(w) if w as usize == id => heap.push(ev),
-                    Some(w) => outgoing[w as usize].push(ev),
-                    None => {
-                        shards[idx].stats.dropped += 1;
-                        shards[idx].recycle_args(ev.args);
-                    }
-                }
-            }
-            shards[idx].outbox = produced;
-            // Surface the dispatch's buffers into the worker-run log in
-            // pop order, which already is this worker's global key order.
-            trace.append(&mut shards[idx].trace);
-            output.append(&mut shards[idx].output);
-            // A lone worker's round would otherwise be the whole run —
-            // stop at the first fault (which, in single-worker key
-            // order, is necessarily the smallest-key fault).
-            if nworkers == 1 && round_err.is_some() {
-                break;
-            }
-        }
-
-        // ---- End of round: flush the outgoing mail, one batched append
-        // per destination worker. The count and any fault are published
-        // at the next P1; appending here is safe because a mailbox is
-        // only drained at its owner's P1, on the far side of the P2-end
-        // barrier from every append.
-        cum += done;
-        for (w, batch) in outgoing.iter_mut().enumerate() {
-            if !batch.is_empty() {
-                ctx.cells[w].mailbox.lock().expect("mailbox").append(batch);
-            }
-        }
-        if ctx.barrier.wait().is_err() {
-            break (StopWhy::Died, 0);
-        }
-    };
-    WorkerOut {
-        shards,
-        heap,
-        trace,
-        output,
-        locals,
-        counts,
-        why,
-        total,
-    }
-}
-
-/// Shape one sourced event into a scheduled class-0 injection, assigning
-/// the key `(time, class 0, origin = source index + 1, seq = per-source
-/// pull count)` and bumping that source's counter (dropped events count
-/// too, mirroring the per-generator report rows).
-///
-/// Keying sourced injections per *source* rather than by a global pull
-/// counter is what lets the sharded engine pull partitioned sources
-/// worker-locally: the key depends only on the source's own stream
-/// position, never on how pulls interleave globally. The total order is
-/// unchanged: [`crate::workload::Workload`] merges sources in (time,
-/// source-index) order with nondecreasing times per source — exactly the
-/// (time, origin, seq) order these keys encode — and explicitly scheduled
-/// events keep `origin = 0`, winning time-ties just as their lower global
-/// pull order did.
-fn shape_sourced(
-    prog: &CheckedProgram,
-    counts: &mut Vec<u64>,
-    ev: crate::workload::SourcedEvent,
-) -> Scheduled {
-    if ev.source >= counts.len() {
-        // Custom sources may misreport `source_count`; grow rather than
-        // lose the per-source sequencing both engines must agree on.
-        counts.resize(ev.source + 1, 0);
-    }
-    counts[ev.source] += 1;
-    let params = &prog.info.events[ev.event_id].params;
-    // Exactly one value per parameter, masked to its width — short
-    // custom-source arg lists pad with zeros rather than leaving handler
-    // parameters unbound.
-    let args = params
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            mask(
-                ev.args.get(i).copied().unwrap_or(0),
-                p.ty.int_width().unwrap_or(32),
-            )
-        })
-        .collect();
-    Scheduled {
-        key: Key {
-            time_ns: ev.time_ns,
-            class: 0,
-            origin: ev.source as u64 + 1,
-            seq: counts[ev.source],
-        },
-        switch: ev.switch,
-        event_id: ev.event_id,
-        args,
-        // An injection roots its own causal chain and spends no virtual
-        // time queued, so both metric baselines are the key time.
-        enq_ns: ev.time_ns,
-        root_ns: ev.time_ns,
-    }
-}
-
 /// The interpreter. Owns the checked program (shared via `Arc` so sessions,
 /// snapshots, and hot-swap can hold the world without a borrow) and all
 /// simulation state.
@@ -1860,8 +1079,8 @@ pub struct Interp {
     pub config: NetConfig,
     /// One shard per configured switch, keyed by switch id.
     shards: BTreeMap<u64, Shard>,
-    /// Pending events between runs (and the sequential driver's queue).
-    queue: BinaryHeap<Reverse<Scheduled>>,
+    /// The one event queue: every pending event between runs.
+    queue: SchedHeap,
     /// Injection counter feeding [`Key::seq`] for external events.
     inj_seq: u64,
     /// Simulation clock, nanoseconds.
@@ -1886,8 +1105,8 @@ pub struct Interp {
     /// Lazily compiled bytecode, populated when [`NetConfig::exec`] is
     /// [`ExecMode::Bytecode`] (shared with the worker pool).
     compiled: Option<Arc<CompiledProg>>,
-    /// Attached streaming injection source ([`Interp::set_source`]). Both
-    /// drivers drain it lazily — events materialize only when due, so a
+    /// Attached streaming injection source ([`Interp::set_source`]),
+    /// drained lazily — events materialize only when due, so a
     /// ten-million-event workload never builds an event vector.
     source: Option<Box<dyn EventSource + Send>>,
     /// Events injected per source index (for per-generator report rows).
@@ -1923,7 +1142,7 @@ impl Interp {
             prog,
             config,
             shards,
-            queue: BinaryHeap::new(),
+            queue: SchedHeap::default(),
             inj_seq: 0,
             now_ns: 0,
             trace: Vec::new(),
@@ -2034,7 +1253,7 @@ impl Interp {
             return Ok(());
         }
         self.inj_seq += 1;
-        self.queue.push(Reverse(Scheduled {
+        self.queue.push(Scheduled {
             key: Key {
                 time_ns,
                 class: 0,
@@ -2049,7 +1268,7 @@ impl Interp {
             // instant), so both metric baselines are the key time.
             enq_ns: time_ns,
             root_ns: time_ns,
-        }));
+        });
         Ok(())
     }
 
@@ -2071,11 +1290,6 @@ impl Interp {
     /// Events injected so far per source index (empty without a source).
     pub fn source_counts(&self) -> &[u64] {
         &self.source_counts
-    }
-
-    /// The source's next event time, if any.
-    fn source_peek(&self) -> Option<u64> {
-        self.source.as_ref().and_then(|s| s.peek_ns())
     }
 
     /// Read a global array on a switch (for assertions). Panics if the
@@ -2134,32 +1348,12 @@ impl Interp {
 
     /// Number of events still queued.
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.shards.values().map(|s| s.queue.len()).sum::<usize>()
+        self.queue.len()
     }
 
     pub fn clear_trace(&mut self) {
         self.trace.clear();
         self.output.clear();
-    }
-
-    /// Run until the queue drains, `max_events` have been handled, or the
-    /// clock passes `max_time_ns` (events after the horizon stay queued).
-    /// Dispatches to the driver named by [`NetConfig::engine`].
-    pub fn run(&mut self, max_events: u64, max_time_ns: u64) -> Result<(), InterpError> {
-        self.ensure_compiled();
-        let res = match self.config.engine {
-            Engine::Sequential => self.run_sequential(max_events, max_time_ns),
-            Engine::Sharded { workers, epoch_ns } => {
-                self.run_sharded(max_events, max_time_ns, workers, epoch_ns)
-            }
-        };
-        // Per-event counts accumulate as plain id-indexed counters on
-        // the shards (the dispatch path never touches a hash map); they
-        // materialize into `Stats::per_event` once per run — faulted
-        // runs included, since tests compare those stats too.
-        self.fold_per_event_counts();
-        self.fold_metrics();
-        res
     }
 
     /// Fold every shard's id-indexed per-event counters into the
@@ -2207,826 +1401,6 @@ impl Interp {
     /// Run with a generous default budget; most tests use this.
     pub fn run_to_quiescence(&mut self) -> Result<(), InterpError> {
         self.run(1_000_000, u64::MAX)
-    }
-
-    // ------------------------------------------------- sequential driver
-
-    fn run_sequential(&mut self, max_events: u64, max_time_ns: u64) -> Result<(), InterpError> {
-        let exec = self.exec();
-        // Flatten the shard map for the dispatch loop: per-event routing
-        // must not hash (see [`SwitchMap`]), and the bookkeeping the old
-        // loop ran every event — a hash lookup per routed event, a stats
-        // absorb, trace/output drains — defers to one teardown pass,
-        // exactly like the sharded driver's round teardown. Per-event
-        // work is then: heap pop, flat-array route, dispatch, heap push.
-        let mut shards: Vec<Shard> = std::mem::take(&mut self.shards).into_values().collect();
-        let pairs: Vec<(u64, u32)> = shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.switch, u32::try_from(i).expect("shard count fits u32")))
-            .collect();
-        let at = SwitchMap::build(&pairs);
-        // The run-local queue is a [`SchedHeap`]: an index heap over a
-        // slab whose sifts move compact (key, slot) pairs instead of
-        // whole [`Scheduled`] records — see its docs for the layout.
-        let mut heap = SchedHeap::with_capacity(self.queue.len());
-        for Reverse(s) in self.queue.drain() {
-            heap.push(s);
-        }
-        let mut processed_this_run = 0u64;
-        let mut batch: Vec<SourcedEvent> = Vec::new();
-        // Run-level dispatch logs, appended in pop order (= global key
-        // order); interned ids resolve once, at teardown.
-        let mut trace_run: Vec<(Key, TraceRec)> = Vec::new();
-        let mut output_run: Vec<(Key, OutRec)> = Vec::new();
-        let res = 'run: {
-            loop {
-                // Lazy refill, in chunks: materialize the sourced
-                // injections due at or before the queue head (they must
-                // dispatch before it), up to [`SOURCE_CHUNK`] per pull so
-                // memory stays bounded by the in-flight frontier.
-                while let Some(t) = self.source_peek() {
-                    if t > max_time_ns {
-                        break;
-                    }
-                    let head = heap.peek_key().map_or(u64::MAX, |k| k.time_ns);
-                    if head < t {
-                        break;
-                    }
-                    batch.clear();
-                    self.source.as_mut().expect("peeked").next_batch(
-                        head.min(max_time_ns),
-                        SOURCE_CHUNK,
-                        &mut batch,
-                    );
-                    for ev in batch.drain(..) {
-                        let sched = shape_sourced(&self.prog, &mut self.source_counts, ev);
-                        if at.get(sched.switch).is_some() {
-                            heap.push(sched);
-                        } else {
-                            self.stats.dropped += 1;
-                        }
-                    }
-                }
-                let Some(next_key) = heap.peek_key() else {
-                    break 'run Ok(());
-                };
-                if next_key.time_ns > max_time_ns {
-                    break 'run Ok(());
-                }
-                if processed_this_run >= max_events {
-                    break 'run Err(InterpFault::FuelExhausted {
-                        handled: processed_this_run,
-                    }
-                    .into());
-                }
-                let sched = heap.pop().expect("peeked");
-                processed_this_run += 1;
-                self.stats.processed += 1;
-                self.now_ns = self.now_ns.max(sched.key.time_ns);
-                let idx = at.get(sched.switch).expect("routed to known switch") as usize;
-                let shard = &mut shards[idx];
-                shard.now_ns = shard.now_ns.max(sched.key.time_ns);
-                let res = exec.dispatch(shard, sched);
-                // Route everything the handler produced (local and
-                // remote — the sequential exec sends both through the
-                // outbox) back to the global queue, and surface the
-                // shard's trace/output immediately: the pop order
-                // already is the deterministic key order, so appending
-                // here is the merge, for free. Stats stay buffered on
-                // the shard until teardown.
-                let mut produced = std::mem::take(&mut shard.outbox);
-                for ev in produced.drain(..) {
-                    if at.get(ev.switch).is_some() {
-                        heap.push(ev);
-                    } else {
-                        shard.stats.dropped += 1;
-                        shard.recycle_args(ev.args);
-                    }
-                }
-                shard.outbox = produced;
-                trace_run.append(&mut shard.trace);
-                output_run.append(&mut shard.output);
-                if let Err(e) = res {
-                    break 'run Err(e);
-                }
-            }
-        };
-        // Teardown, fault exits included: resolve the run logs (the
-        // single-run fast path of the k-way merge — one bulk pass
-        // instead of per-event work), park undispatched events back on
-        // the persistent queue, absorb per-shard stats, and hand the
-        // shards back to the map.
-        let names = &self.names;
-        merge_sorted_runs(vec![trace_run], &mut self.trace, |r| r.into_handled(names));
-        let cp = exec.compiled.as_deref();
-        merge_sorted_runs(vec![output_run], &mut self.output, |r| r.render(cp));
-        self.queue.extend(heap.into_events().map(Reverse));
-        for mut shard in shards {
-            self.stats.absorb(&mut shard.stats);
-            self.shards.insert(shard.switch, shard);
-        }
-        res
-    }
-
-    // ---------------------------------------------------- sharded driver
-
-    fn run_sharded(
-        &mut self,
-        max_events: u64,
-        max_time_ns: u64,
-        workers: usize,
-        epoch_ns: u64,
-    ) -> Result<(), InterpError> {
-        let link = self.config.link_latency_ns;
-        // A zero-latency wire admits no conservative epoch; a single shard
-        // has nothing to parallelize. Fall back to the reference engine.
-        if link == 0 || self.shards.len() <= 1 {
-            return self.run_sequential(max_events, max_time_ns);
-        }
-        // `epoch_ns == 0` (the default) means adaptive horizons; an
-        // explicit width additionally caps every round at
-        // `global_min + epoch` (never wider than one wire hop).
-        let epoch_cap = (epoch_ns != 0).then(|| epoch_ns.min(link));
-        let nworkers = if workers == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            workers
-        }
-        .clamp(1, self.shards.len());
-
-        // Static partition: shard i (in switch-id order) → worker i % W.
-        let shard_map = std::mem::take(&mut self.shards);
-        let mut pairs: Vec<(u64, u32)> = Vec::new();
-        let mut partitions: Vec<Vec<Shard>> = (0..nworkers).map(|_| Vec::new()).collect();
-        let mut seeds: Vec<SchedHeap> = (0..nworkers).map(|_| SchedHeap::default()).collect();
-        for (i, (id, mut shard)) in shard_map.into_iter().enumerate() {
-            let w = i % nworkers;
-            pairs.push((id, u32::try_from(w).expect("worker count fits u32")));
-            // Parked per-shard leftovers (a previous faulted run) rejoin
-            // the owning worker's heap.
-            for Reverse(ev) in std::mem::take(&mut shard.queue) {
-                seeds[w].push(ev);
-            }
-            partitions[w].push(shard);
-        }
-        let owner = SwitchMap::build(&pairs);
-
-        // Distribute pending events onto their owning workers' heaps.
-        let mut q = std::mem::take(&mut self.queue);
-        for Reverse(ev) in q.drain() {
-            match owner.get(ev.switch) {
-                Some(w) => seeds[w as usize].push(ev),
-                None => self.stats.dropped += 1,
-            }
-        }
-
-        // Detach the single-switch generators from the source and hand
-        // each to the worker owning its destination shard: those streams
-        // are pulled worker-locally with zero coordination. Whatever the
-        // source cannot split (multi-switch generators, capped
-        // workloads, custom sources) stays behind as the shared
-        // remainder, materialized by worker 0. Keys no longer depend on
-        // pull interleaving, so the partition cannot perturb execution.
-        let mut shared_src = self.source.take();
-        let mut local_parts: Vec<Vec<LocalGen>> = (0..nworkers).map(|_| Vec::new()).collect();
-        if let Some(src) = shared_src.as_mut() {
-            let owned = &owner;
-            for lg in src.detach_local(&|sw| owned.get(sw).is_some()) {
-                local_parts[owner.get(lg.switch).expect("detached switch is owned") as usize]
-                    .push(lg);
-            }
-        }
-        let counts0 = self.source_counts.clone();
-
-        let cells: Vec<WorkerCell> = (0..nworkers).map(|_| WorkerCell::default()).collect();
-        let shared_peek = AtomicU64::new(u64::MAX);
-        let dropped = AtomicU64::new(0);
-        let fault: Mutex<Option<(Key, InterpError)>> = Mutex::new(None);
-        let barrier = RoundBarrier::new(nworkers);
-        let ctx = RoundCtx {
-            cells: &cells,
-            shared_peek: &shared_peek,
-            dropped: &dropped,
-            fault: &fault,
-            barrier: &barrier,
-            owner: &owner,
-            link_ns: link,
-            epoch_cap,
-            max_events,
-            max_time_ns,
-        };
-        let exec = self.exec();
-
-        // The calling thread is worker 0 (and the only holder of the
-        // shared source remainder, which need not be `Send`).
-        let mut outs: Vec<WorkerOut> = Vec::with_capacity(nworkers);
-        std::thread::scope(|scope| {
-            let mut iter = partitions.into_iter().zip(seeds).zip(local_parts);
-            let ((shards0, seed0), locals0) = iter.next().expect("at least one worker");
-            let mut handles = Vec::with_capacity(nworkers - 1);
-            for (w, ((shards, seed), locals)) in iter.enumerate() {
-                let ctx = &ctx;
-                let exec = exec.clone();
-                let counts = counts0.clone();
-                handles.push(scope.spawn(move || {
-                    run_round_worker(
-                        ctx,
-                        &exec,
-                        w + 1,
-                        WorkerSeed {
-                            shards,
-                            heap: seed,
-                            locals,
-                            counts,
-                        },
-                        None,
-                    )
-                }));
-            }
-            outs.push(run_round_worker(
-                &ctx,
-                &exec,
-                0,
-                WorkerSeed {
-                    shards: shards0,
-                    heap: seed0,
-                    locals: locals0,
-                    counts: counts0,
-                },
-                shared_src.as_mut(),
-            ));
-            for handle in handles {
-                outs.push(handle.join().expect("worker panicked"));
-            }
-        });
-
-        // Merge points: everything below happens exactly once, after the
-        // pool has quiesced — no lock is contended and no order depends
-        // on thread timing.
-        let why = outs[0].why;
-        let total_processed = outs[0].total;
-        debug_assert!(why != StopWhy::Died, "a panicked worker fails the join");
-
-        // Pull counters: worker 0's copy advanced the shared slots; each
-        // partitioned slot advanced only on its owning worker.
-        let mut counts = std::mem::take(&mut outs[0].counts);
-        for out in outs.iter().skip(1) {
-            for lg in &out.locals {
-                counts[lg.slot] = out.counts[lg.slot];
-            }
-        }
-        self.source_counts = counts;
-
-        // Reattach the partitioned generators (cursors advanced to
-        // wherever the run ended) and put the source back.
-        let parts: Vec<LocalGen> = outs
-            .iter_mut()
-            .flat_map(|o| std::mem::take(&mut o.locals))
-            .collect();
-        if let Some(src) = shared_src.as_mut() {
-            src.reattach_local(parts);
-        } else {
-            debug_assert!(parts.is_empty(), "locals only detach from a source");
-        }
-        self.source = shared_src;
-
-        let mut traces: Vec<Vec<(Key, TraceRec)>> = Vec::with_capacity(nworkers);
-        let mut outputs: Vec<Vec<(Key, OutRec)>> = Vec::with_capacity(nworkers);
-        for (w, out) in outs.iter_mut().enumerate() {
-            // Mailboxes are drained at every round's P1 before the stop
-            // decision, so this is empty on all normal exits; it is a
-            // defensive park for the panic path.
-            let mail = std::mem::take(&mut *cells[w].mailbox.lock().expect("mailbox"));
-            self.queue.extend(mail.into_iter().map(Reverse));
-            // Undispatched heap events go straight back to the global
-            // queue so a later run (under either engine) sees them.
-            self.queue
-                .extend(std::mem::take(&mut out.heap).into_events().map(Reverse));
-            traces.push(std::mem::take(&mut out.trace));
-            outputs.push(std::mem::take(&mut out.output));
-            for mut shard in std::mem::take(&mut out.shards) {
-                // Park events stashed on a faulted shard, absorb its
-                // run-local stats, and advance the interpreter clock.
-                while let Some(ev) = shard.queue.pop() {
-                    self.queue.push(ev);
-                }
-                self.stats.absorb(&mut shard.stats);
-                self.now_ns = self.now_ns.max(shard.now_ns);
-                self.shards.insert(shard.switch, shard);
-            }
-        }
-        self.stats.processed += total_processed;
-        self.stats.dropped += dropped.load(Relaxed);
-        // Each worker's dispatch log is already key-sorted; one k-way
-        // merge (k = workers) recovers the global deterministic order,
-        // resolving interned ids (event names, printf formats) exactly
-        // once per record on the way out.
-        let names = &self.names;
-        merge_sorted_runs(traces, &mut self.trace, |r| r.into_handled(names));
-        let cp = self.compiled.clone();
-        merge_sorted_runs(outputs, &mut self.output, |r| r.render(cp.as_deref()));
-        match why {
-            StopWhy::Fault => {
-                let (_, e) = fault
-                    .into_inner()
-                    .expect("fault cell")
-                    .expect("fault stop implies a recorded fault");
-                Err(e)
-            }
-            StopWhy::Fuel => Err(InterpFault::FuelExhausted {
-                handled: total_processed,
-            }
-            .into()),
-            _ => Ok(()),
-        }
-    }
-}
-
-// ------------------------------------------------------------- snapshots
-
-/// Snapshot magic number: `LUCWORLD` as little-endian bytes, bumped with
-/// the format version in the low byte. A reader seeing anything else
-/// refuses the blob up front.
-const WORLD_MAGIC: u64 = u64::from_le_bytes(*b"LUCWRLD\x01");
-
-/// What a [`Interp::swap_program`] hot-swap did to the running world.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SwapStats {
-    /// Per-switch arrays whose (name, cell width, length) matched the new
-    /// program and were carried over.
-    pub arrays_carried: usize,
-    /// Arrays of the new program with no compatible predecessor, zeroed.
-    pub arrays_reset: usize,
-    /// Pending queued events remapped to the new program's event ids.
-    pub queued_remapped: u64,
-    /// Pending queued events whose event vanished (or changed arity),
-    /// dropped.
-    pub queued_dropped: u64,
-    /// Attached workload generators disabled because their event is gone.
-    pub sources_disabled: usize,
-}
-
-fn encode_sched(w: &mut snap::Writer, s: &Scheduled) {
-    w.u64(s.key.time_ns);
-    w.u8(s.key.class);
-    w.u64(s.key.origin);
-    w.u64(s.key.seq);
-    w.u64(s.switch);
-    w.u64(s.event_id as u64);
-    w.u64s(&s.args);
-    w.u64(s.enq_ns);
-    w.u64(s.root_ns);
-}
-
-fn decode_sched(
-    r: &mut snap::Reader<'_>,
-    prog: &CheckedProgram,
-) -> Result<Scheduled, snap::SnapError> {
-    let key = Key {
-        time_ns: r.u64()?,
-        class: r.u8()?,
-        origin: r.u64()?,
-        seq: r.u64()?,
-    };
-    let switch = r.u64()?;
-    let event_id = r.u64()? as usize;
-    let args = r.u64s()?;
-    let enq_ns = r.u64()?;
-    let root_ns = r.u64()?;
-    let Some(ev) = prog.info.events.get(event_id) else {
-        return Err(r.err(format!("queued event id {event_id} out of range")));
-    };
-    if ev.params.len() != args.len() {
-        return Err(r.err(format!(
-            "queued '{}' carries {} args for {} params",
-            ev.name,
-            args.len(),
-            ev.params.len()
-        )));
-    }
-    Ok(Scheduled {
-        key,
-        switch,
-        event_id,
-        args,
-        enq_ns,
-        root_ns,
-    })
-}
-
-/// A queue's entries in deterministic (key) order — heap iteration order
-/// is arbitrary and must never leak into snapshot bytes.
-fn sorted_queue(q: &BinaryHeap<Reverse<Scheduled>>) -> Vec<&Scheduled> {
-    let mut v: Vec<&Scheduled> = q.iter().map(|r| &r.0).collect();
-    v.sort_by_key(|s| s.key);
-    v
-}
-
-impl Interp {
-    /// Encode the full dynamic world — clock, stats, trace, `printf`
-    /// output, metrics, per-switch state, every pending queue, and the
-    /// attached source's cursors — into a deterministic byte stream.
-    /// Two worlds in the same state encode to identical bytes, whichever
-    /// engine produced them. Fails (without writing) when a custom
-    /// source does not support [`EventSource::save_state`].
-    pub fn save_world(&self, out: &mut Vec<u8>) -> Result<(), String> {
-        let mut src_bytes = None;
-        if let Some(src) = &self.source {
-            let mut bytes = Vec::new();
-            if !src.save_state(&mut bytes) {
-                return Err("attached event source does not support snapshots".to_string());
-            }
-            src_bytes = Some(bytes);
-        }
-        let mut w = snap::Writer::new();
-        w.u64(WORLD_MAGIC);
-        w.u64(self.now_ns);
-        w.u64(self.inj_seq);
-        w.u64(self.stats.processed);
-        w.u64(self.stats.handled);
-        w.u64(self.stats.recirculated);
-        w.u64(self.stats.sent_remote);
-        w.u64(self.stats.exported);
-        w.u64(self.stats.dropped);
-        let mut per_event: Vec<(&String, &u64)> = self.stats.per_event.iter().collect();
-        per_event.sort();
-        w.u64(per_event.len() as u64);
-        for (name, n) in per_event {
-            w.str(name);
-            w.u64(*n);
-        }
-        w.u64(self.trace.len() as u64);
-        for h in &self.trace {
-            w.u64(h.time_ns);
-            w.u64(h.switch);
-            w.str(&h.event);
-            w.u64s(&h.args);
-        }
-        w.u64(self.output.len() as u64);
-        for line in &self.output {
-            w.str(line);
-        }
-        w.u64s(&self.source_counts);
-        w.u64(self.metrics_acc.len() as u64);
-        for ((switch, event), hists) in &self.metrics_acc {
-            w.u64(*switch);
-            w.str(event);
-            hists.encode(&mut w);
-        }
-        w.u64(self.shards.len() as u64);
-        for (id, shard) in &self.shards {
-            w.u64(*id);
-            w.bool(shard.alive);
-            w.u64(shard.now_ns);
-            w.u64(shard.emit_seq);
-            w.u64(shard.state.arrays.len() as u64);
-            for arr in &shard.state.arrays {
-                w.u64s(arr);
-            }
-            let parked = sorted_queue(&shard.queue);
-            w.u64(parked.len() as u64);
-            for s in parked {
-                encode_sched(&mut w, s);
-            }
-        }
-        let queued = sorted_queue(&self.queue);
-        w.u64(queued.len() as u64);
-        for s in queued {
-            encode_sched(&mut w, s);
-        }
-        match src_bytes {
-            None => w.bool(false),
-            Some(bytes) => {
-                w.bool(true);
-                w.bytes(&bytes);
-            }
-        }
-        out.extend_from_slice(&w.buf);
-        Ok(())
-    }
-
-    /// Counterpart of [`Interp::save_world`]: overwrite this world's
-    /// dynamic state from `bytes`. The world must have been built from
-    /// the same program and topology (array geometry and switch ids are
-    /// checked). Corrupted or mismatched bytes yield `Err` and leave the
-    /// world unspecified-but-safe; they never panic.
-    pub fn load_world(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.load_world_inner(bytes).map_err(|e| e.to_string())
-    }
-
-    fn load_world_inner(&mut self, bytes: &[u8]) -> Result<(), snap::SnapError> {
-        let mut r = snap::Reader::new(bytes);
-        let magic = r.u64()?;
-        if magic != WORLD_MAGIC {
-            return Err(r.err(format!("bad magic {magic:#018x}")));
-        }
-        self.now_ns = r.u64()?;
-        self.inj_seq = r.u64()?;
-        self.stats = Stats {
-            processed: r.u64()?,
-            handled: r.u64()?,
-            recirculated: r.u64()?,
-            sent_remote: r.u64()?,
-            exported: r.u64()?,
-            dropped: r.u64()?,
-            per_event: HashMap::new(),
-        };
-        let n = r.len(9, "per-event stats")?;
-        for _ in 0..n {
-            let name = r.str()?;
-            let count = r.u64()?;
-            self.stats.per_event.insert(name, count);
-        }
-        // Trace records re-intern their event names: known events share
-        // the world's interned `Arc<str>`s, names from an earlier program
-        // epoch get their own allocation.
-        let by_name: HashMap<&str, usize> = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (&**n, i))
-            .collect();
-        let n = r.len(25, "trace")?;
-        self.trace = Vec::with_capacity(n);
-        for _ in 0..n {
-            let time_ns = r.u64()?;
-            let switch = r.u64()?;
-            let name = r.str()?;
-            let args = r.u64s()?;
-            let event = match by_name.get(name.as_str()) {
-                Some(&i) => self.names[i].clone(),
-                None => Arc::from(name.as_str()),
-            };
-            self.trace.push(Handled {
-                time_ns,
-                switch,
-                event,
-                args,
-            });
-        }
-        let n = r.len(8, "output")?;
-        self.output = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.output.push(r.str()?);
-        }
-        self.source_counts = r.u64s()?;
-        let n = r.len(17, "metrics rows")?;
-        self.metrics_acc = BTreeMap::new();
-        for _ in 0..n {
-            let switch = r.u64()?;
-            let event = r.str()?;
-            let hists = ClassHists::decode(&mut r)?;
-            self.metrics_acc.insert((switch, event), hists);
-        }
-        let n = r.len(35, "shards")?;
-        if n != self.shards.len() {
-            return Err(r.err(format!(
-                "snapshot has {n} switches, world has {}",
-                self.shards.len()
-            )));
-        }
-        for _ in 0..n {
-            let id = r.u64()?;
-            let Some(shard) = self.shards.get_mut(&id) else {
-                return Err(r.err(format!("snapshot switch {id} not in this topology")));
-            };
-            shard.alive = r.bool()?;
-            shard.now_ns = r.u64()?;
-            shard.emit_seq = r.u64()?;
-            let narr = r.len(8, "arrays")?;
-            if narr != self.prog.info.globals.len() {
-                return Err(r.err(format!(
-                    "snapshot has {narr} arrays, program declares {}",
-                    self.prog.info.globals.len()
-                )));
-            }
-            let mut arrays = Vec::with_capacity(narr);
-            for g in &self.prog.info.globals {
-                let arr = r.u64s()?;
-                if arr.len() as u64 != g.len {
-                    return Err(r.err(format!(
-                        "array '{}' has {} cells, program declares {}",
-                        g.name,
-                        arr.len(),
-                        g.len
-                    )));
-                }
-                arrays.push(arr);
-            }
-            shard.state.arrays = arrays;
-            let nq = r.len(59, "parked events")?;
-            shard.queue = BinaryHeap::with_capacity(nq);
-            for _ in 0..nq {
-                let s = decode_sched(&mut r, &self.prog)?;
-                shard.queue.push(Reverse(s));
-            }
-        }
-        let nq = r.len(59, "pending events")?;
-        self.queue = BinaryHeap::with_capacity(nq);
-        for _ in 0..nq {
-            let s = decode_sched(&mut r, &self.prog)?;
-            self.queue.push(Reverse(s));
-        }
-        if r.bool()? {
-            let src_bytes = r.bytes()?;
-            if self.source.is_none() {
-                self.source = Some(Box::new(Workload::new(Vec::new(), None)));
-            }
-            let prog = Arc::clone(&self.prog);
-            self.source
-                .as_mut()
-                .expect("just ensured")
-                .load_state(&prog, src_bytes)
-                .map_err(|msg| r.err(msg))?;
-        } else {
-            self.source = None;
-        }
-        r.expect_end()?;
-        Ok(())
-    }
-
-    /// Hot-swap the running program for a new epoch, in place. State
-    /// carries over where it can: per-switch arrays whose (name, cell
-    /// width, length) match move across unchanged, pending events are
-    /// remapped by event name where the arity still matches (arguments
-    /// re-masked to the new widths) and dropped otherwise, and attached
-    /// workload generators re-resolve their events. Stats, trace, and
-    /// metrics accumulate across the swap — they are the session's
-    /// history, not the epoch's.
-    ///
-    /// Must be called between runs (after [`Interp::run`] returned), when
-    /// shard-local buffers are folded.
-    pub fn swap_program(&mut self, new: Arc<CheckedProgram>) -> SwapStats {
-        let mut st = SwapStats::default();
-        // New global id → compatible old global id.
-        let carry: Vec<Option<usize>> = new
-            .info
-            .globals
-            .iter()
-            .map(|g| {
-                self.prog.info.globals_by_name.get(&g.name).and_then(|old| {
-                    let og = &self.prog.info.globals[old.0];
-                    (og.cell_width == g.cell_width && og.len == g.len).then_some(old.0)
-                })
-            })
-            .collect();
-        // Old event id → new event id (same name, same arity).
-        let evmap: Vec<Option<usize>> = self
-            .prog
-            .info
-            .events
-            .iter()
-            .map(|e| {
-                new.info
-                    .event(&e.name)
-                    .and_then(|ne| (ne.params.len() == e.params.len()).then_some(ne.id))
-            })
-            .collect();
-        let remap = |s: &mut Scheduled, st: &mut SwapStats| -> bool {
-            match evmap.get(s.event_id).copied().flatten() {
-                Some(nid) => {
-                    s.event_id = nid;
-                    for (a, p) in s.args.iter_mut().zip(&new.info.events[nid].params) {
-                        *a = mask(*a, p.ty.int_width().unwrap_or(32));
-                    }
-                    st.queued_remapped += 1;
-                    true
-                }
-                None => {
-                    st.queued_dropped += 1;
-                    false
-                }
-            }
-        };
-        let nevents = new.info.events.len();
-        for shard in self.shards.values_mut() {
-            let mut old: Vec<Option<Vec<u64>>> = std::mem::take(&mut shard.state.arrays)
-                .into_iter()
-                .map(Some)
-                .collect();
-            shard.state.arrays = carry
-                .iter()
-                .enumerate()
-                .map(|(nid, c)| match c.and_then(|oid| old[oid].take()) {
-                    Some(arr) => {
-                        st.arrays_carried += 1;
-                        arr
-                    }
-                    None => {
-                        st.arrays_reset += 1;
-                        vec![0; new.info.globals[nid].len as usize]
-                    }
-                })
-                .collect();
-            for Reverse(mut s) in std::mem::take(&mut shard.queue) {
-                if remap(&mut s, &mut st) {
-                    shard.queue.push(Reverse(s));
-                }
-            }
-            shard.per_event_ids = vec![0; nevents];
-            shard.metrics = ShardMetrics::new(nevents);
-        }
-        for Reverse(mut s) in std::mem::take(&mut self.queue) {
-            if remap(&mut s, &mut st) {
-                self.queue.push(Reverse(s));
-            }
-        }
-        self.names = new
-            .info
-            .events
-            .iter()
-            .map(|e| Arc::from(e.name.as_str()))
-            .collect();
-        self.prog = new;
-        self.compiled = None;
-        self.ensure_compiled();
-        if let Some(src) = self.source.as_mut() {
-            let prog = Arc::clone(&self.prog);
-            st.sources_disabled = src.remap_events(&prog);
-        }
-        st
-    }
-
-    /// Attach a generator spec to the running world mid-session (the
-    /// serve `ingest` verb). Creates an empty [`Workload`] if no source
-    /// is attached yet; the new generator claims the next source slot so
-    /// existing per-source counters keep their positions.
-    pub fn attach_generator(
-        &mut self,
-        spec: &GenSpec,
-        scenario_seed: u64,
-    ) -> Result<usize, String> {
-        let Some(ev) = self.prog.info.event(&spec.event) else {
-            return Err(format!("generator emits unknown event '{}'", spec.event));
-        };
-        if spec.args.len() != ev.params.len() {
-            return Err(format!(
-                "generator for '{}' draws {} args, event has {} params",
-                spec.event,
-                spec.args.len(),
-                ev.params.len()
-            ));
-        }
-        for &s in &spec.switches {
-            if !self.shards.contains_key(&s) {
-                return Err(format!("generator targets unknown switch {s}"));
-            }
-        }
-        if spec.switches.is_empty() {
-            return Err("generator targets no switches".to_string());
-        }
-        if self.source.is_none() {
-            self.source = Some(Box::new(Workload::new(Vec::new(), None)));
-        }
-        let src = self.source.as_mut().expect("just ensured");
-        let slot = src.source_count();
-        let gen = spec.compile(&self.prog, scenario_seed, slot);
-        if !src.attach_generator(gen) {
-            return Err("attached event source cannot accept generators".to_string());
-        }
-        self.source_counts.resize(src.source_count(), 0);
-        Ok(slot)
-    }
-}
-
-/// K-way merge of key-sorted runs into `out`, dropping the keys and
-/// mapping each record through `f` (the id-to-name resolution step).
-/// Each run must be internally sorted (debug-asserted); equal keys can
-/// only be adjacent records of one run (several printf lines from a
-/// single handler activation) and keep their order — across runs every
-/// [`Key`] is globally unique, so ties between runs are impossible.
-fn merge_sorted_runs<T, U>(
-    mut runs: Vec<Vec<(Key, T)>>,
-    out: &mut Vec<U>,
-    mut f: impl FnMut(T) -> U,
-) {
-    out.reserve(runs.iter().map(Vec::len).sum());
-    runs.retain(|r| !r.is_empty());
-    if let [run] = &mut runs[..] {
-        // One non-empty run (every single-worker run): already in order.
-        debug_assert!(run.windows(2).all(|w| w[0].0 <= w[1].0), "run not sorted");
-        out.extend(std::mem::take(run).into_iter().map(|(_, v)| f(v)));
-        return;
-    }
-    let mut iters: Vec<std::iter::Peekable<std::vec::IntoIter<(Key, T)>>> = runs
-        .into_iter()
-        .map(|r| {
-            debug_assert!(r.windows(2).all(|w| w[0].0 <= w[1].0), "run not sorted");
-            r.into_iter().peekable()
-        })
-        .collect();
-    let mut heap: BinaryHeap<Reverse<(Key, usize)>> = iters
-        .iter_mut()
-        .enumerate()
-        .filter_map(|(i, it)| it.peek().map(|(k, _)| Reverse((*k, i))))
-        .collect();
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let (_, v) = iters[i].next().expect("peeked");
-        out.push(f(v));
-        if let Some((k, _)) = iters[i].peek() {
-            heap.push(Reverse((*k, i)));
-        }
     }
 }
 
@@ -3140,6 +1514,7 @@ pub(crate) fn format_printf(fmt: &str, args: &[Value]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::SourcedEvent;
     use lucid_check::parse_and_check;
 
     fn checked(src: &str) -> CheckedProgram {
@@ -3660,33 +2035,353 @@ mod tests {
 
     #[test]
     fn resumed_runs_cross_engines() {
-        // A run under the sequential engine can be resumed under the
-        // sharded one: pending events survive in the global queue.
+        // A run paused at a time horizon under one engine can be resumed
+        // under any other: pending events survive in the global queue,
+        // and the pause itself leaves the same world behind.
         let prog = checked(MESH_MIX);
-        let mut i = Interp::new(&prog, NetConfig::mesh(8));
-        for s in 1..=8u64 {
-            i.schedule(s, 0, "pkt", &[s, 3, 6]).unwrap();
-        }
-        i.run(1_000_000, 2_000).unwrap();
-        let mid_pending = i.pending();
-        assert!(mid_pending > 0, "horizon must leave events queued");
-        i.config.engine = Engine::Sharded {
-            workers: 3,
-            epoch_ns: 0,
-        };
-        i.run_to_quiescence().unwrap();
-        assert_eq!(i.pending(), 0);
-
         let mut j = Interp::new(&prog, NetConfig::mesh(8));
         for s in 1..=8u64 {
             j.schedule(s, 0, "pkt", &[s, 3, 6]).unwrap();
         }
         j.run_to_quiescence().unwrap();
-        for s in 1..=8u64 {
-            assert_eq!(i.array(s, "cnt"), j.array(s, "cnt"));
-            assert_eq!(i.array(s, "mix"), j.array(s, "mix"));
+
+        let sharded = |workers| Engine::Sharded {
+            workers,
+            epoch_ns: 0,
+        };
+        let mut paused = Vec::new();
+        for (first, second) in [
+            (Engine::Sequential, sharded(3)),
+            (sharded(3), Engine::Sequential),
+            (Engine::Sequential, sharded(1)),
+            (sharded(1), Engine::Sequential),
+        ] {
+            let mut cfg = NetConfig::mesh(8);
+            cfg.engine = first;
+            let mut i = Interp::new(&prog, cfg);
+            for s in 1..=8u64 {
+                i.schedule(s, 0, "pkt", &[s, 3, 6]).unwrap();
+            }
+            i.run(1_000_000, 2_000).unwrap();
+            let mid_pending = i.pending();
+            assert!(mid_pending > 0, "horizon must leave events queued");
+            paused.push((mid_pending, i.now_ns, i.stats.clone(), i.trace.clone()));
+            i.config.engine = second;
+            i.run_to_quiescence().unwrap();
+            assert_eq!(i.pending(), 0);
+
+            for s in 1..=8u64 {
+                assert_eq!(i.array(s, "cnt"), j.array(s, "cnt"));
+                assert_eq!(i.array(s, "mix"), j.array(s, "mix"));
+            }
+            assert_eq!(i.stats, j.stats, "{first:?} then {second:?}");
+            assert_eq!(i.trace, j.trace, "{first:?} then {second:?}");
+            assert_eq!(i.now_ns, j.now_ns);
         }
-        assert_eq!(i.stats, j.stats);
+        assert!(
+            paused.iter().all(|p| *p == paused[0]),
+            "every engine pauses at the same world"
+        );
+    }
+
+    // ------------------------------------------------- stop conditions
+
+    /// A fixed list of sourced events — the simplest custom source: one
+    /// slot, not splittable across workers, not snapshottable.
+    struct ListSource(std::collections::VecDeque<SourcedEvent>);
+
+    impl EventSource for ListSource {
+        fn peek_ns(&self) -> Option<u64> {
+            self.0.front().map(|e| e.time_ns)
+        }
+        fn next_event(&mut self) -> Option<SourcedEvent> {
+            self.0.pop_front()
+        }
+    }
+
+    /// `go` emits before it can fault (index 4 and up is out of bounds);
+    /// `note` has no handler and is exported; `tick` emits nothing;
+    /// `hop` crosses the wire.
+    const STOPS: &str = r#"
+        global a = new Array<<32>>(4);
+        memop plus(int m, int x) { return m + x; }
+        event note(int i);
+        event go(int i);
+        handle go(int i) {
+            generate note(i);
+            Array.setm(a, i, plus, 1);
+        }
+        event tick(int i);
+        handle tick(int i) { Array.setm(a, i, plus, 1); }
+        event hop(int i, int to);
+        handle hop(int i, int to) { generate Event.locate(go(i), to); }
+    "#;
+
+    /// `(switch, time_ns, event, args)`.
+    type Inj = (u64, u64, &'static str, &'static [u64]);
+
+    /// Everything a stopped run leaves observable.
+    #[derive(Debug, PartialEq)]
+    struct Stopped {
+        res: Result<(), InterpError>,
+        stats: Stats,
+        pending: usize,
+        now_ns: u64,
+        source_counts: Vec<u64>,
+        trace: Vec<Handled>,
+    }
+
+    struct StopCase {
+        name: &'static str,
+        net: NetConfig,
+        scheduled: &'static [Inj],
+        sourced: &'static [Inj],
+        /// `(max_events, max_time_ns)`.
+        limits: (u64, u64),
+        /// Engines whose stop must equal the sequential one field for
+        /// field (above one worker only where the contract is exact:
+        /// budget and fault stops there are checked at round barriers).
+        engines: &'static [Engine],
+        /// The sequential outcome, pinned: result, processed, dropped,
+        /// pending, now_ns, source counts.
+        want: (
+            Result<(), InterpFault>,
+            u64,
+            u64,
+            usize,
+            u64,
+            &'static [u64],
+        ),
+    }
+
+    fn run_stop(case: &StopCase, engine: Engine) -> Stopped {
+        let prog = checked(STOPS);
+        let mut cfg = case.net.clone();
+        cfg.engine = engine;
+        let mut i = Interp::new(&prog, cfg);
+        for &(sw, t, ev, args) in case.scheduled {
+            i.schedule(sw, t, ev, args).unwrap();
+        }
+        if !case.sourced.is_empty() {
+            let evs = case.sourced.iter().map(|&(sw, t, ev, args)| SourcedEvent {
+                time_ns: t,
+                switch: sw,
+                event_id: prog.info.event(ev).unwrap().id,
+                args: args.to_vec(),
+                source: 0,
+            });
+            i.set_source(Box::new(ListSource(evs.collect())));
+        }
+        let res = i.run(case.limits.0, case.limits.1);
+        Stopped {
+            res,
+            stats: i.stats.clone(),
+            pending: i.pending(),
+            now_ns: i.now_ns,
+            source_counts: i.source_counts().to_vec(),
+            trace: i.trace.clone(),
+        }
+    }
+
+    #[test]
+    fn stop_conditions_are_engine_independent() {
+        const W1: Engine = Engine::Sharded {
+            workers: 1,
+            epoch_ns: 0,
+        };
+        const W4: Engine = Engine::Sharded {
+            workers: 4,
+            epoch_ns: 0,
+        };
+        let zero_wire = NetConfig {
+            link_latency_ns: 0,
+            ..NetConfig::mesh(4)
+        };
+        let cases = [
+            StopCase {
+                name: "budget spent, an event still due",
+                net: NetConfig::mesh(4),
+                scheduled: &[
+                    (1, 0, "go", &[0]),
+                    (2, 100, "go", &[0]),
+                    (3, 200, "go", &[0]),
+                    (4, 300, "go", &[0]),
+                    (1, 400, "go", &[0]),
+                ],
+                sourced: &[],
+                limits: (3, u64::MAX),
+                engines: &[W1],
+                // Two injections and three `note`s stay queued.
+                want: (
+                    Err(InterpFault::FuelExhausted { handled: 3 }),
+                    3,
+                    0,
+                    5,
+                    200,
+                    &[],
+                ),
+            },
+            StopCase {
+                name: "budget spent mid-stream, sourced event tied with the queue head",
+                net: NetConfig::mesh(4),
+                scheduled: &[(3, 100, "tick", &[0])],
+                sourced: &[(1, 0, "go", &[0]), (2, 100, "tick", &[1])],
+                limits: (1, u64::MAX),
+                engines: &[W1],
+                // Everything due at or before the queue head is pulled
+                // before the budget check: both sourced events count,
+                // and the tied one waits in the queue with the explicit
+                // injection and the `note`.
+                want: (
+                    Err(InterpFault::FuelExhausted { handled: 1 }),
+                    1,
+                    0,
+                    3,
+                    0,
+                    &[2],
+                ),
+            },
+            StopCase {
+                name: "budget spent, only over-horizon events left",
+                net: NetConfig::mesh(4),
+                scheduled: &[
+                    (1, 0, "tick", &[0]),
+                    (2, 100, "tick", &[0]),
+                    (3, 200, "tick", &[0]),
+                    (4, 50_000, "tick", &[0]),
+                ],
+                sourced: &[],
+                limits: (3, 10_000),
+                engines: &[W1, W4],
+                want: (Ok(()), 3, 0, 1, 200, &[]),
+            },
+            StopCase {
+                name: "budget spent, only an unknown-switch sourced event left",
+                net: NetConfig::mesh(4),
+                scheduled: &[(3, 150, "tick", &[0])],
+                sourced: &[
+                    (1, 0, "tick", &[0]),
+                    (2, 100, "tick", &[0]),
+                    (99, 200, "tick", &[0]),
+                ],
+                limits: (3, u64::MAX),
+                engines: &[W1, W4],
+                // The stray event is pulled, counted and dropped; nothing
+                // is left to spend budget on, so the run is complete.
+                want: (Ok(()), 3, 1, 0, 150, &[3]),
+            },
+            StopCase {
+                name: "budget of zero, only an unknown-switch sourced event left",
+                net: NetConfig::mesh(4),
+                scheduled: &[],
+                sourced: &[(99, 200, "tick", &[0])],
+                limits: (0, u64::MAX),
+                engines: &[W1],
+                want: (Ok(()), 0, 1, 0, 0, &[1]),
+            },
+            StopCase {
+                name: "fault mid-handler after a generate",
+                net: NetConfig::mesh(4),
+                scheduled: &[
+                    (1, 0, "tick", &[0]),
+                    (3, 100, "go", &[7]),
+                    (2, 50, "go", &[9]),
+                ],
+                sourced: &[],
+                limits: (1_000, u64::MAX),
+                engines: &[W1],
+                // The smaller-key fault stops the run; its `note` and
+                // the later faulting injection stay queued.
+                want: (
+                    Err(InterpFault::IndexOutOfBounds {
+                        array: "a".into(),
+                        index: 9,
+                        len: 4,
+                    }),
+                    2,
+                    0,
+                    2,
+                    50,
+                    &[],
+                ),
+            },
+            StopCase {
+                name: "zero-latency wire resolves to one worker",
+                net: zero_wire,
+                scheduled: &[
+                    (1, 0, "hop", &[0, 2]),
+                    (2, 0, "hop", &[1, 3]),
+                    (4, 5, "tick", &[0]),
+                ],
+                sourced: &[],
+                limits: (4, u64::MAX),
+                engines: &[W1, W4],
+                // Both hops and both zero-delay arrivals run; the tick
+                // and two `note`s wait.
+                want: (
+                    Err(InterpFault::FuelExhausted { handled: 4 }),
+                    4,
+                    0,
+                    3,
+                    0,
+                    &[],
+                ),
+            },
+            StopCase {
+                name: "one switch resolves to one worker",
+                net: NetConfig::single(),
+                scheduled: &[(1, 0, "go", &[0]), (1, 100, "go", &[1])],
+                sourced: &[],
+                limits: (3, u64::MAX),
+                engines: &[W1, W4],
+                want: (
+                    Err(InterpFault::FuelExhausted { handled: 3 }),
+                    3,
+                    0,
+                    1,
+                    600,
+                    &[],
+                ),
+            },
+        ];
+        for case in &cases {
+            let reference = run_stop(case, Engine::Sequential);
+            let (res, processed, dropped, pending, now_ns, counts) = &case.want;
+            assert_eq!(
+                &reference.res.clone().map_err(|e| e.kind),
+                res,
+                "{}",
+                case.name
+            );
+            assert_eq!(
+                (
+                    reference.stats.processed,
+                    reference.stats.dropped,
+                    reference.pending,
+                    reference.now_ns,
+                    &reference.source_counts[..],
+                ),
+                (*processed, *dropped, *pending, *now_ns, *counts),
+                "{}",
+                case.name
+            );
+            for &engine in case.engines {
+                assert_eq!(
+                    reference,
+                    run_stop(case, engine),
+                    "{} [{engine:?}]",
+                    case.name
+                );
+            }
+        }
+        // The fault row, spelled out: the faulting event is in the trace
+        // (after the tick that preceded it) and its emission was queued.
+        let fault = run_stop(&cases[5], Engine::Sequential);
+        let traced: Vec<&str> = fault.trace.iter().map(|h| &*h.event).collect();
+        assert_eq!(traced, ["tick", "go"]);
+        assert_eq!(fault.stats.recirculated, 1);
+        let at = fault.res.unwrap_err().at.expect("fault is located");
+        assert_eq!((at.switch, at.time_ns), (2, 50));
     }
 
     // --------------------------------------- mailbox/epoch stress tests

@@ -1234,10 +1234,6 @@ impl SimOptions {
     }
 }
 
-/// The pre-redesign name of [`SimOptions`].
-#[deprecated(note = "renamed to SimOptions")]
-pub type SimOverrides = SimOptions;
-
 /// Validate and execute a scenario against a checked program. The engine
 /// and executor can be overridden (CLI `--engine` / `--exec`); otherwise
 /// the scenario's own choices run. Expectation failures are *not* errors
@@ -1390,22 +1386,10 @@ pub(crate) fn check_metric_expectations(
 }
 
 /// Escape a string's content for embedding inside a JSON string literal
-/// (surrounding quotes not included). The workspace builds offline with
-/// no serde, so every hand-built JSON emitter shares this one table.
+/// (surrounding quotes not included): the front end's table, which every
+/// hand-built JSON emitter in the workspace shares.
 pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    lucid_frontend::diag::json_escape(s)
 }
 
 // ------------------------------------------------------ generator schema

@@ -22,7 +22,8 @@
 //! generator's own), so the same scenario produces bit-identical runs
 //! under every engine × executor combination. Event times within one
 //! source are nondecreasing, and [`Workload`] merges sources in global
-//! (time, source-index) order — both drivers pull the identical sequence.
+//! (time, source-index) order — every worker count pulls the identical
+//! sequence.
 
 use crate::machine::{Interp, InterpError, InterpFault};
 use crate::snap;
@@ -44,26 +45,17 @@ pub struct SourcedEvent {
     pub source: usize,
 }
 
-/// A pull-based injection stream. Both engines drain one lazily: the
-/// sequential driver pulls everything due at or before its queue head,
-/// the sharded driver pulls everything due inside the coming round.
+/// A pull-based injection stream, drained lazily: a worker pulls
+/// everything due at or before its queue head, and — with siblings to
+/// feed — worker 0 pulls what cannot be partitioned one round ahead.
 /// `peek_ns` must be nondecreasing across pulls.
 pub trait EventSource {
     /// Virtual time of the next event, `None` when exhausted.
     fn peek_ns(&self) -> Option<u64>;
-    /// Time *and source slot* of the next event — enough to form its
-    /// schedule key without pulling it, which lets a single-worker
-    /// sharded run merge the stream head into its dispatch scan instead
-    /// of materializing a window ahead. Must describe the same event
-    /// `next_event` would return. The default is correct for any
-    /// single-source stream.
-    fn peek_key(&self) -> Option<(u64, usize)> {
-        self.peek_ns().map(|t| (t, 0))
-    }
     /// Pull the next event. `None` exactly when `peek_ns` is `None`.
     fn next_event(&mut self) -> Option<SourcedEvent>;
     /// Pull every event due at or before `horizon_ns` — up to `max` of
-    /// them — appending to `out` in stream order. Both engines refill
+    /// them — appending to `out` in stream order. Every refill goes
     /// through this in chunks, so a boxed source pays its virtual
     /// dispatch once per batch rather than twice per injection. The
     /// default loops `peek_ns`/`next_event`; implementations with a
@@ -89,7 +81,7 @@ pub trait EventSource {
     /// shard (no cross-worker traffic to materialize an injection).
     /// Detached slots keep their indices — per-source keys and report
     /// rows are position-based — and must come back via
-    /// [`EventSource::reattach_local`] before the next sequential pull.
+    /// [`EventSource::reattach_local`] when the run ends.
     ///
     /// The default detaches nothing: the source stays shared and is
     /// pulled by one worker on behalf of all (always correct, since
@@ -650,9 +642,9 @@ pub struct Workload {
     /// Remaining total-event budget (`None`: uncapped).
     remaining: Option<u64>,
     /// Memoized `(time, index)` of the next source, invalidated on pull.
-    /// The drivers peek (sometimes twice) before every pull, so without
-    /// this the merge would scan the generator list three times per
-    /// event on the hot injection path.
+    /// A pull peeks before it takes, so without this the merge would
+    /// scan the generator list more than once per event on the hot
+    /// injection path.
     head: std::cell::Cell<Option<(u64, usize)>>,
 }
 
@@ -701,10 +693,6 @@ impl Workload {
 impl EventSource for Workload {
     fn peek_ns(&self) -> Option<u64> {
         self.head().map(|(t, _)| t)
-    }
-
-    fn peek_key(&self) -> Option<(u64, usize)> {
-        self.head()
     }
 
     fn next_event(&mut self) -> Option<SourcedEvent> {

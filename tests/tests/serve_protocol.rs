@@ -411,6 +411,46 @@ fn corrupted_snapshots_are_rejected_with_offsets() {
     );
     assert!(reply.contains("\"kind\":\"snapshot\""), "{reply}");
 
+    // A per-switch parked-event count other than zero: no snapshot ever
+    // written carries one, so it is refused where it stands rather than
+    // decoded into events no engine would run. The count follows the
+    // switch's one array — a length of 64, then 64 zero cells.
+    let cells = format!("4000000000000000{}", "0".repeat(64 * 16));
+    let count_at = hex.find(&cells).expect("switch 1's array") + cells.len();
+    let mut parked = hex.clone();
+    parked.replace_range(count_at..count_at + 2, "01");
+    let reply = ask(
+        &mut state,
+        &mut host,
+        &format!("{{\"op\":\"restore\",\"session\":1,\"bytes\":\"{parked}\"}}"),
+    );
+    assert!(reply.contains("\"kind\":\"snapshot\""), "{reply}");
+    assert!(reply.contains("corrupt snapshot at byte"), "{reply}");
+    assert!(reply.contains("parked events"), "{reply}");
+
+    // A queued event addressed to a switch the topology does not have
+    // (every enqueue path checks this, so the decoder must too). The
+    // queue follows switch 2's array and parked count: an event count,
+    // then per event time, class byte, origin, seq, switch.
+    let switch_at = hex.rfind(&cells).expect("switch 2's array") + cells.len() + 16 * 5 + 2;
+    let mut stray = hex.clone();
+    stray.replace_range(switch_at..switch_at + 2, "63");
+    let reply = ask(
+        &mut state,
+        &mut host,
+        &format!("{{\"op\":\"restore\",\"session\":1,\"bytes\":\"{stray}\"}}"),
+    );
+    assert!(reply.contains("corrupt snapshot at byte"), "{reply}");
+    assert!(reply.contains("switch 99 outside this topology"), "{reply}");
+    // That failure struck inside the world section, after the decoder
+    // had begun overwriting the session; the intact snapshot rewinds it.
+    let reply = ask(
+        &mut state,
+        &mut host,
+        &format!("{{\"op\":\"restore\",\"session\":1,\"bytes\":\"{hex}\"}}"),
+    );
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+
     // A snapshot from a *different program* is refused by fingerprint.
     let other = format!(
         "{{\"op\":\"open\",\"program\":{},\"scenario\":{}}}",

@@ -4,8 +4,8 @@
 //! property sweep over randomly drawn generator specs.
 
 use lucid_core::{
-    run_scenario, run_scenario_with, ArgDist, Engine, ExecMode, GenSpec, Phase, Scenario,
-    SimOptions, SimReport,
+    run_scenario, run_scenario_with, ArgDist, Engine, ExecMode, GenSpec, Interp, InterpFault,
+    NetConfig, Phase, Scenario, SimOptions, SimReport, Workload,
 };
 use proptest::prelude::*;
 
@@ -152,6 +152,63 @@ fn events_override_scales_lazily_and_engines_still_agree() {
     )
     .unwrap();
     assert_eq!(fingerprint(&seq), fingerprint(&sh));
+}
+
+/// A budget stop in the middle of the generator streams leaves the same
+/// world behind under the sequential engine and the sharded engine at
+/// one worker — error, stats, queue depth, clock, per-generator pull
+/// counts — and resuming under the other engine lands on the one-shot
+/// result.
+#[test]
+fn budget_stop_mid_stream_is_engine_independent_at_one_worker() {
+    let prog = checked(MESH);
+    let sc = Scenario::from_json(GEN_SCENARIO).unwrap();
+    let world = |engine: Engine| {
+        let mut cfg = NetConfig::mesh(4);
+        cfg.engine = engine;
+        let mut sim = Interp::new(&prog, cfg);
+        let gens = sc.generators.iter().enumerate();
+        sim.set_source(Box::new(Workload::new(
+            gens.map(|(i, g)| g.compile(&prog, sc.seed, i)).collect(),
+            None,
+        )));
+        sim
+    };
+    let observe = |sim: &Interp| {
+        let arrays: Vec<Vec<u64>> = (1..=4)
+            .flat_map(|s| [sim.array(s, "cnt").to_vec(), sim.array(s, "mix").to_vec()])
+            .collect();
+        (
+            arrays,
+            sim.stats.clone(),
+            sim.pending(),
+            sim.now_ns,
+            sim.source_counts().to_vec(),
+        )
+    };
+    let w1 = Engine::Sharded {
+        workers: 1,
+        epoch_ns: 0,
+    };
+    let mut oneshot = world(Engine::Sequential);
+    oneshot.run_to_quiescence().unwrap();
+
+    let mut stops = Vec::new();
+    for (first, second) in [(Engine::Sequential, w1), (w1, Engine::Sequential)] {
+        let mut sim = world(first);
+        let err = sim.run(5_000, u64::MAX).unwrap_err();
+        assert_eq!(err.kind, InterpFault::FuelExhausted { handled: 5_000 });
+        assert!(sim.source_pending(), "the stop must land mid-stream");
+        stops.push(observe(&sim));
+        sim.config.engine = second;
+        sim.run_to_quiescence().unwrap();
+        assert_eq!(
+            observe(&sim),
+            observe(&oneshot),
+            "{first:?} then {second:?}"
+        );
+    }
+    assert_eq!(stops[0], stops[1], "sequential stop vs one-worker stop");
 }
 
 /// The bundled generator scenarios must be reproducible from their files
