@@ -58,6 +58,21 @@ for root in crates/*/src/lib.rs crates/cli/src/main.rs tests/src/lib.rs; do
   fi
 done
 echo "-- #![forbid(unsafe_code)] present in every crate root"
+# JSON is written by one module: outside crates/frontend/src/json.rs no
+# non-test first-party source may spell a JSON object by hand. The two
+# patterns are the marks of a hand-escaped literal inside format!/println!
+# (`{{\"` opens an object, `\":` closes a key).
+json_literals=0
+for src in $(find crates/*/src -name '*.rs' ! -path crates/frontend/src/json.rs); do
+  awk '/#\[cfg\(test\)\]/ { exit } /\{\{\\"|\\":/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit bad }' \
+    "$src" >&2 || json_literals=1
+done
+if [ "$json_literals" -ne 0 ]; then
+  echo "static analysis: hand-escaped JSON literal outside crates/frontend/src/json.rs" \
+       "(use lucid_frontend::json::Writer)" >&2
+  exit 1
+fi
+echo "-- no hand-escaped JSON literals outside the codec"
 
 echo "== golden drift guard"
 # Regenerate the per-opt-level bytecode disassembly into a temp dir and
@@ -264,11 +279,13 @@ done
 echo "== repo benchmark (benchmark/)"
 # The standalone benchmark package (declared to the driver by
 # BENCHMARK.json) builds against this checkout: its unit tests, then a
-# reduced-size run of the two engine workloads. `flood` and `flood_w1`
-# execute the same driver loop — sequential is the round loop at one
-# worker — and each must still reproduce its pinned digests.
+# reduced-size run of four workloads. `flood` and `flood_w1` execute the
+# same driver loop — sequential is the round loop at one worker — and
+# each must still reproduce its pinned digests; `explicit_load` and
+# `serve_mixed` live in the JSON codec (scenario decode, request decode,
+# reply and report rendering) and check their own verdicts.
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
-for wl in flood flood_w1; do
+for wl in flood flood_w1 explicit_load serve_mixed; do
   line=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
            --quick --workload "$wl" | tail -n1)
   case "$line" in

@@ -5,19 +5,16 @@ fn main() {
     let mode = lucid_bench::BenchMode::from_args();
     let data = lucid_bench::figure09();
     if mode.json {
-        use lucid_bench::jsonout;
-        let rows: Vec<String> = data
-            .iter()
-            .map(|r| {
-                jsonout::obj(&[
-                    ("app", jsonout::s(r.app.key)),
-                    ("lucid_loc", r.lucid_loc.to_string()),
-                    ("p4_loc", r.p4_loc.to_string()),
-                    ("stages", r.stages.to_string()),
-                ])
-            })
-            .collect();
-        jsonout::emit("fig09", &rows);
+        lucid_bench::jsonout::emit("fig09", |w| {
+            for r in &data {
+                w.obj(|w| {
+                    w.key("app").str(r.app.key);
+                    w.key("lucid_loc").u64(r.lucid_loc as u64);
+                    w.key("p4_loc").u64(r.p4_loc as u64);
+                    w.key("stages").u64(r.stages as u64);
+                });
+            }
+        });
         return;
     }
     println!("Figure 9 — applications with data-plane integrated control\n");

@@ -6,24 +6,21 @@ fn main() {
     let mode = lucid_bench::BenchMode::from_args();
     let data = lucid_bench::figure10();
     if mode.json {
-        use lucid_bench::jsonout;
-        let rows: Vec<String> = data
-            .iter()
-            .map(|r| {
-                jsonout::obj(&[
-                    ("app", jsonout::s(r.key)),
-                    ("actions", r.p4.actions.to_string()),
-                    ("reg_actions", r.p4.reg_actions.to_string()),
-                    ("tables", r.p4.tables.to_string()),
-                    ("headers", r.p4.headers.to_string()),
-                    ("parsers", r.p4.parsers.to_string()),
-                    ("other", r.p4.control.to_string()),
-                    ("total", r.p4.total().to_string()),
-                    ("lucid_loc", r.lucid_loc.to_string()),
-                ])
-            })
-            .collect();
-        jsonout::emit("fig10", &rows);
+        lucid_bench::jsonout::emit("fig10", |w| {
+            for r in &data {
+                w.obj(|w| {
+                    w.key("app").str(r.key);
+                    w.key("actions").u64(r.p4.actions as u64);
+                    w.key("reg_actions").u64(r.p4.reg_actions as u64);
+                    w.key("tables").u64(r.p4.tables as u64);
+                    w.key("headers").u64(r.p4.headers as u64);
+                    w.key("parsers").u64(r.p4.parsers as u64);
+                    w.key("other").u64(r.p4.control as u64);
+                    w.key("total").u64(r.p4.total() as u64);
+                    w.key("lucid_loc").u64(r.lucid_loc as u64);
+                });
+            }
+        });
         return;
     }
     println!("Figure 10 — breakdown of P4 code vs Lucid\n");

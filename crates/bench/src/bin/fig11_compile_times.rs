@@ -8,22 +8,19 @@ fn main() {
     let mode = lucid_bench::BenchMode::from_args();
     let data = lucid_bench::figure11();
     if mode.json {
-        use lucid_bench::jsonout;
-        let rows: Vec<String> = data
-            .iter()
-            .map(|r| {
-                jsonout::obj(&[
-                    ("app", jsonout::s(r.key)),
-                    ("compile_time_us", jsonout::f(r.compile_time_us)),
-                    (
-                        "paper_dev_time",
-                        r.paper_dev_time
-                            .map_or_else(|| "null".to_string(), jsonout::s),
-                    ),
-                ])
-            })
-            .collect();
-        jsonout::emit("fig11", &rows);
+        lucid_bench::jsonout::emit("fig11", |w| {
+            for r in &data {
+                w.obj(|w| {
+                    w.key("app").str(r.key);
+                    w.key("compile_time_us").f64(r.compile_time_us, 4);
+                    w.key("paper_dev_time");
+                    match r.paper_dev_time {
+                        Some(t) => w.str(t),
+                        None => w.null(),
+                    };
+                });
+            }
+        });
         return;
     }
     println!("Figure 11 — development time (paper, human study) and compile time (ours)\n");

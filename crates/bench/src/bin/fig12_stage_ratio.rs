@@ -6,24 +6,20 @@ fn main() {
     let mode = lucid_bench::BenchMode::from_args();
     let data = lucid_bench::figure12();
     if mode.json {
-        use lucid_bench::jsonout;
-        let rows: Vec<String> = data
-            .iter()
-            .map(|r| {
-                jsonout::obj(&[
-                    ("app", jsonout::s(r.key)),
-                    ("unoptimized", r.unoptimized_stages.to_string()),
-                    ("optimized", r.optimized_stages.to_string()),
-                    ("ratio", jsonout::f(r.ratio)),
-                    (
-                        "no_rearrange",
-                        r.no_rearrange_stages
-                            .map_or_else(|| "null".to_string(), |n| n.to_string()),
-                    ),
-                ])
-            })
-            .collect();
-        jsonout::emit("fig12", &rows);
+        lucid_bench::jsonout::emit("fig12", |w| {
+            for r in &data {
+                w.obj(|w| {
+                    w.key("app").str(r.key);
+                    w.key("unoptimized").u64(r.unoptimized_stages as u64);
+                    w.key("optimized").u64(r.optimized_stages as u64);
+                    w.key("ratio").f64(r.ratio, 4).key("no_rearrange");
+                    match r.no_rearrange_stages {
+                        Some(n) => w.u64(n as u64),
+                        None => w.null(),
+                    };
+                });
+            }
+        });
         return;
     }
     println!("Figure 12 — optimized stage count vs unoptimized\n");

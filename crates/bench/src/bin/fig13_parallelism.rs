@@ -6,18 +6,15 @@ fn main() {
     let mode = lucid_bench::BenchMode::from_args();
     let data = lucid_bench::figure13();
     if mode.json {
-        use lucid_bench::jsonout;
-        let rows: Vec<String> = data
-            .iter()
-            .map(|r| {
-                jsonout::obj(&[
-                    ("app", jsonout::s(r.key)),
-                    ("mean_alu_per_stage", jsonout::f(r.mean_alu_per_stage)),
-                    ("max_alu_per_stage", r.max_alu_per_stage.to_string()),
-                ])
-            })
-            .collect();
-        jsonout::emit("fig13", &rows);
+        lucid_bench::jsonout::emit("fig13", |w| {
+            for r in &data {
+                w.obj(|w| {
+                    w.key("app").str(r.key);
+                    w.key("mean_alu_per_stage").f64(r.mean_alu_per_stage, 4);
+                    w.key("max_alu_per_stage").u64(r.max_alu_per_stage as u64);
+                });
+            }
+        });
         return;
     }
     println!("Figure 13 — ALU instructions per stage in optimized code\n");

@@ -7,20 +7,17 @@ fn main() {
     let mode = lucid_bench::BenchMode::from_args();
     let data = lucid_bench::figure14();
     if mode.json {
-        use lucid_bench::jsonout;
-        let rows: Vec<String> = data
-            .iter()
-            .map(|p| {
-                jsonout::obj(&[
-                    ("events", p.concurrent_events.to_string()),
-                    ("baseline_gbps", jsonout::f(p.baseline_gbps)),
-                    ("delay_queue_gbps", jsonout::f(p.delay_queue_gbps)),
-                    ("baseline_rel_err", jsonout::f(p.baseline_rel_err)),
-                    ("delay_queue_rel_err", jsonout::f(p.delay_queue_rel_err)),
-                ])
-            })
-            .collect();
-        jsonout::emit("fig14", &rows);
+        lucid_bench::jsonout::emit("fig14", |w| {
+            for p in &data {
+                w.obj(|w| {
+                    w.key("events").u64(p.concurrent_events as u64);
+                    w.key("baseline_gbps").f64(p.baseline_gbps, 4);
+                    w.key("delay_queue_gbps").f64(p.delay_queue_gbps, 4);
+                    w.key("baseline_rel_err").f64(p.baseline_rel_err, 4);
+                    w.key("delay_queue_rel_err").f64(p.delay_queue_rel_err, 4);
+                });
+            }
+        });
         return;
     }
     println!("Figure 14 — pausable queue overhead and accuracy\n");

@@ -5,19 +5,18 @@ fn main() {
     let mode = lucid_bench::BenchMode::from_args();
     let data = lucid_bench::figure15();
     if mode.json {
-        use lucid_bench::jsonout;
-        let rows: Vec<String> = data
-            .iter()
-            .map(|(class, apps)| {
-                let app_list: Vec<String> = apps.iter().map(|a| jsonout::s(a)).collect();
-                jsonout::obj(&[
-                    ("class", jsonout::s(class.label())),
-                    ("rate", jsonout::s(class.rate())),
-                    ("apps", format!("[{}]", app_list.join(","))),
-                ])
-            })
-            .collect();
-        jsonout::emit("fig15", &rows);
+        lucid_bench::jsonout::emit("fig15", |w| {
+            for (class, apps) in &data {
+                w.obj(|w| {
+                    w.key("class").str(class.label());
+                    w.key("rate").str(class.rate()).key("apps").arr(|w| {
+                        for app in apps {
+                            w.str(app);
+                        }
+                    });
+                });
+            }
+        });
         return;
     }
     println!("Figure 15 — recirculation uses in the Figure 9 applications\n");

@@ -6,19 +6,16 @@ fn main() {
     let mode = lucid_bench::BenchMode::from_args();
     let data = lucid_bench::figure16();
     if mode.json {
-        use lucid_bench::jsonout;
-        let rows: Vec<String> = data
-            .iter()
-            .map(|r| {
-                jsonout::obj(&[
-                    ("flow_rate", jsonout::f(r.flow_rate)),
-                    ("recirc_rate_pps", jsonout::f(r.recirc_rate_pps)),
-                    ("pipeline_utilization", jsonout::f(r.pipeline_utilization)),
-                    ("min_pkt_size_bytes", jsonout::f(r.min_pkt_size_bytes)),
-                ])
-            })
-            .collect();
-        jsonout::emit("fig16", &rows);
+        lucid_bench::jsonout::emit("fig16", |w| {
+            for r in &data {
+                w.obj(|w| {
+                    w.key("flow_rate").f64(r.flow_rate, 4);
+                    w.key("recirc_rate_pps").f64(r.recirc_rate_pps, 4);
+                    w.key("pipeline_utilization").f64(r.pipeline_utilization, 4);
+                    w.key("min_pkt_size_bytes").f64(r.min_pkt_size_bytes, 4);
+                });
+            }
+        });
         return;
     }
     println!("Figure 16 — modeled worst-case SFW recirculation overhead");

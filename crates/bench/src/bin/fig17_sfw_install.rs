@@ -8,15 +8,15 @@ fn main() {
     let trials = mode.trials(1000, 100);
     let f = lucid_bench::figure17(trials, 2021);
     if mode.json {
-        use lucid_bench::jsonout;
-        let row = jsonout::obj(&[
-            ("trials", trials.to_string()),
-            ("integrated_mean_ns", jsonout::f(f.integrated_mean_ns)),
-            ("remote_mean_ns", jsonout::f(f.remote_mean_ns)),
-            ("speedup", jsonout::f(f.speedup)),
-            ("frac_inline", jsonout::f(f.frac_inline)),
-        ]);
-        jsonout::emit("fig17", &[row]);
+        lucid_bench::jsonout::emit("fig17", |w| {
+            w.obj(|w| {
+                w.key("trials").u64(trials as u64);
+                w.key("integrated_mean_ns").f64(f.integrated_mean_ns, 4);
+                w.key("remote_mean_ns").f64(f.remote_mean_ns, 4);
+                w.key("speedup").f64(f.speedup, 4);
+                w.key("frac_inline").f64(f.frac_inline, 4);
+            });
+        });
         return;
     }
     println!("Figure 17 — SFW flow installation times ({trials} trials)\n");

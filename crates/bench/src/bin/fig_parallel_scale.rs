@@ -27,36 +27,30 @@ fn main() {
     );
 
     if mode.json {
-        use lucid_bench::jsonout;
-        let rows: Vec<String> = t
-            .rows
-            .iter()
-            .map(|r| {
-                jsonout::obj(&[
-                    ("workers", r.workers.to_string()),
-                    ("events_processed", r.events_processed.to_string()),
-                    ("wall_ms", jsonout::f(r.wall_ms)),
-                    ("events_per_sec", jsonout::f(r.events_per_sec)),
-                    ("speedup", jsonout::f(r.speedup)),
-                    (
-                        "state_digest",
-                        jsonout::s(&format!("{:016x}", r.state_digest)),
-                    ),
-                ])
-            })
-            .collect();
-        let doc = format!(
-            "{{\"figure\":\"fig_parallel_scale\",\"switches\":{},\"target_events\":{},\
-             \"identical\":{},\
-             \"monotone\":{},\"available_parallelism\":{},\"latency_tail\":{},\"rows\":[{}]}}",
-            t.switches,
-            t.target_events,
-            t.identical,
-            t.monotone,
-            t.available_parallelism,
-            t.tail.to_json(),
-            rows.join(",")
-        );
+        let doc = lucid_core::frontend::json::write(|w| {
+            w.obj(|w| {
+                w.key("figure").str("fig_parallel_scale");
+                w.key("switches").u64(t.switches as u64);
+                w.key("target_events").u64(t.target_events as u64);
+                w.key("identical").bool(t.identical);
+                w.key("monotone").bool(t.monotone);
+                w.key("available_parallelism")
+                    .u64(t.available_parallelism as u64);
+                w.key("latency_tail").raw(&t.tail.to_json());
+                w.key("rows").arr(|w| {
+                    for r in &t.rows {
+                        w.obj(|w| {
+                            w.key("workers").u64(r.workers as u64);
+                            w.key("events_processed").u64(r.events_processed);
+                            w.key("wall_ms").f64(r.wall_ms, 4);
+                            w.key("events_per_sec").f64(r.events_per_sec, 4);
+                            w.key("speedup").f64(r.speedup, 4);
+                            w.key("state_digest").hex64(r.state_digest);
+                        });
+                    }
+                });
+            });
+        });
         println!("{doc}");
         return;
     }

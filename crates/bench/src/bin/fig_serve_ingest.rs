@@ -34,20 +34,20 @@ fn main() {
     );
 
     if mode.json {
-        use lucid_bench::jsonout;
-        println!(
-            "{{\"figure\":\"fig_serve_ingest\",\"switches\":{},\"target_events\":{},\
-             \"batch\":{},\"requests\":{},\"identical\":{},\"wall_ms\":{},\
-             \"events_per_sec\":{},\"state_digest\":{}}}",
-            t.switches,
-            t.target_events,
-            t.batch,
-            t.requests,
-            t.identical,
-            jsonout::f(t.wall_ms),
-            jsonout::f(t.events_per_sec),
-            jsonout::s(&format!("{:016x}", t.state_digest)),
-        );
+        let doc = lucid_core::frontend::json::write(|w| {
+            w.obj(|w| {
+                w.key("figure").str("fig_serve_ingest");
+                w.key("switches").u64(t.switches as u64);
+                w.key("target_events").u64(t.target_events as u64);
+                w.key("batch").u64(t.batch as u64);
+                w.key("requests").u64(t.requests as u64);
+                w.key("identical").bool(t.identical);
+                w.key("wall_ms").f64(t.wall_ms, 4);
+                w.key("events_per_sec").f64(t.events_per_sec, 4);
+                w.key("state_digest").hex64(t.state_digest);
+            });
+        });
+        println!("{doc}");
         return;
     }
 

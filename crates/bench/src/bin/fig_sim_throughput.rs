@@ -31,33 +31,29 @@ fn main() {
     );
 
     if mode.json {
-        use lucid_bench::jsonout;
-        let rows: Vec<String> = t
-            .rows
-            .iter()
-            .map(|r| {
-                jsonout::obj(&[
-                    ("engine", jsonout::s(r.engine)),
-                    ("exec", jsonout::s(r.exec)),
-                    ("events_processed", r.events_processed.to_string()),
-                    ("wall_ms", jsonout::f(r.wall_ms)),
-                    ("events_per_sec", jsonout::f(r.events_per_sec)),
-                ])
-            })
-            .collect();
-        let doc = format!(
-            "{{\"figure\":\"fig_sim_throughput\",\"switches\":{},\"injected_per_switch\":{},\
-             \"workers\":{},\"identical\":{},\"speedup\":{},\"bytecode_speedup\":{},\
-             \"latency_tail\":{},\"rows\":[{}]}}",
-            t.switches,
-            t.injected_per_switch,
-            t.workers,
-            t.identical,
-            jsonout::f(t.speedup),
-            jsonout::f(t.bytecode_speedup),
-            t.tail.to_json(),
-            rows.join(",")
-        );
+        let doc = lucid_core::frontend::json::write(|w| {
+            w.obj(|w| {
+                w.key("figure").str("fig_sim_throughput");
+                w.key("switches").u64(t.switches as u64);
+                w.key("injected_per_switch")
+                    .u64(t.injected_per_switch as u64);
+                w.key("workers").u64(t.workers as u64);
+                w.key("identical").bool(t.identical);
+                w.key("speedup").f64(t.speedup, 4);
+                w.key("bytecode_speedup").f64(t.bytecode_speedup, 4);
+                w.key("latency_tail").raw(&t.tail.to_json());
+                w.key("rows").arr(|w| {
+                    for r in &t.rows {
+                        w.obj(|w| {
+                            w.key("engine").str(r.engine).key("exec").str(r.exec);
+                            w.key("events_processed").u64(r.events_processed);
+                            w.key("wall_ms").f64(r.wall_ms, 4);
+                            w.key("events_per_sec").f64(r.events_per_sec, 4);
+                        });
+                    }
+                });
+            });
+        });
         println!("{doc}");
         return;
     }

@@ -63,41 +63,33 @@ fn main() {
     );
 
     if mode.json {
-        use lucid_bench::jsonout;
-        let rows: Vec<String> = t
-            .rows
-            .iter()
-            .map(|r| {
-                jsonout::obj(&[
-                    ("engine", jsonout::s(r.engine)),
-                    ("exec", jsonout::s(r.exec)),
-                    // Bare number, matching SimReport::to_json's "opt"
-                    // so the recorded artifact stays one type per field.
-                    ("opt", r.opt.to_string()),
-                    ("events_processed", r.events_processed.to_string()),
-                    ("injected", r.injected.to_string()),
-                    ("wall_ms", jsonout::f(r.wall_ms)),
-                    ("events_per_sec", jsonout::f(r.events_per_sec)),
-                    (
-                        "state_digest",
-                        jsonout::s(&format!("{:016x}", r.state_digest)),
-                    ),
-                ])
-            })
-            .collect();
-        let doc = format!(
-            "{{\"figure\":\"fig_workload_scale\",\"switches\":{},\"target_events\":{},\
-             \"identical\":{},\"min_events_per_sec\":{},\"bytecode_speedup\":{},\
-             \"opt_speedup\":{},\"latency_tail\":{},\"rows\":[{}]}}",
-            t.switches,
-            t.target_events,
-            t.identical,
-            jsonout::f(t.min_events_per_sec),
-            jsonout::f(t.bytecode_speedup),
-            jsonout::f(t.opt_speedup),
-            t.tail.to_json(),
-            rows.join(",")
-        );
+        let doc = lucid_core::frontend::json::write(|w| {
+            w.obj(|w| {
+                w.key("figure").str("fig_workload_scale");
+                w.key("switches").u64(t.switches as u64);
+                w.key("target_events").u64(t.target_events as u64);
+                w.key("identical").bool(t.identical);
+                w.key("min_events_per_sec").f64(t.min_events_per_sec, 4);
+                w.key("bytecode_speedup").f64(t.bytecode_speedup, 4);
+                w.key("opt_speedup").f64(t.opt_speedup, 4);
+                w.key("latency_tail").raw(&t.tail.to_json());
+                w.key("rows").arr(|w| {
+                    for r in &t.rows {
+                        w.obj(|w| {
+                            w.key("engine").str(r.engine).key("exec").str(r.exec);
+                            // Bare number, matching SimReport::to_json's "opt"
+                            // so the recorded artifact stays one type per field.
+                            w.key("opt").raw(r.opt);
+                            w.key("events_processed").u64(r.events_processed);
+                            w.key("injected").u64(r.injected);
+                            w.key("wall_ms").f64(r.wall_ms, 4);
+                            w.key("events_per_sec").f64(r.events_per_sec, 4);
+                            w.key("state_digest").hex64(r.state_digest);
+                        });
+                    }
+                });
+            });
+        });
         println!("{doc}");
         return;
     }

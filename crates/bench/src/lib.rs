@@ -21,6 +21,7 @@
 
 use lucid_apps::AppInfo;
 use lucid_backend::P4Loc;
+use lucid_core::frontend::json;
 use lucid_core::{
     Build, Compiler, Engine, ExecMode, Interp, LayoutOptions, NetConfig, PipelineSpec,
 };
@@ -61,36 +62,19 @@ impl BenchMode {
     }
 }
 
-/// Just enough JSON writing for `fig* --json` (the workspace builds
-/// offline, without serde). Each binary emits one line:
-/// `{"figure": "...", "rows": [...]}`.
+/// The standard one-line document of a `fig* --json` run:
+/// `{"figure":"...","rows":[...]}`, rows appended by the caller through
+/// the workspace's JSON writer ([`lucid_core::frontend::json`]).
 pub mod jsonout {
-    /// Quote and escape a string value.
-    pub fn s(v: &str) -> String {
-        format!("\"{}\"", lucid_core::json_escape(v))
-    }
+    use lucid_core::frontend::json::{self, Writer};
 
-    /// A float value JSON accepts (`NaN`/`inf` degrade to `null`).
-    pub fn f(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:.4}")
-        } else {
-            "null".to_string()
-        }
-    }
-
-    /// `{"k": v, ...}` from already-encoded values.
-    pub fn obj(pairs: &[(&str, String)]) -> String {
-        let body: Vec<String> = pairs
-            .iter()
-            .map(|(k, v)| format!("{}:{}", s(k), v))
-            .collect();
-        format!("{{{}}}", body.join(","))
-    }
-
-    /// Print the standard one-line document for a figure binary.
-    pub fn emit(figure: &str, rows: &[String]) {
-        println!("{{\"figure\":{},\"rows\":[{}]}}", s(figure), rows.join(","));
+    pub fn emit(figure: &str, rows: impl FnOnce(&mut Writer)) {
+        let doc = json::write(|w| {
+            w.obj(|w| {
+                w.key("figure").str(figure).key("rows").arr(rows);
+            });
+        });
+        println!("{doc}");
     }
 }
 
@@ -429,19 +413,18 @@ impl LatencyTail {
 
     /// The `"latency_tail"` object both figure binaries embed.
     pub fn to_json(&self) -> String {
-        jsonout::obj(&[
-            (
-                "metrics_digest",
-                jsonout::s(&format!("{:016x}", self.metrics_digest)),
-            ),
-            ("lat_p50_ns", self.lat_p50_ns.to_string()),
-            ("lat_p90_ns", self.lat_p90_ns.to_string()),
-            ("lat_p99_ns", self.lat_p99_ns.to_string()),
-            ("lat_p999_ns", self.lat_p999_ns.to_string()),
-            ("lat_max_ns", self.lat_max_ns.to_string()),
-            ("res_p99_ns", self.res_p99_ns.to_string()),
-            ("res_max_ns", self.res_max_ns.to_string()),
-        ])
+        json::write(|w| {
+            w.obj(|w| {
+                w.key("metrics_digest").hex64(self.metrics_digest);
+                w.key("lat_p50_ns").u64(self.lat_p50_ns);
+                w.key("lat_p90_ns").u64(self.lat_p90_ns);
+                w.key("lat_p99_ns").u64(self.lat_p99_ns);
+                w.key("lat_p999_ns").u64(self.lat_p999_ns);
+                w.key("lat_max_ns").u64(self.lat_max_ns);
+                w.key("res_p99_ns").u64(self.res_p99_ns);
+                w.key("res_max_ns").u64(self.res_max_ns);
+            });
+        })
     }
 
     /// One human-readable summary line.
@@ -987,6 +970,22 @@ pub struct ServeIngest {
     pub identical: bool,
 }
 
+/// The `serve_ingest` event stream, `events[i]` for `i` in `range`, as a
+/// scenario-shaped `events` array.
+fn write_events(w: &mut json::Writer, range: std::ops::Range<u64>, switches: u64) {
+    w.arr(|w| {
+        for i in range {
+            w.obj(|w| {
+                w.key("time_ns").u64(100 * (i + 1));
+                w.key("switch").u64(1 + i % switches);
+                w.key("event").str("pkt").key("args").arr(|w| {
+                    w.u64(i % 256);
+                });
+            });
+        }
+    });
+}
+
 /// Push `target_events` through a live `serve` session in `batch`-sized
 /// `ingest` request lines, advancing the session after every batch, and
 /// compare the drained report — byte for byte, wall-clock fields aside —
@@ -1001,46 +1000,52 @@ pub fn serve_ingest(switches: u64, target_events: u64, batch: u64) -> ServeInges
         event pkt(int idx);
         handle pkt(int idx) { Array.setm(cts, idx, plus, 1); }
     "#;
-    let header = format!(
-        "{{\"name\": \"serve-ingest\", \"net\": {{\"switches\": {switches}}}, \
-         \"exec\": \"bytecode\""
-    );
-    let event = |i: u64| {
-        format!(
-            "{{\"time_ns\":{},\"switch\":{},\"event\":\"pkt\",\"args\":[{}]}}",
-            100 * (i + 1),
-            1 + i % switches,
-            i % 256
-        )
+    // One scenario document: the header fields, then whatever events the
+    // caller authors in (none for the served session, all for one-shot).
+    let scenario = |events: std::ops::Range<u64>| {
+        json::write(|w| {
+            w.obj(|w| {
+                w.key("name").str("serve-ingest").key("net").obj(|w| {
+                    w.key("switches").u64(switches);
+                });
+                w.key("exec").str("bytecode").key("events");
+                write_events(w, events, switches);
+            });
+        })
     };
 
     // The client side — request lines — is built up front so the timed
     // loop holds only served work.
-    let mut requests: Vec<String> = vec![format!(
-        "{{\"op\":\"open\",\"program\":{},\"scenario\":{}}}",
-        jsonout::s(src),
-        jsonout::s(&format!("{header}}}"))
-    )];
+    let mut requests: Vec<String> = vec![json::write(|w| {
+        w.obj(|w| {
+            w.key("op").str("open").key("program").str(src);
+            w.key("scenario").str(&scenario(0..0));
+        });
+    })];
     let mut i = 0;
     while i < target_events {
         let n = batch.min(target_events - i);
-        let evs: Vec<String> = (i..i + n).map(event).collect();
-        requests.push(format!(
-            "{{\"op\":\"ingest\",\"session\":1,\"events\":[{}]}}",
-            evs.join(",")
-        ));
-        requests.push(format!(
-            "{{\"op\":\"advance\",\"session\":1,\"to_ns\":{}}}",
-            100 * (i + n)
-        ));
+        requests.push(json::write(|w| {
+            w.obj(|w| {
+                w.key("op").str("ingest");
+                w.key("session").u64(1);
+                w.key("events");
+                write_events(w, i..i + n, switches);
+            });
+        }));
+        requests.push(json::write(|w| {
+            w.obj(|w| {
+                w.key("op").str("advance").key("session").u64(1);
+                w.key("to_ns").u64(100 * (i + n));
+            });
+        }));
         i += n;
     }
-    requests.push("{\"op\":\"drain\",\"session\":1}".to_string());
+    requests.push(r#"{"op":"drain","session":1}"#.to_string());
 
     // The reference: the same events authored into the scenario and run
     // one-shot.
-    let evs: Vec<String> = (0..target_events).map(event).collect();
-    let sc_full = format!("{header}, \"events\": [{}]}}", evs.join(","));
+    let sc_full = scenario(0..target_events);
     let sc_full = Scenario::from_json(&sc_full).expect("one-shot scenario parses");
     let prog = lucid_core::check::parse_and_check(src).expect("program checks");
     let oneshot = lucid_core::run_scenario_with(&prog, &sc_full, &SimOptions::default())
@@ -1065,14 +1070,14 @@ pub fn serve_ingest(switches: u64, target_events: u64, batch: u64) -> ServeInges
         let mut last = String::new();
         for line in &requests {
             last = handle_line(&mut state, &mut host, line).reply().to_string();
-            assert!(last.starts_with("{\"ok\":true"), "request failed: {last}");
+            assert!(last.starts_with(r#"{"ok":true"#), "request failed: {last}");
         }
         let wall = start.elapsed().as_secs_f64();
         // The drain reply is `{"ok":true,...,"report":{...}}`: the
         // embedded report keeps its own closing brace, only the reply's
         // outer one goes.
         let report = last
-            .split_once("\"report\":")
+            .split_once(r#""report":"#)
             .and_then(|(_, r)| r.strip_suffix('}'))
             .expect("drain reply embeds the report");
         identical &= stable(report) == want;
@@ -1213,13 +1218,13 @@ mod tests {
 
     #[test]
     fn jsonout_escapes_and_nests() {
-        let row = jsonout::obj(&[
-            ("name", jsonout::s("a\"b\\c")),
-            ("n", 7.to_string()),
-            ("x", jsonout::f(1.5)),
-        ]);
-        assert_eq!(row, r#"{"name":"a\"b\\c","n":7,"x":1.5000}"#);
-        assert_eq!(jsonout::f(f64::NAN), "null");
+        let row = json::write(|w| {
+            w.obj(|w| {
+                w.key("name").str("a\"b\\c").key("n").u64(7);
+                w.key("x").f64(1.5, 4).key("y").f64(f64::NAN, 4);
+            });
+        });
+        assert_eq!(row, r#"{"name":"a\"b\\c","n":7,"x":1.5000,"y":null}"#);
     }
 
     #[test]

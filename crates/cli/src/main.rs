@@ -71,6 +71,7 @@
 
 #![forbid(unsafe_code)]
 
+use lucid_core::frontend::json;
 use lucid_core::{
     Build, BuildHost, Compiler, Engine, ExecMode, LayoutOptions, OptLevel, PipelineSpec, Scenario,
     ServeState, SimError, SimOptions,
@@ -477,20 +478,7 @@ fn run_sim(args: &[String]) -> ExitCode {
                 ExitCode::from(EXIT_DIAGNOSTICS)
             }
         }
-        Err(SimError::Diagnostics(_)) => {
-            if opts.json {
-                // Keep stdout a single JSON document; the program's own
-                // diagnostics go to stderr as JSON too.
-                println!(
-                    "{{\"kind\":\"diagnostics\",\"msg\":{}}}",
-                    json_str("the program has diagnostics (see stderr)")
-                );
-                eprintln!("{}", build.diagnostics_json());
-            } else {
-                eprintln!("{}", build.render_diagnostics());
-            }
-            ExitCode::from(EXIT_DIAGNOSTICS)
-        }
+        Err(SimError::Diagnostics(_)) => program_diagnostics(&build, opts.json),
         Err(SimError::Scenario(e)) => {
             if opts.json {
                 println!("{}", e.to_json());
@@ -503,7 +491,12 @@ fn run_sim(args: &[String]) -> ExitCode {
             if opts.json {
                 // The fault carries the offending event's key (time,
                 // switch, name, origin) so tooling can point at it.
-                println!("{{\"kind\":\"runtime\",\"fault\":{}}}", e.to_json());
+                let doc = json::write(|w| {
+                    w.obj(|w| {
+                        w.key("kind").str("runtime").key("fault").raw(&e.to_json());
+                    });
+                });
+                println!("{doc}");
             } else {
                 eprintln!("runtime fault: {e}");
             }
@@ -513,10 +506,7 @@ fn run_sim(args: &[String]) -> ExitCode {
         // run never exercises them, but the match stays honest.
         Err(e @ (SimError::Snapshot(_) | SimError::Swap(_))) => {
             if opts.json {
-                println!(
-                    "{{\"kind\":\"service\",\"msg\":{}}}",
-                    json_str(&e.to_string())
-                );
+                print_failure("service", &e.to_string());
             } else {
                 eprintln!("error: {e}");
             }
@@ -569,9 +559,28 @@ fn run_serve(args: &[String]) -> ExitCode {
     }
 }
 
-/// Quote and escape one JSON string value.
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", lucid_core::json_escape(s))
+/// Print the `{"kind":K,"msg":M}` document that stands in for the report
+/// on stdout when a `sim --json` run ends without one.
+fn print_failure(kind: &str, msg: &str) {
+    let doc = json::write(|w| {
+        w.obj(|w| {
+            w.key("kind").str(kind).key("msg").str(msg);
+        });
+    });
+    println!("{doc}");
+}
+
+/// Report the program's own diagnostics and yield the exit code: rendered
+/// on stderr, or under `--json` as a JSON array on stderr, so that stdout
+/// stays a single JSON document (the failure marker).
+fn program_diagnostics(build: &Build, json: bool) -> ExitCode {
+    if json {
+        print_failure("diagnostics", "the program has diagnostics (see stderr)");
+        eprintln!("{}", build.diagnostics_json());
+    } else {
+        eprintln!("{}", build.render_diagnostics());
+    }
+    ExitCode::from(EXIT_DIAGNOSTICS)
 }
 
 /// Run the bytecode verifier at `level` (`sim --verify-bytecode`). Clean
@@ -579,26 +588,14 @@ fn json_str(s: &str) -> String {
 /// render as V0xxx diagnostics on stderr (JSON under `--json`, with a
 /// one-document stdout marker) and yield exit 1.
 fn verify_listing(build: &mut Build, level: OptLevel, json: bool) -> Result<(), ExitCode> {
-    let emit_program_diags = |build: &Build| {
-        if json {
-            println!(
-                "{{\"kind\":\"diagnostics\",\"msg\":{}}}",
-                json_str("the program has diagnostics (see stderr)")
-            );
-            eprintln!("{}", build.diagnostics_json());
-        } else {
-            eprintln!("{}", build.render_diagnostics());
-        }
-        Err(ExitCode::from(EXIT_DIAGNOSTICS))
-    };
     match build.verify_bytecode(level) {
         Ok(violations) if violations.is_empty() => Ok(()),
         Ok(violations) => {
             let ds = lucid_core::interp::violations_to_diagnostics(&violations);
             if json {
-                println!(
-                    "{{\"kind\":\"diagnostics\",\"msg\":{}}}",
-                    json_str("the bytecode verifier found violations (see stderr)")
+                print_failure(
+                    "diagnostics",
+                    "the bytecode verifier found violations (see stderr)",
                 );
                 eprintln!("{}", ds.to_json(build.source_map()));
             } else {
@@ -606,7 +603,7 @@ fn verify_listing(build: &mut Build, level: OptLevel, json: bool) -> Result<(), 
             }
             Err(ExitCode::from(EXIT_DIAGNOSTICS))
         }
-        Err(_) => emit_program_diags(build),
+        Err(_) => Err(program_diagnostics(build, json)),
     }
 }
 
@@ -624,18 +621,7 @@ fn dump_listing(build: &mut Build, level: OptLevel, json: bool) -> Result<(), Ex
             print!("{listing}");
             Ok(())
         }
-        Err(_) => {
-            if json {
-                println!(
-                    "{{\"kind\":\"diagnostics\",\"msg\":{}}}",
-                    json_str("the program has diagnostics (see stderr)")
-                );
-                eprintln!("{}", build.diagnostics_json());
-            } else {
-                eprintln!("{}", build.render_diagnostics());
-            }
-            Err(ExitCode::from(EXIT_DIAGNOSTICS))
-        }
+        Err(_) => Err(program_diagnostics(build, json)),
     }
 }
 

@@ -7,6 +7,8 @@
 //! compiler therefore reports through [`Diagnostic`], which renders with the
 //! offending source line and a caret underline.
 
+pub use crate::json::escape as json_escape;
+use crate::json::{self, Writer};
 use crate::span::{SourceMap, Span};
 use std::fmt;
 
@@ -143,72 +145,43 @@ impl Diagnostic {
     /// --json-diagnostics`, editors, CI annotations). Spans carry both byte
     /// offsets and 1-based line/column resolved through the source map.
     pub fn to_json(&self, sm: &SourceMap) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"severity\":{},",
-            json_str(&self.level.to_string())
-        ));
-        match self.code {
-            Some(c) => out.push_str(&format!("\"code\":{},", json_str(c))),
-            None => out.push_str("\"code\":null,"),
-        }
-        out.push_str(&format!("\"message\":{},", json_str(&self.message)));
-        out.push_str(&format!("\"span\":{},", json_span(sm, self.span)));
-        out.push_str("\"notes\":[");
-        for (i, (msg, nspan)) in self.notes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"message\":{},\"span\":{}}}",
-                json_str(msg),
-                json_span(sm, *nspan)
-            ));
-        }
-        out.push_str("]}");
-        out
+        json::write(|w| self.write_json(w, sm))
+    }
+
+    fn write_json(&self, w: &mut Writer, sm: &SourceMap) {
+        w.obj(|w| {
+            w.key("severity").str(&self.level.to_string()).key("code");
+            match self.code {
+                Some(c) => w.str(c),
+                None => w.null(),
+            };
+            w.key("message").str(&self.message).key("span");
+            json_span(w, sm, self.span);
+            w.key("notes").arr(|w| {
+                for (msg, nspan) in &self.notes {
+                    w.obj(|w| {
+                        w.key("message").str(msg).key("span");
+                        json_span(w, sm, *nspan);
+                    });
+                }
+            });
+        });
     }
 }
 
-fn json_span(sm: &SourceMap, span: Option<Span>) -> String {
-    match span {
-        None => "null".to_string(),
-        Some(s) => {
-            let lc = sm.line_col(s.start);
-            format!(
-                "{{\"file\":{},\"start\":{},\"end\":{},\"line\":{},\"col\":{}}}",
-                json_str(&sm.name),
-                s.start,
-                s.end,
-                lc.line,
-                lc.col
-            )
-        }
-    }
-}
-
-/// Escape a string's content for embedding inside a JSON string literal
-/// (quotes, backslashes, control characters; surrounding quotes not
-/// included). The workspace builds offline with no serde, so every
-/// hand-built JSON emitter shares this one table.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
+fn json_span(w: &mut Writer, sm: &SourceMap, span: Option<Span>) {
+    let Some(s) = span else {
+        w.null();
+        return;
+    };
+    let lc = sm.line_col(s.start);
+    w.obj(|w| {
+        w.key("file").str(&sm.name);
+        w.key("start").u64(s.start.into());
+        w.key("end").u64(s.end.into());
+        w.key("line").u64(lc.line.into());
+        w.key("col").u64(lc.col.into());
+    });
 }
 
 fn render_span(out: &mut String, sm: &SourceMap, span: Span) {
@@ -314,8 +287,13 @@ impl Diagnostics {
 
     /// Serialize the whole collection as a JSON array.
     pub fn to_json(&self, sm: &SourceMap) -> String {
-        let items: Vec<String> = self.items.iter().map(|d| d.to_json(sm)).collect();
-        format!("[{}]", items.join(","))
+        json::write(|w| {
+            w.arr(|w| {
+                for d in &self.items {
+                    d.write_json(w, sm);
+                }
+            });
+        })
     }
 }
 

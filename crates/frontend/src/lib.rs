@@ -23,6 +23,7 @@
 
 pub mod ast;
 pub mod diag;
+pub mod json;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;

@@ -366,21 +366,27 @@ impl InterpError {
             InterpFault::NoSuchEvent(_) => "no_such_event",
             InterpFault::BadArity { .. } => "bad_arity",
         };
-        let at = match &self.at {
-            None => "null".to_string(),
-            Some(at) => format!(
-                "{{\"time_ns\":{},\"switch\":{},\"event\":\"{}\",\"origin\":{},\"seq\":{}}}",
-                at.time_ns,
-                at.switch,
-                crate::scenario::json_escape(&at.event),
-                at.origin.map_or("null".to_string(), |o| o.to_string()),
-                at.seq,
-            ),
-        };
-        format!(
-            "{{\"kind\":\"{kind}\",\"msg\":\"{}\",\"at\":{at}}}",
-            crate::scenario::json_escape(&self.kind.to_string())
-        )
+        lucid_frontend::json::write(|w| {
+            w.obj(|w| {
+                w.key("kind").str(kind);
+                w.key("msg").str(&self.kind.to_string());
+                w.key("at");
+                let Some(at) = &self.at else {
+                    w.null();
+                    return;
+                };
+                w.obj(|w| {
+                    w.key("time_ns").u64(at.time_ns);
+                    w.key("switch").u64(at.switch);
+                    w.key("event").str(&at.event).key("origin");
+                    match at.origin {
+                        Some(o) => w.u64(o),
+                        None => w.null(),
+                    };
+                    w.key("seq").u64(at.seq);
+                });
+            });
+        })
     }
 }
 

@@ -32,7 +32,7 @@
 //! selected bucket in pure integer arithmetic, clamped by the exact
 //! min/max, so a report's p50/p90/p99/p999 are engine-independent too.
 
-use crate::scenario::json_escape;
+use lucid_frontend::json::{self, Writer};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -208,17 +208,13 @@ impl Histogram {
         }
     }
 
-    /// The four tail percentiles as a JSON fragment (plus exact bounds).
-    fn stats_json(&self) -> String {
-        format!(
-            "{{\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{},\"min\":{},\"max\":{}}}",
-            self.p50(),
-            self.p90(),
-            self.p99(),
-            self.p999(),
-            self.min(),
-            self.max()
-        )
+    /// The four tail percentiles as a JSON object (plus exact bounds).
+    fn write_stats(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.key("p50").u64(self.p50()).key("p90").u64(self.p90());
+            w.key("p99").u64(self.p99()).key("p999").u64(self.p999());
+            w.key("min").u64(self.min()).key("max").u64(self.max());
+        });
     }
 }
 
@@ -445,26 +441,24 @@ impl Metrics {
     /// The machine-readable form embedded in `lucidc sim --json` (and
     /// printed alone by `--metrics=json`).
     pub fn to_json(&self) -> String {
-        let classes: Vec<String> = self
-            .classes
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"switch\":{},\"event\":\"{}\",\"count\":{},\
-                     \"latency_ns\":{},\"residency_ns\":{}}}",
-                    c.switch,
-                    json_escape(&c.event),
-                    c.count(),
-                    c.hists.dispatch.stats_json(),
-                    c.hists.residency.stats_json()
-                )
-            })
-            .collect();
-        format!(
-            "{{\"digest\":\"{:016x}\",\"classes\":[{}]}}",
-            self.digest(),
-            classes.join(",")
-        )
+        json::write(|w| self.write_json(w))
+    }
+
+    pub(crate) fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.key("digest").hex64(self.digest());
+            w.key("classes").arr(|w| {
+                for c in &self.classes {
+                    w.obj(|w| {
+                        w.key("switch").u64(c.switch).key("event").str(&c.event);
+                        w.key("count").u64(c.count()).key("latency_ns");
+                        c.hists.dispatch.write_stats(w);
+                        w.key("residency_ns");
+                        c.hists.residency.write_stats(w);
+                    });
+                }
+            });
+        });
     }
 
     /// Human-readable percentile table (`lucidc sim --metrics`).

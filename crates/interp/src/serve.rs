@@ -27,11 +27,11 @@
 use crate::bytecode::{ExecMode, OptLevel};
 use crate::machine::Engine;
 use crate::scenario::{
-    generators_of, get, injections_of, json, json_escape, obj, req, str_of, u64_of, Scenario,
-    ScenarioError, SimOptions, SimRunError,
+    generators_of, injections_of, Scenario, ScenarioError, SimOptions, SimRunError,
 };
 use crate::session::{SessionStatus, SimSession};
 use lucid_check::CheckedProgram;
+use lucid_frontend::json::{self, Cursor, Json, PathError, Writer};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
@@ -125,17 +125,18 @@ impl ServeError {
     }
 
     /// The inner `{"kind":...,"msg":...}` object.
-    fn body(&self) -> String {
-        format!(
-            "{{\"kind\":\"{}\",\"msg\":\"{}\"}}",
-            self.kind.label(),
-            json_escape(&self.msg)
-        )
+    fn write_body(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.key("kind").str(self.kind.label());
+            w.key("msg").str(&self.msg);
+        });
     }
 
     /// The full error reply line.
     pub fn to_json(&self) -> String {
-        format!("{{\"ok\":false,\"error\":{}}}", self.body())
+        json::write(|w| {
+            w.obj(|w| self.write_body(w.key("ok").bool(false).key("error")));
+        })
     }
 }
 
@@ -151,10 +152,16 @@ impl From<SimRunError> for ServeError {
     }
 }
 
-/// Map a request-shape error (the accessors reuse the scenario schema
-/// machinery) to a protocol error.
-fn proto<T>(r: Result<T, ScenarioError>) -> Result<T, ServeError> {
-    r.map_err(|e| ServeError::new(ErrorKind::Protocol, e.to_string()))
+/// A malformed request line or request field is a protocol error,
+/// worded the way the scenario loader words the same mistake.
+fn protocol(e: impl Into<ScenarioError>) -> ServeError {
+    ServeError::new(ErrorKind::Protocol, e.into().to_string())
+}
+
+impl From<PathError> for ServeError {
+    fn from(e: PathError) -> ServeError {
+        protocol(e)
+    }
 }
 
 // ------------------------------------------------------------ the state
@@ -225,20 +232,19 @@ fn dispatch(
     host: &mut dyn ProgramHost,
     line: &str,
 ) -> Result<Outcome, ServeError> {
-    let doc = proto(json::parse(line))?;
-    let fields = proto(obj(&doc, "$"))?;
-    let op = proto(str_of(proto(req(fields, "op", "$"))?, "$.op"))?;
-    match op {
-        "open" => op_open(state, host, fields).map(Outcome::Reply),
-        "ingest" => op_ingest(state, fields).map(Outcome::Reply),
-        "advance" => op_advance(state, fields).map(Outcome::Reply),
-        "query" => op_query(state, fields).map(Outcome::Reply),
-        "snapshot" => op_snapshot(state, fields).map(Outcome::Reply),
-        "restore" => op_restore(state, fields).map(Outcome::Reply),
-        "swap" => op_swap(state, host, fields).map(Outcome::Reply),
-        "drain" => op_drain(state, host, fields).map(Outcome::Reply),
-        "close" => op_close(state, host, fields).map(Outcome::Reply),
-        "shutdown" => op_shutdown(state, host).map(Outcome::Shutdown),
+    let doc = json::parse(line).map_err(protocol)?;
+    let req = Cursor::root(&doc);
+    match req.req("op")?.str()? {
+        "open" => op_open(state, host, req).map(Outcome::Reply),
+        "ingest" => op_ingest(state, req).map(Outcome::Reply),
+        "advance" => op_advance(state, req).map(Outcome::Reply),
+        "query" => op_query(state, req).map(Outcome::Reply),
+        "snapshot" => op_snapshot(state, req).map(Outcome::Reply),
+        "restore" => op_restore(state, req).map(Outcome::Reply),
+        "swap" => op_swap(state, host, req).map(Outcome::Reply),
+        "drain" => op_drain(state, host, req).map(Outcome::Reply),
+        "close" => op_close(state, host, req).map(Outcome::Reply),
+        "shutdown" => Ok(Outcome::Shutdown(op_shutdown(state, host))),
         other => Err(ServeError::new(
             ErrorKind::Protocol,
             format!(
@@ -251,31 +257,30 @@ fn dispatch(
 
 // ------------------------------------------------------- request helpers
 
-/// Resolve a source field that may be inline (`key`) or a file path
-/// (`key_path`).
-fn source_of(
-    fields: &[(String, json::Json)],
-    key: &str,
-    path_key: &str,
-    what: &str,
-) -> Result<Option<String>, ServeError> {
-    if let Some(j) = get(fields, key) {
-        return Ok(Some(proto(str_of(j, &format!("$.{key}")))?.to_string()));
+/// Resolve a source the verb requires, inline (`key`) or as a file
+/// path (`key_path`).
+fn source_of(req: Cursor, verb: &str, key: &str) -> Result<String, ServeError> {
+    let path_key = format!("{key}_path");
+    if let Some(j) = req.get(key) {
+        return Ok(j.str()?.to_string());
     }
-    if let Some(j) = get(fields, path_key) {
-        let path = proto(str_of(j, &format!("$.{path_key}")))?;
-        return std::fs::read_to_string(path).map(Some).map_err(|e| {
-            ServeError::new(
-                ErrorKind::Protocol,
-                format!("cannot read {what} `{path}`: {e}"),
-            )
-        });
-    }
-    Ok(None)
+    let Some(j) = req.get(&path_key) else {
+        return Err(ServeError::new(
+            ErrorKind::Protocol,
+            format!("{verb} needs `{key}` or `{path_key}`"),
+        ));
+    };
+    let path = j.str()?;
+    std::fs::read_to_string(path).map_err(|e| {
+        ServeError::new(
+            ErrorKind::Protocol,
+            format!("cannot read {key} `{path}`: {e}"),
+        )
+    })
 }
 
-fn session_id(state: &ServeState, fields: &[(String, json::Json)]) -> Result<u64, ServeError> {
-    let id = proto(u64_of(proto(req(fields, "session", "$"))?, "$.session"))?;
+fn session_id(state: &ServeState, req: Cursor) -> Result<u64, ServeError> {
+    let id = req.req("session")?.u64()?;
     if !state.sessions.contains_key(&id) {
         return Err(ServeError::new(
             ErrorKind::UnknownSession,
@@ -287,35 +292,30 @@ fn session_id(state: &ServeState, fields: &[(String, json::Json)]) -> Result<u64
 
 fn session_mut<'a>(
     state: &'a mut ServeState,
-    fields: &[(String, json::Json)],
+    req: Cursor,
 ) -> Result<(u64, &'a mut SimSession), ServeError> {
-    let id = session_id(state, fields)?;
+    let id = session_id(state, req)?;
     Ok((id, state.sessions.get_mut(&id).expect("checked")))
 }
 
 /// Parse the `open` verb's `options` object into [`SimOptions`] — the
 /// same knobs `lucidc sim` takes, resolved the same way.
-fn options_of(fields: &[(String, json::Json)]) -> Result<SimOptions, ServeError> {
-    let Some(j) = get(fields, "options") else {
+fn options_of(req: Cursor) -> Result<SimOptions, ServeError> {
+    let Some(of) = req.get("options") else {
         return Ok(SimOptions::default());
     };
-    let of = proto(obj(j, "$.options"))?;
-    proto(crate::scenario::check_keys(
-        of,
-        &[
-            "engine",
-            "exec",
-            "opt",
-            "workers",
-            "seed",
-            "events",
-            "record_trace",
-        ],
-        "$.options",
-    ))?;
+    of.only(&[
+        "engine",
+        "exec",
+        "opt",
+        "workers",
+        "seed",
+        "events",
+        "record_trace",
+    ])?;
     let mut opts = SimOptions::default();
-    if let Some(v) = get(of, "engine") {
-        let name = proto(str_of(v, "$.options.engine"))?;
+    if let Some(v) = of.get("engine") {
+        let name = v.str()?;
         opts.engine = Some(Engine::parse(name).ok_or_else(|| {
             ServeError::new(
                 ErrorKind::Protocol,
@@ -323,8 +323,8 @@ fn options_of(fields: &[(String, json::Json)]) -> Result<SimOptions, ServeError>
             )
         })?);
     }
-    if let Some(v) = get(of, "exec") {
-        let name = proto(str_of(v, "$.options.exec"))?;
+    if let Some(v) = of.get("exec") {
+        let name = v.str()?;
         opts.exec = Some(ExecMode::parse(name).ok_or_else(|| {
             ServeError::new(
                 ErrorKind::Protocol,
@@ -332,8 +332,8 @@ fn options_of(fields: &[(String, json::Json)]) -> Result<SimOptions, ServeError>
             )
         })?);
     }
-    if let Some(v) = get(of, "opt") {
-        let n = proto(u64_of(v, "$.options.opt"))?;
+    if let Some(v) = of.get("opt") {
+        let n = v.u64()?;
         opts.opt = Some(OptLevel::parse(&n.to_string()).ok_or_else(|| {
             ServeError::new(
                 ErrorKind::Protocol,
@@ -341,8 +341,8 @@ fn options_of(fields: &[(String, json::Json)]) -> Result<SimOptions, ServeError>
             )
         })?);
     }
-    if let Some(v) = get(of, "workers") {
-        let w = proto(u64_of(v, "$.options.workers"))?;
+    if let Some(v) = of.get("workers") {
+        let w = v.u64()?;
         if matches!(opts.engine, Some(Engine::Sequential)) {
             // Mirror the CLI: `--workers` beside `--engine=sequential`
             // is a contradiction, not a silent override.
@@ -353,44 +353,38 @@ fn options_of(fields: &[(String, json::Json)]) -> Result<SimOptions, ServeError>
         }
         opts.workers = Some(w as usize);
     }
-    if let Some(v) = get(of, "seed") {
-        opts.seed = Some(proto(u64_of(v, "$.options.seed"))?);
+    if let Some(v) = of.get("seed") {
+        opts.seed = Some(v.u64()?);
     }
-    if let Some(v) = get(of, "events") {
-        opts.events = Some(proto(u64_of(v, "$.options.events"))?);
+    if let Some(v) = of.get("events") {
+        opts.events = Some(v.u64()?);
     }
-    if let Some(v) = get(of, "record_trace") {
-        match v {
-            json::Json::Bool(b) => opts.record_trace = Some(*b),
-            other => {
-                return Err(ServeError::new(
-                    ErrorKind::Protocol,
-                    format!(
-                        "$.options.record_trace: expected a bool, found {}",
-                        other.kind()
-                    ),
-                ))
-            }
-        }
+    if let Some(v) = of.get("record_trace") {
+        let on = v
+            .bool()
+            .map_err(|e| ServeError::new(ErrorKind::Protocol, format!("{}: {}", e.path, e.msg)))?;
+        opts.record_trace = Some(on);
     }
     Ok(opts)
 }
 
+/// A success reply: `{"ok":true,` then whatever `fields` appends.
+fn ok_reply(fields: impl FnOnce(&mut Writer)) -> String {
+    json::write(|w| {
+        w.obj(|w| fields(w.key("ok").bool(true)));
+    })
+}
+
 /// The status fields shared by `advance`, `query`, and `restore` replies.
-fn status_fields(id: u64, st: &SessionStatus) -> String {
-    format!(
-        "\"session\":{id},\"now_ns\":{},\"pending\":{},\"source_pending\":{},\
-         \"processed\":{},\"handled\":{},\"dropped\":{},\
-         \"state_digest\":\"{:016x}\",\"metrics_digest\":\"{:016x}\"",
-        st.now_ns,
-        st.pending,
-        st.source_pending,
-        st.processed,
-        st.handled,
-        st.dropped,
-        st.state_digest,
-        st.metrics_digest
-    )
+fn status_fields(w: &mut Writer, id: u64, st: &SessionStatus) {
+    w.key("session").u64(id).key("now_ns").u64(st.now_ns);
+    w.key("pending").u64(st.pending as u64);
+    w.key("source_pending").bool(st.source_pending);
+    w.key("processed").u64(st.processed);
+    w.key("handled").u64(st.handled);
+    w.key("dropped").u64(st.dropped);
+    w.key("state_digest").hex64(st.state_digest);
+    w.key("metrics_digest").hex64(st.metrics_digest);
 }
 
 // ----------------------------------------------------------------- verbs
@@ -398,22 +392,11 @@ fn status_fields(id: u64, st: &SessionStatus) -> String {
 fn op_open(
     state: &mut ServeState,
     host: &mut dyn ProgramHost,
-    fields: &[(String, json::Json)],
+    req: Cursor,
 ) -> Result<String, ServeError> {
-    let program = source_of(fields, "program", "program_path", "program")?.ok_or_else(|| {
-        ServeError::new(
-            ErrorKind::Protocol,
-            "open needs `program` or `program_path`",
-        )
-    })?;
-    let scenario_src =
-        source_of(fields, "scenario", "scenario_path", "scenario")?.ok_or_else(|| {
-            ServeError::new(
-                ErrorKind::Protocol,
-                "open needs `scenario` or `scenario_path`",
-            )
-        })?;
-    let opts = options_of(fields)?;
+    let program = source_of(req, "open", "program")?;
+    let scenario_src = source_of(req, "open", "scenario")?;
+    let opts = options_of(req)?;
     let sc = Scenario::from_json(&scenario_src)
         .map_err(|e| ServeError::new(ErrorKind::Scenario, e.to_string()))?;
     let id = state.next_id;
@@ -426,194 +409,158 @@ fn op_open(
     })?;
     state.next_id += 1;
     let (engine, exec, opt) = session.labels();
-    let reply = format!(
-        "{{\"ok\":true,\"session\":{id},\"scenario\":\"{}\",\"switches\":{},\
-         \"engine\":\"{engine}\",\"exec\":\"{exec}\",\"opt\":{opt}}}",
-        json_escape(&sc.name),
-        sc.switches.len()
-    );
     state.sessions.insert(id, session);
-    Ok(reply)
+    Ok(ok_reply(|w| {
+        w.key("session").u64(id).key("scenario").str(&sc.name);
+        w.key("switches").u64(sc.switches.len() as u64);
+        w.key("engine").str(engine);
+        w.key("exec").str(exec);
+        w.key("opt").raw(opt);
+    }))
 }
 
-fn op_ingest(
-    state: &mut ServeState,
-    fields: &[(String, json::Json)],
-) -> Result<String, ServeError> {
-    let (id, session) = session_mut(state, fields)?;
-    let mut ingested = 0usize;
-    let mut attached = 0usize;
-    if let Some(j) = get(fields, "events") {
-        let events = proto(injections_of(j, "$.events"))?;
-        ingested = events.len();
+fn op_ingest(state: &mut ServeState, req: Cursor) -> Result<String, ServeError> {
+    let (id, session) = session_mut(state, req)?;
+    let mut ingested = 0;
+    let mut attached = 0;
+    if let Some(j) = req.get("events") {
+        let events = injections_of(j)?;
+        ingested = events.len() as u64;
         session.ingest(&events)?;
     }
-    if let Some(j) = get(fields, "generators") {
-        let specs = proto(generators_of(j, "$.generators"))?;
-        for spec in &specs {
+    if let Some(j) = req.get("generators") {
+        for spec in &generators_of(j)? {
             session.attach_generator(spec)?;
             attached += 1;
         }
     }
-    Ok(format!(
-        "{{\"ok\":true,\"session\":{id},\"ingested\":{ingested},\"generators_attached\":{attached}}}"
-    ))
+    Ok(ok_reply(|w| {
+        w.key("session").u64(id).key("ingested").u64(ingested);
+        w.key("generators_attached").u64(attached);
+    }))
 }
 
-fn op_advance(
-    state: &mut ServeState,
-    fields: &[(String, json::Json)],
-) -> Result<String, ServeError> {
-    let (id, session) = session_mut(state, fields)?;
-    let to_ns = proto(u64_of(proto(req(fields, "to_ns", "$"))?, "$.to_ns"))?;
-    session.advance(to_ns)?;
-    Ok(format!(
-        "{{\"ok\":true,{}}}",
-        status_fields(id, &session.status())
-    ))
+fn op_advance(state: &mut ServeState, req: Cursor) -> Result<String, ServeError> {
+    let (id, session) = session_mut(state, req)?;
+    session.advance(req.req("to_ns")?.u64()?)?;
+    Ok(ok_reply(|w| status_fields(w, id, &session.status())))
 }
 
-fn op_query(state: &mut ServeState, fields: &[(String, json::Json)]) -> Result<String, ServeError> {
-    let (id, session) = session_mut(state, fields)?;
-    let mut extra = String::new();
-    if let Some(j) = get(fields, "array") {
-        let af = proto(obj(j, "$.array"))?;
-        let switch = proto(u64_of(
-            proto(req(af, "switch", "$.array"))?,
-            "$.array.switch",
-        ))?;
-        let name = proto(str_of(proto(req(af, "name", "$.array"))?, "$.array.name"))?;
+fn op_query(state: &mut ServeState, req: Cursor) -> Result<String, ServeError> {
+    let (id, session) = session_mut(state, req)?;
+    let mut cells = None;
+    if let Some(af) = req.get("array") {
+        let switch = af.req("switch")?.u64()?;
+        let name = af.req("name")?.str()?;
         if !session.program().info.globals_by_name.contains_key(name) {
             return Err(ServeError::new(
                 ErrorKind::Protocol,
                 format!("the program has no array `{name}`"),
             ));
         }
-        let cells = session.world().try_array(switch, name).ok_or_else(|| {
+        cells = Some(session.world().try_array(switch, name).ok_or_else(|| {
             ServeError::new(
                 ErrorKind::Protocol,
                 format!("switch {switch} is unknown or failed"),
             )
-        })?;
-        let rendered: Vec<String> = cells.iter().map(u64::to_string).collect();
-        extra.push_str(&format!(",\"array\":[{}]", rendered.join(",")));
+        })?);
     }
-    if matches!(get(fields, "metrics"), Some(json::Json::Bool(true))) {
-        extra.push_str(&format!(
-            ",\"metrics\":{}",
-            session.world().metrics().to_json()
-        ));
-    }
-    Ok(format!(
-        "{{\"ok\":true,{}{extra}}}",
-        status_fields(id, &session.status())
-    ))
+    let metrics = matches!(req.get("metrics").map(|j| j.node()), Some(Json::Bool(true)));
+    Ok(ok_reply(|w| {
+        status_fields(w, id, &session.status());
+        if let Some(cells) = cells {
+            w.key("array").arr(|w| {
+                for &cell in cells {
+                    w.u64(cell);
+                }
+            });
+        }
+        if metrics {
+            session.world().metrics().write_json(w.key("metrics"));
+        }
+    }))
 }
 
-fn op_snapshot(
-    state: &mut ServeState,
-    fields: &[(String, json::Json)],
-) -> Result<String, ServeError> {
-    let (id, session) = session_mut(state, fields)?;
+fn op_snapshot(state: &mut ServeState, req: Cursor) -> Result<String, ServeError> {
+    let (id, session) = session_mut(state, req)?;
     let bytes = session.snapshot()?;
-    Ok(format!(
-        "{{\"ok\":true,\"session\":{id},\"len\":{},\"bytes\":\"{}\"}}",
-        bytes.len(),
-        hex_encode(&bytes)
-    ))
+    Ok(ok_reply(|w| {
+        w.key("session").u64(id).key("len").u64(bytes.len() as u64);
+        w.key("bytes").str(&hex_encode(&bytes));
+    }))
 }
 
-fn op_restore(
-    state: &mut ServeState,
-    fields: &[(String, json::Json)],
-) -> Result<String, ServeError> {
-    let (id, session) = session_mut(state, fields)?;
-    let hex = proto(str_of(proto(req(fields, "bytes", "$"))?, "$.bytes"))?;
-    let bytes = hex_decode(hex).map_err(|msg| ServeError::new(ErrorKind::Snapshot, msg))?;
+fn op_restore(state: &mut ServeState, req: Cursor) -> Result<String, ServeError> {
+    let (id, session) = session_mut(state, req)?;
+    let bytes = hex_decode(req.req("bytes")?.str()?)
+        .map_err(|msg| ServeError::new(ErrorKind::Snapshot, msg))?;
     session.restore(&bytes)?;
-    Ok(format!(
-        "{{\"ok\":true,{}}}",
-        status_fields(id, &session.status())
-    ))
+    Ok(ok_reply(|w| status_fields(w, id, &session.status())))
 }
 
 fn op_swap(
     state: &mut ServeState,
     host: &mut dyn ProgramHost,
-    fields: &[(String, json::Json)],
+    req: Cursor,
 ) -> Result<String, ServeError> {
-    let id = session_id(state, fields)?;
-    let source = source_of(fields, "program", "program_path", "program")?.ok_or_else(|| {
-        ServeError::new(
-            ErrorKind::Protocol,
-            "swap needs `program` or `program_path`",
-        )
-    })?;
+    let id = session_id(state, req)?;
+    let source = source_of(req, "swap", "program")?;
     let prog = host
         .swap_program(id, &source)
         .map_err(|msg| ServeError::new(ErrorKind::Swap, msg))?;
     let session = state.sessions.get_mut(&id).expect("checked");
     let stats = session.swap(prog);
-    Ok(format!(
-        "{{\"ok\":true,\"session\":{id},\"arrays_carried\":{},\"arrays_reset\":{},\
-         \"queued_remapped\":{},\"queued_dropped\":{},\"sources_disabled\":{}}}",
-        stats.arrays_carried,
-        stats.arrays_reset,
-        stats.queued_remapped,
-        stats.queued_dropped,
-        stats.sources_disabled
-    ))
+    Ok(ok_reply(|w| {
+        w.key("session").u64(id);
+        w.key("arrays_carried").u64(stats.arrays_carried as u64);
+        w.key("arrays_reset").u64(stats.arrays_reset as u64);
+        w.key("queued_remapped").u64(stats.queued_remapped);
+        w.key("queued_dropped").u64(stats.queued_dropped);
+        w.key("sources_disabled").u64(stats.sources_disabled as u64);
+    }))
 }
 
 fn op_drain(
     state: &mut ServeState,
     host: &mut dyn ProgramHost,
-    fields: &[(String, json::Json)],
+    req: Cursor,
 ) -> Result<String, ServeError> {
-    let id = session_id(state, fields)?;
+    let id = session_id(state, req)?;
     // An error mid-drain (runtime fault, unmet `--events` target) leaves
     // the session open so the caller can still query or close it.
     let report = state.sessions.get_mut(&id).expect("checked").drain()?;
     state.sessions.remove(&id);
     host.drop_session(id);
-    Ok(format!(
-        "{{\"ok\":true,\"session\":{id},\"report\":{}}}",
-        report.to_json()
-    ))
+    Ok(ok_reply(|w| {
+        report.write_json(w.key("session").u64(id).key("report"));
+    }))
 }
 
 fn op_close(
     state: &mut ServeState,
     host: &mut dyn ProgramHost,
-    fields: &[(String, json::Json)],
+    req: Cursor,
 ) -> Result<String, ServeError> {
-    let id = session_id(state, fields)?;
+    let id = session_id(state, req)?;
     state.sessions.remove(&id);
     host.drop_session(id);
-    Ok(format!("{{\"ok\":true,\"session\":{id},\"closed\":true}}"))
+    Ok(ok_reply(|w| {
+        w.key("session").u64(id).key("closed").bool(true);
+    }))
 }
 
-fn op_shutdown(state: &mut ServeState, host: &mut dyn ProgramHost) -> Result<String, ServeError> {
-    let ids: Vec<u64> = state.sessions.keys().copied().collect();
-    let mut reports = Vec::with_capacity(ids.len());
-    for id in ids {
-        let mut session = state.sessions.remove(&id).expect("listed");
-        match session.drain() {
-            Ok(report) => reports.push(format!(
-                "{{\"session\":{id},\"report\":{}}}",
-                report.to_json()
-            )),
-            Err(e) => reports.push(format!(
-                "{{\"session\":{id},\"error\":{}}}",
-                ServeError::from(e).body()
-            )),
-        }
-        host.drop_session(id);
-    }
-    Ok(format!(
-        "{{\"ok\":true,\"shutdown\":true,\"reports\":[{}]}}",
-        reports.join(",")
-    ))
+fn op_shutdown(state: &mut ServeState, host: &mut dyn ProgramHost) -> String {
+    ok_reply(|w| {
+        w.key("shutdown").bool(true).key("reports").arr(|w| {
+            while let Some((id, mut session)) = state.sessions.pop_first() {
+                w.obj(|w| match session.drain() {
+                    Ok(report) => report.write_json(w.key("session").u64(id).key("report")),
+                    Err(e) => ServeError::from(e).write_body(w.key("session").u64(id).key("error")),
+                });
+                host.drop_session(id);
+            }
+        });
+    })
 }
 
 // ------------------------------------------------------------- transport

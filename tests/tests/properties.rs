@@ -4,6 +4,7 @@
 //! bundled application sources.
 
 use lucid_check::parse_and_check;
+use lucid_frontend::json::{self, Json, Writer};
 use lucid_interp::{CompiledProg, Interp, OptLevel};
 use proptest::prelude::*;
 
@@ -25,8 +26,73 @@ fn program_with_access_order(n_arrays: usize, order: &[usize]) -> String {
     src
 }
 
+/// Characters a JSON string must survive: every control character, the
+/// two the escape table exists for, plain ASCII, and scalars outside the
+/// BMP (which `\u` escapes can only spell as surrogate pairs).
+fn arb_char() -> impl Strategy<Value = char> {
+    let scalar = |c| char::from_u32(c).expect("no surrogates in these ranges");
+    prop_oneof![
+        (0u32..0x20).prop_map(scalar),
+        Just('"'),
+        Just('\\'),
+        (0x20u32..0x7f).prop_map(scalar),
+        (0xa0u32..0x800).prop_map(scalar),
+        (0x1_0000u32..0x1_0400).prop_map(scalar),
+    ]
+}
+
+fn arb_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec(arb_char(), 0..8).prop_map(String::from_iter)
+}
+
+/// Trees the writer can spell exactly: integers up to 2^53 - 1 and
+/// sixteenths (four decimal places carry them without rounding).
+fn arb_json(depth: u32) -> BoxedStrategy<Json> {
+    let leaf = prop_oneof![
+        Just(Json::Null),
+        any::<bool>().prop_map(Json::Bool),
+        (0u64..1 << 53).prop_map(|n| Json::Num(n as f64)),
+        (0u32..4000).prop_map(|k| Json::Num(f64::from(k) / 16.0 - 100.0)),
+        arb_string().prop_map(Json::Str),
+    ];
+    if depth == 0 {
+        return leaf.boxed();
+    }
+    let fields = (arb_string(), arb_json(depth - 1));
+    prop_oneof![
+        leaf,
+        proptest::collection::vec(arb_json(depth - 1), 0..4).prop_map(Json::Arr),
+        proptest::collection::vec(fields, 0..4).prop_map(Json::Obj),
+    ]
+    .boxed()
+}
+
+fn write_tree(w: &mut Writer, tree: &Json) {
+    match tree {
+        Json::Null => w.null(),
+        Json::Bool(b) => w.bool(*b),
+        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => w.u64(*n as u64),
+        Json::Num(n) => w.f64(*n, 4),
+        Json::Str(s) => w.str(s),
+        Json::Arr(items) => w.arr(|w| items.iter().for_each(|item| write_tree(w, item))),
+        Json::Obj(fields) => w.obj(|w| {
+            for (key, value) in fields {
+                write_tree(w.key(key), value);
+            }
+        }),
+    };
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The codec is a pair: whatever tree the writer spells, the parser
+    /// reads back unchanged.
+    #[test]
+    fn json_writer_output_parses_back_unchanged(tree in arb_json(3)) {
+        let text = json::write(|w| write_tree(w, &tree));
+        prop_assert!(json::parse(&text).as_ref() == Ok(&tree), "{tree:?} wrote {text}");
+    }
 
     /// Any strictly increasing access sequence checks, compiles within a
     /// (tall enough) pipeline, and runs.
@@ -243,4 +309,126 @@ fn compilation_is_deterministic() {
             b.layout().unwrap().total_stages
         );
     }
+}
+
+/// Every JSON emitter in the workspace writes text the workspace's own
+/// parser accepts — with hostile names in every string position.
+#[test]
+fn every_emitter_writes_parseable_json() {
+    use lucid_interp::{
+        run_scenario, ErrorKind, FaultAt, InterpError, InterpFault, Mismatch, Scenario,
+        ScenarioError, ServeError,
+    };
+    const NASTY: &str = "a\"b\\c\n\t\u{1}\u{1f600}";
+    let parses = |what: &str, text: String| {
+        if let Err(e) = json::parse(&text) {
+            panic!("{what} is not JSON ({e}): {text}");
+        }
+    };
+
+    let prog = parse_and_check(
+        "global cts = new Array<<32>>(8);\n\
+         memop plus(int m, int x) { return m + x; }\n\
+         event pkt(int idx);\n\
+         handle pkt(int idx) { Array.setm(cts, idx, plus, 1); }",
+    )
+    .unwrap();
+    let sc = Scenario::from_json(&json::write(|w| {
+        w.obj(|w| {
+            w.key("name").str(NASTY).key("generators").arr(|w| {
+                w.obj(|w| {
+                    w.key("name").str(NASTY).key("event").str("pkt");
+                    w.key("rate_eps").u64(1000).key("count").u64(4);
+                    w.key("args").arr(|w| {
+                        w.u64(3);
+                    });
+                });
+            });
+            w.key("expect").obj(|w| {
+                w.key("handled").u64(9);
+            });
+        });
+    }))
+    .unwrap();
+    let report = run_scenario(&prog, &sc, None, None).unwrap();
+    assert!(!report.passed(), "the report must embed a mismatch");
+    parses("SimReport", report.to_json());
+    parses("Metrics", report.metrics.to_json());
+
+    for e in [
+        Scenario::from_json("{ nope").unwrap_err(),
+        Scenario::from_json(&format!("{{{:?}: 1}}", "k\"\\")).unwrap_err(),
+        ScenarioError::Validate {
+            path: format!("$.expect.per_event.{NASTY}"),
+            msg: format!("no event named `{NASTY}`"),
+        },
+    ] {
+        parses("ScenarioError", e.to_json());
+    }
+    for m in [
+        Mismatch::Array {
+            switch: 1,
+            array: NASTY.into(),
+            index: 2,
+            want: 3,
+            got: 4,
+        },
+        Mismatch::FailedSwitch {
+            switch: 1,
+            array: NASTY.into(),
+        },
+        Mismatch::Count {
+            what: format!("event:{NASTY}"),
+            want: 1,
+            got: 0,
+        },
+        Mismatch::Metric {
+            class: format!("{NASTY}@1"),
+            metric: "latency_p99_ns",
+            op: "<=",
+            want: 1,
+            got: 2,
+        },
+    ] {
+        parses("Mismatch", m.to_json());
+    }
+    for at in [
+        None,
+        Some(FaultAt {
+            time_ns: 40,
+            switch: 1,
+            event: NASTY.into(),
+            origin: None,
+            seq: 0,
+        }),
+        Some(FaultAt {
+            time_ns: 40,
+            switch: 1,
+            event: "pkt".into(),
+            origin: Some(2),
+            seq: 7,
+        }),
+    ] {
+        let kind = InterpFault::NoSuchEvent(NASTY.into());
+        parses("InterpError", InterpError { kind, at }.to_json());
+    }
+    parses(
+        "ServeError",
+        ServeError {
+            kind: ErrorKind::Protocol,
+            msg: NASTY.into(),
+        }
+        .to_json(),
+    );
+
+    // Diagnostics: a real multi-error program, under a hostile file name.
+    let mut build = lucid_core::Compiler::new().build(
+        NASTY,
+        "memop bad(int m, int x) { return m * x; }\nmemop bad2(int m, int x) { return x + x; }\n",
+    );
+    assert!(build.checked().is_err());
+    assert!(build.diagnostics().len() >= 2);
+    parses("Diagnostics", build.diagnostics_json());
+    let first = &build.diagnostics().items[0];
+    parses("Diagnostic", first.to_json(build.source_map()));
 }

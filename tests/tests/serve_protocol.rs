@@ -32,9 +32,14 @@ fn q(s: &str) -> String {
     format!("\"{}\"", lucid_core::json_escape(s))
 }
 
-/// One request through a `CheckHost`-backed server.
+/// One request through a `CheckHost`-backed server. Every reply any
+/// transcript below collects — success or error — must itself be JSON.
 fn ask(state: &mut ServeState, host: &mut CheckHost, line: &str) -> String {
-    handle_line(state, host, line).reply().to_string()
+    let reply = handle_line(state, host, line).reply().to_string();
+    if let Err(e) = lucid_core::frontend::json::parse(&reply) {
+        panic!("reply is not JSON ({e}): {reply}");
+    }
+    reply
 }
 
 fn open_line() -> String {
@@ -276,8 +281,12 @@ fn close_and_shutdown_wind_the_sessions_down() {
 #[test]
 fn malformed_requests_are_structured_errors_not_panics() {
     let (mut state, mut host) = (ServeState::new(), CheckHost);
+    // Unbounded recursion would overflow the daemon's stack here — an
+    // abort, not a panic a transport could catch.
+    let deep = "[".repeat(100_000);
     for (line, kind, needle) in [
         ("{ not json", "protocol", "not valid JSON"),
+        (deep.as_str(), "protocol", "nesting deeper than 128"),
         ("[1,2,3]", "protocol", "expected an object"),
         ("{\"no\":\"op\"}", "protocol", "missing required field `op`"),
         ("{\"op\":\"warp\"}", "protocol", "unknown op `warp`"),
@@ -309,6 +318,9 @@ fn malformed_requests_are_structured_errors_not_panics() {
         assert!(reply.contains(needle), "{line} -> {reply}");
     }
     assert!(state.is_empty(), "no session leaked from failed requests");
+    // The daemon is unharmed: the next request on the same state succeeds.
+    let reply = ask(&mut state, &mut host, &open_line());
+    assert!(reply.starts_with("{\"ok\":true,\"session\":1,"), "{reply}");
 }
 
 #[test]
