@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 verification plus style, lint, simulation, and bench checks.
+# CI gate: tier-1 verification plus style, lint, simulation, and benchmark-correctness checks.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -16,7 +16,7 @@ echo "== clippy"
 # First-party crates additionally clear a curated slice of the pedantic
 # group (vendored stand-ins are exempt: they mirror upstream API shapes).
 cargo clippy --all-targets --workspace --exclude rand --exclude proptest \
-  --exclude criterion -- -D warnings \
+  -- -D warnings \
   -W clippy::semicolon_if_nothing_returned \
   -W clippy::explicit_iter_loop \
   -W clippy::redundant_closure_for_method_calls \
@@ -31,7 +31,7 @@ cargo clippy --all-targets --workspace --exclude rand --exclude proptest \
   -W clippy::manual_string_new \
   -W clippy::needless_continue \
   -W clippy::range_plus_one
-cargo clippy --all-targets -p rand -p proptest -p criterion -- -D warnings
+cargo clippy --all-targets -p rand -p proptest -- -D warnings
 
 echo "== static analysis gate"
 # Every bundled app must come through the lint pass warning-aware: `check
@@ -124,7 +124,10 @@ echo "== sim gate"
 # Every checked-in scenario must run green against its app: the file
 # crates/apps/scenarios/<app>[.variant].sim.json pairs with
 # crates/apps/programs/<app>.lucid. Run each under both engines and both
-# handler executors.
+# handler executors. The sharded legs pin four workers: a bare
+# `--engine=sharded` means one worker per core, and at one worker the
+# engine *is* the sequential loop — on a one-core runner those legs would
+# never touch a mailbox, a horizon or a barrier.
 shopt -s nullglob
 scenarios=(crates/apps/scenarios/*.sim.json)
 if [ "${#scenarios[@]}" -lt 8 ]; then
@@ -139,16 +142,17 @@ for sc in "${scenarios[@]}"; do
   # engine/exec/opt fields stay exercised end to end.
   echo "-- sim [authored] $sc"
   target/release/lucidc sim "$prog" "$sc"
-  for engine in sequential sharded; do
+  for engine in sequential "sharded --workers=4"; do
+    # $engine is left unquoted below so the pinned leg splits into its flags.
     echo "-- sim [$engine/ast] $sc"
-    target/release/lucidc sim --engine="$engine" --exec=ast "$prog" "$sc"
+    target/release/lucidc sim --engine=$engine --exec=ast "$prog" "$sc"
     # The bytecode executor runs at both ends of the optimizer pipeline:
     # raw lowering and the full superinstruction + regalloc stack. Each
     # run is fronted by the bytecode verifier, so the code that executes
     # is the code the dataflow pass vouched for.
     for opt in 0 2; do
       echo "-- sim [$engine/bytecode/o$opt] $sc"
-      target/release/lucidc sim --engine="$engine" --exec=bytecode --opt="$opt" \
+      target/release/lucidc sim --engine=$engine --exec=bytecode --opt="$opt" \
         --verify-bytecode "$prog" "$sc"
     done
   done
@@ -192,8 +196,10 @@ echo "== serve gate"
 # re-parsing), fed the missing events over `ingest`, advanced in
 # segments, snapshotted, restored into a *fresh* session, and drained —
 # must land on exactly the state and metrics digests of the equivalent
-# one-shot `lucidc sim` run, under both engines. The scripted client
-# drives the daemon over stdin/stdout, one JSON request per line.
+# one-shot `lucidc sim` run, under both engines (sharded pinned at four
+# workers, like the sim gate, so it is the worker pool on any runner).
+# The scripted client drives the daemon over stdin/stdout, one JSON
+# request per line.
 python3 - <<'EOF'
 import json, subprocess, sys
 
@@ -209,9 +215,11 @@ trunc["events"] = [e for e in full["events"] if e["time_ns"] < mid]
 trunc.pop("expect", None)
 late = [e for e in full["events"] if e["time_ns"] >= mid]
 
-for engine in ["sequential", "sharded"]:
+for opts in [{"engine": "sequential"}, {"engine": "sharded", "workers": 4}]:
+    engine = opts["engine"]
     one = subprocess.run(
-        [LUCIDC, "sim", f"--engine={engine}", "--json", PROG, SC],
+        [LUCIDC, "sim", *(f"--{k}={v}" for k, v in opts.items()), "--json",
+         PROG, SC],
         capture_output=True, text=True)
     assert one.returncode == 0, one.stderr
     rep = json.loads(one.stdout)
@@ -228,7 +236,6 @@ for engine in ["sequential", "sharded"]:
         assert reply.get("ok"), f"{engine}: {req.get('op')} failed: {reply}"
         return reply
 
-    opts = {"engine": engine}
     sc_doc = json.dumps(trunc)
     ask({"op": "open", "program_path": PROG, "scenario": sc_doc,
          "options": opts})
@@ -279,13 +286,16 @@ done
 echo "== repo benchmark (benchmark/)"
 # The standalone benchmark package (declared to the driver by
 # BENCHMARK.json) builds against this checkout: its unit tests, then a
-# reduced-size run of four workloads. `flood` and `flood_w1` execute the
-# same driver loop — sequential is the round loop at one worker — and
-# each must still reproduce its pinned digests; `explicit_load` and
-# `serve_mixed` live in the JSON codec (scenario decode, request decode,
-# reply and report rendering) and check their own verdicts.
+# reduced-size run of every workload. It is the repository's only
+# wall-clock harness; CI asks it for the correctness half. Each workload
+# checks its own oracle — walker/bytecode/both-engine agreement and pinned
+# digests for the floods, the authored `expect` blocks for `app_suite`,
+# pinned stage/P4/bytecode sizes for `compile_apps`, report identity with
+# an undecoded reference for `explicit_load`, served-equals-one-shot for
+# the serve workloads — and says so with `"correct":true`. Comparing the
+# numbers against the parent commit is the PR driver's job.
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
-for wl in flood flood_w1 explicit_load serve_mixed; do
+for wl in flood flood_w1 app_suite compile_apps explicit_load serve_bulk serve_mixed; do
   line=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
            --quick --workload "$wl" | tail -n1)
   case "$line" in
@@ -321,77 +331,5 @@ for doc in docs/ARCHITECTURE.md docs/scenario-schema.md; do
   fi
 done
 echo "-- all README-linked docs/*.md files exist"
-
-echo "== perf trajectory gate (BENCH_PR.json)"
-# The interpreter-speed benchmarks run in smoke mode and their JSON is
-# recorded at the repo root; the GitHub workflow uploads it as a build
-# artifact, so every PR carries its measured numbers. Recorded floors
-# (all measured with headroom on a single-core dev container) fail the
-# gate when the bytecode-over-walker speedup or the sustained events/sec
-# regresses:
-#   fig_sim_throughput  bytecode_speedup >= 6.0   (measured ~13x)
-#   fig_workload_scale  bytecode_speedup >= 10.0  (measured ~11-13x; the
-#                       binary itself asserts the same floor)
-#   fig_workload_scale  min_events_per_sec >= 20000 (measured ~170k)
-#   fig_serve_ingest    events_per_sec >= 20000   (measured ~40-45k: the
-#                       served rate includes per-request JSON parsing
-#                       and reply rendering on top of the engine)
-# fig_parallel_scale has no floor: its one-worker row *is* the sequential
-# engine (one driver loop runs every worker count), and the scaling curve
-# above one worker is recorded and its monotonicity flagged, but not
-# gated — on a host without spare cores every extra worker is pure
-# synchronization overhead.
-st_json=$(target/release/fig_sim_throughput --smoke --json)
-ws_json=$(target/release/fig_workload_scale --smoke --json)
-ps_json=$(target/release/fig_parallel_scale --smoke --json)
-sv_json=$(target/release/fig_serve_ingest --smoke --json)
-printf '{"fig_sim_throughput":%s,"fig_workload_scale":%s,"fig_parallel_scale":%s,"fig_serve_ingest":%s}\n' \
-  "$st_json" "$ws_json" "$ps_json" "$sv_json" > BENCH_PR.json
-json_check < BENCH_PR.json
-field() { # field <json> <key> — first numeric value of "key":N
-  printf '%s' "$1" | sed -n "s/.*\"$2\":\([0-9.][0-9.]*\).*/\1/p" | head -n1
-}
-floor() { # floor <label> <value> <min>
-  if ! awk -v v="$2" -v f="$3" 'BEGIN { exit !(v + 0 >= f + 0) }'; then
-    echo "perf gate: $1 = $2 fell below the recorded floor $3" >&2
-    exit 1
-  fi
-  echo "-- $1 = $2 (floor $3)"
-}
-floor "fig_sim_throughput bytecode_speedup" "$(field "$st_json" bytecode_speedup)" 6.0
-floor "fig_workload_scale bytecode_speedup" "$(field "$ws_json" bytecode_speedup)" 10.0
-floor "fig_workload_scale min_events_per_sec" "$(field "$ws_json" min_events_per_sec)" 20000
-floor "fig_serve_ingest events_per_sec" "$(field "$sv_json" events_per_sec)" 20000
-# The monotone flag is only interpretable against the core count the
-# sweep actually had, so both are printed (and recorded) together: on a
-# single-core host a non-monotone curve is expected, on a multi-core
-# host it is a regression worth a look.
-host_par=$(field "$ps_json" available_parallelism)
-case "$ps_json" in
-  *'"monotone":true'*)
-    echo "-- fig_parallel_scale scaling curve is monotone" \
-         "(host available_parallelism: $host_par)" ;;
-  *)
-    echo "-- fig_parallel_scale scaling curve is NOT monotone (flagged," \
-         "expected with available_parallelism=$host_par on this host;" \
-         "curve recorded in BENCH_PR.json)" ;;
-esac
-
-# Render the latency-tail percentile rows human-readable next to the raw
-# JSON; the workflow uploads both, so a PR's tail latencies are one
-# click away without parsing BENCH_PR.json.
-python3 - > BENCH_PERCENTILES.txt <<'EOF'
-import json
-with open("BENCH_PR.json") as f:
-    doc = json.load(f)
-cols = ["metrics_digest", "lat_p50_ns", "lat_p90_ns", "lat_p99_ns",
-        "lat_p999_ns", "lat_max_ns", "res_p99_ns", "res_max_ns"]
-print(f"{'bench':<20} " + " ".join(f"{c:>16}" for c in cols))
-for name, fig in doc.items():
-    tail = fig.get("latency_tail", {})
-    print(f"{name:<20} " + " ".join(f"{tail.get(c, '-'):>16}" for c in cols))
-EOF
-echo "-- latency tail percentiles recorded (BENCH_PERCENTILES.txt):"
-cat BENCH_PERCENTILES.txt
 
 echo "CI OK"

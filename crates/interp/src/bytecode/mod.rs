@@ -11,7 +11,7 @@
 //! [`NetConfig`](crate::NetConfig); results are bit-identical to the
 //! walker — state, statistics, trace, and printf output — which the
 //! differential property suite in `tests/tests/differential.rs` and the
-//! `fig_sim_throughput` bench both enforce.
+//! generator matrix in `tests/tests/workload.rs` both enforce.
 //!
 //! The module tree mirrors the pipeline:
 //!

@@ -734,6 +734,26 @@ mod tests {
                 epoch_ns: 500
             }
         );
+        // The shorthand allocates `1..=N` while decoding, so N is bounded
+        // on both sides before it does: the largest JSON integer used to
+        // abort the process in the allocator.
+        let max = decode::MAX_MESH_SWITCHES;
+        let mesh = |n: u64| Scenario::from_json(&format!(r#"{{"net": {{"switches": {n}}}}}"#));
+        assert_eq!(mesh(max).unwrap().switches.len() as u64, max);
+        for (n, want) in [
+            (0, "a mesh needs at least one switch".to_string()),
+            (max + 1, format!("a mesh has at most {max} switches")),
+            (
+                9_007_199_254_740_991,
+                format!("a mesh has at most {max} switches"),
+            ),
+        ] {
+            let err = mesh(n).unwrap_err();
+            assert!(
+                matches!(&err, ScenarioError::Schema { path, msg } if path == "$.net.switches" && *msg == want),
+                "{n}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -40,6 +40,11 @@ impl Scenario {
     }
 }
 
+/// Largest mesh the `"switches": N` shorthand may ask for. The id list
+/// `1..=N` is allocated while decoding, so the bound is checked first: a
+/// twenty-byte document must not be able to request a 2^53-entry vector.
+pub(super) const MAX_MESH_SWITCHES: u64 = 4_096;
+
 fn opt_u64(at: Option<Cursor>) -> Result<Option<u64>, PathError> {
     at.map(|j| j.u64()).transpose()
 }
@@ -86,6 +91,11 @@ fn scenario_of(root: Cursor) -> Result<Scenario, PathError> {
                     let n = sw.u64()?;
                     if n == 0 {
                         return Err(sw.err("a mesh needs at least one switch"));
+                    }
+                    if n > MAX_MESH_SWITCHES {
+                        return Err(
+                            sw.err(format!("a mesh has at most {MAX_MESH_SWITCHES} switches"))
+                        );
                     }
                     (1..=n).collect()
                 }

@@ -284,6 +284,13 @@ fn malformed_requests_are_structured_errors_not_panics() {
     // Unbounded recursion would overflow the daemon's stack here — an
     // abort, not a panic a transport could catch.
     let deep = "[".repeat(100_000);
+    // A mesh size the decoder would have to allocate `1..=N` for: this
+    // one used to die in the allocator and take every session with it.
+    let huge_mesh = format!(
+        "{{\"op\":\"open\",\"program\":{},\"scenario\":{}}}",
+        q(COUNTER),
+        q(r#"{"net":{"switches":9007199254740991}}"#)
+    );
     for (line, kind, needle) in [
         ("{ not json", "protocol", "not valid JSON"),
         (deep.as_str(), "protocol", "nesting deeper than 128"),
@@ -304,6 +311,11 @@ fn malformed_requests_are_structured_errors_not_panics() {
             "{\"op\":\"snapshot\",\"session\":0}",
             "unknown_session",
             "no open session 0",
+        ),
+        (
+            huge_mesh.as_str(),
+            "scenario",
+            "`$.net.switches`: a mesh has at most 4096 switches",
         ),
     ] {
         let reply = ask(&mut state, &mut host, line);

@@ -5,7 +5,7 @@
 
 use lucid_core::{
     run_scenario, run_scenario_with, ArgDist, Engine, ExecMode, GenSpec, Interp, InterpFault,
-    NetConfig, Phase, Scenario, SimOptions, SimReport, Workload,
+    NetConfig, OptLevel, Phase, Scenario, SimOptions, SimReport, SimSession, Workload,
 };
 use proptest::prelude::*;
 
@@ -63,64 +63,99 @@ fn fingerprint(r: &SimReport) -> (u64, lucid_core::interp::Stats, Vec<(String, u
     )
 }
 
+/// [`MESH`] and [`GEN_SCENARIO`] stretched to a `switches`-wide mesh (a
+/// power of two): the forwarding mask and the topology grow together, so
+/// traffic that enters at switches 1-4 spreads over every shard.
+fn mesh_case(switches: u64) -> (lucid_core::CheckedProgram, Scenario) {
+    let (mask, net) = ("& 3)", r#""net": {"switches": 4}"#);
+    assert!(MESH.contains(mask) && GEN_SCENARIO.contains(net));
+    let prog = MESH.replace(mask, &format!("& {})", switches - 1));
+    let sc = GEN_SCENARIO.replace(net, &format!(r#""net": {{"switches": {switches}}}"#));
+    (checked(&prog), Scenario::from_json(&sc).unwrap())
+}
+
+/// One-shot run (open + drain, which is what `run_scenario_with` does)
+/// that also hands back what the report leaves out: the dispatch trace.
+fn run_with_trace(
+    prog: &lucid_core::CheckedProgram,
+    sc: &Scenario,
+    opts: &SimOptions,
+) -> (SimReport, Vec<lucid_core::interp::Handled>) {
+    let mut session = SimSession::open(prog, sc, opts).unwrap();
+    let report = session.drain().unwrap();
+    (report, session.world().trace.clone())
+}
+
+/// The generated-traffic oracle: engine x worker count x executor x opt
+/// level on a cross-switch mesh, equal on every report field that is not
+/// wall-clock *and* on the full dispatch trace. The second case is the
+/// wide one — sixteen shards over eight workers, two per worker — that
+/// the app-level differential sweep (at most four switches) cannot reach.
 #[test]
 fn generator_matrix_is_bit_identical_and_seed_sensitive() {
-    let prog = checked(MESH);
-    let sc = Scenario::from_json(GEN_SCENARIO).unwrap();
-    let reference =
-        run_scenario(&prog, &sc, Some(Engine::Sequential), Some(ExecMode::Ast)).unwrap();
-    assert_eq!(
-        reference.gens,
-        vec![
-            ("hot".to_string(), 4000),
-            ("sweep".to_string(), 2000),
-            ("burst".to_string(), 1500)
-        ]
-    );
-    assert!(
-        reference.stats.sent_remote > 1000,
-        "workload must cross switches: {:?}",
-        reference.stats
-    );
-    for engine in [
-        Engine::Sequential,
-        Engine::Sharded {
-            workers: 2,
-            epoch_ns: 0,
-        },
-        Engine::Sharded {
-            workers: 4,
-            epoch_ns: 250,
-        },
-    ] {
-        for exec in [ExecMode::Ast, ExecMode::Bytecode] {
-            let got = run_scenario(&prog, &sc, Some(engine), Some(exec)).unwrap();
-            assert_eq!(
-                fingerprint(&reference),
-                fingerprint(&got),
-                "[{}/{}] diverged from sequential/ast",
-                engine.label(),
-                exec.label()
-            );
+    let sharded = |workers, epoch_ns| Engine::Sharded { workers, epoch_ns };
+    let cases: [(u64, &[Engine]); 2] = [
+        (4, &[Engine::Sequential, sharded(2, 0), sharded(4, 250)]),
+        (16, &[sharded(8, 0)]),
+    ];
+    for (switches, engines) in cases {
+        let (prog, sc) = mesh_case(switches);
+        let base = SimOptions::new()
+            .engine(Engine::Sequential)
+            .exec(ExecMode::Ast);
+        let (reference, ref_trace) = run_with_trace(&prog, &sc, &base);
+        assert_eq!(
+            reference.gens,
+            vec![
+                ("hot".to_string(), 4000),
+                ("sweep".to_string(), 2000),
+                ("burst".to_string(), 1500)
+            ]
+        );
+        // A root with ttl t is a chain of t + 1 events.
+        assert_eq!(
+            reference.stats.processed,
+            4000 * 3 + 2000 * 2 + 1500,
+            "{switches} switches"
+        );
+        assert_eq!(ref_trace.len() as u64, reference.stats.processed);
+        assert!(
+            reference.stats.sent_remote > 1000,
+            "workload must cross switches: {:?}",
+            reference.stats
+        );
+        // Only derived events sample dispatch latency; a zero median
+        // would make the metrics-digest equality below vacuous.
+        let latency = reference.metrics.overall().unwrap_or_default().dispatch;
+        assert!(latency.p50() > 0, "{switches} switches: no causal chains");
+        for &engine in engines {
+            for (exec, opt) in [
+                (ExecMode::Ast, OptLevel::O2),
+                (ExecMode::Bytecode, OptLevel::O0),
+                (ExecMode::Bytecode, OptLevel::O1),
+                (ExecMode::Bytecode, OptLevel::O2),
+            ] {
+                let opts = SimOptions::new().engine(engine).exec(exec).opt(opt);
+                let (got, trace) = run_with_trace(&prog, &sc, &opts);
+                let at = format!(
+                    "{switches} switches [{:?}/{}/O{}] vs sequential/ast",
+                    engine,
+                    exec.label(),
+                    opt.label()
+                );
+                assert_eq!(fingerprint(&reference), fingerprint(&got), "{at}");
+                assert!(ref_trace == trace, "{at}: dispatch traces differ");
+            }
         }
+        // Same seed, same run (every row above) — different seed,
+        // different traffic.
+        let reseeded = run_scenario_with(&prog, &sc, &base.seed(6)).unwrap();
+        assert_ne!(reference.state_digest, reseeded.state_digest);
+        assert_eq!(
+            reseeded.stats.processed, reference.stats.processed,
+            "a reseed moves keys around but not the volume"
+        );
     }
-    // Same seed, same run — different seed, different traffic.
-    let again = run_scenario(&prog, &sc, Some(Engine::Sequential), Some(ExecMode::Ast)).unwrap();
-    assert_eq!(fingerprint(&reference), fingerprint(&again));
-    let reseeded = run_scenario_with(
-        &prog,
-        &sc,
-        &SimOptions {
-            seed: Some(6),
-            ..SimOptions::default()
-        },
-    )
-    .unwrap();
-    assert_ne!(reference.state_digest, reseeded.state_digest);
-    assert_eq!(
-        reseeded.stats.processed, reference.stats.processed,
-        "a reseed moves keys around but not the volume"
-    );
 }
 
 #[test]
