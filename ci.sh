@@ -159,19 +159,26 @@ for sc in "${scenarios[@]}"; do
 done
 
 echo "== workload scale"
-# The generator subsystem's scale proof: rescale the bundled dns_flood
-# scenario past one million injected events with `--events` (the stream
-# is pulled lazily — no event vector is ever materialized) and require
-# both engines to agree on the final state digest AND the latency-metrics
-# digest (one mis-bucketed histogram sample in the sharded collector
-# fails here, not just state divergence). The sharded soak is pinned at
-# four workers, so a full worker pool exchanges a million events' worth
-# of cross-shard mail and still lands digest-for-digest on sequential.
+# The generator subsystem's scale proof: flood the four-switch rip_router
+# scenario (its advertisement threads and its fail/recover of switch 4
+# left running) with one million generated packets spread over every
+# switch — `--gen` supplies the generator, `--events` the total; the
+# stream is pulled lazily, no event vector is ever materialized — and
+# require both engines to agree on the final state digest AND the
+# latency-metrics digest (one mis-bucketed histogram sample in the
+# sharded collector fails here, not just state divergence). A topology
+# with one switch would resolve to a lone worker whatever `--workers`
+# says; this one gives each of the four workers a shard, so worker 0
+# pulls the stream a window ahead and mails three quarters of it, the
+# packets' next-hop chains cross shards, and the pool still lands
+# digest-for-digest on sequential.
+flood_gen='[{"name": "pkts", "event": "pkt", "switches": [1, 2, 3, 4],
+  "interval_ns": 1, "count": 1000, "args": [{"uniform": [0, 1000000]}]}]'
 flood_json() {
   target/release/lucidc sim --engine="$1" "${@:2}" --exec=bytecode \
-    --events=1000000 --json \
-    crates/apps/programs/dns_defense.lucid \
-    crates/apps/scenarios/dns_defense.flood.sim.json
+    --events=1000000 --gen="$flood_gen" --json \
+    crates/apps/programs/rip_router.lucid \
+    crates/apps/scenarios/rip_router.sim.json
 }
 j_seq=$(flood_json sequential)
 j_sh=$(flood_json sharded --workers=4)
@@ -187,7 +194,7 @@ if [ -z "$m_seq" ] || [ "$m_seq" != "$m_sh" ]; then
   echo "workload scale: metrics digests differ at 1M events (seq=$m_seq sharded=$m_sh)" >&2
   exit 1
 fi
-echo "-- 1M-event dns_flood digests agree: state $d_seq, metrics $m_seq"
+echo "-- 1M-packet rip_router flood digests agree: state $d_seq, metrics $m_seq"
 
 echo "== serve gate"
 # The persistent-service invariant: a session served by the `lucidc
@@ -196,16 +203,18 @@ echo "== serve gate"
 # re-parsing), fed the missing events over `ingest`, advanced in
 # segments, snapshotted, restored into a *fresh* session, and drained —
 # must land on exactly the state and metrics digests of the equivalent
-# one-shot `lucidc sim` run, under both engines (sharded pinned at four
-# workers, like the sim gate, so it is the worker pool on any runner).
+# one-shot `lucidc sim` run, under both engines. The scenario has three
+# switches and the sharded leg pins four workers, like the sim gate, so
+# on any runner it is a pool of three workers, one shard each (on a
+# one-switch scenario it would be the sequential loop again).
 # The scripted client drives the daemon over stdin/stdout, one JSON
 # request per line.
 python3 - <<'EOF'
 import json, subprocess, sys
 
 LUCIDC = "target/release/lucidc"
-PROG = "crates/apps/programs/dns_defense.lucid"
-SC = "crates/apps/scenarios/dns_defense.sim.json"
+PROG = "crates/apps/programs/shared_state.lucid"
+SC = "crates/apps/scenarios/shared_state.sim.json"
 
 full = json.load(open(SC))
 times = [e["time_ns"] for e in full["events"]]

@@ -261,19 +261,6 @@ impl Build {
         session.drain().map_err(SimError::from)
     }
 
-    /// Open a resumable simulation session against this session's checked
-    /// program — the serve-layer entry point. The returned
-    /// [`SimSession`] owns a shared handle to the check artifact, so the
-    /// build can keep compiling (or hot-swap) while the session runs.
-    pub fn session(
-        &mut self,
-        scenario: &Scenario,
-        opts: &SimOptions,
-    ) -> Result<SimSession, SimError> {
-        let prog = self.checked_arc().map_err(SimError::Diagnostics)?;
-        SimSession::open_arc(prog, scenario, opts).map_err(SimError::from)
-    }
-
     /// Compile this session's checked program to interpreter bytecode at
     /// the default optimization level and render the listing
     /// (`lucidc sim --dump-bytecode`).

@@ -11,7 +11,7 @@
 
 use super::word::{op, SideTables, Word, BIN_OPS, CMP_OPS, WIDE};
 use super::{CompiledProg, HandlerCode, Obj, Rv};
-use crate::machine::{format_printf, Exec, InterpError, InterpFault, Key, OutRec, Shard};
+use crate::machine::{Exec, InterpError, InterpFault, Key, OutRec, Shard};
 use crate::value::{lucid_hash, EventVal, Location, Value};
 use lucid_check::{eval_memop, mask};
 use lucid_frontend::ast::BinOp;
@@ -473,15 +473,7 @@ impl CompiledProg {
                         .collect();
                     // Defer formatting to the run's merge point: record
                     // the interned format id plus the evaluated values.
-                    // Echo must hit stdout now, so it formats eagerly
-                    // and records the already-built line.
-                    if exec.echo {
-                        let line = format_printf(&self.fmts[a as usize], &vals);
-                        println!("[{} @{}ns] {}", switch, shard.now_ns, line);
-                        shard.output.push((key, OutRec::Line(line)));
-                    } else {
-                        shard.output.push((key, OutRec::Fmt { fmt: a, vals }));
-                    }
+                    shard.output.push((key, OutRec::Fmt { fmt: a, vals }));
                 }
                 opb @ op::BIN..=op::BIN_LAST => {
                     let Rv { v: x, w: wx } = regs[b as usize];

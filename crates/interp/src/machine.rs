@@ -219,8 +219,8 @@ impl TraceRec {
 /// A shard-local `printf` record. The bytecode executor defers
 /// formatting: it records the interned format-string id plus the
 /// evaluated values, and the driver renders the line once when the run
-/// surfaces its output. The AST walker (and any echoed printf, which
-/// must hit stdout immediately) records the formatted line directly.
+/// surfaces its output. The AST walker records the formatted line
+/// directly.
 #[derive(Debug)]
 pub(crate) enum OutRec {
     Line(String),
@@ -530,7 +530,6 @@ pub(crate) struct Exec {
     prog: Arc<CheckedProgram>,
     recirc_ns: u64,
     link_ns: u64,
-    pub(crate) echo: bool,
     /// Whether handled/exported events are retained in the trace. Off,
     /// the per-event record is skipped and its argument buffer goes
     /// straight back to the shard arena — for throughput measurement,
@@ -665,9 +664,8 @@ impl Exec {
             env,
             array_params: Vec::new(),
         };
-        let body = body.clone();
         let res = self
-            .exec_block(shard, &body, &mut cx)
+            .exec_block(shard, body, &mut cx)
             .map_err(|e| e.located(sched.key.fault_at(sched.switch, name)));
         self.note_handled(shard, sched.event_id, sched.key, sched.switch, sched.args);
         res?;
@@ -748,9 +746,6 @@ impl Exec {
                     vals.push(self.eval(shard, a, cx)?);
                 }
                 let line = format_printf(fmt, &vals);
-                if self.echo {
-                    println!("[{} @{}ns] {}", cx.switch, shard.now_ns, line);
-                }
                 shard.output.push((cx.key, OutRec::Line(line)));
                 Ok(Flow::Normal)
             }
@@ -926,8 +921,6 @@ impl Exec {
                     .prog
                     .fun_body(&callee.name)
                     .expect("checked: function exists");
-                let params = params.clone();
-                let body = body.clone();
                 let mut env = HashMap::new();
                 for (p, a) in params.iter().zip(args) {
                     match p.ty {
@@ -946,7 +939,7 @@ impl Exec {
                 }
                 let saved_env = std::mem::replace(&mut cx.env, env);
                 let array_params_mark = cx.array_params.len();
-                let flow = self.exec_block(shard, &body, cx)?;
+                let flow = self.exec_block(shard, body, cx)?;
                 cx.env = saved_env;
                 cx.array_params.truncate(
                     array_params_mark.saturating_sub(
@@ -1101,8 +1094,6 @@ pub struct Interp {
     /// `printf` output lines, in the same deterministic order.
     pub output: Vec<String>,
     pub stats: Stats,
-    /// When true, `printf` also writes to stdout.
-    pub echo: bool,
     /// When false, handled/exported events are not retained in `trace`
     /// (statistics, per-event counts, metrics, and `printf` output are
     /// unaffected). Defaults to true; benchmarks turn it off so rows
@@ -1155,7 +1146,6 @@ impl Interp {
             names,
             output: Vec::new(),
             stats: Stats::default(),
-            echo: false,
             record_trace: true,
             compiled: None,
             source: None,
@@ -1208,7 +1198,6 @@ impl Interp {
             prog: Arc::clone(&self.prog),
             recirc_ns: self.config.recirc_latency_ns,
             link_ns: self.config.link_latency_ns,
-            echo: self.echo,
             record_trace: self.record_trace,
             compiled: if self.config.exec == ExecMode::Bytecode {
                 self.compiled.clone()

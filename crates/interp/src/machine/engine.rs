@@ -6,7 +6,7 @@
 
 use super::sched::{merge_sorted_runs, shape_sourced, Key, SchedHeap, Scheduled, SwitchMap};
 use super::{Engine, Exec, Interp, InterpError, InterpFault, OutRec, Shard, TraceRec};
-use crate::workload::{EventSource, LocalGen, SourcedEvent};
+use crate::workload::{EventSource, SourcedEvent};
 use lucid_check::CheckedProgram;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Condvar, Mutex};
@@ -18,8 +18,9 @@ use std::sync::{Condvar, Mutex};
 //
 //   P1  drain this worker's mailbox into its event heap, then publish
 //       one word of "activity" — the earliest virtual instant this
-//       worker could still produce work at (min over its heap head and
-//       its partitioned sources' next emissions).
+//       worker could still produce work at (its heap head). Worker 0,
+//       the attached source's one puller, also publishes the stream's
+//       head.
 //   P2  every worker reads all published words and computes the same
 //       reduction, so all of them agree — with no messages — on whether
 //       to stop (drained / fuel / fault) and on each worker's *horizon*:
@@ -47,7 +48,7 @@ use std::sync::{Condvar, Mutex};
 // because a mailed arrival is at least one wire hop past its emitter's
 // published activity — at or beyond every receiver horizon of round `k`.
 
-/// How many sourced events a worker materializes per refill. Chunking
+/// How many sourced events the puller materializes per chunk. Chunking
 /// amortizes the per-pull dispatch overhead while keeping in-flight
 /// memory bounded by the frontier; correctness never depends on the
 /// chunk size because sourced keys are pull-order-independent.
@@ -83,9 +84,9 @@ enum StopWhy {
 /// Shared read-only round state (cells, reductions, network constants).
 struct RoundCtx<'a> {
     cells: &'a [WorkerCell],
-    /// Head time of the shared (non-partitioned) source, `u64::MAX` when
-    /// exhausted or absent. Published by worker 0, read by everyone:
-    /// shared arrivals carry their own absolute times, so every horizon
+    /// Head time of the attached source, `u64::MAX` when exhausted or
+    /// absent. Published by worker 0 (its puller), read by everyone:
+    /// sourced arrivals carry their own absolute times, so every horizon
     /// is clamped at this instant.
     shared_peek: &'a AtomicU64,
     /// Sourced events bound for unknown switches (dropped, counted).
@@ -184,10 +185,6 @@ struct WorkerOut {
     /// once at run end.
     trace: Vec<(Key, TraceRec)>,
     output: Vec<(Key, OutRec)>,
-    /// Partitioned sources, cursors advanced to wherever the run ended.
-    locals: Vec<LocalGen>,
-    /// Per-source pull counters (authoritative for this worker's slots).
-    counts: Vec<u64>,
     why: StopWhy,
     /// Events processed across all workers at stop time (identical on
     /// every worker; the driver reads worker 0's).
@@ -196,108 +193,92 @@ struct WorkerOut {
 
 /// What a worker starts the round loop with — the input counterpart of
 /// [`WorkerOut`].
+#[derive(Default)]
 struct WorkerSeed {
     shards: Vec<Shard>,
     /// Pending events already owned by this worker's shards.
     heap: SchedHeap,
-    /// Partitioned single-switch generators owned by this worker.
-    locals: Vec<LocalGen>,
-    /// Per-source pull counters (a full-width copy; each worker advances
-    /// only its own slots).
-    counts: Vec<u64>,
 }
 
-/// The injection streams a worker pulls for itself: its partitioned
-/// single-switch generators and — for a lone worker, which owns every
-/// shard — the whole attached source. (With siblings to feed, the part
-/// of the source that cannot be partitioned is instead materialized a
-/// window ahead by worker 0 and mailed.)
-struct OwnSources<'a> {
-    locals: Vec<LocalGen>,
-    stream: Option<&'a mut Box<dyn EventSource + Send>>,
-    /// Per-source pull counters (a full-width copy; each worker advances
-    /// only the slots it pulls).
-    counts: Vec<u64>,
-    /// Scratch buffer for chunked pulls, reused across refills.
+/// The attached event source in the hands of the one worker that pulls
+/// it this run — worker 0 — with the per-source pull counters that key
+/// its events. A lone worker pulls what is due at or before its queue
+/// head; with siblings to feed, worker 0 pulls one window ahead and mails
+/// each event to its owner.
+struct Puller<'a> {
+    stream: &'a mut (dyn EventSource + Send),
+    counts: &'a mut Vec<u64>,
+    /// Scratch buffer for chunked pulls, reused across them.
     batch: Vec<SourcedEvent>,
-    /// Earliest head over these streams as of the last scan. Heads move
-    /// only on pulls, so between pulls "nothing is due" costs one
-    /// integer compare per dispatch. Starts at 0: the first refill scans.
-    floor: u64,
+    /// The stream's head time (`u64::MAX`: exhausted). It moves only on
+    /// pulls, so between pulls "nothing is due" costs one integer
+    /// compare per dispatch.
+    head: u64,
 }
 
-impl OwnSources<'_> {
-    /// Materialize every sourced injection due at or before the queue
-    /// head (it must dispatch before the head does) and within the time
-    /// limit, up to [`SOURCE_CHUNK`] per pull so memory stays bounded by
-    /// the in-flight frontier. Sourced keys are pull-order-independent,
-    /// so *when* an event is pulled never shows in the schedule; one
-    /// bound for an unknown switch is counted dropped here.
-    fn refill(&mut self, heap: &mut SchedHeap, ctx: &RoundCtx<'_>, prog: &CheckedProgram) {
-        let due = |heap: &SchedHeap| {
-            let head = heap.peek_key().map_or(u64::MAX, |k| k.time_ns);
-            head.min(ctx.max_time_ns)
-        };
-        if self.floor > due(heap) {
-            return;
-        }
-        self.floor = u64::MAX;
-        let locals = self
-            .locals
-            .iter_mut()
-            .map(|l| &mut l.gen as &mut dyn EventSource);
-        let stream = self
-            .stream
-            .as_deref_mut()
-            .map(|s| &mut **s as &mut dyn EventSource);
-        for src in locals.chain(stream) {
-            while src.peek_ns().is_some_and(|t| t <= due(heap)) {
-                self.batch.clear();
-                src.next_batch(due(heap), SOURCE_CHUNK, &mut self.batch);
-                for ev in self.batch.drain(..) {
-                    let sched = shape_sourced(prog, &mut self.counts, ev);
-                    if ctx.owner.get(sched.switch).is_some() {
-                        heap.push(sched);
-                    } else {
+impl Puller<'_> {
+    /// Materialize every sourced injection due at or before `upto` —
+    /// re-read between chunks, since a bound tied to the queue head
+    /// tightens as earlier events land — [`SOURCE_CHUNK`] at a time so
+    /// memory stays bounded by the in-flight frontier. Each goes onto
+    /// `heap` when worker `id` owns its switch and into the owner's
+    /// `outgoing` mail otherwise; one bound for an unknown switch is
+    /// counted dropped. Sourced keys are pull-order-independent, so
+    /// *when* an event is pulled never shows in the schedule.
+    fn pull(
+        &mut self,
+        upto: impl Fn(&SchedHeap) -> u64,
+        id: usize,
+        heap: &mut SchedHeap,
+        outgoing: &mut [Vec<Scheduled>],
+        ctx: &RoundCtx<'_>,
+        prog: &CheckedProgram,
+    ) {
+        while self.head <= upto(heap) {
+            self.batch.clear();
+            self.stream
+                .next_batch(upto(heap), SOURCE_CHUNK, &mut self.batch);
+            self.head = self.stream.peek_ns().unwrap_or(u64::MAX);
+            if self.batch.is_empty() {
+                break;
+            }
+            for ev in self.batch.drain(..) {
+                let sched = shape_sourced(prog, self.counts, ev);
+                match ctx.owner.get(sched.switch) {
+                    Some(w) if w as usize == id => heap.push(sched),
+                    Some(w) => outgoing[w as usize].push(sched),
+                    None => {
                         ctx.dropped.fetch_add(1, Relaxed);
                     }
                 }
             }
-            self.floor = self.floor.min(src.peek_ns().unwrap_or(u64::MAX));
         }
     }
 }
 
 /// The lockstep round loop every worker (including the calling thread,
-/// as worker 0) runs until all of them agree to stop. `shared` is the
-/// attached event source less the generators partitioned onto workers;
-/// only worker 0 holds it. A lone worker pulls it like any stream of its
-/// own; with siblings, worker 0 materializes it one window ahead and
-/// mails each event to its owner.
+/// as worker 0) runs until all of them agree to stop. `puller` is the
+/// attached event source, if any; only worker 0 is handed it.
 #[allow(clippy::too_many_lines)]
 fn run_round_worker(
     ctx: &RoundCtx<'_>,
     exec: &Exec,
     id: usize,
     seed: WorkerSeed,
-    shared: Option<&mut Box<dyn EventSource + Send>>,
+    mut puller: Option<Puller<'_>>,
 ) -> WorkerOut {
     let WorkerSeed {
         mut shards,
         mut heap,
-        locals,
-        counts,
     } = seed;
     let _fuse = FuseOnPanic(ctx.barrier);
     let nworkers = ctx.cells.len();
     let lone = nworkers == 1;
-    let (stream, mut shared) = if lone { (shared, None) } else { (None, shared) };
-    let mut own = OwnSources {
-        locals,
-        stream,
-        counts,
-        batch: Vec::new(),
-        floor: 0,
+    // A lone worker's pull bound: whatever must dispatch before its
+    // queue head does, within the time limit.
+    let due = |heap: &SchedHeap| {
+        let head = heap.peek_key().map_or(u64::MAX, |k| k.time_ns);
+        head.min(ctx.max_time_ns)
     };
     let mut outgoing: Vec<Vec<Scheduled>> = (0..nworkers).map(|_| Vec::new()).collect();
     // switch id → index into this worker's `shards` (hot: every dispatch
@@ -322,7 +303,9 @@ fn run_round_worker(
     // Every stop decision reads a refilled queue — the first one
     // included, so a run whose budget is already spent still learns
     // whether anything dispatchable is left.
-    own.refill(&mut heap, ctx, &exec.prog);
+    if let (true, Some(p)) = (lone, &mut puller) {
+        p.pull(due, id, &mut heap, &mut outgoing, ctx, &exec.prog);
+    }
     let (why, total) = loop {
         // ---- P1: drain mail, publish the previous round's results and
         // this worker's activity floor. Everything any decision reads is
@@ -341,10 +324,9 @@ fn run_round_worker(
             }
         }
         let act = heap.peek_key().map_or(u64::MAX, |k| k.time_ns);
-        ctx.cells[id].activity.store(act.min(own.floor), Relaxed);
-        if let Some(src) = shared.as_deref() {
-            ctx.shared_peek
-                .store(src.peek_ns().unwrap_or(u64::MAX), Relaxed);
+        ctx.cells[id].activity.store(act, Relaxed);
+        if let Some(p) = &puller {
+            ctx.shared_peek.store(p.head, Relaxed);
         }
         if ctx.barrier.wait().is_err() {
             break (StopWhy::Died, 0);
@@ -389,8 +371,8 @@ fn run_round_worker(
         // least two hops past the global minimum (`gmin + 2*link` —
         // in-flight mail is itself a hop past some floor). The laggard
         // therefore gets a double-wide window and everyone else the
-        // classic conservative one. Shared-source arrivals carry
-        // absolute times, so the stream head clamps every horizon. A
+        // classic conservative one. Sourced arrivals carry absolute
+        // times, so the stream head clamps every horizon. A
         // lone worker has no cross-worker causality at all: only the
         // time limit bounds it.
         let mut horizon = ctx.max_time_ns.saturating_add(1);
@@ -405,33 +387,15 @@ fn run_round_worker(
         }
         let budget = ctx.max_events - total;
 
-        // With siblings to feed, worker 0 materializes the shared stream
-        // one window ahead and mails each event to its owner (delivered
-        // next round; sound because every sibling horizon is clamped at
-        // the published stream head). Keys are pull-order-independent,
-        // so pulling ahead of execution cannot perturb the schedule.
-        if let Some(src) = shared.as_deref_mut() {
+        // With siblings to feed, worker 0 materializes the stream one
+        // window ahead and mails each event to its owner (delivered next
+        // round; sound because every sibling horizon is clamped at the
+        // published stream head). Keys are pull-order-independent, so
+        // pulling ahead of execution cannot perturb the schedule.
+        if let (false, Some(p)) = (lone, &mut puller) {
             let width = ctx.epoch_cap.unwrap_or(ctx.link_ns);
-            let pull_end = gmin
-                .saturating_add(width)
-                .min(ctx.max_time_ns.saturating_add(1));
-            loop {
-                own.batch.clear();
-                src.next_batch(pull_end.saturating_sub(1), SOURCE_CHUNK, &mut own.batch);
-                if own.batch.is_empty() {
-                    break;
-                }
-                for ev in own.batch.drain(..) {
-                    let sched = shape_sourced(&exec.prog, &mut own.counts, ev);
-                    match ctx.owner.get(sched.switch) {
-                        Some(w) if w as usize == id => heap.push(sched),
-                        Some(w) => outgoing[w as usize].push(sched),
-                        None => {
-                            ctx.dropped.fetch_add(1, Relaxed);
-                        }
-                    }
-                }
-            }
+            let last = gmin.saturating_add(width - 1).min(ctx.max_time_ns);
+            p.pull(|_| last, id, &mut heap, &mut outgoing, ctx, &exec.prog);
         }
 
         // One heap spans all of the worker's shards: they must
@@ -441,7 +405,9 @@ fn run_round_worker(
         // head scan.
         let mut done = 0u64;
         loop {
-            own.refill(&mut heap, ctx, &exec.prog);
+            if let (true, Some(p)) = (lone, &mut puller) {
+                p.pull(due, id, &mut heap, &mut outgoing, ctx, &exec.prog);
+            }
             if heap.peek_key().is_none_or(|k| k.time_ns >= horizon) || done >= budget {
                 break;
             }
@@ -513,8 +479,6 @@ fn run_round_worker(
         parked,
         trace,
         output,
-        locals: own.locals,
-        counts: own.counts,
         why,
         total,
     }
@@ -564,48 +528,26 @@ impl Interp {
         // Static partition: shard i (in switch-id order) → worker i % W.
         let shard_map = std::mem::take(&mut self.shards);
         let mut pairs: Vec<(u64, u32)> = Vec::new();
-        let mut partitions: Vec<Vec<Shard>> = (0..nworkers).map(|_| Vec::new()).collect();
+        let mut seeds: Vec<WorkerSeed> = (0..nworkers).map(|_| WorkerSeed::default()).collect();
         for (i, (id, shard)) in shard_map.into_iter().enumerate() {
             let w = i % nworkers;
             pairs.push((id, u32::try_from(w).expect("worker count fits u32")));
-            partitions[w].push(shard);
+            seeds[w].shards.push(shard);
         }
         let owner = SwitchMap::build(&pairs);
 
         // A lone worker takes the pending queue whole (and hands it back
         // the same way, so a run costs nothing per event left queued);
         // otherwise pending events go onto their owning workers' heaps.
-        let mut seeds: Vec<SchedHeap> = (0..nworkers).map(|_| SchedHeap::default()).collect();
         let queue = std::mem::take(&mut self.queue);
         if nworkers == 1 {
-            seeds[0] = queue;
+            seeds[0].heap = queue;
         } else {
             for ev in queue.into_events() {
                 let w = owner.get(ev.switch).expect("queued for a known switch");
-                seeds[w as usize].push(ev);
+                seeds[w as usize].heap.push(ev);
             }
         }
-
-        // With siblings, detach the single-switch generators from the
-        // source and hand each to the worker owning its destination
-        // shard: those streams are pulled worker-locally with zero
-        // coordination. Whatever the source cannot split (multi-switch
-        // generators, capped workloads, custom sources) stays behind as
-        // the shared remainder, materialized by worker 0. Keys do not
-        // depend on pull interleaving, so the partition cannot perturb
-        // execution. A lone worker pulls the source as it stands.
-        let mut shared_src = self.source.take();
-        let mut local_parts: Vec<Vec<LocalGen>> = (0..nworkers).map(|_| Vec::new()).collect();
-        if nworkers > 1 {
-            let detached = shared_src.as_mut().map_or_else(Vec::new, |src| {
-                src.detach_local(&|sw| owner.get(sw).is_some())
-            });
-            for lg in detached {
-                local_parts[owner.get(lg.switch).expect("detached switch is owned") as usize]
-                    .push(lg);
-            }
-        }
-        let counts0 = self.source_counts.clone();
 
         let cells: Vec<WorkerCell> = (0..nworkers).map(|_| WorkerCell::default()).collect();
         let shared_peek = AtomicU64::new(u64::MAX);
@@ -626,44 +568,28 @@ impl Interp {
         };
         let exec = self.exec();
 
-        // The calling thread is worker 0 (and the only holder of the
-        // shared source remainder, which need not be `Send`).
+        // The calling thread is worker 0 and the attached source's one
+        // puller (the source never leaves this thread, and its pull
+        // counters go with it). Keys do not depend on pull interleaving,
+        // so which worker pulls cannot perturb execution.
+        let counts = &mut self.source_counts;
+        let puller = self.source.as_deref_mut().map(|stream| Puller {
+            head: stream.peek_ns().unwrap_or(u64::MAX),
+            stream,
+            counts,
+            batch: Vec::new(),
+        });
         let mut outs: Vec<WorkerOut> = Vec::with_capacity(nworkers);
         std::thread::scope(|scope| {
-            let mut iter = partitions.into_iter().zip(seeds).zip(local_parts);
-            let ((shards0, seed0), locals0) = iter.next().expect("at least one worker");
+            let mut iter = seeds.into_iter();
+            let seed0 = iter.next().expect("at least one worker");
             let mut handles = Vec::with_capacity(nworkers - 1);
-            for (w, ((shards, seed), locals)) in iter.enumerate() {
+            for (w, seed) in iter.enumerate() {
                 let ctx = &ctx;
                 let exec = exec.clone();
-                let counts = counts0.clone();
-                handles.push(scope.spawn(move || {
-                    run_round_worker(
-                        ctx,
-                        &exec,
-                        w + 1,
-                        WorkerSeed {
-                            shards,
-                            heap: seed,
-                            locals,
-                            counts,
-                        },
-                        None,
-                    )
-                }));
+                handles.push(scope.spawn(move || run_round_worker(ctx, &exec, w + 1, seed, None)));
             }
-            outs.push(run_round_worker(
-                &ctx,
-                &exec,
-                0,
-                WorkerSeed {
-                    shards: shards0,
-                    heap: seed0,
-                    locals: locals0,
-                    counts: counts0,
-                },
-                shared_src.as_mut(),
-            ));
+            outs.push(run_round_worker(&ctx, &exec, 0, seed0, puller));
             for handle in handles {
                 outs.push(handle.join().expect("worker panicked"));
             }
@@ -675,29 +601,6 @@ impl Interp {
         let why = outs[0].why;
         let total_processed = outs[0].total;
         debug_assert!(why != StopWhy::Died, "a panicked worker fails the join");
-
-        // Pull counters: worker 0's copy advanced the shared slots; each
-        // partitioned slot advanced only on its owning worker.
-        let mut counts = std::mem::take(&mut outs[0].counts);
-        for out in outs.iter().skip(1) {
-            for lg in &out.locals {
-                counts[lg.slot] = out.counts[lg.slot];
-            }
-        }
-        self.source_counts = counts;
-
-        // Reattach the partitioned generators (cursors advanced to
-        // wherever the run ended) and put the source back.
-        let parts: Vec<LocalGen> = outs
-            .iter_mut()
-            .flat_map(|o| std::mem::take(&mut o.locals))
-            .collect();
-        if let Some(src) = shared_src.as_mut() {
-            src.reattach_local(parts);
-        } else {
-            debug_assert!(parts.is_empty(), "locals only detach from a source");
-        }
-        self.source = shared_src;
 
         let mut traces: Vec<Vec<(Key, TraceRec)>> = Vec::with_capacity(nworkers);
         let mut outputs: Vec<Vec<(Key, OutRec)>> = Vec::with_capacity(nworkers);

@@ -203,14 +203,15 @@ impl SchedHeap {
 /// too, mirroring the per-generator report rows).
 ///
 /// Keying sourced injections per *source* rather than by a global pull
-/// counter is what lets the sharded engine pull partitioned sources
-/// worker-locally: the key depends only on the source's own stream
-/// position, never on how pulls interleave globally. The total order is
-/// unchanged: [`crate::workload::Workload`] merges sources in (time,
-/// source-index) order with nondecreasing times per source — exactly the
-/// (time, origin, seq) order these keys encode — and explicitly scheduled
-/// events keep `origin = 0`, winning time-ties just as their lower global
-/// pull order did.
+/// counter is what lets the one puller run ahead of execution (a lone
+/// worker up to its queue head, worker 0 of a pool a window ahead): the
+/// key depends only on the source's own stream position, never on when
+/// the pull happens. The total order is unchanged:
+/// [`crate::workload::Workload`] merges sources in (time, source-index)
+/// order with nondecreasing times per source — exactly the (time,
+/// origin, seq) order these keys encode — and explicitly scheduled
+/// events keep `origin = 0`, winning time-ties just as their lower
+/// global pull order did.
 pub(crate) fn shape_sourced(
     prog: &CheckedProgram,
     counts: &mut Vec<u64>,

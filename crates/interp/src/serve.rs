@@ -14,7 +14,10 @@
 //! tests can drive it without any I/O. [`serve_lines`] wraps it around a
 //! reader/writer pair (the stdin/stdout daemon); `serve_unix` (Unix
 //! only) accepts concurrent connections on a socket, serializing request
-//! handling over one shared world.
+//! handling over one shared world. Both transports take their per-line
+//! step from `serve_line`, which answers a panicking handler with an
+//! `internal` error and closes the session it was running, so one bad
+//! request never costs another client its daemon.
 //!
 //! Program compilation is behind the [`ProgramHost`] trait because this
 //! crate sits below the build pipeline: the CLI plugs in a host backed
@@ -34,6 +37,7 @@ use lucid_check::CheckedProgram;
 use lucid_frontend::json::{self, Cursor, Json, PathError, Writer};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 // ------------------------------------------------------------ the host
@@ -92,6 +96,10 @@ pub enum ErrorKind {
     Swap,
     /// The request names a session id that is not open.
     UnknownSession,
+    /// The request's handler panicked (a bug in this program, not in the
+    /// request). The session the request named is closed; every other
+    /// session and the daemon carry on.
+    Internal,
 }
 
 impl ErrorKind {
@@ -104,12 +112,14 @@ impl ErrorKind {
             ErrorKind::Snapshot => "snapshot",
             ErrorKind::Swap => "swap",
             ErrorKind::UnknownSession => "unknown_session",
+            ErrorKind::Internal => "internal",
         }
     }
 }
 
 /// A structured protocol error: every failure path — corrupted
-/// snapshots included — comes back as one of these, never a panic.
+/// snapshots and, under either transport, even a panicking handler —
+/// comes back as one of these.
 #[derive(Debug, Clone)]
 pub struct ServeError {
     pub kind: ErrorKind,
@@ -565,6 +575,37 @@ fn op_shutdown(state: &mut ServeState, host: &mut dyn ProgramHost) -> String {
 
 // ------------------------------------------------------------- transport
 
+/// The per-line step both transports share: [`handle_line`], with a
+/// panicking handler (walker invariants do panic) turned into an
+/// `internal` error reply instead of a dead daemon. Blank lines get no
+/// reply.
+fn serve_line(state: &mut ServeState, host: &mut dyn ProgramHost, line: &str) -> Option<Outcome> {
+    if line.trim().is_empty() {
+        return None;
+    }
+    // Unwinding can leave exactly one thing half-updated: the session
+    // the request was running. It is closed below, so nothing the next
+    // request can reach is observed in a broken state.
+    let attempt = catch_unwind(AssertUnwindSafe(|| handle_line(state, host, line)));
+    Some(attempt.unwrap_or_else(|panic| {
+        let what = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("(no message)");
+        let mut msg = format!("request handler panicked: {what}");
+        let named = json::parse(line)
+            .ok()
+            .and_then(|doc| Cursor::root(&doc).get("session")?.u64().ok());
+        if let Some(id) = named.filter(|id| state.sessions.contains_key(id)) {
+            state.sessions.remove(&id);
+            host.drop_session(id);
+            msg.push_str(&format!("; session {id} is closed"));
+        }
+        Outcome::Reply(ServeError::new(ErrorKind::Internal, msg).to_json())
+    }))
+}
+
 /// The stdin/stdout daemon loop: one request line in, one reply line
 /// out, until EOF or `shutdown`. Returns whether `shutdown` was the
 /// reason for stopping.
@@ -575,20 +616,13 @@ pub fn serve_lines<R: BufRead, W: Write>(
     mut output: W,
 ) -> io::Result<bool> {
     for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+        let Some(outcome) = serve_line(state, host, &line?) else {
             continue;
-        }
-        match handle_line(state, host, &line) {
-            Outcome::Reply(reply) => {
-                writeln!(output, "{reply}")?;
-                output.flush()?;
-            }
-            Outcome::Shutdown(reply) => {
-                writeln!(output, "{reply}")?;
-                output.flush()?;
-                return Ok(true);
-            }
+        };
+        writeln!(output, "{}", outcome.reply())?;
+        output.flush()?;
+        if matches!(outcome, Outcome::Shutdown(_)) {
+            return Ok(true);
         }
     }
     Ok(false)
@@ -597,12 +631,12 @@ pub fn serve_lines<R: BufRead, W: Write>(
 /// Unix-socket transport: concurrent connections over one shared world.
 #[cfg(unix)]
 pub mod socket {
-    use super::{handle_line, Outcome, ProgramHost, ServeState};
+    use super::{serve_line, Outcome, ProgramHost, ServeState};
     use std::io::{self, BufRead, Write};
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::Path;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
+    use std::sync::{Arc, Mutex, PoisonError};
 
     struct Shared<H> {
         state: ServeState,
@@ -652,27 +686,27 @@ pub mod socket {
         let mut writer = stream;
         for line in reader.lines() {
             let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
             if done.load(Ordering::SeqCst) {
                 break;
             }
             let outcome = {
-                let mut guard = shared.lock().expect("serve state poisoned");
+                // `serve_line` contains a handler's panic and closes the
+                // session it was running, so the state behind a poisoned
+                // lock is as sound as behind a clean one.
+                let mut guard = shared.lock().unwrap_or_else(PoisonError::into_inner);
                 let Shared { state, host } = &mut *guard;
-                handle_line(state, host, &line)
+                serve_line(state, host, &line)
             };
-            match outcome {
-                Outcome::Reply(reply) => writeln!(writer, "{reply}")?,
-                Outcome::Shutdown(reply) => {
-                    writeln!(writer, "{reply}")?;
-                    done.store(true, Ordering::SeqCst);
-                    // The accept loop is blocked; a throwaway connection
-                    // wakes it so it can observe the flag and stop.
-                    let _ = UnixStream::connect(sock);
-                    break;
-                }
+            let Some(outcome) = outcome else {
+                continue;
+            };
+            writeln!(writer, "{}", outcome.reply())?;
+            if matches!(outcome, Outcome::Shutdown(_)) {
+                done.store(true, Ordering::SeqCst);
+                // The accept loop is blocked; a throwaway connection
+                // wakes it so it can observe the flag and stop.
+                let _ = UnixStream::connect(sock);
+                break;
             }
         }
         Ok(())

@@ -22,10 +22,10 @@
 //! generator's own), so the same scenario produces bit-identical runs
 //! under every engine × executor combination. Event times within one
 //! source are nondecreasing, and [`Workload`] merges sources in global
-//! (time, source-index) order — every worker count pulls the identical
+//! (time, source-index) order. One worker pulls the whole stream in a
+//! run, whatever the worker count, so every run pulls the identical
 //! sequence.
 
-use crate::machine::{Interp, InterpError, InterpFault};
 use crate::snap;
 use lucid_check::{mask, CheckedProgram};
 
@@ -45,9 +45,11 @@ pub struct SourcedEvent {
     pub source: usize,
 }
 
-/// A pull-based injection stream, drained lazily: a worker pulls
-/// everything due at or before its queue head, and — with siblings to
-/// feed — worker 0 pulls what cannot be partitioned one round ahead.
+/// A pull-based injection stream, drained lazily by exactly one worker
+/// per run: a lone worker pulls everything due at or before its queue
+/// head, and — with siblings to feed — worker 0 pulls one round ahead
+/// and mails each event to the worker owning its switch (always correct,
+/// since per-source keys are independent of pull interleaving).
 /// `peek_ns` must be nondecreasing across pulls.
 pub trait EventSource {
     /// Virtual time of the next event, `None` when exhausted.
@@ -55,7 +57,7 @@ pub trait EventSource {
     /// Pull the next event. `None` exactly when `peek_ns` is `None`.
     fn next_event(&mut self) -> Option<SourcedEvent>;
     /// Pull every event due at or before `horizon_ns` — up to `max` of
-    /// them — appending to `out` in stream order. Every refill goes
+    /// them — appending to `out` in stream order. Every pull goes
     /// through this in chunks, so a boxed source pays its virtual
     /// dispatch once per batch rather than twice per injection. The
     /// default loops `peek_ns`/`next_event`; implementations with a
@@ -74,27 +76,6 @@ pub trait EventSource {
     /// How many sources feed this stream (sizes the per-source counters).
     fn source_count(&self) -> usize {
         1
-    }
-    /// Detach every constituent source whose entire remaining stream is
-    /// bound to a single switch accepted by `owned`, so the sharded
-    /// engine can hand each one to the worker that owns its destination
-    /// shard (no cross-worker traffic to materialize an injection).
-    /// Detached slots keep their indices — per-source keys and report
-    /// rows are position-based — and must come back via
-    /// [`EventSource::reattach_local`] when the run ends.
-    ///
-    /// The default detaches nothing: the source stays shared and is
-    /// pulled by one worker on behalf of all (always correct, since
-    /// per-source keys are independent of pull interleaving).
-    fn detach_local(&mut self, owned: &dyn Fn(u64) -> bool) -> Vec<LocalGen> {
-        let _ = owned;
-        Vec::new()
-    }
-    /// Restore generators detached by [`EventSource::detach_local`] into
-    /// their original slots (stream positions advance by however far the
-    /// workers pulled them).
-    fn reattach_local(&mut self, parts: Vec<LocalGen>) {
-        debug_assert!(parts.is_empty(), "default detach_local detaches nothing");
     }
     /// Serialize the source's full cursor state (specs, RNG positions,
     /// remaining budget) into `out` so a restored world resumes the
@@ -126,17 +107,6 @@ pub trait EventSource {
         let _ = gen;
         false
     }
-}
-
-/// One single-switch source detached from a shared stream for
-/// worker-local pulling ([`EventSource::detach_local`]).
-#[derive(Debug, Clone)]
-pub struct LocalGen {
-    /// The one switch every remaining event of this source targets.
-    pub switch: u64,
-    /// The slot it came from: its [`SourcedEvent::source`] index.
-    pub slot: usize,
-    pub gen: Generator,
 }
 
 // ------------------------------------------------------------------- rng
@@ -495,10 +465,6 @@ impl ArgPlan {
 }
 
 impl Generator {
-    pub fn name(&self) -> &str {
-        &self.spec.name
-    }
-
     /// The inter-arrival interval in force at instant `t` (phases are
     /// sorted; the last one at or before `t` wins).
     fn interval_at(&self, t: u64) -> u64 {
@@ -635,10 +601,10 @@ impl EventSource for Generator {
 /// capped at a total event budget (`lucidc sim --events N`).
 #[derive(Debug, Clone)]
 pub struct Workload {
-    /// Slotted so [`EventSource::detach_local`] can lend generators out
-    /// without shifting the indices the merge order and per-source keys
-    /// are built on.
-    gens: Vec<Option<Generator>>,
+    /// In slot order: a generator's position is its
+    /// [`SourcedEvent::source`] index, which the merge order and the
+    /// per-source keys are built on.
+    gens: Vec<Generator>,
     /// Remaining total-event budget (`None`: uncapped).
     remaining: Option<u64>,
     /// Memoized `(time, index)` of the next source, invalidated on pull.
@@ -651,21 +617,10 @@ pub struct Workload {
 impl Workload {
     pub fn new(gens: Vec<Generator>, total_cap: Option<u64>) -> Workload {
         Workload {
-            gens: gens.into_iter().map(Some).collect(),
+            gens,
             remaining: total_cap,
             head: std::cell::Cell::new(None),
         }
-    }
-
-    /// Generator names, in index order (for per-source report rows).
-    pub fn names(&self) -> Vec<String> {
-        self.gens
-            .iter()
-            .map(|g| {
-                g.as_ref()
-                    .map_or_else(String::new, |g| g.name().to_string())
-            })
-            .collect()
     }
 
     fn head(&self) -> Option<(u64, usize)> {
@@ -677,7 +632,7 @@ impl Workload {
         }
         let mut best: Option<(u64, usize)> = None;
         for (i, g) in self.gens.iter().enumerate() {
-            if let Some(t) = g.as_ref().and_then(Generator::peek_ns) {
+            if let Some(t) = g.peek_ns() {
                 // Strict `<` keeps the lowest index on ties — the merge
                 // order both engines must agree on.
                 if best.is_none_or(|(bt, _)| t < bt) {
@@ -698,10 +653,7 @@ impl EventSource for Workload {
     fn next_event(&mut self) -> Option<SourcedEvent> {
         let (_, i) = self.head()?;
         self.head.set(None);
-        let ev = self.gens[i]
-            .as_mut()
-            .expect("head slot occupied")
-            .next_event();
+        let ev = self.gens[i].next_event();
         if ev.is_some() {
             if let Some(r) = &mut self.remaining {
                 *r -= 1;
@@ -714,57 +666,14 @@ impl EventSource for Workload {
         self.gens.len()
     }
 
-    fn detach_local(&mut self, owned: &dyn Fn(u64) -> bool) -> Vec<LocalGen> {
-        // A total cap (`--events N`) is consumed in global merge order:
-        // which events exist depends on every sibling's stream, so the
-        // slots must stay coupled and pulled by one worker.
-        if self.remaining.is_some() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for (slot, g) in self.gens.iter_mut().enumerate() {
-            let single = g.as_ref().and_then(|g| match g.spec.switches.as_slice() {
-                // Multi-switch sources draw their destination from
-                // the stream RNG per event — splitting one would
-                // change the stream. They stay shared.
-                [s] if owned(*s) => Some(*s),
-                _ => None,
-            });
-            if let Some(switch) = single {
-                out.push(LocalGen {
-                    switch,
-                    slot,
-                    gen: g.take().expect("checked above"),
-                });
-            }
-        }
-        self.head.set(None);
-        out
-    }
-
-    fn reattach_local(&mut self, parts: Vec<LocalGen>) {
-        for p in parts {
-            debug_assert!(self.gens[p.slot].is_none(), "slot {} occupied", p.slot);
-            self.gens[p.slot] = Some(p.gen);
-        }
-        self.head.set(None);
-    }
-
     fn save_state(&self, out: &mut Vec<u8>) -> bool {
         let mut w = snap::Writer::new();
         w.u64(self.gens.len() as u64);
         for g in &self.gens {
-            match g {
-                Some(g) => {
-                    w.bool(true);
-                    g.encode(&mut w);
-                }
-                // A detached slot can only be observed mid-sharded-run;
-                // snapshots are taken between runs, when every lent
-                // generator is back. Encode the hole anyway so the
-                // format has no unrepresentable state.
-                None => w.bool(false),
-            }
+            // The format's per-slot presence byte: every slot holds a
+            // generator, so it is always one.
+            w.bool(true);
+            g.encode(&mut w);
         }
         w.opt_u64(self.remaining);
         out.extend_from_slice(&w.buf);
@@ -777,11 +686,12 @@ impl EventSource for Workload {
             let n = r.len(1, "workload slots")?;
             let mut gens = Vec::with_capacity(n);
             for index in 0..n {
-                gens.push(if r.bool()? {
-                    Some(Generator::decode(&mut r, prog, index)?)
-                } else {
-                    None
-                });
+                if !r.bool()? {
+                    return Err(r.err(format!(
+                        "workload slot {index} is empty; no snapshot ever written has one"
+                    )));
+                }
+                gens.push(Generator::decode(&mut r, prog, index)?);
             }
             let remaining = r.opt_u64()?;
             r.expect_end()?;
@@ -797,7 +707,7 @@ impl EventSource for Workload {
 
     fn remap_events(&mut self, prog: &CheckedProgram) -> usize {
         let mut disabled = 0;
-        for g in self.gens.iter_mut().flatten() {
+        for g in &mut self.gens {
             match prog.info.event(&g.spec.event) {
                 Some(ev) if ev.params.len() == g.widths.len() => {
                     g.event_id = ev.id;
@@ -821,30 +731,10 @@ impl EventSource for Workload {
 
     fn attach_generator(&mut self, mut gen: Generator) -> bool {
         gen.index = self.gens.len();
-        self.gens.push(Some(gen));
+        self.gens.push(gen);
         self.head.set(None);
         true
     }
-}
-
-/// Drive a standalone source through an [`Interp`] until it drains (a
-/// library convenience for custom sources; `run_scenario` wires bundled
-/// generators through the engines itself).
-pub fn drain_into(
-    sim: &mut Interp,
-    source: impl EventSource + Send + 'static,
-    max_events: u64,
-    max_time_ns: u64,
-) -> Result<(), InterpError> {
-    sim.set_source(Box::new(source));
-    let r = sim.run(max_events, max_time_ns);
-    if sim.source_pending() && r.is_ok() && max_time_ns == u64::MAX {
-        return Err(InterpFault::FuelExhausted {
-            handled: sim.stats.processed,
-        }
-        .into());
-    }
-    r
 }
 
 #[cfg(test)]

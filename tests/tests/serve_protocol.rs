@@ -6,9 +6,10 @@
 //! and segmented advances, under both engines.
 
 use lucid_core::{
-    handle_line, run_scenario_with, BuildHost, CheckHost, Compiler, Engine, Scenario, ServeState,
-    SimOptions, SimSession,
+    handle_line, run_scenario_with, serve_lines, BuildHost, CheckHost, CheckedProgram, Compiler,
+    Engine, ProgramHost, Scenario, ServeState, SimOptions, SimSession,
 };
+use std::sync::Arc;
 
 const COUNTER: &str = r#"
 global cts = new Array<<32>>(64);
@@ -40,6 +41,13 @@ fn ask(state: &mut ServeState, host: &mut CheckHost, line: &str) -> String {
         panic!("reply is not JSON ({e}): {reply}");
     }
     reply
+}
+
+/// The hex `bytes` field of a `snapshot` reply.
+fn hex_payload(reply: &str) -> String {
+    let rest = reply.split("\"bytes\":\"").nth(1);
+    let hex = rest.and_then(|r| r.split('"').next());
+    hex.expect("hex payload").to_string()
 }
 
 fn open_line() -> String {
@@ -177,11 +185,7 @@ fn snapshot_restore_round_trips_over_the_wire() {
         snap.starts_with("{\"ok\":true,\"session\":1,\"len\":"),
         "{snap}"
     );
-    let hex = snap
-        .split("\"bytes\":\"")
-        .nth(1)
-        .and_then(|r| r.split('"').next())
-        .expect("hex payload");
+    let hex = hex_payload(&snap);
 
     // Drive the original forward, then rewind it with the snapshot.
     ask(
@@ -399,12 +403,7 @@ fn corrupted_snapshots_are_rejected_with_offsets() {
     let (mut state, mut host) = (ServeState::new(), CheckHost);
     ask(&mut state, &mut host, &open_line());
     let snap = ask(&mut state, &mut host, "{\"op\":\"snapshot\",\"session\":1}");
-    let hex = snap
-        .split("\"bytes\":\"")
-        .nth(1)
-        .and_then(|r| r.split('"').next())
-        .expect("hex payload")
-        .to_string();
+    let hex = hex_payload(&snap);
 
     // Not hex at all.
     let reply = ask(
@@ -489,9 +488,135 @@ fn corrupted_snapshots_are_rejected_with_offsets() {
     );
     assert!(reply.contains("different program"), "{reply}");
 
+    // A workload slot whose presence byte is zero: every slot holds a
+    // generator in any snapshot ever written, so the hole is refused by
+    // name. The byte sits right before the generator's name (a length
+    // of 6, then "holey!"), whose last occurrence is the workload's.
+    ask(&mut state, &mut host, &open_line());
+    ask(
+        &mut state,
+        &mut host,
+        "{\"op\":\"ingest\",\"session\":3,\"generators\":[\
+         {\"name\":\"holey!\",\"event\":\"pkt\",\"interval_ns\":50,\"count\":10,\
+          \"args\":[{\"seq\":64}]}]}",
+    );
+    let snap = ask(&mut state, &mut host, "{\"op\":\"snapshot\",\"session\":3}");
+    let mut holed = hex_payload(&snap);
+    let name = "0600000000000000686f6c657921";
+    let at = holed.rfind(name).expect("the generator's name") - 2;
+    assert_eq!(&holed[at..at + 2], "01", "slot-presence byte");
+    holed.replace_range(at..at + 2, "00");
+    let reply = ask(
+        &mut state,
+        &mut host,
+        &format!("{{\"op\":\"restore\",\"session\":3,\"bytes\":\"{holed}\"}}"),
+    );
+    assert!(reply.contains("\"kind\":\"snapshot\""), "{reply}");
+    assert!(reply.contains("corrupt snapshot at byte"), "{reply}");
+    assert!(reply.contains("workload slot 0 is empty"), "{reply}");
+    ask(&mut state, &mut host, "{\"op\":\"close\",\"session\":3}");
+
     // After all that abuse, the original session still drains clean.
     let reply = ask(&mut state, &mut host, "{\"op\":\"drain\",\"session\":1}");
     assert!(reply.contains("\"events_handled\":3"), "{reply}");
+}
+
+/// A host whose compiler trips an internal invariant on marked source.
+struct PanickyHost;
+
+impl ProgramHost for PanickyHost {
+    fn open_program(&mut self, id: u64, source: &str) -> Result<Arc<CheckedProgram>, String> {
+        assert!(!source.contains("// boom"), "compiler invariant broken");
+        CheckHost.open_program(id, source)
+    }
+
+    fn swap_program(&mut self, id: u64, source: &str) -> Result<Arc<CheckedProgram>, String> {
+        self.open_program(id, source)
+    }
+}
+
+/// A handler panic costs the request that hit it — answered with an
+/// `internal` error — and the session that request was running; the
+/// stream, and every other connection, keeps being served.
+#[test]
+fn a_panicking_handler_costs_one_request_not_the_daemon() {
+    let boom = format!("{COUNTER}// boom");
+    let open_boom = format!(
+        "{{\"op\":\"open\",\"program\":{},\"scenario\":{}}}",
+        q(&boom),
+        q(SCENARIO)
+    );
+    let script = [
+        open_boom.clone(),
+        open_line(),
+        format!("{{\"op\":\"swap\",\"session\":1,\"program\":{}}}", q(&boom)),
+        "{\"op\":\"query\",\"session\":1}".to_string(),
+        open_line(),
+    ]
+    .join("\n");
+    let mut out = Vec::new();
+    let stopped = serve_lines(
+        &mut ServeState::new(),
+        &mut PanickyHost,
+        script.as_bytes(),
+        &mut out,
+    );
+    assert!(!stopped.expect("no I/O error"), "EOF, not shutdown");
+    let out = String::from_utf8(out).unwrap();
+    let replies: Vec<&str> = out.lines().collect();
+    assert_eq!(
+        replies[0],
+        "{\"ok\":false,\"error\":{\"kind\":\"internal\",\
+         \"msg\":\"request handler panicked: compiler invariant broken\"}}"
+    );
+    assert!(
+        replies[1].starts_with("{\"ok\":true,\"session\":1,"),
+        "{out}"
+    );
+    assert!(replies[2].contains("\"kind\":\"internal\""), "{out}");
+    assert!(replies[2].contains("session 1 is closed"), "{out}");
+    assert!(replies[3].contains("\"kind\":\"unknown_session\""), "{out}");
+    assert!(
+        replies[4].starts_with("{\"ok\":true,\"session\":2,"),
+        "{out}"
+    );
+    assert_eq!(replies.len(), 5);
+
+    #[cfg(unix)]
+    {
+        use std::io::{BufRead, BufReader, Write};
+        use std::os::unix::net::UnixStream;
+        let path = std::env::temp_dir().join(format!("lucid-panic-{}.sock", std::process::id()));
+        let daemon = {
+            let path = path.clone();
+            std::thread::spawn(move || {
+                lucid_core::interp::serve::socket::serve_unix(&path, PanickyHost)
+            })
+        };
+        let connect = || loop {
+            // The daemon thread binds at its own pace.
+            if let Ok(conn) = UnixStream::connect(&path) {
+                return conn;
+            }
+            std::thread::yield_now();
+        };
+        let ask = |conn: &mut UnixStream, line: &str| {
+            writeln!(conn, "{line}").unwrap();
+            let mut reply = String::new();
+            BufReader::new(&*conn).read_line(&mut reply).unwrap();
+            reply
+        };
+        let (mut first, mut second) = (connect(), connect());
+        let reply = ask(&mut first, &open_boom);
+        assert!(reply.contains("\"kind\":\"internal\""), "{reply}");
+        let reply = ask(&mut second, &open_line());
+        assert!(reply.starts_with("{\"ok\":true,\"session\":1,"), "{reply}");
+        let reply = ask(&mut first, "{\"op\":\"shutdown\"}");
+        assert!(reply.contains("\"shutdown\":true"), "{reply}");
+        // The daemon joins its connection threads, each reading to EOF.
+        drop((first, second));
+        daemon.join().unwrap().expect("daemon exits clean");
+    }
 }
 
 // ----------------------------------------------------- bit-identity gates

@@ -75,35 +75,73 @@ fn mesh_case(switches: u64) -> (lucid_core::CheckedProgram, Scenario) {
 }
 
 /// One-shot run (open + drain, which is what `run_scenario_with` does)
-/// that also hands back what the report leaves out: the dispatch trace.
-fn run_with_trace(
+/// that also hands back what the report leaves out: the drained world,
+/// for its dispatch trace, per-source pull counters and queue depth.
+fn run_to_world(
     prog: &lucid_core::CheckedProgram,
     sc: &Scenario,
     opts: &SimOptions,
-) -> (SimReport, Vec<lucid_core::interp::Handled>) {
+) -> (SimReport, SimSession) {
     let mut session = SimSession::open(prog, sc, opts).unwrap();
     let report = session.drain().unwrap();
-    (report, session.world().trace.clone())
+    (report, session)
+}
+
+/// A bare world over `sc`'s mesh and (uncapped) generators, for the
+/// cases that stop a run part-way and carry on under another engine.
+fn mesh_world(prog: &lucid_core::CheckedProgram, sc: &Scenario, engine: Engine) -> Interp {
+    let mut cfg = NetConfig::mesh(sc.switches.len() as u64);
+    cfg.engine = engine;
+    let mut sim = Interp::new(prog, cfg);
+    let gens = sc.generators.iter().enumerate();
+    sim.set_source(Box::new(Workload::new(
+        gens.map(|(i, g)| g.compile(prog, sc.seed, i)).collect(),
+        None,
+    )));
+    sim
+}
+
+/// Everything a paused or finished world holds: the snapshot bytes
+/// (clock, stats, trace, every array cell and latency histogram — what
+/// both digests are functions of — the pending queue and each
+/// generator's cursor) beside the fields read back directly.
+fn observe(sim: &Interp) -> (Vec<u8>, lucid_core::interp::Stats, usize, Vec<u64>, u64) {
+    let mut world = Vec::new();
+    sim.save_world(&mut world).unwrap();
+    (
+        world,
+        sim.stats.clone(),
+        sim.pending(),
+        sim.source_counts().to_vec(),
+        sim.metrics().digest(),
+    )
 }
 
 /// The generated-traffic oracle: engine x worker count x executor x opt
 /// level on a cross-switch mesh, equal on every report field that is not
-/// wall-clock *and* on the full dispatch trace. The second case is the
-/// wide one — sixteen shards over eight workers, two per worker — that
+/// wall-clock *and* on the full dispatch trace, the per-generator pull
+/// counters and the queue depth. The workload is uncapped and mixes one
+/// multi-switch generator with two single-switch ones, so where a source
+/// is pulled (which worker, how far ahead) must never show. The second
+/// case is the wide one — sixteen shards, two per worker at eight — that
 /// the app-level differential sweep (at most four switches) cannot reach.
 #[test]
 fn generator_matrix_is_bit_identical_and_seed_sensitive() {
     let sharded = |workers, epoch_ns| Engine::Sharded { workers, epoch_ns };
+    let pool = [sharded(2, 0), sharded(4, 0), sharded(8, 0)];
     let cases: [(u64, &[Engine]); 2] = [
-        (4, &[Engine::Sequential, sharded(2, 0), sharded(4, 250)]),
-        (16, &[sharded(8, 0)]),
+        (4, &[Engine::Sequential, pool[0], sharded(4, 250), pool[2]]),
+        (16, &pool),
     ];
     for (switches, engines) in cases {
         let (prog, sc) = mesh_case(switches);
         let base = SimOptions::new()
             .engine(Engine::Sequential)
             .exec(ExecMode::Ast);
-        let (reference, ref_trace) = run_with_trace(&prog, &sc, &base);
+        let (reference, ref_world) = run_to_world(&prog, &sc, &base);
+        let ref_trace = &ref_world.world().trace;
+        assert_eq!(ref_world.world().source_counts(), [4000, 2000, 1500]);
+        assert_eq!(ref_world.world().pending(), 0);
         assert_eq!(
             reference.gens,
             vec![
@@ -136,7 +174,8 @@ fn generator_matrix_is_bit_identical_and_seed_sensitive() {
                 (ExecMode::Bytecode, OptLevel::O2),
             ] {
                 let opts = SimOptions::new().engine(engine).exec(exec).opt(opt);
-                let (got, trace) = run_with_trace(&prog, &sc, &opts);
+                let (got, world) = run_to_world(&prog, &sc, &opts);
+                let world = world.world();
                 let at = format!(
                     "{switches} switches [{:?}/{}/O{}] vs sequential/ast",
                     engine,
@@ -144,8 +183,46 @@ fn generator_matrix_is_bit_identical_and_seed_sensitive() {
                     opt.label()
                 );
                 assert_eq!(fingerprint(&reference), fingerprint(&got), "{at}");
-                assert!(ref_trace == trace, "{at}: dispatch traces differ");
+                assert!(*ref_trace == world.trace, "{at}: dispatch traces differ");
+                assert_eq!(world.source_counts(), [4000, 2000, 1500], "{at}");
+                assert_eq!(world.pending(), 0, "{at}");
             }
+        }
+        // Pause every worker count at the same instant in the middle of
+        // all three streams: the paused worlds — snapshot bytes included
+        // — are one world. Then carry each on under a different worker
+        // count (1 -> 4, 2 -> 8, 4 -> 1, 8 -> 2): every one lands on the
+        // one-shot result.
+        let engines = [Engine::Sequential, pool[0], pool[1], pool[2]];
+        let mut oneshot = mesh_world(&prog, &sc, Engine::Sequential);
+        oneshot.run_to_quiescence().unwrap();
+        assert!(
+            *ref_trace == oneshot.trace,
+            "{switches} switches: bare world"
+        );
+        let mut paused: Vec<Interp> = Vec::new();
+        let mut first = None;
+        for engine in engines {
+            let mut sim = mesh_world(&prog, &sc, engine);
+            sim.run(u64::MAX, 600_000).unwrap();
+            assert!(sim.source_pending(), "the pause must land mid-stream");
+            let counts = sim.source_counts();
+            assert!(counts.iter().all(|&n| n > 0) && counts[1] < 2000 && counts[2] < 1500);
+            let seen = observe(&sim);
+            let first = first.get_or_insert_with(|| seen.clone());
+            assert!(
+                *first == seen,
+                "{switches} switches paused under {engine:?}"
+            );
+            paused.push(sim);
+        }
+        let done = observe(&oneshot);
+        for (i, mut sim) in paused.into_iter().enumerate() {
+            let (from, to) = (engines[i], engines[(i + 2) % engines.len()]);
+            sim.config.engine = to;
+            sim.run_to_quiescence().unwrap();
+            let at = format!("{switches} switches {from:?} then {to:?}");
+            assert!(done == observe(&sim), "{at}");
         }
         // Same seed, same run (every row above) — different seed,
         // different traffic.
@@ -198,17 +275,7 @@ fn events_override_scales_lazily_and_engines_still_agree() {
 fn budget_stop_mid_stream_is_engine_independent_at_one_worker() {
     let prog = checked(MESH);
     let sc = Scenario::from_json(GEN_SCENARIO).unwrap();
-    let world = |engine: Engine| {
-        let mut cfg = NetConfig::mesh(4);
-        cfg.engine = engine;
-        let mut sim = Interp::new(&prog, cfg);
-        let gens = sc.generators.iter().enumerate();
-        sim.set_source(Box::new(Workload::new(
-            gens.map(|(i, g)| g.compile(&prog, sc.seed, i)).collect(),
-            None,
-        )));
-        sim
-    };
+    let world = |engine: Engine| mesh_world(&prog, &sc, engine);
     let observe = |sim: &Interp| {
         let arrays: Vec<Vec<u64>> = (1..=4)
             .flat_map(|s| [sim.array(s, "cnt").to_vec(), sim.array(s, "mix").to_vec()])
