@@ -171,30 +171,41 @@ echo "== workload scale"
 # says; this one gives each of the four workers a shard, so worker 0
 # pulls the stream a window ahead and mails three quarters of it, the
 # packets' next-hop chains cross shards, and the pool still lands
-# digest-for-digest on sequential.
+# digest-for-digest on sequential. The AST walker — the default executor
+# and the semantics of record — floods the same million packets on the
+# sequential engine and must land on the same two digests.
 flood_gen='[{"name": "pkts", "event": "pkt", "switches": [1, 2, 3, 4],
   "interval_ns": 1, "count": 1000, "args": [{"uniform": [0, 1000000]}]}]'
 flood_json() {
-  target/release/lucidc sim --engine="$1" "${@:2}" --exec=bytecode \
+  target/release/lucidc sim --exec="$1" --engine="$2" "${@:3}" \
     --events=1000000 --gen="$flood_gen" --json \
     crates/apps/programs/rip_router.lucid \
     crates/apps/scenarios/rip_router.sim.json
 }
-j_seq=$(flood_json sequential)
-j_sh=$(flood_json sharded --workers=4)
+j_seq=$(flood_json bytecode sequential)
+j_sh=$(flood_json bytecode sharded --workers=4)
+j_ast=$(flood_json ast sequential)
 state_of()   { printf '%s' "$1" | sed -n 's/.*"state_digest":"\([0-9a-f]*\)".*/\1/p'; }
 metrics_of() { printf '%s' "$1" | sed -n 's/.*"metrics":{"digest":"\([0-9a-f]*\)".*/\1/p'; }
-d_seq=$(state_of "$j_seq"); d_sh=$(state_of "$j_sh")
-m_seq=$(metrics_of "$j_seq"); m_sh=$(metrics_of "$j_sh")
-if [ -z "$d_seq" ] || [ "$d_seq" != "$d_sh" ]; then
-  echo "workload scale: engine digests differ at 1M events (seq=$d_seq sharded=$d_sh)" >&2
+eps_of()     { printf '%s' "$1" | sed -n 's/.*"events_per_sec":\([0-9]*\).*/\1/p'; }
+d_seq=$(state_of "$j_seq"); m_seq=$(metrics_of "$j_seq")
+if [ -z "$d_seq" ] || [ -z "$m_seq" ]; then
+  echo "workload scale: the sequential bytecode flood printed no digests" >&2
   exit 1
 fi
-if [ -z "$m_seq" ] || [ "$m_seq" != "$m_sh" ]; then
-  echo "workload scale: metrics digests differ at 1M events (seq=$m_seq sharded=$m_sh)" >&2
-  exit 1
-fi
+agree() { # <leg> <its report>: both digests equal the sequential bytecode leg's
+  local d m
+  d=$(state_of "$2"); m=$(metrics_of "$2")
+  if [ "$d" != "$d_seq" ] || [ "$m" != "$m_seq" ]; then
+    echo "workload scale: $1 disagrees with sequential bytecode at 1M events" \
+         "(state $d vs $d_seq, metrics $m vs $m_seq)" >&2
+    exit 1
+  fi
+}
+agree "sharded bytecode" "$j_sh"
+agree "the sequential walker" "$j_ast"
 echo "-- 1M-packet rip_router flood digests agree: state $d_seq, metrics $m_seq"
+echo "-- events/s: bytecode sequential $(eps_of "$j_seq"), bytecode sharded w4 $(eps_of "$j_sh"), walker sequential $(eps_of "$j_ast")"
 
 echo "== serve gate"
 # The persistent-service invariant: a session served by the `lucidc

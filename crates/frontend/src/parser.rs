@@ -23,6 +23,10 @@
 //! Expressions use standard C precedence. Three constructs reuse the `<<`
 //! token in type position: `int<<w>>`, `Array<<w>>`, and `hash<<w>>(..)`;
 //! the parser disambiguates with one token of lookahead.
+//!
+//! Nesting is bounded (`MAX_NESTING`): this parser and every pass after
+//! it recurse over the tree, and a stack overflow is an abort no caller
+//! can catch.
 
 use crate::ast::*;
 use crate::diag::Diagnostic;
@@ -30,19 +34,30 @@ use crate::lexer::lex;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 
+/// Deepest statement-plus-expression nesting accepted (`E0101` beyond
+/// it), and so the depth of the tree every later pass recurses over; the
+/// bundled apps reach 7. Sized, like the JSON codec's `MAX_DEPTH`, to a
+/// 2 MiB thread (a `lucidc serve` connection, a test): over parenthesis,
+/// unary, cast, call, `hash` and operator chains and nested `if` /
+/// `else if`, the hungriest pass (parser, checker, lints, the walker and
+/// its resolver, bytecode lowering) takes 1.5 KiB of stack per level in
+/// a release build and 11.4 KiB unoptimized — a tenth and three quarters
+/// of that stack at the limit.
+const MAX_NESTING: usize = 128;
+
 /// Parse a complete program. On failure, returns the first diagnostic
-/// (code `E0100`: parsing stops at the first syntax error by design).
+/// (code `E0100`: parsing stops at the first syntax error by design;
+/// `E0101` when the program nests deeper than the parser accepts).
 pub fn parse_program(src: &str) -> Result<Program, Diagnostic> {
     let tokens = lex(src).map_err(|d| d.or_code("E0100"))?;
-    Parser { tokens, pos: 0 }
+    Parser::new(tokens)
         .program()
         .map_err(|d| d.or_code("E0100"))
 }
 
 /// Parse a single expression (used by tests and the REPL-style tools).
 pub fn parse_expr(src: &str) -> Result<Expr, Diagnostic> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(lex(src)?);
     let e = p.expr()?;
     p.expect(TokenKind::Eof)?;
     Ok(e)
@@ -51,9 +66,43 @@ pub fn parse_expr(src: &str) -> Result<Expr, Diagnostic> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// How many statements and expressions enclose the one being parsed.
+    depth: usize,
+    /// The deepest any node under the operator chain being parsed sits:
+    /// `a + b + c + …` is parsed by a loop, not by recursion, yet every
+    /// operator pushes all that came before it one level further down.
+    deepest: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Self {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+            deepest: 0,
+        }
+    }
+
+    /// Step one level into a statement or operand.
+    fn enter(&mut self) -> Result<(), Diagnostic> {
+        self.depth += 1;
+        self.deepest = self.deepest.max(self.depth);
+        self.check_nesting()
+    }
+
+    fn check_nesting(&self) -> Result<(), Diagnostic> {
+        if self.deepest > MAX_NESTING {
+            return Err(Diagnostic::error(
+                format!("nesting deeper than {MAX_NESTING}"),
+                self.peek().span,
+            )
+            .with_help("split the expression into locals, or the handler into functions")
+            .with_code("E0101"));
+        }
+        Ok(())
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -348,38 +397,21 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, Diagnostic> {
+        self.enter()?;
+        // The arms that nest — `if` here, four in `primary` — are out of
+        // line, so a level costs their frame, not every arm's temporaries.
+        let stmt = if self.at(&TokenKind::KwIf) {
+            self.if_stmt()?
+        } else {
+            self.simple_stmt()?
+        };
+        self.depth -= 1;
+        Ok(stmt)
+    }
+
+    fn simple_stmt(&mut self) -> Result<Stmt, Diagnostic> {
         let start = self.peek().span;
         match self.peek_kind().clone() {
-            TokenKind::KwIf => {
-                self.bump();
-                self.expect(TokenKind::LParen)?;
-                let cond = self.expr()?;
-                self.expect(TokenKind::RParen)?;
-                let then_blk = self.block()?;
-                let mut span = start.merge(then_blk.span);
-                let else_blk = if self.eat(&TokenKind::KwElse) {
-                    let blk = if self.at(&TokenKind::KwIf) {
-                        // `else if` sugar: wrap the nested if in a block.
-                        let nested = self.stmt()?;
-                        let nspan = nested.span;
-                        Block::new(vec![nested], nspan)
-                    } else {
-                        self.block()?
-                    };
-                    span = span.merge(blk.span);
-                    Some(blk)
-                } else {
-                    None
-                };
-                Ok(Stmt {
-                    kind: StmtKind::If {
-                        cond,
-                        then_blk,
-                        else_blk,
-                    },
-                    span,
-                })
-            }
             TokenKind::KwGenerate => {
                 self.bump();
                 let e = self.expr()?;
@@ -485,6 +517,38 @@ impl Parser {
         }
     }
 
+    /// `if (cond) block (else (block | if))?`
+    fn if_stmt(&mut self) -> Result<Stmt, Diagnostic> {
+        let start = self.bump().span;
+        self.expect(TokenKind::LParen)?;
+        let cond = self.expr()?;
+        self.expect(TokenKind::RParen)?;
+        let then_blk = self.block()?;
+        let mut span = start.merge(then_blk.span);
+        let else_blk = if self.eat(&TokenKind::KwElse) {
+            let blk = if self.at(&TokenKind::KwIf) {
+                // `else if` sugar: wrap the nested if in a block.
+                let nested = self.stmt()?;
+                let nspan = nested.span;
+                Block::new(vec![nested], nspan)
+            } else {
+                self.block()?
+            };
+            span = span.merge(blk.span);
+            Some(blk)
+        } else {
+            None
+        };
+        Ok(Stmt {
+            kind: StmtKind::If {
+                cond,
+                then_blk,
+                else_blk,
+            },
+            span,
+        })
+    }
+
     // ---------------------------------------------------------- expressions
 
     fn expr(&mut self) -> Result<Expr, Diagnostic> {
@@ -494,6 +558,7 @@ impl Parser {
     /// Precedence-climbing binary expression parser. `min_prec` is the
     /// lowest binding power this call may consume.
     fn binary(&mut self, min_prec: u8) -> Result<Expr, Diagnostic> {
+        let outer = std::mem::replace(&mut self.deepest, self.depth);
         let mut lhs = self.unary()?;
         loop {
             let (op, prec) = match self.peek_kind() {
@@ -521,6 +586,9 @@ impl Parser {
                 break;
             }
             self.bump();
+            // The operator node goes on top of the whole chain so far.
+            self.deepest += 1;
+            self.check_nesting()?;
             let rhs = self.binary(prec + 1)?;
             let span = lhs.span.merge(rhs.span);
             lhs = Expr::new(
@@ -532,10 +600,18 @@ impl Parser {
                 span,
             );
         }
+        self.deepest = self.deepest.max(outer);
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, Diagnostic> {
+        self.enter()?;
+        let e = self.unary_at_depth()?;
+        self.depth -= 1;
+        Ok(e)
+    }
+
+    fn unary_at_depth(&mut self) -> Result<Expr, Diagnostic> {
         let start = self.peek().span;
         let op = match self.peek_kind() {
             TokenKind::Bang => Some(UnOp::Not),
@@ -573,86 +649,93 @@ impl Parser {
                 self.bump();
                 Ok(Expr::new(ExprKind::Bool(false), start))
             }
-            TokenKind::LParen => {
-                self.bump();
-                // Cast: `(int<<w>>) e` / `(int) e`.
-                if self.at(&TokenKind::KwInt) {
-                    self.bump();
-                    let width = if self.eat(&TokenKind::Shl) {
-                        let w = self.int_width()?;
-                        self.expect(TokenKind::Shr)?;
-                        w
-                    } else {
-                        32
-                    };
-                    self.expect(TokenKind::RParen)?;
-                    let arg = self.unary()?;
-                    let span = start.merge(arg.span);
-                    return Ok(Expr::new(
-                        ExprKind::Cast {
-                            width,
-                            arg: Box::new(arg),
-                        },
-                        span,
-                    ));
-                }
-                let e = self.expr()?;
-                let end = self.expect(TokenKind::RParen)?.span;
-                Ok(Expr::new(e.kind, start.merge(end)))
-            }
-            TokenKind::Ident(name) if name == "hash" => {
-                self.bump();
-                self.expect(TokenKind::Shl)?;
-                let width = self.int_width()?;
-                self.expect(TokenKind::Shr)?;
-                let (args, end) = self.call_args()?;
-                if args.is_empty() {
-                    return Err(Diagnostic::error(
-                        "hash requires at least a seed argument",
-                        start.merge(end),
-                    ));
-                }
-                Ok(Expr::new(ExprKind::Hash { width, args }, start.merge(end)))
-            }
-            TokenKind::Ident(name) if name.contains('.') => {
-                let t = self.bump();
-                let builtin = Builtin::from_path(&name).ok_or_else(|| {
-                    Diagnostic::error(format!("unknown builtin `{name}`"), t.span).with_help(
-                        "available modules: Array.{get,getm,set,setm,update}, \
-                         Event.{delay,locate,mlocate}, Sys.{time,self,port}",
-                    )
-                })?;
-                let (args, end) = self.call_args()?;
-                let span = start.merge(end);
-                // The paper overloads Array.get/set with memop arguments;
-                // normalize the long forms onto getm/setm.
-                let builtin = match (builtin, args.len()) {
-                    (Builtin::ArrayGet, 4) => Builtin::ArrayGetm,
-                    (Builtin::ArraySet, 4) => Builtin::ArraySetm,
-                    (b, _) => b,
-                };
-                Ok(Expr::new(
-                    ExprKind::BuiltinCall {
-                        builtin,
-                        args,
-                        span_path: t.span,
-                    },
-                    span,
-                ))
-            }
-            TokenKind::Ident(name) => {
+            TokenKind::LParen => self.paren(start),
+            TokenKind::Ident(name) if name == "hash" => self.hash(start),
+            TokenKind::Ident(name) if name.contains('.') => self.builtin_call(start, &name),
+            TokenKind::Ident(_) => {
                 let id = self.ident()?;
                 if self.at(&TokenKind::LParen) {
                     let (args, end) = self.call_args()?;
                     let span = start.merge(end);
                     Ok(Expr::new(ExprKind::Call { callee: id, args }, span))
                 } else {
-                    let _ = name;
                     Ok(Expr::new(ExprKind::Var(id), start))
                 }
             }
             _ => Err(self.unexpected("expected an expression")),
         }
+    }
+
+    /// `( expr )`, or a cast `(int<<w>>) e` / `(int) e`.
+    fn paren(&mut self, start: Span) -> Result<Expr, Diagnostic> {
+        self.bump();
+        if self.at(&TokenKind::KwInt) {
+            self.bump();
+            let width = if self.eat(&TokenKind::Shl) {
+                let w = self.int_width()?;
+                self.expect(TokenKind::Shr)?;
+                w
+            } else {
+                32
+            };
+            self.expect(TokenKind::RParen)?;
+            let arg = self.unary()?;
+            let span = start.merge(arg.span);
+            return Ok(Expr::new(
+                ExprKind::Cast {
+                    width,
+                    arg: Box::new(arg),
+                },
+                span,
+            ));
+        }
+        let e = self.expr()?;
+        let end = self.expect(TokenKind::RParen)?.span;
+        Ok(Expr::new(e.kind, start.merge(end)))
+    }
+
+    /// `hash<<w>>(seed, args..)`.
+    fn hash(&mut self, start: Span) -> Result<Expr, Diagnostic> {
+        self.bump();
+        self.expect(TokenKind::Shl)?;
+        let width = self.int_width()?;
+        self.expect(TokenKind::Shr)?;
+        let (args, end) = self.call_args()?;
+        if args.is_empty() {
+            return Err(Diagnostic::error(
+                "hash requires at least a seed argument",
+                start.merge(end),
+            ));
+        }
+        Ok(Expr::new(ExprKind::Hash { width, args }, start.merge(end)))
+    }
+
+    /// `Module.fn(args..)`.
+    fn builtin_call(&mut self, start: Span, name: &str) -> Result<Expr, Diagnostic> {
+        let t = self.bump();
+        let builtin = Builtin::from_path(name).ok_or_else(|| {
+            Diagnostic::error(format!("unknown builtin `{name}`"), t.span).with_help(
+                "available modules: Array.{get,getm,set,setm,update}, \
+                 Event.{delay,locate,mlocate}, Sys.{time,self,port}",
+            )
+        })?;
+        let (args, end) = self.call_args()?;
+        let span = start.merge(end);
+        // The paper overloads Array.get/set with memop arguments;
+        // normalize the long forms onto getm/setm.
+        let builtin = match (builtin, args.len()) {
+            (Builtin::ArrayGet, 4) => Builtin::ArrayGetm,
+            (Builtin::ArraySet, 4) => Builtin::ArraySetm,
+            (b, _) => b,
+        };
+        Ok(Expr::new(
+            ExprKind::BuiltinCall {
+                builtin,
+                args,
+                span_path: t.span,
+            },
+            span,
+        ))
     }
 
     fn call_args(&mut self) -> Result<(Vec<Expr>, Span), Diagnostic> {

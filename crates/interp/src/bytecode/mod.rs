@@ -2,8 +2,9 @@
 //! interpreter's hot path.
 //!
 //! The AST walker in [`machine`](crate::machine) is the reference
-//! semantics: it re-clones handler bodies and threads a `HashMap` of
-//! locals through every event. This module lowers each checked handler
+//! semantics: it resolves names once, then walks the tree for every
+//! event, deciding widths, scopes and calls as it goes. This module
+//! decides them ahead of time: it lowers each checked handler
 //! once, at [`Interp`](crate::Interp) construction, into a compact
 //! register bytecode that a flat dispatch loop executes with no
 //! allocation beyond what the program itself asks for (event values,

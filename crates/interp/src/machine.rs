@@ -45,31 +45,41 @@
 //! [`InterpFault::FuelExhausted`], and sibling shards finish the round a
 //! fault happened in. The *reported* error is still deterministic (the
 //! fault with the smallest event key wins).
+//!
+//! # Executors
+//!
+//! Orthogonally, [`NetConfig::exec`] picks what runs a handler body: the
+//! AST walker (`walker`: the reference semantics) or compiled bytecode
+//! ([`crate::bytecode`]). A world holds the one form of its program that
+//! its config selects; everything around the body — scheduling, `emit`,
+//! trace, statistics, metrics — is this module's and is shared.
 
 use crate::bytecode::{CompiledProg, ExecMode, OptLevel};
 use crate::metrics::{ClassHists, Metrics, ShardMetrics};
-use crate::value::{lucid_hash, EventVal, Location, Value};
+use crate::value::{EventVal, Location, Value};
 use crate::workload::EventSource;
-use lucid_check::{eval_memop, mask, CheckedProgram, GlobalId};
-use lucid_frontend::ast::*;
+use lucid_check::{mask, CheckedProgram};
+use lucid_frontend::ast::{BinOp, Ty};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
 mod engine;
 mod sched;
+mod walker;
 mod world;
 
 pub(crate) use sched::Key;
 use sched::{SchedHeap, Scheduled};
 pub use world::SwapStats;
 
-// The sharded engine shares `&CheckedProgram` across worker threads; this
-// fails to compile if the checked AST ever grows thread-unsafe interior
-// mutability (e.g. `Rc`).
+// The sharded engine shares `&CheckedProgram`, and the walker's resolved
+// form of it, across worker threads; this fails to compile if either
+// ever grows thread-unsafe interior mutability (e.g. `Rc`).
 fn _assert_prog_thread_safe() {
     fn check<T: Send + Sync>() {}
     check::<CheckedProgram>();
+    check::<walker::Resolved>();
 }
 
 /// How many workers the round loop executes the shards on.
@@ -228,11 +238,13 @@ pub(crate) enum OutRec {
 }
 
 impl OutRec {
-    fn render(self, compiled: Option<&CompiledProg>) -> String {
+    fn render(self, code: &Code) -> String {
         match self {
             OutRec::Line(s) => s,
             OutRec::Fmt { fmt, vals } => {
-                let cp = compiled.expect("deferred printf comes from the bytecode executor");
+                let Code::Bytecode(cp) = code else {
+                    panic!("deferred printf comes from the bytecode executor")
+                };
                 format_printf(cp.fmt_str(fmt), &vals)
             }
         }
@@ -440,12 +452,6 @@ impl SwitchState {
     }
 }
 
-/// Flow of control inside a handler body.
-enum Flow {
-    Normal,
-    Returned(Value),
-}
-
 /// One switch's independent slice of the simulation: persistent arrays,
 /// its clock, and run-local buffers that the driver drains back into the
 /// [`Interp`] at the end of a run.
@@ -475,6 +481,10 @@ pub(crate) struct Shard {
     pub(crate) bc_regs: Vec<crate::bytecode::Rv>,
     pub(crate) bc_objs: Vec<crate::bytecode::Obj>,
     pub(crate) bc_hash: Vec<u64>,
+    /// Reusable walker buffers (it shares `bc_hash`): every activation's
+    /// locals (`None`: unbound) and array parameters (name id → global).
+    walk_frame: Vec<Option<Value>>,
+    walk_arrays: Vec<(u32, lucid_check::GlobalId)>,
     /// Per-event-id dispatch counts; folded into the name-keyed
     /// [`Stats::per_event`] once per run (keeps the dispatch hot path
     /// free of string allocation and hashing).
@@ -504,6 +514,8 @@ impl Shard {
             bc_regs: Vec::new(),
             bc_objs: Vec::new(),
             bc_hash: Vec::new(),
+            walk_frame: Vec::new(),
+            walk_arrays: Vec::new(),
             per_event_ids: vec![0; prog.info.events.len()],
             metrics: ShardMetrics::new(prog.info.events.len()),
             cur_root_ns: 0,
@@ -535,18 +547,29 @@ pub(crate) struct Exec {
     /// straight back to the shard arena — for throughput measurement,
     /// where nobody reads the trace and retaining it taxes every row.
     record_trace: bool,
-    /// Compiled bytecode when [`ExecMode::Bytecode`] is selected; `None`
-    /// runs the AST walker (the reference semantics).
-    compiled: Option<Arc<CompiledProg>>,
+    code: Code,
 }
 
-/// Execution context of one handler activation.
-struct ExecCx {
-    switch: u64,
-    key: Key,
-    env: HashMap<String, Value>,
-    /// Array-typed function parameters in scope: name → resolved global.
-    array_params: Vec<(String, GlobalId)>,
+/// What runs handler bodies: the executable form of the program that
+/// [`NetConfig::exec`] selects, built once per (program, world) — at
+/// construction, on hot-swap, when `exec` / `opt` change between runs —
+/// and shared with the worker pool.
+#[derive(Clone)]
+enum Code {
+    /// The AST walker's resolved tree (the reference semantics).
+    Walker(Arc<walker::Resolved>),
+    Bytecode(Arc<CompiledProg>),
+}
+
+impl Code {
+    fn build(prog: &CheckedProgram, config: &NetConfig, names: &[Arc<str>]) -> Code {
+        match config.exec {
+            ExecMode::Ast => Code::Walker(Arc::new(walker::Resolved::new(prog, names))),
+            ExecMode::Bytecode => {
+                Code::Bytecode(Arc::new(CompiledProg::compile_opt(prog, config.opt)))
+            }
+        }
+    }
 }
 
 impl Exec {
@@ -604,9 +627,6 @@ impl Exec {
     /// Run one event on its shard. The caller has already popped it from
     /// the shard queue and advanced the shard clock.
     fn dispatch(&self, shard: &mut Shard, sched: Scheduled) -> Result<(), InterpError> {
-        // Borrow the event name from the program — the hot path never
-        // clones it (only trace records and fault payloads allocate).
-        let name = &self.prog.info.events[sched.event_id].name;
         if !shard.alive {
             shard.stats.dropped += 1;
             shard.recycle_args(sched.args);
@@ -629,131 +649,22 @@ impl Exec {
         );
         shard.cur_root_ns = sched.root_ns;
 
-        // Bytecode fast path: flat dispatch over the compiled handler.
-        if let Some(cp) = self.compiled.as_deref() {
-            return match cp.handler(sched.event_id) {
-                Some(h) => {
-                    shard.per_event_ids[sched.event_id] += 1;
-                    let (key, switch) = (sched.key, sched.switch);
-                    let res = cp
-                        .run_handler(h, self, shard, switch, key, &sched.args)
-                        .map_err(|e| e.located(key.fault_at(switch, name)));
-                    self.note_handled(shard, sched.event_id, key, switch, sched.args);
-                    res
-                }
-                None => {
-                    self.note_exported(shard, sched);
-                    Ok(())
-                }
-            };
-        }
-
-        let Some((params, body)) = self.prog.handler_body(name) else {
+        // Either executor finds the handler by event id.
+        let (id, key, switch) = (sched.event_id, sched.key, sched.switch);
+        let ran = match &self.code {
+            Code::Walker(w) => w.run_handler(id, self, shard, switch, key, &sched.args),
+            Code::Bytecode(cp) => cp
+                .handler(id)
+                .map(|h| cp.run_handler(h, self, shard, switch, key, &sched.args)),
+        };
+        let Some(res) = ran else {
             self.note_exported(shard, sched);
             return Ok(());
         };
-
-        shard.per_event_ids[sched.event_id] += 1;
-        let mut env: HashMap<String, Value> = HashMap::new();
-        for (p, a) in params.iter().zip(&sched.args) {
-            env.insert(p.name.name.clone(), value_of(p.ty, *a));
-        }
-        let mut cx = ExecCx {
-            switch: sched.switch,
-            key: sched.key,
-            env,
-            array_params: Vec::new(),
-        };
-        let res = self
-            .exec_block(shard, body, &mut cx)
-            .map_err(|e| e.located(sched.key.fault_at(sched.switch, name)));
-        self.note_handled(shard, sched.event_id, sched.key, sched.switch, sched.args);
-        res?;
-        Ok(())
-    }
-
-    // ------------------------------------------------------------ handlers
-
-    fn exec_block(
-        &self,
-        shard: &mut Shard,
-        b: &Block,
-        cx: &mut ExecCx,
-    ) -> Result<Flow, InterpError> {
-        for s in &b.stmts {
-            match self.exec_stmt(shard, s, cx)? {
-                Flow::Normal => {}
-                r @ Flow::Returned(_) => return Ok(r),
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    fn exec_stmt(&self, shard: &mut Shard, s: &Stmt, cx: &mut ExecCx) -> Result<Flow, InterpError> {
-        match &s.kind {
-            StmtKind::Local { ty, name, init } => {
-                let mut v = self.eval(shard, init, cx)?;
-                if let (Some(Ty::Int(w)), Value::Int { v: x, .. }) = (ty, &v) {
-                    v = Value::int(*x, *w);
-                }
-                cx.env.insert(name.name.clone(), v);
-                Ok(Flow::Normal)
-            }
-            StmtKind::Assign { name, value } => {
-                let v = self.eval(shard, value, cx)?;
-                let v = match (cx.env.get(&name.name), v) {
-                    (Some(Value::Int { width, .. }), Value::Int { v: x, .. }) => {
-                        Value::int(x, *width)
-                    }
-                    (_, v) => v,
-                };
-                cx.env.insert(name.name.clone(), v);
-                Ok(Flow::Normal)
-            }
-            StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                let c = self
-                    .eval(shard, cond, cx)?
-                    .as_bool()
-                    .expect("checked: bool");
-                if c {
-                    self.exec_block(shard, then_blk, cx)
-                } else if let Some(e) = else_blk {
-                    self.exec_block(shard, e, cx)
-                } else {
-                    Ok(Flow::Normal)
-                }
-            }
-            StmtKind::Generate(e) | StmtKind::MGenerate(e) => {
-                let v = self.eval(shard, e, cx)?;
-                let Value::Event(ev) = v else {
-                    panic!("checked: generate of non-event")
-                };
-                self.emit(shard, ev);
-                Ok(Flow::Normal)
-            }
-            StmtKind::Return(None) => Ok(Flow::Returned(Value::Void)),
-            StmtKind::Return(Some(e)) => {
-                let v = self.eval(shard, e, cx)?;
-                Ok(Flow::Returned(v))
-            }
-            StmtKind::Printf { fmt, args } => {
-                let mut vals = Vec::new();
-                for a in args {
-                    vals.push(self.eval(shard, a, cx)?);
-                }
-                let line = format_printf(fmt, &vals);
-                shard.output.push((cx.key, OutRec::Line(line)));
-                Ok(Flow::Normal)
-            }
-            StmtKind::Expr(e) => {
-                self.eval(shard, e, cx)?;
-                Ok(Flow::Normal)
-            }
-        }
+        shard.per_event_ids[id] += 1;
+        self.note_handled(shard, id, key, switch, sched.args);
+        // The event's name is cloned only into a fault's location.
+        res.map_err(|e| e.located(key.fault_at(switch, &self.prog.info.events[id].name)))
     }
 
     /// Schedule a generated event according to its location and delay:
@@ -818,256 +729,6 @@ impl Exec {
         // outbox; the worker owns the queue it lands on.
         shard.outbox.push(sched);
     }
-
-    // --------------------------------------------------------- expressions
-
-    fn eval(&self, shard: &mut Shard, e: &Expr, cx: &mut ExecCx) -> Result<Value, InterpError> {
-        match &e.kind {
-            ExprKind::Int { value, width } => Ok(Value::int(*value, width.unwrap_or(32))),
-            ExprKind::Bool(b) => Ok(Value::Bool(*b)),
-            ExprKind::Var(id) => {
-                if let Some(v) = cx.env.get(&id.name) {
-                    return Ok(v.clone());
-                }
-                if id.name == "SELF" {
-                    return Ok(Value::int(cx.switch, 32));
-                }
-                if let Some(c) = self.prog.info.consts.get(&id.name) {
-                    return Ok(match c.ty {
-                        Ty::Bool => Value::Bool(c.value != 0),
-                        Ty::Int(w) => Value::int(c.value, w),
-                        _ => Value::int(c.value, 32),
-                    });
-                }
-                if let Some(g) = self.prog.info.groups.get(&id.name) {
-                    return Ok(Value::Group(g.members.clone()));
-                }
-                panic!("checked program has unbound var `{}`", id.name)
-            }
-            ExprKind::Unary { op, arg } => {
-                let v = self.eval(shard, arg, cx)?;
-                Ok(match op {
-                    UnOp::Not => Value::Bool(!v.as_bool().expect("checked")),
-                    UnOp::Neg => match v {
-                        Value::Int { v, width } => Value::int(v.wrapping_neg(), width),
-                        _ => panic!("checked"),
-                    },
-                    UnOp::BitNot => match v {
-                        Value::Int { v, width } => Value::int(!v, width),
-                        _ => panic!("checked"),
-                    },
-                })
-            }
-            ExprKind::Binary { op, lhs, rhs } => {
-                // Short-circuit the logical connectives.
-                if *op == BinOp::And {
-                    let l = self.eval(shard, lhs, cx)?.as_bool().expect("checked");
-                    if !l {
-                        return Ok(Value::Bool(false));
-                    }
-                    return Ok(Value::Bool(
-                        self.eval(shard, rhs, cx)?.as_bool().expect("checked"),
-                    ));
-                }
-                if *op == BinOp::Or {
-                    let l = self.eval(shard, lhs, cx)?.as_bool().expect("checked");
-                    if l {
-                        return Ok(Value::Bool(true));
-                    }
-                    return Ok(Value::Bool(
-                        self.eval(shard, rhs, cx)?.as_bool().expect("checked"),
-                    ));
-                }
-                let l = self.eval(shard, lhs, cx)?;
-                let r = self.eval(shard, rhs, cx)?;
-                Ok(eval_binop(*op, &l, &r))
-            }
-            ExprKind::Cast { width, arg } => {
-                let v = self.eval(shard, arg, cx)?.as_int().expect("checked");
-                Ok(Value::int(v, *width))
-            }
-            ExprKind::Hash { width, args } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(shard, a, cx)?.as_int().expect("checked"));
-                }
-                let (seed, rest) = vals.split_first().expect("parser: nonempty");
-                Ok(Value::int(lucid_hash(*width, *seed, rest), *width))
-            }
-            ExprKind::Call { callee, args } => {
-                // Event constructor.
-                if let Some(ev) = self.prog.info.event(&callee.name) {
-                    let id = ev.id;
-                    let widths: Vec<u32> = ev
-                        .params
-                        .iter()
-                        .map(|p| p.ty.int_width().unwrap_or(32))
-                        .collect();
-                    let name: std::sync::Arc<str> = ev.name.as_str().into();
-                    let mut vals = Vec::with_capacity(args.len());
-                    for (a, w) in args.iter().zip(widths) {
-                        vals.push(mask(self.eval(shard, a, cx)?.as_int().expect("checked"), w));
-                    }
-                    return Ok(Value::Event(EventVal {
-                        event_id: id,
-                        name,
-                        args: vals,
-                        delay_ns: 0,
-                        location: Location::Here,
-                    }));
-                }
-                // User function: evaluate args, bind, run body.
-                let (_, params, body) = self
-                    .prog
-                    .fun_body(&callee.name)
-                    .expect("checked: function exists");
-                let mut env = HashMap::new();
-                for (p, a) in params.iter().zip(args) {
-                    match p.ty {
-                        Ty::Array(_) => {
-                            // Resolve the array argument to a name usable by
-                            // nested Array.* calls: store as a marker value.
-                            let gid = self.resolve_array(a, cx);
-                            env.insert(p.name.name.clone(), Value::int(gid.0 as u64, 32));
-                            cx.array_params.push((p.name.name.clone(), gid));
-                        }
-                        _ => {
-                            let v = self.eval(shard, a, cx)?;
-                            env.insert(p.name.name.clone(), v);
-                        }
-                    }
-                }
-                let saved_env = std::mem::replace(&mut cx.env, env);
-                let array_params_mark = cx.array_params.len();
-                let flow = self.exec_block(shard, body, cx)?;
-                cx.env = saved_env;
-                cx.array_params.truncate(
-                    array_params_mark.saturating_sub(
-                        params
-                            .iter()
-                            .filter(|p| matches!(p.ty, Ty::Array(_)))
-                            .count(),
-                    ),
-                );
-                Ok(match flow {
-                    Flow::Returned(v) => v,
-                    Flow::Normal => Value::Void,
-                })
-            }
-            ExprKind::BuiltinCall { builtin, args, .. } => {
-                self.eval_builtin(shard, *builtin, args, cx)
-            }
-        }
-    }
-
-    fn resolve_array(&self, e: &Expr, cx: &ExecCx) -> GlobalId {
-        match &e.kind {
-            ExprKind::Var(id) => {
-                // A function's array parameter shadows globals.
-                if let Some((_, gid)) = cx.array_params.iter().rev().find(|(n, _)| *n == id.name) {
-                    return *gid;
-                }
-                self.prog.info.globals_by_name[&id.name]
-            }
-            _ => panic!("checked: array argument is a name"),
-        }
-    }
-
-    fn eval_builtin(
-        &self,
-        shard: &mut Shard,
-        builtin: Builtin,
-        args: &[Expr],
-        cx: &mut ExecCx,
-    ) -> Result<Value, InterpError> {
-        match builtin {
-            Builtin::ArrayGet
-            | Builtin::ArrayGetm
-            | Builtin::ArraySet
-            | Builtin::ArraySetm
-            | Builtin::ArrayUpdate => {
-                let gid = self.resolve_array(&args[0], cx);
-                let g = self.prog.info.globals[gid.0].clone();
-                let idx = self.eval(shard, &args[1], cx)?.as_int().expect("checked");
-                if idx >= g.len {
-                    return Err(InterpFault::IndexOutOfBounds {
-                        array: g.name.clone(),
-                        index: idx,
-                        len: g.len,
-                    }
-                    .into());
-                }
-                let cur = shard.state.arrays[gid.0][idx as usize];
-                let w = g.cell_width;
-                match builtin {
-                    Builtin::ArrayGet => Ok(Value::int(cur, w)),
-                    Builtin::ArrayGetm => {
-                        let m = self.memop_of(&args[2]);
-                        let local = self.eval(shard, &args[3], cx)?.as_int().expect("checked");
-                        Ok(Value::int(eval_memop(&m, cur, local, w), w))
-                    }
-                    Builtin::ArraySet => {
-                        let v = self.eval(shard, &args[2], cx)?.as_int().expect("checked");
-                        shard.state.arrays[gid.0][idx as usize] = mask(v, w);
-                        Ok(Value::Void)
-                    }
-                    Builtin::ArraySetm => {
-                        let m = self.memop_of(&args[2]);
-                        let local = self.eval(shard, &args[3], cx)?.as_int().expect("checked");
-                        shard.state.arrays[gid.0][idx as usize] = eval_memop(&m, cur, local, w);
-                        Ok(Value::Void)
-                    }
-                    Builtin::ArrayUpdate => {
-                        let getop = self.memop_of(&args[2]);
-                        let getarg = self.eval(shard, &args[3], cx)?.as_int().expect("checked");
-                        let setop = self.memop_of(&args[4]);
-                        let setarg = self.eval(shard, &args[5], cx)?.as_int().expect("checked");
-                        let ret = eval_memop(&getop, cur, getarg, w);
-                        shard.state.arrays[gid.0][idx as usize] =
-                            eval_memop(&setop, cur, setarg, w);
-                        Ok(Value::int(ret, w))
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            Builtin::EventDelay => {
-                let mut v = self.eval(shard, &args[0], cx)?;
-                let d_us = self.eval(shard, &args[1], cx)?.as_int().expect("checked");
-                if let Value::Event(ev) = &mut v {
-                    ev.delay_ns += d_us * 1_000;
-                }
-                Ok(v)
-            }
-            Builtin::EventLocate => {
-                let mut v = self.eval(shard, &args[0], cx)?;
-                let loc = self.eval(shard, &args[1], cx)?.as_int().expect("checked");
-                if let Value::Event(ev) = &mut v {
-                    ev.location = Location::Switch(loc);
-                }
-                Ok(v)
-            }
-            Builtin::EventMLocate => {
-                let mut v = self.eval(shard, &args[0], cx)?;
-                let Value::Group(g) = self.eval(shard, &args[1], cx)? else {
-                    panic!("checked: group")
-                };
-                if let Value::Event(ev) = &mut v {
-                    ev.location = Location::Group(g);
-                }
-                Ok(v)
-            }
-            Builtin::SysTime => Ok(Value::int(shard.now_ns / 1_000, 32)),
-            Builtin::SysSelf => Ok(Value::int(cx.switch, 32)),
-            Builtin::SysPort => Ok(Value::int(0, 32)),
-        }
-    }
-
-    fn memop_of(&self, e: &Expr) -> lucid_check::MemopIr {
-        match &e.kind {
-            ExprKind::Var(id) => self.prog.memops[&id.name].clone(),
-            _ => panic!("checked: memop position holds a name"),
-        }
-    }
 }
 
 /// The interpreter. Owns the checked program (shared via `Arc` so sessions,
@@ -1099,9 +760,8 @@ pub struct Interp {
     /// unaffected). Defaults to true; benchmarks turn it off so rows
     /// don't pay for a per-event log nobody reads.
     record_trace: bool,
-    /// Lazily compiled bytecode, populated when [`NetConfig::exec`] is
-    /// [`ExecMode::Bytecode`] (shared with the worker pool).
-    compiled: Option<Arc<CompiledProg>>,
+    /// The executable form of `prog` that `config.exec` selects.
+    code: Code,
     /// Attached streaming injection source ([`Interp::set_source`]),
     /// drained lazily — events materialize only when due, so a
     /// ten-million-event workload never builds an event vector.
@@ -1129,13 +789,9 @@ impl Interp {
             .iter()
             .map(|&s| (s, Shard::new(s, &prog)))
             .collect();
-        let names = prog
-            .info
-            .events
-            .iter()
-            .map(|e| Arc::from(e.name.as_str()))
-            .collect();
-        let mut interp = Interp {
+        let names = intern_names(&prog);
+        Interp {
+            code: Code::build(&prog, &config, &names),
             prog,
             config,
             shards,
@@ -1147,13 +803,10 @@ impl Interp {
             output: Vec::new(),
             stats: Stats::default(),
             record_trace: true,
-            compiled: None,
             source: None,
             source_counts: Vec::new(),
             metrics_acc: BTreeMap::new(),
-        };
-        interp.ensure_compiled();
-        interp
+        }
     }
 
     /// Single-switch interpreter with default timing.
@@ -1174,22 +827,17 @@ impl Interp {
         self.record_trace = on;
     }
 
-    /// Compile the program once if the bytecode executor is selected.
-    /// `config` is public, so re-check on every run: flipping
-    /// [`NetConfig::exec`] (or [`NetConfig::opt`]) between runs is
-    /// supported — a cached artifact compiled at a different level is
-    /// recompiled.
-    fn ensure_compiled(&mut self) {
-        if self.config.exec == ExecMode::Bytecode
-            && self
-                .compiled
-                .as_ref()
-                .is_none_or(|cp| cp.opt_level() != self.config.opt)
-        {
-            self.compiled = Some(Arc::new(CompiledProg::compile_opt(
-                &self.prog,
-                self.config.opt,
-            )));
+    /// `config` is public, so every run re-checks it: the code is rebuilt
+    /// when [`NetConfig::exec`] / [`NetConfig::opt`] no longer select it
+    /// (flipping them between runs is supported), and never otherwise.
+    fn ensure_code(&mut self) {
+        let current = match (&self.code, self.config.exec) {
+            (Code::Walker(_), ExecMode::Ast) => true,
+            (Code::Bytecode(cp), ExecMode::Bytecode) => cp.opt_level() == self.config.opt,
+            _ => false,
+        };
+        if !current {
+            self.code = Code::build(&self.prog, &self.config, &self.names);
         }
     }
 
@@ -1199,11 +847,7 @@ impl Interp {
             recirc_ns: self.config.recirc_latency_ns,
             link_ns: self.config.link_latency_ns,
             record_trace: self.record_trace,
-            compiled: if self.config.exec == ExecMode::Bytecode {
-                self.compiled.clone()
-            } else {
-                None
-            },
+            code: self.code.clone(),
         }
     }
 
@@ -1397,6 +1041,12 @@ impl Interp {
     pub fn run_to_quiescence(&mut self) -> Result<(), InterpError> {
         self.run(1_000_000, u64::MAX)
     }
+}
+
+/// One shared name per event id, for trace records and event values.
+fn intern_names(prog: &CheckedProgram) -> Vec<Arc<str>> {
+    let events = prog.info.events.iter();
+    events.map(|e| Arc::from(e.name.as_str())).collect()
 }
 
 fn value_of(ty: Ty, raw: u64) -> Value {
@@ -2077,6 +1727,86 @@ mod tests {
             paused.iter().all(|p| *p == paused[0]),
             "every engine pauses at the same world"
         );
+    }
+
+    #[test]
+    fn resumed_runs_cross_executors() {
+        // The executable form of the program is cached on the world and
+        // rebuilt exactly when `config.exec` / `config.opt` stop matching
+        // it. The executors are bit-identical, so a stale cache would not
+        // show in any output: look at the cache itself, then check that a
+        // run paused under the walker, continued under bytecode at two
+        // opt levels and finished under the walker lands on the one-shot
+        // world.
+        fn built(i: &Interp) -> String {
+            match &i.code {
+                Code::Walker(_) => "walker".to_string(),
+                Code::Bytecode(cp) => format!("bytecode O{}", cp.opt_level().label()),
+            }
+        }
+        let prog = checked(MESH_MIX);
+        let fresh = || {
+            let mut i = Interp::new(&prog, NetConfig::mesh(8));
+            for s in 1..=8u64 {
+                i.schedule(s, 0, "pkt", &[s, 3, 6]).unwrap();
+            }
+            i
+        };
+        let mut oneshot = fresh();
+        oneshot.run_to_quiescence().unwrap();
+
+        let mut i = fresh();
+        let Code::Walker(first) = i.code.clone() else {
+            panic!("a world is built with the code its config selects")
+        };
+        i.run(1_000_000, 1_000).unwrap();
+        i.run(1_000_000, 1_500).unwrap();
+        assert!(
+            matches!(&i.code, Code::Walker(w) if Arc::ptr_eq(w, &first)),
+            "a run must not rebuild code that is still current"
+        );
+        for (opt, until_ns) in [(OptLevel::O2, 3_000), (OptLevel::O0, 4_500)] {
+            i.config.exec = ExecMode::Bytecode;
+            i.config.opt = opt;
+            i.run(1_000_000, until_ns).unwrap();
+            assert_eq!(built(&i), format!("bytecode O{}", opt.label()));
+        }
+        assert!(i.pending() > 0, "the walker must have work left");
+        i.config.exec = ExecMode::Ast;
+        i.run_to_quiescence().unwrap();
+        assert_eq!(built(&i), "walker");
+
+        for s in 1..=8u64 {
+            assert_eq!(i.array(s, "cnt"), oneshot.array(s, "cnt"));
+            assert_eq!(i.array(s, "mix"), oneshot.array(s, "mix"));
+        }
+        assert_eq!(i.stats, oneshot.stats);
+        assert_eq!(i.trace, oneshot.trace);
+        assert_eq!(i.metrics().digest(), oneshot.metrics().digest());
+    }
+
+    #[test]
+    fn swapped_program_runs_its_new_bodies_under_both_executors() {
+        // Hot-swap rebuilds the cached code: events queued before the
+        // swap run the *new* handler body, walker and bytecode alike.
+        let v1 = "global cts = new Array<<32>>(8);
+            memop plus(int m, int x) { return m + x; }
+            event pkt(int idx);
+            handle pkt(int idx) { Array.setm(cts, idx, plus, 1); }";
+        let v2 = v1.replace("plus, 1", "plus, 2");
+        for exec in [ExecMode::Ast, ExecMode::Bytecode] {
+            let mut cfg = NetConfig::single();
+            cfg.exec = exec;
+            let mut i = Interp::new(&checked(v1), cfg);
+            i.schedule(1, 0, "pkt", &[3]).unwrap();
+            i.schedule(1, 200, "pkt", &[5]).unwrap();
+            i.run(1_000_000, 100).unwrap();
+            let st = i.swap_program(Arc::new(checked(&v2)));
+            assert_eq!((st.arrays_carried, st.queued_remapped), (1, 1));
+            i.run_to_quiescence().unwrap();
+            assert_eq!(i.array(1, "cts")[3], 1, "{exec:?}: ran before the swap");
+            assert_eq!(i.array(1, "cts")[5], 2, "{exec:?}: ran the swapped body");
+        }
     }
 
     // ------------------------------------------------- stop conditions

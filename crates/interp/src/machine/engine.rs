@@ -491,7 +491,7 @@ impl Interp {
     /// wire admits no conservative horizon and a single shard has nothing
     /// to parallelize, so both run on one worker whatever the engine.
     pub fn run(&mut self, max_events: u64, max_time_ns: u64) -> Result<(), InterpError> {
-        self.ensure_compiled();
+        self.ensure_code();
         let link = self.config.link_latency_ns;
         let (nworkers, epoch_cap) = match self.config.engine {
             Engine::Sharded { workers, epoch_ns } if link > 0 && self.shards.len() > 1 => {
@@ -639,8 +639,7 @@ impl Interp {
         // once per record on the way out.
         let names = &self.names;
         merge_sorted_runs(traces, &mut self.trace, |r| r.into_handled(names));
-        let cp = exec.compiled.as_deref();
-        merge_sorted_runs(outputs, &mut self.output, |r| r.render(cp));
+        merge_sorted_runs(outputs, &mut self.output, |r| r.render(&exec.code));
         match why {
             StopWhy::Fault => {
                 let (_, e) = fault

@@ -4,7 +4,7 @@
 //! attachment.
 
 use super::sched::{Key, SchedHeap, Scheduled};
-use super::{Handled, Interp, Stats};
+use super::{intern_names, Code, Handled, Interp, Stats};
 use crate::metrics::{ClassHists, ShardMetrics};
 use crate::snap;
 use crate::workload::{GenSpec, Workload};
@@ -388,15 +388,9 @@ impl Interp {
                 self.queue.push(s);
             }
         }
-        self.names = new
-            .info
-            .events
-            .iter()
-            .map(|e| Arc::from(e.name.as_str()))
-            .collect();
+        self.names = intern_names(&new);
         self.prog = new;
-        self.compiled = None;
-        self.ensure_compiled();
+        self.code = Code::build(&self.prog, &self.config, &self.names);
         if let Some(src) = self.source.as_mut() {
             let prog = Arc::clone(&self.prog);
             st.sources_disabled = src.remap_events(&prog);

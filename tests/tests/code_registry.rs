@@ -23,6 +23,7 @@ use std::path::{Path, PathBuf};
 const REGISTRY: &[(&str, &str)] = &[
     // E01xx — lexing/parsing.
     ("E0100", "syntax error (lexer or parser)"),
+    ("E0101", "program nests deeper than the parser accepts"),
     // E02xx — symbol resolution.
     ("E0200", "unresolved or duplicate symbol"),
     // E03xx — memop validation (the paper's §4.2 sALU discipline).

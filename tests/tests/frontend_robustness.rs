@@ -65,6 +65,58 @@ proptest! {
     }
 }
 
+/// The parser bounds nesting — parentheses, unary chains, nested `if`,
+/// `else if` chains — because it, and every pass after it, recurses
+/// over the tree: at the limit a program parses and checks, one level
+/// past it is a spanned `E0101`, and a hostile 200 000 levels is the
+/// same diagnostic rather than a stack overflow (an abort no caller can
+/// catch).
+#[test]
+fn nesting_is_bounded_not_a_stack_overflow() {
+    // Each shape with its deepest node at level `n`, as the parser
+    // counts them: a handler's statement is level 1, an expression's
+    // operand one below its statement or operator.
+    type Shape = fn(usize) -> String;
+    let shapes: [(&str, Shape); 4] = [
+        ("parens", |n| {
+            let (open, close) = ("(".repeat(n - 2), ")".repeat(n - 2));
+            format!("event go(int x); handle go(int x) {{ int y = {open}x{close}; }}")
+        }),
+        ("unary chain", |n| {
+            let ops = "~".repeat(n - 2);
+            format!("event go(int x); handle go(int x) {{ int y = {ops}x; }}")
+        }),
+        ("nested if", |n| {
+            let (open, close) = ("if (x == 1) { ".repeat(n - 2), "}".repeat(n - 2));
+            format!("event go(int x); handle go(int x) {{ {open}int y = x;{close} }}")
+        }),
+        ("else-if chain", |n| {
+            let arms = "else if (x == 1) { } ".repeat(n - 3);
+            format!("event go(int x); handle go(int x) {{ if (x == 0) {{ }} {arms}else {{ int y = x; }} }}")
+        }),
+    ];
+    for (shape, program) in shapes {
+        let at_limit = program(128);
+        let checked = lucid_check::parse_and_check(&at_limit);
+        assert!(checked.is_ok(), "{shape} at the limit: {:?}", checked.err());
+        for n in [129, 200_000] {
+            let src = program(n);
+            let err = lucid_frontend::parse_program(&src).expect_err(shape);
+            assert_eq!(err.code, Some("E0101"), "{shape} x{n}: {err}");
+            assert_eq!(err.message, "nesting deeper than 128", "{shape} x{n}");
+            assert!(err.span.is_some(), "{shape} x{n}: spanned");
+        }
+    }
+    // An operator chain is parsed by a loop, not by recursion, yet
+    // builds a tree just as deep: it is bounded all the same.
+    let chain = |n: usize| format!("const int A = 1{};", " + 1".repeat(n));
+    assert!(lucid_frontend::parse_program(&chain(127)).is_ok());
+    for n in [128, 200_000] {
+        let err = lucid_frontend::parse_program(&chain(n)).expect_err("chain");
+        assert_eq!(err.code, Some("E0101"), "chain x{n}: {err}");
+    }
+}
+
 /// Every diagnostic the checker produces on a corpus of broken programs
 /// renders cleanly against its source map (no panics from span math).
 #[test]

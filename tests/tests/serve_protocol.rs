@@ -295,6 +295,16 @@ fn malformed_requests_are_structured_errors_not_panics() {
         q(COUNTER),
         q(r#"{"net":{"switches":9007199254740991}}"#)
     );
+    // The Lucid parser recurses too: one `open` line of nested
+    // parentheses used to abort the daemon the same way.
+    let deep_program = format!(
+        "{{\"op\":\"open\",\"program\":{},\"scenario\":\"{{}}\"}}",
+        q(&format!(
+            "event go(); handle go() {{ int y = {}1{}; }}",
+            "(".repeat(100_000),
+            ")".repeat(100_000)
+        ))
+    );
     for (line, kind, needle) in [
         ("{ not json", "protocol", "not valid JSON"),
         (deep.as_str(), "protocol", "nesting deeper than 128"),
@@ -320,6 +330,11 @@ fn malformed_requests_are_structured_errors_not_panics() {
             huge_mesh.as_str(),
             "scenario",
             "`$.net.switches`: a mesh has at most 4096 switches",
+        ),
+        (
+            deep_program.as_str(),
+            "compile",
+            "error: nesting deeper than 128",
         ),
     ] {
         let reply = ask(&mut state, &mut host, line);
@@ -682,6 +697,8 @@ fn snapshots_transplant_between_sessions() {
     let opts = SimOptions::default();
     let oneshot = run_scenario_with(&prog, &sc, &opts).expect("one-shot runs");
 
+    // Default options run the walker: its resolved program is built with
+    // each world and is no part of the snapshot.
     let mut donor = SimSession::open(&prog, &sc, &opts).expect("session opens");
     donor.advance(100).expect("advance");
     let snap = donor.snapshot().expect("snapshot");
