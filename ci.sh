@@ -163,8 +163,9 @@ echo "== workload scale"
 # scenario (its advertisement threads and its fail/recover of switch 4
 # left running) with one million generated packets spread over every
 # switch — `--gen` supplies the generator, `--events` the total; the
-# stream is pulled lazily, no event vector is ever materialized — and
-# require both engines to agree on the final state digest AND the
+# stream is pulled lazily, so what is resident is the in-flight frontier,
+# each worker's capped argument arena and (these legs leave trace
+# retention on) the trace — and require both engines to agree on the final state digest AND the
 # latency-metrics digest (one mis-bucketed histogram sample in the
 # sharded collector fails here, not just state divergence). A topology
 # with one switch would resolve to a lone worker whatever `--workers`
@@ -323,6 +324,37 @@ for wl in flood flood_w1 app_suite compile_apps explicit_load serve_bulk serve_m
     *) echo "repo benchmark: $wl did not report \"correct\":true: $line" >&2; exit 1 ;;
   esac
 done
+
+echo "== benchmark history"
+# BENCH_HISTORY.jsonl is the perf trajectory a reader can find in the
+# tree: one line per PR with the host's `available_parallelism`, how many
+# parent/change pairs stand behind it, and per workload the medians of
+# the four gated metrics (`null` where that PR recorded none). Each PR
+# appends its line; this only checks the file stays machine-readable.
+python3 - <<'EOF'
+import json, sys
+
+METRICS = {"op_ms", "items_per_s", "peak_rss_mb", "setup_s"}
+last = 0
+for n, line in enumerate(open("BENCH_HISTORY.jsonl"), 1):
+    try:
+        row = json.loads(line)
+        pr = row["pr"]
+        ok = (isinstance(pr, int) and pr > last
+              and isinstance(row["available_parallelism"], int)
+              and isinstance(row["pairs"], int)
+              and all(set(m) == METRICS and
+                      all(v is None or isinstance(v, (int, float)) for v in m.values())
+                      for m in row["workloads"].values()))
+    except (ValueError, KeyError, AttributeError, TypeError):
+        ok = False
+    if not ok:
+        print(f"BENCH_HISTORY.jsonl:{n}: not a history line, or its PR number "
+              f"does not increase (after {last})", file=sys.stderr)
+        sys.exit(1)
+    last = pr
+print(f"-- BENCH_HISTORY.jsonl: {n} lines, PR numbers increasing, last PR {last}")
+EOF
 
 echo "== docs gate"
 # Rustdoc over the first-party crates must be warning-clean (broken

@@ -38,5 +38,5 @@ fn main() {
         "{}",
         lucid_bench::render_table(&["app", "paper dev. time", "our compile+check time"], &rows)
     );
-    println!("\nnote: the dev-time study is not reproducible in software (see EXPERIMENTS.md).");
+    println!("\nnote: the dev-time study is not reproducible in software.");
 }

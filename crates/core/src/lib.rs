@@ -60,14 +60,16 @@ pub use lucid_tofino as tofino;
 
 pub use lucid_backend::{BackendOptions, Compiled, HandlerIr, Layout, LayoutOptions, P4Program};
 pub use lucid_check::{Analysis, CheckOptions, CheckedProgram};
+// Kept for `benchmark/`, which imports the escaper from this path.
+pub use lucid_frontend::json::escape as json_escape;
 pub use lucid_frontend::{Diagnostic, Diagnostics, Program, SourceMap};
 pub use lucid_interp::{
-    disassemble, disassemble_opt, handle_line, json_escape, run_scenario, run_scenario_with,
-    serve_lines, ArgDist, CheckHost, ClassHists, ClassMetrics, CmpOp, Engine, ErrorKind,
-    EventSource, ExecMode, FaultAt, GenSpec, Histogram, Interp, InterpError, InterpFault,
-    MetricExpect, MetricSel, Metrics, Mismatch, NetConfig, OptLevel, Outcome, Phase, ProgramHost,
-    Scenario, ScenarioError, ServeError, ServeState, SessionStatus, SimOptions, SimReport,
-    SimRunError, SimSession, SnapError, SourcedEvent, SwapStats, Violation, Workload,
+    disassemble, disassemble_opt, handle_line, run_scenario, run_scenario_with, serve_lines,
+    ArgDist, CheckHost, ClassHists, ClassMetrics, CmpOp, Engine, ErrorKind, EventSource, ExecMode,
+    FaultAt, GenSpec, Histogram, Interp, InterpError, InterpFault, MetricExpect, MetricSel,
+    Metrics, Mismatch, NetConfig, OptLevel, Outcome, Phase, ProgramHost, Scenario, ScenarioError,
+    ServeError, ServeState, SessionStatus, SimOptions, SimReport, SimRunError, SimSession,
+    SnapError, SourcedEvent, SwapStats, Violation, Workload,
 };
 pub use lucid_tofino::PipelineSpec;
 

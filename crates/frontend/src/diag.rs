@@ -7,7 +7,6 @@
 //! compiler therefore reports through [`Diagnostic`], which renders with the
 //! offending source line and a caret underline.
 
-pub use crate::json::escape as json_escape;
 use crate::json::{self, Writer};
 use crate::span::{SourceMap, Span};
 use std::fmt;

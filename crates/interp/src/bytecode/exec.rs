@@ -11,8 +11,8 @@
 
 use super::word::{op, SideTables, Word, BIN_OPS, CMP_OPS, WIDE};
 use super::{CompiledProg, HandlerCode, Obj, Rv};
-use crate::machine::{Exec, InterpError, InterpFault, Key, OutRec, Shard};
-use crate::value::{lucid_hash, EventVal, Location, Value};
+use crate::machine::{Emitted, Exec, InterpError, InterpFault, Key, OutRec, Shard};
+use crate::value::{lucid_hash, Location, Value};
 use lucid_check::{eval_memop, mask};
 use lucid_frontend::ast::BinOp;
 
@@ -394,20 +394,19 @@ impl CompiledProg {
                     regs[a as usize] = Rv { v: mask(ret, w), w };
                 }
                 op::MK_EVENT => {
-                    let meta = &self.events[b as usize];
+                    let widths = &self.events[b as usize].widths;
                     let span = &ext[c as usize..c as usize + d as usize];
-                    // Argument buffers come from the shard arena: an
-                    // event that never reaches the trace (dropped,
-                    // multicast fan-out source) returns its buffer there.
-                    let mut vals = shard.take_args();
+                    // Argument buffers come from the worker's arena: an
+                    // event that never reaches the trace (untraced run,
+                    // drop, multicast fan-out source) returns it there.
+                    let mut vals = shard.arena.take(span.len());
                     vals.extend(
                         span.iter()
-                            .zip(meta.widths.iter())
+                            .zip(widths.iter())
                             .map(|(&r, w)| mask(regs[r as usize].v, *w)),
                     );
-                    objs[a as usize] = Obj::Ev(EventVal {
+                    objs[a as usize] = Obj::Ev(Emitted {
                         event_id: b as usize,
-                        name: meta.name.clone(),
                         args: vals,
                         delay_ns: 0,
                         location: Location::Here,

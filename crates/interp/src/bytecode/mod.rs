@@ -66,7 +66,7 @@ pub use disasm::{disassemble, disassemble_opt};
 pub use verify::{violations_to_diagnostics, Violation};
 pub use word::{DecodeError, SideTables, Word};
 
-use crate::value::EventVal;
+use crate::machine::Emitted;
 use lucid_check::{CheckedProgram, MemopIr};
 use lucid_frontend::ast::*;
 
@@ -155,7 +155,7 @@ impl Default for Rv {
 pub(crate) enum Obj {
     #[default]
     None,
-    Ev(EventVal),
+    Ev(Emitted),
     Group(Vec<u64>),
 }
 
@@ -532,9 +532,8 @@ struct ArrayMeta {
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct EventMeta {
-    /// Shared with every [`EventVal`] the executor constructs (refcount
-    /// bump per `MkEvent`, not a string allocation).
-    name: std::sync::Arc<str>,
+    /// For the disassembly; execution goes by id.
+    name: String,
     widths: Box<[u32]>,
 }
 
@@ -611,7 +610,7 @@ impl CompiledProg {
             .events
             .iter()
             .map(|e| EventMeta {
-                name: e.name.as_str().into(),
+                name: e.name.clone(),
                 widths: e
                     .params
                     .iter()

@@ -52,8 +52,8 @@ pub use machine::{
 };
 pub use metrics::{ClassHists, ClassMetrics, Histogram, MetricSel, Metrics};
 pub use scenario::{
-    json_escape, run_scenario, run_scenario_with, CmpOp, MetricExpect, Mismatch, Scenario,
-    ScenarioError, SimOptions, SimReport, SimRunError,
+    run_scenario, run_scenario_with, CmpOp, MetricExpect, Mismatch, Scenario, ScenarioError,
+    SimOptions, SimReport, SimRunError,
 };
 pub use serve::{
     handle_line, hex_decode, hex_encode, serve_lines, CheckHost, ErrorKind, Outcome, ProgramHost,

@@ -56,7 +56,7 @@
 
 use crate::bytecode::{CompiledProg, ExecMode, OptLevel};
 use crate::metrics::{ClassHists, Metrics, ShardMetrics};
-use crate::value::{EventVal, Location, Value};
+use crate::value::{Location, Value};
 use crate::workload::EventSource;
 use lucid_check::{mask, CheckedProgram};
 use lucid_frontend::ast::{BinOp, Ty};
@@ -471,12 +471,10 @@ pub(crate) struct Shard {
     stats: Stats,
     /// Events generated for *other* switches, awaiting routing.
     outbox: Vec<Scheduled>,
-    /// Freelist of argument buffers for [`Scheduled`] events — the
-    /// shard's arena. Buffers whose events never reach the trace (drops,
-    /// multicast copies) recycle here instead of churning the allocator;
-    /// the list holds only cleared buffers, so it is equivalent to a
-    /// freshly reset arena at every run start.
-    args_pool: Vec<Vec<u64>>,
+    /// The owning worker's argument arena, lent for the length of one
+    /// dispatch (empty otherwise): the handler draws its `generate`
+    /// buffers here and the dispatched event's buffer retires here.
+    pub(crate) arena: ArgArena,
     /// Reusable bytecode register / object-slot / hash-argument buffers.
     pub(crate) bc_regs: Vec<crate::bytecode::Rv>,
     pub(crate) bc_objs: Vec<crate::bytecode::Obj>,
@@ -510,7 +508,7 @@ impl Shard {
             output: Vec::new(),
             stats: Stats::default(),
             outbox: Vec::new(),
-            args_pool: Vec::new(),
+            arena: ArgArena::default(),
             bc_regs: Vec::new(),
             bc_objs: Vec::new(),
             bc_hash: Vec::new(),
@@ -521,17 +519,59 @@ impl Shard {
             cur_root_ns: 0,
         }
     }
+}
 
-    /// An empty argument buffer from the shard arena (or a fresh one).
-    pub(crate) fn take_args(&mut self) -> Vec<u64> {
-        self.args_pool.pop().unwrap_or_default()
+/// How many buffers an [`ArgArena`] keeps (≈ 56 KiB of three-word
+/// argument lists): far above the in-flight frontier of any bundled
+/// workload, and what bounds a worker that only ever receives buffers —
+/// mailed to it by the source's puller or a sibling — and never sends
+/// one back.
+const ARENA_CAP: usize = 1024;
+
+/// A worker's freelist of argument buffers for [`Scheduled`] events. An
+/// event whose buffer does not move into the trace — every event of an
+/// untraced run, and drops and multicast sources always — retires it
+/// here, and the next `generate`, sourced pull or [`Interp::schedule`]
+/// reuses it, so an untraced run's memory is bounded by its in-flight
+/// frontier plus [`ARENA_CAP`] instead of growing with every injection.
+/// Only cleared buffers are inside; the arena is never world state (no
+/// snapshot or digest sees it) and parks on the [`Interp`] between runs.
+#[derive(Debug, Default)]
+pub(crate) struct ArgArena {
+    free: Vec<Vec<u64>>,
+}
+
+impl ArgArena {
+    /// An empty buffer: a recycled one, or — traced runs move every
+    /// buffer into the trace, where slack would be kept for good — a
+    /// fresh one of exactly `arity` words.
+    pub(crate) fn take(&mut self, arity: usize) -> Vec<u64> {
+        self.free.pop().unwrap_or_else(|| Vec::with_capacity(arity))
     }
 
-    /// Return an argument buffer to the arena once its event is dead.
-    pub(crate) fn recycle_args(&mut self, mut buf: Vec<u64>) {
-        buf.clear();
-        self.args_pool.push(buf);
+    /// Retire the buffer of a dead event; past the cap it is freed.
+    pub(crate) fn give(&mut self, mut buf: Vec<u64>) {
+        if self.free.len() < ARENA_CAP {
+            buf.clear();
+            self.free.push(buf);
+        }
     }
+}
+
+/// A `generate`d event on its way to [`Exec::emit`]: [`EventVal`]
+/// without the name, which nothing on the emit path reads — the
+/// bytecode executor builds these directly, the walker converts its
+/// [`Value::Event`] at `generate`.
+///
+/// [`EventVal`]: crate::value::EventVal
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Emitted {
+    pub(crate) event_id: usize,
+    /// Carried data, already masked to each parameter's width.
+    pub(crate) args: Vec<u64>,
+    /// Extra delay accumulated from `Event.delay`, in nanoseconds.
+    pub(crate) delay_ns: u64,
+    pub(crate) location: Location,
 }
 
 /// The handler-execution engine: immutable program + timing parameters.
@@ -544,7 +584,7 @@ pub(crate) struct Exec {
     link_ns: u64,
     /// Whether handled/exported events are retained in the trace. Off,
     /// the per-event record is skipped and its argument buffer goes
-    /// straight back to the shard arena — for throughput measurement,
+    /// straight back to the worker's arena — for throughput measurement,
     /// where nobody reads the trace and retaining it taxes every row.
     record_trace: bool,
     code: Code,
@@ -581,7 +621,7 @@ impl Exec {
         shard.stats.exported += 1;
         shard.per_event_ids[sched.event_id] += 1;
         if !self.record_trace {
-            shard.recycle_args(sched.args);
+            shard.arena.give(sched.args);
             return;
         }
         shard.trace.push((
@@ -610,7 +650,7 @@ impl Exec {
     ) {
         shard.stats.handled += 1;
         if !self.record_trace {
-            shard.recycle_args(args);
+            shard.arena.give(args);
             return;
         }
         shard.trace.push((
@@ -629,7 +669,7 @@ impl Exec {
     fn dispatch(&self, shard: &mut Shard, sched: Scheduled) -> Result<(), InterpError> {
         if !shard.alive {
             shard.stats.dropped += 1;
-            shard.recycle_args(sched.args);
+            shard.arena.give(sched.args);
             return Ok(());
         }
 
@@ -669,7 +709,7 @@ impl Exec {
 
     /// Schedule a generated event according to its location and delay:
     /// one outbox entry per target, for the worker to route.
-    pub(crate) fn emit(&self, shard: &mut Shard, mut ev: EventVal) {
+    pub(crate) fn emit(&self, shard: &mut Shard, ev: Emitted) {
         let from = shard.switch;
         let lat_to = |target: u64| {
             if target == from {
@@ -678,44 +718,46 @@ impl Exec {
                 self.link_ns
             }
         };
+        let Emitted {
+            event_id: id,
+            args,
+            delay_ns: delay,
+            location,
+        } = ev;
         // Unicast (the overwhelmingly common case) moves the event's
         // args straight into the schedule entry: no clone, no target
         // vector. Multicast clones once per member.
-        match std::mem::replace(&mut ev.location, Location::Here) {
-            Location::Here => {
-                let args = std::mem::take(&mut ev.args);
-                self.emit_one(shard, from, self.recirc_ns, &ev, args);
-            }
-            Location::Switch(s) => {
-                let args = std::mem::take(&mut ev.args);
-                self.emit_one(shard, s, lat_to(s), &ev, args);
-            }
+        match location {
+            Location::Here => self.emit_one(shard, from, self.recirc_ns + delay, id, args),
+            Location::Switch(s) => self.emit_one(shard, s, lat_to(s) + delay, id, args),
             Location::Group(members) => {
                 // Each member gets a copy built in an arena buffer; the
                 // source buffer itself recycles once the fan-out is done.
                 for &m in &members {
-                    let mut args = shard.take_args();
-                    args.extend_from_slice(&ev.args);
-                    self.emit_one(shard, m, lat_to(m), &ev, args);
+                    let mut copy = shard.arena.take(args.len());
+                    copy.extend_from_slice(&args);
+                    self.emit_one(shard, m, lat_to(m) + delay, id, copy);
                 }
-                shard.recycle_args(std::mem::take(&mut ev.args));
+                shard.arena.give(args);
             }
         }
     }
 
-    /// Schedule one copy of a generated event at one target.
-    fn emit_one(&self, shard: &mut Shard, target: u64, lat: u64, ev: &EventVal, args: Vec<u64>) {
+    /// Schedule one copy of a generated event at one target, `after_ns`
+    /// (wire or recirculation latency plus the event's own delay) from
+    /// the shard's clock.
+    fn emit_one(&self, shard: &mut Shard, target: u64, after_ns: u64, id: usize, args: Vec<u64>) {
         let from = shard.switch;
         shard.emit_seq += 1;
         let sched = Scheduled {
             key: Key {
-                time_ns: shard.now_ns + lat + ev.delay_ns,
+                time_ns: shard.now_ns + after_ns,
                 class: 1,
                 origin: from,
                 seq: shard.emit_seq,
             },
             switch: target,
-            event_id: ev.event_id,
+            event_id: id,
             args,
             enq_ns: shard.now_ns,
             root_ns: shard.cur_root_ns,
@@ -741,6 +783,9 @@ pub struct Interp {
     shards: BTreeMap<u64, Shard>,
     /// The one event queue: every pending event between runs.
     queue: SchedHeap,
+    /// Worker 0's argument arena, parked here between runs like `queue`
+    /// so a session of many short runs warms it once.
+    arena: ArgArena,
     /// Injection counter feeding [`Key::seq`] for external events.
     inj_seq: u64,
     /// Simulation clock, nanoseconds.
@@ -763,8 +808,9 @@ pub struct Interp {
     /// The executable form of `prog` that `config.exec` selects.
     code: Code,
     /// Attached streaming injection source ([`Interp::set_source`]),
-    /// drained lazily — events materialize only when due, so a
-    /// ten-million-event workload never builds an event vector.
+    /// drained lazily — events materialize only when due, so what a
+    /// ten-million-event workload holds at once is its in-flight
+    /// frontier (plus, with trace retention on, the trace).
     source: Option<Box<dyn EventSource + Send>>,
     /// Events injected per source index (for per-generator report rows).
     source_counts: Vec<u64>,
@@ -796,6 +842,7 @@ impl Interp {
             config,
             shards,
             queue: SchedHeap::default(),
+            arena: ArgArena::default(),
             inj_seq: 0,
             now_ns: 0,
             trace: Vec::new(),
@@ -881,16 +928,13 @@ impl Interp {
             })
             .located(at));
         }
-        let masked: Vec<u64> = ev
-            .params
-            .iter()
-            .zip(args)
-            .map(|(p, a)| mask(*a, p.ty.int_width().unwrap_or(32)))
-            .collect();
         if !self.shards.contains_key(&switch) {
             self.stats.dropped += 1;
             return Ok(());
         }
+        let mut masked = self.arena.take(args.len());
+        let widths = ev.params.iter().map(|p| p.ty.int_width().unwrap_or(32));
+        masked.extend(args.iter().zip(widths).map(|(a, w)| mask(*a, w)));
         self.inj_seq += 1;
         self.queue.push(Scheduled {
             key: Key {
@@ -1806,6 +1850,73 @@ mod tests {
             i.run_to_quiescence().unwrap();
             assert_eq!(i.array(1, "cts")[3], 1, "{exec:?}: ran before the swap");
             assert_eq!(i.array(1, "cts")[5], 2, "{exec:?}: ran the swapped body");
+        }
+    }
+
+    // -------------------------------------------------- argument arena
+
+    #[test]
+    fn arena_is_capped_and_holds_only_cleared_buffers() {
+        let mut arena = ArgArena::default();
+        let fresh = arena.take(3);
+        assert_eq!((fresh.len(), fresh.capacity()), (0, 3), "exact arity");
+        for i in 0..ARENA_CAP + 10 {
+            arena.give(vec![i as u64; 3]);
+        }
+        assert_eq!(
+            arena.free.len(),
+            ARENA_CAP,
+            "past the cap a buffer is freed"
+        );
+        assert!(arena.free.iter().all(Vec::is_empty));
+        let reused = arena.take(1);
+        assert_eq!(
+            (reused.len(), reused.capacity()),
+            (0, 3),
+            "recycled, cleared"
+        );
+        assert_eq!(arena.free.len(), ARENA_CAP - 1);
+    }
+
+    /// Every way an event can die without reaching the trace — multicast
+    /// source, unknown destination, failed switch, and (trace off)
+    /// handled and exported — gives its buffer back exactly once, under
+    /// both executors: `kick` fans `probe` out to a live switch, a failed
+    /// one and one outside the topology, and the live `probe` exports a
+    /// `note`. Five buffers are ever allocated (kick's, the fan-out
+    /// source, three copies; `note` reuses one), so five must be parked
+    /// after an untraced run and two after a traced one: the source and
+    /// the two dropped copies, less the one `note` took into the trace.
+    #[test]
+    fn dead_events_return_their_buffers_exactly_once() {
+        let prog = checked(
+            r#"
+            const group G = {2, 3, 99};
+            event note(int from);
+            event probe(int from);
+            handle probe(int from) { generate note(from); }
+            event kick(int x);
+            handle kick(int x) { mgenerate Event.mlocate(probe(SELF), G); }
+            "#,
+        );
+        for exec in [ExecMode::Ast, ExecMode::Bytecode] {
+            for (record_trace, parked) in [(false, 5), (true, 2)] {
+                let mut cfg = NetConfig::mesh(3);
+                cfg.exec = exec;
+                let mut i = Interp::new(&prog, cfg);
+                i.set_record_trace(record_trace);
+                i.fail_switch(3);
+                i.schedule(1, 0, "kick", &[7]).unwrap();
+                i.run_to_quiescence().unwrap();
+                assert_eq!((i.stats.dropped, i.stats.exported), (2, 1), "{exec:?}");
+                let free = &i.arena.free;
+                assert_eq!(free.len(), parked, "{exec:?}, trace {record_trace}");
+                assert!(free.iter().all(|b| b.is_empty() && b.capacity() == 1));
+                let mut at: Vec<*const u64> = free.iter().map(Vec::as_ptr).collect();
+                at.sort_unstable();
+                at.dedup();
+                assert_eq!(at.len(), parked, "one allocation parked twice");
+            }
         }
     }
 

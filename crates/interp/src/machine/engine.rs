@@ -5,7 +5,7 @@
 //! [`crate::machine`] for the contract between worker counts.
 
 use super::sched::{merge_sorted_runs, shape_sourced, Key, SchedHeap, Scheduled, SwitchMap};
-use super::{Engine, Exec, Interp, InterpError, InterpFault, OutRec, Shard, TraceRec};
+use super::{ArgArena, Engine, Exec, Interp, InterpError, InterpFault, OutRec, Shard, TraceRec};
 use crate::workload::{EventSource, SourcedEvent};
 use lucid_check::CheckedProgram;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -185,6 +185,8 @@ struct WorkerOut {
     /// once at run end.
     trace: Vec<(Key, TraceRec)>,
     output: Vec<(Key, OutRec)>,
+    /// The argument arena, for worker 0's to park on the interpreter.
+    arena: ArgArena,
     why: StopWhy,
     /// Events processed across all workers at stop time (identical on
     /// every worker; the driver reads worker 0's).
@@ -198,6 +200,9 @@ struct WorkerSeed {
     shards: Vec<Shard>,
     /// Pending events already owned by this worker's shards.
     heap: SchedHeap,
+    /// Where every argument buffer of the worker's events comes from
+    /// and retires to: sourced pulls, `generate`, dead events.
+    arena: ArgArena,
 }
 
 /// The attached event source in the hands of the one worker that pulls
@@ -206,6 +211,7 @@ struct WorkerSeed {
 /// head; with siblings to feed, worker 0 pulls one window ahead and mails
 /// each event to its owner.
 struct Puller<'a> {
+    prog: &'a CheckedProgram,
     stream: &'a mut (dyn EventSource + Send),
     counts: &'a mut Vec<u64>,
     /// Scratch buffer for chunked pulls, reused across them.
@@ -223,16 +229,17 @@ impl Puller<'_> {
     /// memory stays bounded by the in-flight frontier. Each goes onto
     /// `heap` when worker `id` owns its switch and into the owner's
     /// `outgoing` mail otherwise; one bound for an unknown switch is
-    /// counted dropped. Sourced keys are pull-order-independent, so
-    /// *when* an event is pulled never shows in the schedule.
+    /// counted dropped. Argument buffers come out of the worker's
+    /// `arena`. Sourced keys are pull-order-independent, so *when* an
+    /// event is pulled never shows in the schedule.
     fn pull(
         &mut self,
         upto: impl Fn(&SchedHeap) -> u64,
         id: usize,
         heap: &mut SchedHeap,
         outgoing: &mut [Vec<Scheduled>],
+        arena: &mut ArgArena,
         ctx: &RoundCtx<'_>,
-        prog: &CheckedProgram,
     ) {
         while self.head <= upto(heap) {
             self.batch.clear();
@@ -243,12 +250,13 @@ impl Puller<'_> {
                 break;
             }
             for ev in self.batch.drain(..) {
-                let sched = shape_sourced(prog, self.counts, ev);
+                let sched = shape_sourced(self.prog, self.counts, ev, arena);
                 match ctx.owner.get(sched.switch) {
                     Some(w) if w as usize == id => heap.push(sched),
                     Some(w) => outgoing[w as usize].push(sched),
                     None => {
                         ctx.dropped.fetch_add(1, Relaxed);
+                        arena.give(sched.args);
                     }
                 }
             }
@@ -270,6 +278,7 @@ fn run_round_worker(
     let WorkerSeed {
         mut shards,
         mut heap,
+        mut arena,
     } = seed;
     let _fuse = FuseOnPanic(ctx.barrier);
     let nworkers = ctx.cells.len();
@@ -304,7 +313,7 @@ fn run_round_worker(
     // included, so a run whose budget is already spent still learns
     // whether anything dispatchable is left.
     if let (true, Some(p)) = (lone, &mut puller) {
-        p.pull(due, id, &mut heap, &mut outgoing, ctx, &exec.prog);
+        p.pull(due, id, &mut heap, &mut outgoing, &mut arena, ctx);
     }
     let (why, total) = loop {
         // ---- P1: drain mail, publish the previous round's results and
@@ -395,7 +404,7 @@ fn run_round_worker(
         if let (false, Some(p)) = (lone, &mut puller) {
             let width = ctx.epoch_cap.unwrap_or(ctx.link_ns);
             let last = gmin.saturating_add(width - 1).min(ctx.max_time_ns);
-            p.pull(|_| last, id, &mut heap, &mut outgoing, ctx, &exec.prog);
+            p.pull(|_| last, id, &mut heap, &mut outgoing, &mut arena, ctx);
         }
 
         // One heap spans all of the worker's shards: they must
@@ -406,7 +415,7 @@ fn run_round_worker(
         let mut done = 0u64;
         loop {
             if let (true, Some(p)) = (lone, &mut puller) {
-                p.pull(due, id, &mut heap, &mut outgoing, ctx, &exec.prog);
+                p.pull(due, id, &mut heap, &mut outgoing, &mut arena, ctx);
             }
             if heap.peek_key().is_none_or(|k| k.time_ns >= horizon) || done >= budget {
                 break;
@@ -421,6 +430,8 @@ fn run_round_worker(
             shard.now_ns = shard.now_ns.max(sched.key.time_ns);
             done += 1;
             let key = sched.key;
+            // The shard holds the worker's arena while it dispatches.
+            std::mem::swap(&mut shard.arena, &mut arena);
             if let Err(e) = exec.dispatch(shard, sched) {
                 // Keep the smallest-key fault; this shard sits out the
                 // rest of the run. Its partial emissions still route
@@ -441,11 +452,12 @@ fn run_round_worker(
                     Some(w) => outgoing[w as usize].push(ev),
                     None => {
                         shards[idx].stats.dropped += 1;
-                        shards[idx].recycle_args(ev.args);
+                        shards[idx].arena.give(ev.args);
                     }
                 }
             }
             shards[idx].outbox = produced;
+            std::mem::swap(&mut shards[idx].arena, &mut arena);
             // Surface the dispatch's buffers into the worker-run log in
             // pop order, which already is this worker's global key order.
             trace.append(&mut shards[idx].trace);
@@ -479,6 +491,7 @@ fn run_round_worker(
         parked,
         trace,
         output,
+        arena,
         why,
         total,
     }
@@ -539,6 +552,7 @@ impl Interp {
         // A lone worker takes the pending queue whole (and hands it back
         // the same way, so a run costs nothing per event left queued);
         // otherwise pending events go onto their owning workers' heaps.
+        seeds[0].arena = std::mem::take(&mut self.arena);
         let queue = std::mem::take(&mut self.queue);
         if nworkers == 1 {
             seeds[0].heap = queue;
@@ -574,6 +588,7 @@ impl Interp {
         // so which worker pulls cannot perturb execution.
         let counts = &mut self.source_counts;
         let puller = self.source.as_deref_mut().map(|stream| Puller {
+            prog: &exec.prog,
             head: stream.peek_ns().unwrap_or(u64::MAX),
             stream,
             counts,
@@ -613,6 +628,7 @@ impl Interp {
             // whole, the rest re-pushed.
             if w == 0 {
                 self.queue = out.heap;
+                self.arena = out.arena;
             } else {
                 for ev in out.heap.into_events() {
                     self.queue.push(ev);

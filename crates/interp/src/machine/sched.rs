@@ -4,7 +4,7 @@
 //! routing table, and the helpers that shape sourced injections and
 //! merge key-sorted dispatch logs.
 
-use super::FaultAt;
+use super::{ArgArena, FaultAt};
 use lucid_check::{mask, CheckedProgram};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -200,7 +200,8 @@ impl SchedHeap {
 /// Shape one sourced event into a scheduled class-0 injection, assigning
 /// the key `(time, class 0, origin = source index + 1, seq = per-source
 /// pull count)` and bumping that source's counter (dropped events count
-/// too, mirroring the per-generator report rows).
+/// too, mirroring the per-generator report rows). The arguments land in
+/// a buffer of the pulling worker's `arena`.
 ///
 /// Keying sourced injections per *source* rather than by a global pull
 /// counter is what lets the one puller run ahead of execution (a lone
@@ -216,6 +217,7 @@ pub(crate) fn shape_sourced(
     prog: &CheckedProgram,
     counts: &mut Vec<u64>,
     ev: crate::workload::SourcedEvent,
+    arena: &mut ArgArena,
 ) -> Scheduled {
     if ev.source >= counts.len() {
         // Custom sources may misreport `source_count`; grow rather than
@@ -227,16 +229,13 @@ pub(crate) fn shape_sourced(
     // Exactly one value per parameter, masked to its width — short
     // custom-source arg lists pad with zeros rather than leaving handler
     // parameters unbound.
-    let args = params
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            mask(
-                ev.args.get(i).copied().unwrap_or(0),
-                p.ty.int_width().unwrap_or(32),
-            )
-        })
-        .collect();
+    let mut args = arena.take(params.len());
+    args.extend(params.iter().enumerate().map(|(i, p)| {
+        mask(
+            ev.args.get(i).copied().unwrap_or(0),
+            p.ty.int_width().unwrap_or(32),
+        )
+    }));
     Scheduled {
         key: Key {
             time_ns: ev.time_ns,

@@ -33,7 +33,8 @@
 //! the `printf` lines it prints.
 
 use super::{
-    eval_binop, format_printf, value_of, Exec, InterpError, InterpFault, Key, OutRec, Shard,
+    eval_binop, format_printf, value_of, Emitted, Exec, InterpError, InterpFault, Key, OutRec,
+    Shard,
 };
 use crate::value::{lucid_hash, EventVal, Location, Value};
 use lucid_check::{eval_memop, mask, CheckedProgram, GlobalId, MemopIr};
@@ -472,6 +473,12 @@ impl Walk<'_> {
                 let Value::Event(ev) = self.eval(e)? else {
                     panic!("checked: generate of non-event")
                 };
+                let ev = Emitted {
+                    event_id: ev.event_id,
+                    args: ev.args,
+                    delay_ns: ev.delay_ns,
+                    location: ev.location,
+                };
                 self.exec.emit(self.shard, ev);
             }
             Stmt::Return(None) => return Ok(Flow::Returned(Value::Void)),
@@ -538,9 +545,10 @@ impl Walk<'_> {
             Expr::MkEvent(event, args) => {
                 let code = self.code;
                 let (widths, name) = &code.events[*event as usize];
-                // Exactly-sized: the buffer outlives the handler, in the
-                // schedule and then the trace.
-                let mut vals = Vec::with_capacity(args.len());
+                // From the worker's arena (exactly sized when fresh): the
+                // buffer outlives the handler, in the schedule and then
+                // the trace or the arena again.
+                let mut vals = self.shard.arena.take(args.len());
                 for (a, w) in args.iter().zip(widths.iter()) {
                     vals.push(mask(self.int(a)?, *w));
                 }

@@ -32,7 +32,6 @@ mod decode;
 mod report;
 
 pub(crate) use decode::{generators_of, injections_of};
-pub use lucid_frontend::json::escape as json_escape;
 pub(crate) use report::{check_expectations, check_metric_expectations, digest_state};
 pub use report::{Mismatch, SimReport};
 

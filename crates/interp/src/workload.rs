@@ -1,6 +1,6 @@
 //! Streaming workload generators: parameterized synthetic traffic for the
 //! simulator, pulled lazily by both engines so a ten-million-event run
-//! never materializes an event vector.
+//! holds only the events in flight.
 //!
 //! A scenario's `"generators"` section compiles (against a checked
 //! program) into one [`Workload`] — a deterministic, seeded stream of

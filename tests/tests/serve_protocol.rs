@@ -30,7 +30,7 @@ const SCENARIO: &str = r#"{
 
 /// Quote a string as a JSON literal.
 fn q(s: &str) -> String {
-    format!("\"{}\"", lucid_core::json_escape(s))
+    format!("\"{}\"", lucid_core::frontend::json::escape(s))
 }
 
 /// One request through a `CheckHost`-backed server. Every reply any
