@@ -119,6 +119,11 @@ echo "== fuzz smoke"
 # lowering, and vice versa), and the sharded engine — the opt sweep is
 # inside the test itself (tests/tests/differential.rs).
 LUCID_FUZZ_CASES=64 cargo test -q -p lucid-tests --test differential
+# Generated programs (tests/tests/name_resolution.rs): 64 seeds per shape,
+# each a checker-accepted program whose reads and array writes must land
+# where a lexical model of the checker's scoping rule puts them, under
+# walker x bytecode O0/O1/O2 x sequential/sharded.
+LUCID_FUZZ_CASES=64 cargo test -q -p lucid-tests --test name_resolution
 
 echo "== sim gate"
 # Every checked-in scenario must run green against its app: the file

@@ -226,6 +226,17 @@ impl Env {
     fn get(&self, name: &str) -> Option<&Binding> {
         self.map.get(name)
     }
+
+    /// Does `e` name anything this environment binds? Such a name
+    /// shadows any `const` of the same name.
+    fn mentions(&self, e: &Expr) -> bool {
+        match &e.kind {
+            ExprKind::Var(id) => self.map.contains_key(&id.name),
+            ExprKind::Unary { arg, .. } | ExprKind::Cast { arg, .. } => self.mentions(arg),
+            ExprKind::Binary { lhs, rhs, .. } => self.mentions(lhs) || self.mentions(rhs),
+            _ => false,
+        }
+    }
 }
 
 struct Elab<'p, 'd> {
@@ -260,9 +271,16 @@ impl Elab<'_, '_> {
 
     // ------------------------------------------------------------- blocks
 
+    /// The block's own locals leave `env` at its end (the checker rules
+    /// out a local that shadows another, so nothing outer is lost).
     fn block(&mut self, b: &Block, env: &mut Env) {
         for s in &b.stmts {
             self.stmt(s, env);
+        }
+        for s in &b.stmts {
+            if let StmtKind::Local { name, .. } = &s.kind {
+                env.map.remove(&name.name);
+            }
         }
     }
 
@@ -456,19 +474,7 @@ impl Elab<'_, '_> {
         if !op.is_comparison() {
             return None;
         }
-        let lc = self
-            .prog
-            .info
-            .eval_const(lhs)
-            .ok()
-            .filter(|_| self.is_const_expr(lhs));
-        let rc = self
-            .prog
-            .info
-            .eval_const(rhs)
-            .ok()
-            .filter(|_| self.is_const_expr(rhs));
-        let (var_e, cmp, value) = match (lc, rc) {
+        let (var_e, cmp, value) = match (self.fold(lhs, env), self.fold(rhs, env)) {
             (None, Some(v)) => (lhs, *op, v),
             (Some(v), None) => {
                 // Mirror: `5 < x` is `x > 5`.
@@ -496,42 +502,35 @@ impl Elab<'_, '_> {
         }
     }
 
-    fn is_const_expr(&self, e: &Expr) -> bool {
-        match &e.kind {
-            ExprKind::Var(id) => self.prog.info.consts.contains_key(&id.name),
-            ExprKind::Int { .. } | ExprKind::Bool(_) => true,
-            ExprKind::Binary { lhs, rhs, .. } => self.is_const_expr(lhs) && self.is_const_expr(rhs),
-            ExprKind::Unary { arg, .. } | ExprKind::Cast { arg, .. } => self.is_const_expr(arg),
-            _ => false,
+    /// `e`'s value, if the front end can evaluate it and no name in it
+    /// is one `env` binds.
+    fn fold(&self, e: &Expr, env: &Env) -> Option<u64> {
+        if env.mentions(e) {
+            return None;
         }
+        self.prog.info.eval_const(e).ok()
     }
 
     /// Flatten `e` into an operand, emitting tables for intermediates.
     fn flatten(&mut self, e: &Expr, env: &mut Env) -> Operand {
         // Constant folding first: anything the front end can evaluate
         // becomes an immediate.
-        if let Ok(v) = self.prog.info.eval_const(e) {
-            if !matches!(e.kind, ExprKind::Var(_)) || self.is_const_name(e) {
-                return Operand::Const(v);
-            }
+        if let Some(v) = self.fold(e, env) {
+            return Operand::Const(v);
         }
         match &e.kind {
             ExprKind::Int { value, .. } => Operand::Const(*value),
             ExprKind::Bool(b) => Operand::Const(*b as u64),
-            ExprKind::Var(id) => {
-                if id.name == "SELF" {
-                    return Operand::Var("lucid_self".into());
+            ExprKind::Var(id) => match env.get(&id.name) {
+                Some(Binding::Value(op)) => op.clone(),
+                None if id.name == "SELF" => Operand::Var("lucid_self".into()),
+                Some(Binding::Array(_) | Binding::Event(_)) | None => {
+                    // Arrays/events are consumed by their special
+                    // contexts; reaching here is a checker-guaranteed
+                    // impossibility for valid programs.
+                    Operand::Var(id.name.clone())
                 }
-                match env.get(&id.name) {
-                    Some(Binding::Value(op)) => op.clone(),
-                    Some(Binding::Array(_) | Binding::Event(_)) | None => {
-                        // Arrays/events are consumed by their special
-                        // contexts; reaching here is a checker-guaranteed
-                        // impossibility for valid programs.
-                        Operand::Var(id.name.clone())
-                    }
-                }
-            }
+            },
             _ => {
                 let dst = self.fresh("t");
                 self.flatten_into(&dst, e, env);
@@ -540,13 +539,9 @@ impl Elab<'_, '_> {
         }
     }
 
-    fn is_const_name(&self, e: &Expr) -> bool {
-        matches!(&e.kind, ExprKind::Var(id) if self.prog.info.consts.contains_key(&id.name))
-    }
-
     /// Flatten `e`, directing its result into `dst`.
     fn flatten_into(&mut self, dst: &str, e: &Expr, env: &mut Env) {
-        if let Ok(v) = self.prog.info.eval_const(e) {
+        if let Some(v) = self.fold(e, env) {
             self.emit(AtomicOp::Mov {
                 dst: dst.into(),
                 src: Operand::Const(v),
@@ -582,7 +577,7 @@ impl Elab<'_, '_> {
                 });
             }
             ExprKind::Binary { op, lhs, rhs } => {
-                let Some((op, lhs, rhs)) = self.lower_binop(*op, lhs, rhs, e) else {
+                let Some((op, lhs, rhs)) = self.lower_binop(*op, lhs, rhs, e, env) else {
                     return;
                 };
                 let a = self.flatten(&lhs, env);
@@ -611,9 +606,9 @@ impl Elab<'_, '_> {
                 });
             }
             ExprKind::Hash { width, args } => {
-                let seed = match self.prog.info.eval_const(&args[0]) {
-                    Ok(s) => s,
-                    Err(_) => {
+                let seed = match self.fold(&args[0], env) {
+                    Some(s) => s,
+                    None => {
                         self.err(
                             "hash seed must be a compile-time constant (it configures \
                              the hash engine's polynomial)",
@@ -651,13 +646,12 @@ impl Elab<'_, '_> {
         lhs: &Expr,
         rhs: &Expr,
         whole: &Expr,
+        env: &Env,
     ) -> Option<(BinOp, Expr, Expr)> {
         if !matches!(op, BinOp::Mul | BinOp::Div | BinOp::Mod) {
             return Some((op, lhs.clone(), rhs.clone()));
         }
-        let rhs_const = self.prog.info.eval_const(rhs).ok();
-        let lhs_const = self.prog.info.eval_const(lhs).ok();
-        let (var_side, k) = match (lhs_const, rhs_const) {
+        let (var_side, k) = match (self.fold(lhs, env), self.fold(rhs, env)) {
             (_, Some(k)) => (lhs.clone(), k),
             (Some(k), _) if op == BinOp::Mul => (rhs.clone(), k),
             _ => {
@@ -941,6 +935,58 @@ mod tests {
         );
         let arrays: Vec<GlobalId> = hs[0].tables.iter().filter_map(|t| t.op.array()).collect();
         assert_eq!(arrays, vec![GlobalId(0), GlobalId(1)]);
+    }
+
+    #[test]
+    fn callee_names_the_global_not_a_live_callers_array_parameter() {
+        let hs = elab(
+            r#"
+            global a = new Array<<32>>(2);
+            global b = new Array<<32>>(2);
+            fun void mark(int v) { Array.set(a, 0, v); }
+            fun void via(Array<<32>> a, int v) { mark(v); }
+            event go(int v);
+            handle go(int v) { via(b, v); }
+            "#,
+        );
+        let arrays: Vec<GlobalId> = hs[0].tables.iter().filter_map(|t| t.op.array()).collect();
+        assert_eq!(arrays, vec![GlobalId(0)]);
+    }
+
+    #[test]
+    fn block_locals_shadow_consts_and_self_until_their_block_ends() {
+        let hs = elab(
+            r#"
+            const int X = 5;
+            global o0 = new Array<<32>>(1);
+            global o1 = new Array<<32>>(1);
+            global o2 = new Array<<32>>(1);
+            global o3 = new Array<<32>>(1);
+            event go(int c);
+            handle go(int c) {
+                if (c == 1) { int X = 7; int SELF = c; Array.set(o0, 0, X); Array.set(o1, 0, SELF); }
+                Array.set(o2, 0, X);
+                Array.set(o3, 0, SELF);
+            }
+            "#,
+        );
+        let set_values: Vec<&Operand> = hs[0]
+            .tables
+            .iter()
+            .filter_map(|t| match &t.op {
+                AtomicOp::Mem {
+                    kind: MemKind::Set { value },
+                    ..
+                } => Some(value),
+                _ => None,
+            })
+            .collect();
+        // Inside the block the names are the locals (not `mem = 5;`);
+        // after it `X` is the const and `SELF` the switch id again.
+        assert!(matches!(set_values[0], Operand::Var(v) if v.contains("__X_")));
+        assert!(matches!(set_values[1], Operand::Var(v) if v.contains("__SELF_")));
+        assert_eq!(set_values[2], &Operand::Const(5));
+        assert_eq!(set_values[3], &Operand::Var("lucid_self".into()));
     }
 
     #[test]

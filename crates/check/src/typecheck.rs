@@ -645,11 +645,11 @@ impl<'a> Checker<'a> {
             }
             ExprKind::Bool(_) => (CkTy::Val(Ty::Bool), stage),
             ExprKind::Var(id) => {
-                if id.name == "SELF" {
-                    return (CkTy::Val(Ty::Int(32)), stage);
-                }
                 if let Some(b) = scopes.lookup(&id.name) {
                     return (b, stage);
+                }
+                if id.name == "SELF" {
+                    return (CkTy::Val(Ty::Int(32)), stage);
                 }
                 if let Some(c) = self.info.consts.get(&id.name) {
                     return (CkTy::Val(c.ty), stage);

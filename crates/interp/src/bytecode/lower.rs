@@ -79,12 +79,6 @@ struct Cc<'p> {
     regs: Alloc,
     objs: Alloc,
     frames: Vec<Frame>,
-    /// Array-typed parameters of every live (inlined) activation, in
-    /// binding order — the compile-time image of the walker's dynamic
-    /// `cx.array_params` stack. Array-position names resolve through
-    /// this stack (innermost first), *not* through lexical frames,
-    /// because the walker is the semantics of record.
-    array_stack: Vec<(String, GlobalId)>,
     /// Inlining depth guard (the checker rules out recursion; this turns
     /// a hypothetical checker bug into a clean panic, not a hang).
     depth: usize,
@@ -106,7 +100,6 @@ pub(super) fn compile_handler(
         regs: Alloc::default(),
         objs: Alloc::default(),
         frames: Vec::new(),
-        array_stack: Vec::new(),
         depth: 0,
     };
     let mut vars = HashMap::new();
@@ -293,10 +286,8 @@ impl Cc<'_> {
                     to: 0xFFFF,
                 });
                 self.release(c);
-                // Branch-local declarations must not leak bindings into
-                // the untaken path's compilation (the checker scopes
-                // them lexically; the runtime env never observes a leak
-                // because only one branch executes).
+                // A branch's own declarations leave scope at its end, as
+                // in the checker and the walker.
                 let saved = self.frames.last().expect("frame").vars.clone();
                 self.block(then_blk);
                 if let Some(e) = else_blk {
@@ -620,18 +611,12 @@ impl Cc<'_> {
         self.depth += 1;
         assert!(self.depth <= 64, "function inlining depth exceeded");
 
-        // Bind arguments in declaration order, evaluating value args in
-        // the caller's frame and pushing array bindings onto the dynamic
-        // stack as they resolve (the same interleaving the walker uses).
-        let array_stack_mark = self.array_stack.len();
+        // Bind arguments in declaration order, resolving each — array
+        // names included — in the caller's frame.
         let mut vars = HashMap::new();
         for (p, a) in params.iter().zip(args) {
             let slot = match p.ty {
-                Ty::Array(_) => {
-                    let gid = self.resolve_array(a);
-                    self.array_stack.push((p.name.name.clone(), gid));
-                    Slot::ArrayRef(gid)
-                }
+                Ty::Array(_) => Slot::ArrayRef(self.resolve_array(a)),
                 _ => {
                     let v = self.expr(a);
                     self.bind_value(v)
@@ -663,7 +648,6 @@ impl Cc<'_> {
         for j in frame.ret.expect("fun").jumps {
             self.patch(j);
         }
-        self.array_stack.truncate(array_stack_mark);
         self.depth -= 1;
         match ret_slot {
             Slot::Reg { r, is_bool } => Val::Reg {
@@ -676,24 +660,15 @@ impl Cc<'_> {
         }
     }
 
-    /// Resolve an array-position name the way the walker's
-    /// `resolve_array` does: innermost binding on the dynamic
-    /// array-parameter stack first (spanning *all* live activations,
-    /// not just the current frame), then the globals.
+    /// Resolve an array-position name as the checker does: the current
+    /// frame's array parameter of that name, else the global.
     fn resolve_array(&self, e: &Expr) -> GlobalId {
-        match &e.kind {
-            ExprKind::Var(id) => {
-                if let Some((_, gid)) = self
-                    .array_stack
-                    .iter()
-                    .rev()
-                    .find(|(name, _)| *name == id.name)
-                {
-                    return *gid;
-                }
-                self.prog.info.globals_by_name[&id.name]
-            }
-            _ => panic!("checked: array argument is a name"),
+        let ExprKind::Var(id) = &e.kind else {
+            panic!("checked: array argument is a name")
+        };
+        match self.frames.last().expect("frame").vars.get(&id.name) {
+            Some(Slot::ArrayRef(gid)) => *gid,
+            _ => self.prog.info.globals_by_name[&id.name],
         }
     }
 

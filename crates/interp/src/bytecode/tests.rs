@@ -493,12 +493,11 @@ fn array_get_masks_over_width_cells_like_the_walker() {
 }
 
 #[test]
-fn nested_calls_resolve_arrays_through_the_dynamic_stack() {
-    // The walker resolves array-position names against the dynamic
-    // `array_params` stack spanning *all* live activations: inside
-    // `inner`, called from `outer(b, ..)`, the bare name `a` means
-    // outer's parameter (bound to global `b`), not the global `a`.
-    // The compiler must reproduce that, not lexical scoping.
+fn nested_calls_resolve_arrays_lexically() {
+    // Array-position names resolve lexically, as in the checker and the
+    // P4 backend: inside `inner`, called from `outer(b, ..)`, the bare
+    // name `a` means the global `a` — `inner` cannot see the parameter
+    // of the activation that called it.
     let src = r#"
         global a = new Array<<32>>(4);
         global b = new Array<<32>>(4);
@@ -529,7 +528,7 @@ fn nested_calls_resolve_arrays_through_the_dynamic_stack() {
     for o in &outs[1..] {
         assert_eq!(&outs[0], o);
     }
-    assert_eq!(outs[0], 222, "`a` inside inner must mean outer's binding");
+    assert_eq!(outs[0], 111, "`a` inside inner must mean the global");
 }
 
 proptest! {

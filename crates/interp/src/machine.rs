@@ -479,10 +479,9 @@ pub(crate) struct Shard {
     pub(crate) bc_regs: Vec<crate::bytecode::Rv>,
     pub(crate) bc_objs: Vec<crate::bytecode::Obj>,
     pub(crate) bc_hash: Vec<u64>,
-    /// Reusable walker buffers (it shares `bc_hash`): every activation's
-    /// locals (`None`: unbound) and array parameters (name id → global).
-    walk_frame: Vec<Option<Value>>,
-    walk_arrays: Vec<(u32, lucid_check::GlobalId)>,
+    /// Reusable walker buffer (it shares `bc_hash`): every live
+    /// activation's locals.
+    walk_frame: Vec<Value>,
     /// Per-event-id dispatch counts; folded into the name-keyed
     /// [`Stats::per_event`] once per run (keeps the dispatch hot path
     /// free of string allocation and hashing).
@@ -513,7 +512,6 @@ impl Shard {
             bc_objs: Vec::new(),
             bc_hash: Vec::new(),
             walk_frame: Vec::new(),
-            walk_arrays: Vec::new(),
             per_event_ids: vec![0; prog.info.events.len()],
             metrics: ShardMetrics::new(prog.info.events.len()),
             cur_root_ns: 0,

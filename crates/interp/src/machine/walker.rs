@@ -8,24 +8,24 @@
 //! cost. [`Resolved::new`] copies every handler body, and every function
 //! body a handler can reach, into a private tree whose nodes carry what
 //! each name *denotes*: a local slot, a const's value, `SELF`, a group's
-//! members, a [`GlobalId`] or a reference to the dynamic array-parameter
-//! stack, a memop / function / event-constructor index.
+//! members, a [`GlobalId`] or an array parameter's slot, a memop /
+//! function / event-constructor index.
+//!
+//! Names resolve lexically, by the checker's rule (and the bytecode
+//! compiler's and the P4 backend's): a name means its innermost
+//! enclosing binding in the running body — a parameter, or a local whose
+//! block is still open — and otherwise `SELF`, the const or the group of
+//! that name. In array position it means the running body's own array
+//! parameter of that name, or else the global. Each binding owns a slot,
+//! reused once its block closes, so a read never meets an unbound slot.
 //!
 //! It is resolution only. Nothing is folded, inlined or inferred:
-//! [`Value`]s still carry their width at run time, evaluation order is
-//! the by-name walker's (index, bounds check, then memop operands), and
+//! [`Value`]s still carry their width at run time (assignment keeps the
+//! width of the `Int` already in the slot), evaluation order is the
+//! by-name walker's (index, bounds check, then memop operands), and
 //! every `checked:` invariant still panics — so this stays a
 //! structurally independent oracle for the bytecode compiler, which
-//! *does* decide widths, scopes and call sites statically. What the
-//! by-name walker answered dynamically, this one does too:
-//!
-//! * the environment is flat per activation — one slot per distinct
-//!   name a body binds, whichever block binds it — and reading a slot
-//!   nothing has bound yet falls through to `SELF` / the const / the
-//!   group of that name, exactly as the environment miss did;
-//! * assignment keeps the width of the `Int` already in the slot;
-//! * array-position names resolve through the array parameters of *all*
-//!   live activations, innermost first, before the globals.
+//! *does* decide widths and call sites statically.
 //!
 //! An activation's locals are a window of one `Vec` kept on the
 //! [`Shard`] (like the bytecode register file), so handling an event
@@ -57,9 +57,9 @@ pub(crate) struct Resolved {
 /// One handler or function body.
 #[derive(Default)]
 struct Body {
-    /// The slot each parameter binds, in declaration order.
-    params: Box<[(u32, Ty)]>,
-    /// Distinct names the body binds: the size of its activation window.
+    /// Parameter types in declaration order; parameter `i` binds slot `i`.
+    params: Box<[Ty]>,
+    /// Most bindings live at once: the size of its activation window.
     nslots: usize,
     block: Block,
 }
@@ -85,10 +85,11 @@ enum Expr {
     /// `(value, width)`.
     Int(u64, u32),
     Bool(bool),
-    /// A name in value position: the activation's slot for it, if the
-    /// body binds that name anywhere before this read, and what the name
-    /// means otherwise — or while the slot is still unbound.
-    Var(Option<u32>, Global),
+    /// A name in value position bound in the running body: its slot.
+    Local(u32),
+    SelfId,
+    Const(Box<Value>),
+    Group(Box<[u64]>),
     Unary(UnOp, Box<Expr>),
     Binary(BinOp, Box<Expr>, Box<Expr>),
     /// `(width, arg)`.
@@ -104,30 +105,17 @@ enum Expr {
     Builtin(Builtin, Box<[Expr]>),
 }
 
-/// What a name denotes when no local binds it.
-enum Global {
-    SelfId,
-    Const(Box<Value>),
-    Group(Box<[u64]>),
-    /// Nothing: reading it is a checker bug, reported by name.
-    Unbound(Box<str>),
-}
-
 /// A call argument, by the kind of parameter it binds.
 enum Arg {
-    /// `(id of the parameter's name, argument)`: an array parameter goes
-    /// on the dynamic array stack under its own name.
-    Array(u32, ArrayRef),
+    Array(ArrayRef),
     Val(Expr),
 }
 
 /// A name in array position.
 enum ArrayRef {
     Global(GlobalId),
-    /// `(name id, global of that name)`: the name is some function's
-    /// array parameter, so a live activation may have bound it — search
-    /// the dynamic stack first, then fall back to the global, if any.
-    Param(u32, Option<GlobalId>),
+    /// The running body's array parameter: its slot holds the global's id.
+    Param(u32),
 }
 
 /// `Array.*(arr, idx, ..)`; memops are indexes into [`Resolved::memops`].
@@ -155,15 +143,12 @@ struct Resolver<'p> {
     out: Resolved,
     /// `out.funs[i]` is the function named `fun_names[i]`.
     fun_names: Vec<&'p str>,
-    /// Every array-parameter name in the program. Only these can be on
-    /// the dynamic array stack, so only they resolve through it.
-    array_names: Vec<&'p str>,
-    /// The body being resolved: slot `i` belongs to `scope[i]`.
-    scope: Vec<&'p str>,
-}
-
-fn index_of(names: &[&str], name: &str) -> Option<u32> {
-    names.iter().position(|n| *n == name).map(|i| i as u32)
+    /// The bindings live at this point of the body being resolved,
+    /// innermost last: slot `i` belongs to `scope[i]`, a `(name, is an
+    /// array parameter)` pair.
+    scope: Vec<(&'p str, bool)>,
+    /// The body's most bindings live at once.
+    nslots: usize,
 }
 
 impl Resolved {
@@ -185,15 +170,9 @@ impl Resolved {
                 events: prog.info.events.iter().zip(names).map(ctor).collect(),
             },
             fun_names: Vec::new(),
-            array_names: Vec::new(),
             scope: Vec::new(),
+            nslots: 0,
         };
-        for decl in &prog.program.decls {
-            if let ast::DeclKind::Fun { params, .. } = &decl.kind {
-                let arrays = params.iter().filter(|p| matches!(p.ty, Ty::Array(_)));
-                r.array_names.extend(arrays.map(|p| p.name.name.as_str()));
-            }
-        }
         for ev in &prog.info.events {
             let handler = prog.handler_body(&ev.name);
             let handler = handler.map(|(params, body)| r.body(params, body));
@@ -205,25 +184,32 @@ impl Resolved {
 
 impl<'p> Resolver<'p> {
     fn body(&mut self, params: &'p [ast::Param], block: &'p ast::Block) -> Body {
-        let outer = std::mem::take(&mut self.scope);
-        let params = params.iter().map(|p| (self.declare(&p.name.name), p.ty));
+        let outer = (std::mem::take(&mut self.scope), self.nslots);
+        self.nslots = 0;
+        for p in params {
+            self.declare(&p.name.name, matches!(p.ty, Ty::Array(_)));
+        }
+        let block = self.block(block);
         let body = Body {
-            params: params.collect(),
-            block: self.block(block),
-            nslots: self.scope.len(),
+            params: params.iter().map(|p| p.ty).collect(),
+            nslots: self.nslots,
+            block,
         };
-        self.scope = outer;
+        (self.scope, self.nslots) = outer;
         body
     }
 
-    /// The slot `name` binds in the current body, made on first sight:
-    /// the environment is flat, so every binding of one name — in any
-    /// block — is the same slot.
-    fn declare(&mut self, name: &'p str) -> u32 {
-        index_of(&self.scope, name).unwrap_or_else(|| {
-            self.scope.push(name);
-            (self.scope.len() - 1) as u32
-        })
+    /// A new binding of `name`, in a slot of its own.
+    fn declare(&mut self, name: &'p str, array: bool) -> u32 {
+        self.scope.push((name, array));
+        self.nslots = self.nslots.max(self.scope.len());
+        (self.scope.len() - 1) as u32
+    }
+
+    /// The innermost live binding of `name`: `(slot, is an array param)`.
+    fn lookup(&self, name: &str) -> Option<(u32, bool)> {
+        let at = self.scope.iter().rposition(|(n, _)| *n == name)?;
+        Some((at as u32, self.scope[at].1))
     }
 
     fn memop(&mut self, e: &ast::Expr) -> u32 {
@@ -241,16 +227,18 @@ impl<'p> Resolver<'p> {
         let ExprKind::Var(id) = &e.kind else {
             panic!("checked: array argument is a name")
         };
-        let global = self.prog.info.globals_by_name.get(&id.name).copied();
-        match (index_of(&self.array_names, &id.name), global) {
-            (Some(name), global) => ArrayRef::Param(name, global),
-            (None, Some(gid)) => ArrayRef::Global(gid),
-            (None, None) => panic!("checked: `{}` is not an array", id.name),
+        match self.lookup(&id.name) {
+            Some((slot, true)) => ArrayRef::Param(slot),
+            _ => ArrayRef::Global(self.prog.info.globals_by_name[&id.name]),
         }
     }
 
+    /// The block's own bindings leave scope at its end.
     fn block(&mut self, b: &'p ast::Block) -> Block {
-        b.stmts.iter().map(|s| self.stmt(s)).collect()
+        let open = self.scope.len();
+        let block = b.stmts.iter().map(|s| self.stmt(s)).collect();
+        self.scope.truncate(open);
+        block
     }
 
     fn exprs(&mut self, es: &'p [ast::Expr]) -> Box<[Expr]> {
@@ -267,11 +255,15 @@ impl<'p> Resolver<'p> {
             // cannot see that binding.
             StmtKind::Local { ty, name, init } => {
                 let init = self.expr(init);
-                Stmt::Local(self.declare(&name.name), ty.and_then(Ty::int_width), init)
+                Stmt::Local(
+                    self.declare(&name.name, false),
+                    ty.and_then(Ty::int_width),
+                    init,
+                )
             }
             StmtKind::Assign { name, value } => {
-                let value = self.expr(value);
-                Stmt::Assign(self.declare(&name.name), value)
+                let (slot, _) = self.lookup(&name.name).expect("checked: assigns a local");
+                Stmt::Assign(slot, self.expr(value))
             }
             StmtKind::If {
                 cond,
@@ -292,7 +284,7 @@ impl<'p> Resolver<'p> {
         match &e.kind {
             ExprKind::Int { value, width } => Expr::Int(*value, width.unwrap_or(32)),
             ExprKind::Bool(b) => Expr::Bool(*b),
-            ExprKind::Var(id) => Expr::Var(index_of(&self.scope, &id.name), self.global(&id.name)),
+            ExprKind::Var(id) => self.var(&id.name),
             ExprKind::Unary { op, arg } => Expr::Unary(*op, self.boxed(arg)),
             ExprKind::Binary { op, lhs, rhs } => {
                 let lhs = self.boxed(lhs);
@@ -308,38 +300,38 @@ impl<'p> Resolver<'p> {
         }
     }
 
-    /// What `name` means when no local binds it, in the by-name walker's
-    /// order: `SELF`, then consts, then groups.
-    fn global(&self, name: &str) -> Global {
+    /// A name in value position: the innermost binding, else `SELF`,
+    /// the const or the group of that name.
+    fn var(&self, name: &str) -> Expr {
         let info = &self.prog.info;
-        if name == "SELF" {
-            Global::SelfId
+        if let Some((slot, _)) = self.lookup(name) {
+            Expr::Local(slot)
+        } else if name == "SELF" {
+            Expr::SelfId
         } else if let Some(c) = info.consts.get(name) {
-            Global::Const(Box::new(value_of(c.ty, c.value)))
+            Expr::Const(Box::new(value_of(c.ty, c.value)))
         } else if let Some(g) = info.groups.get(name) {
-            Global::Group(g.members.as_slice().into())
+            Expr::Group(g.members.as_slice().into())
         } else {
-            Global::Unbound(name.into())
+            panic!("checked program has unbound var `{name}`")
         }
     }
 
     fn call(&mut self, callee: &'p str, args: &'p [ast::Expr]) -> Expr {
         let fun = self.prog.fun_body(callee);
         let (_, params, body) = fun.expect("checked: function exists");
-        let fun = index_of(&self.fun_names, callee).unwrap_or_else(|| {
+        let known = self.fun_names.iter().position(|n| *n == callee);
+        let fun = known.unwrap_or_else(|| {
             // First call: resolve the body. The index is claimed before
             // descending, so functions the body calls number after it.
             let id = self.fun_names.len();
             self.fun_names.push(callee);
             self.out.funs.push(Body::default());
             self.out.funs[id] = self.body(params, body);
-            id as u32
-        });
+            id
+        }) as u32;
         let arg = |(p, a): (&'p ast::Param, &'p ast::Expr)| match p.ty {
-            Ty::Array(_) => {
-                let name = index_of(&self.array_names, &p.name.name);
-                Arg::Array(name.expect("collected up front"), self.array(a))
-            }
+            Ty::Array(_) => Arg::Array(self.array(a)),
             _ => Arg::Val(self.expr(a)),
         };
         Expr::Call(fun, params.iter().zip(args).map(arg).collect())
@@ -403,11 +395,10 @@ impl Resolved {
         // Reuse the shard's scratch buffers across events; a faulted
         // activation may have left them mid-use.
         shard.walk_frame.clear();
-        shard.walk_frame.resize(h.nslots, None);
-        shard.walk_arrays.clear();
+        shard.walk_frame.resize(h.nslots, Value::Void);
         shard.bc_hash.clear();
-        for ((slot, ty), raw) in h.params.iter().zip(args) {
-            shard.walk_frame[*slot as usize] = Some(value_of(*ty, *raw));
+        for (slot, (ty, raw)) in shard.walk_frame.iter_mut().zip(h.params.iter().zip(args)) {
+            *slot = value_of(*ty, *raw);
         }
         let mut walk = Walk {
             code: self,
@@ -422,7 +413,7 @@ impl Resolved {
 }
 
 impl Walk<'_> {
-    fn slot(&mut self, slot: u32) -> &mut Option<Value> {
+    fn slot(&mut self, slot: u32) -> &mut Value {
         &mut self.shard.walk_frame[self.base + slot as usize]
     }
 
@@ -450,17 +441,15 @@ impl Walk<'_> {
                 if let (Some(w), Value::Int { v: x, .. }) = (width, &v) {
                     v = Value::int(*x, *w);
                 }
-                *self.slot(*slot) = Some(v);
+                *self.slot(*slot) = v;
             }
             Stmt::Assign(slot, value) => {
                 let v = self.eval(value)?;
                 let cell = self.slot(*slot);
-                *cell = Some(match (&*cell, v) {
-                    (Some(Value::Int { width, .. }), Value::Int { v: x, .. }) => {
-                        Value::int(x, *width)
-                    }
+                *cell = match (&*cell, v) {
+                    (Value::Int { width, .. }, Value::Int { v: x, .. }) => Value::int(x, *width),
                     (_, v) => v,
-                });
+                };
             }
             Stmt::If(cond, then_blk, else_blk) => {
                 if self.bool(cond)? {
@@ -502,18 +491,10 @@ impl Walk<'_> {
         Ok(match e {
             Expr::Int(value, width) => Value::int(*value, *width),
             Expr::Bool(b) => Value::Bool(*b),
-            Expr::Var(slot, global) => {
-                let bound = slot.map(|s| &self.shard.walk_frame[self.base + s as usize]);
-                match (bound, global) {
-                    (Some(Some(v)), _) => v.clone(),
-                    (_, Global::SelfId) => Value::int(self.switch, 32),
-                    (_, Global::Const(v)) => (**v).clone(),
-                    (_, Global::Group(members)) => Value::Group(members.to_vec()),
-                    (_, Global::Unbound(name)) => {
-                        panic!("checked program has unbound var `{name}`")
-                    }
-                }
-            }
+            Expr::Local(slot) => self.shard.walk_frame[self.base + *slot as usize].clone(),
+            Expr::SelfId => Value::int(self.switch, 32),
+            Expr::Const(v) => (**v).clone(),
+            Expr::Group(members) => Value::Group(members.to_vec()),
             Expr::Unary(op, arg) => match (op, self.eval(arg)?) {
                 (UnOp::Not, v) => Value::Bool(!v.as_bool().expect("checked")),
                 (UnOp::Neg, Value::Int { v, width }) => Value::int(v.wrapping_neg(), width),
@@ -592,41 +573,31 @@ impl Walk<'_> {
         let code = self.code;
         let f = &code.funs[fun as usize];
         let window = self.shard.walk_frame.len();
-        self.shard.walk_frame.resize(window + f.nslots, None);
-        let arrays = self.shard.walk_arrays.len();
-        for ((slot, _), a) in f.params.iter().zip(args) {
-            let v = match a {
-                // An array parameter goes on the dynamic stack as soon
-                // as it is bound — later arguments already see it — and
-                // reads as its global's id in value position.
-                Arg::Array(name, arr) => {
-                    let gid = self.array(arr);
-                    self.shard.walk_arrays.push((*name, gid));
-                    Value::int(gid.0 as u64, 32)
-                }
+        self.shard.walk_frame.resize(window + f.nslots, Value::Void);
+        for (slot, a) in (window..).zip(args) {
+            self.shard.walk_frame[slot] = match a {
+                // An array parameter reads as its global's id.
+                Arg::Array(arr) => Value::int(self.array(arr).0 as u64, 32),
                 Arg::Val(e) => self.eval(e)?,
             };
-            self.shard.walk_frame[window + *slot as usize] = Some(v);
         }
         let caller = std::mem::replace(&mut self.base, window);
         let flow = self.block(&f.block)?;
         self.base = caller;
         self.shard.walk_frame.truncate(window);
-        self.shard.walk_arrays.truncate(arrays);
         Ok(match flow {
             Flow::Returned(v) => v,
             Flow::Normal => Value::Void,
         })
     }
 
-    /// The global an array-position name denotes right now.
+    /// The global an array-position name denotes.
     fn array(&self, arr: &ArrayRef) -> GlobalId {
         match arr {
             ArrayRef::Global(gid) => *gid,
-            ArrayRef::Param(name, global) => {
-                let mut live = self.shard.walk_arrays.iter().rev();
-                let bound = live.find(|(n, _)| n == name).map(|(_, gid)| *gid);
-                bound.or(*global).expect("checked: array name is bound")
+            ArrayRef::Param(slot) => {
+                let id = self.shard.walk_frame[self.base + *slot as usize].as_int();
+                GlobalId(id.expect("checked: an array parameter holds its global's id") as usize)
             }
         }
     }

@@ -1,18 +1,22 @@
-//! Characterization corpus for the AST walker's name handling.
+//! Characterization corpus for the executors' name handling.
 //!
-//! The walker is the semantics of record, and some of what it answers
-//! is decided at run time rather than by the checker's lexical scopes:
-//! its environment is flat per activation, an unbound name reads
-//! through to `SELF` / a const / a group, assignment keeps the width of
-//! the value already bound, and array-position names resolve through
-//! every live activation. Each row is a small program run under the
-//! walker and under bytecode at every opt level — on the sequential
-//! engine and, where it has two or more switches, sharded at two
-//! workers — and compared against a **pinned literal** of everything
-//! observable: final arrays, `Stats`, the full trace, printf lines and
-//! the fault with its location. Pinning literals (not just executor
-//! agreement) is what lets the walker be restructured underneath: the
-//! rows were recorded from the by-name walker and must never move.
+//! Names resolve lexically, by the checker's rule: a name means its
+//! innermost enclosing binding in the running body, else `SELF` / the
+//! const / the group of that name, and an array-position name means the
+//! running body's own array parameter, else the global. What is still
+//! decided at run time is width: assignment keeps the width of the value
+//! already bound. Each row is a small program run under the walker and
+//! under bytecode at every opt level — on the sequential engine and,
+//! where it has two or more switches, sharded at two workers — and
+//! compared against a **pinned literal** of everything observable:
+//! final arrays, `Stats`, the full trace, printf lines and the fault
+//! with its location. Pinning literals (not just executor agreement) is
+//! what lets an executor be restructured underneath. Two rows were
+//! re-pinned when the walker became lexical (PR 25): the block-local
+//! read after its block, which the by-name walker's flat environment
+//! answered differently from bytecode, and the callee naming a global
+//! that shares a live caller's array-parameter name, which both
+//! executors answered dynamically.
 
 use lucid_check::parse_and_check;
 use lucid_interp::{Engine, ExecMode, Interp, NetConfig, OptLevel};
@@ -24,19 +28,12 @@ struct Row {
     switches: u64,
     /// `(switch, time_ns, event, args)` injections.
     schedule: &'static [(u64, u64, &'static str, &'static [u64])],
-    /// What every executor must produce, or — for the one row the
-    /// walker and bytecode answer differently — `(walker, bytecode)`.
+    /// What every executor must produce.
     want: Want,
 }
 
 enum Want {
     All(&'static str),
-    /// The walker's flat environment and the compiler's lexical scopes
-    /// disagree; both answers are pinned so neither drifts silently.
-    Split {
-        ast: &'static str,
-        bytecode: &'static str,
-    },
     /// The checker rejects the program: pin the diagnostic (proof that a
     /// resolver may decide the case statically).
     Rejected(&'static str),
@@ -108,11 +105,8 @@ fn check_row(row: &Row) {
         let mut combos = vec![(ExecMode::Ast, OptLevel::O2)];
         combos.extend([OptLevel::O0, OptLevel::O1, OptLevel::O2].map(|l| (ExecMode::Bytecode, l)));
         for (exec, opt) in combos {
-            let want = match (&row.want, exec) {
-                (Want::All(w), _) => w,
-                (Want::Split { ast, .. }, ExecMode::Ast) => ast,
-                (Want::Split { bytecode, .. }, ExecMode::Bytecode) => bytecode,
-                (Want::Rejected(_), _) => unreachable!(),
+            let Want::All(want) = row.want else {
+                unreachable!()
             };
             let got = observe(row, engine, exec, opt);
             let label = format!("{} [{elabel}/{}/O{}]", row.name, exec.label(), opt.label());
@@ -134,11 +128,10 @@ fn unindent(s: &str) -> String {
 }
 
 const ROWS: &[Row] = &[
-    // One flat environment per activation: `x` declared in both arms of
-    // an if/else and again in a later sibling block is one binding, and
-    // each `Local` rebinds it at its own declared width.
+    // `x` declared in both arms of an if/else and again in a later
+    // sibling block: each block binds its own, at its declared width.
     Row {
-        name: "sibling_block_locals_share_one_binding",
+        name: "sibling_block_locals_redeclare_one_name",
         src: r#"
             global o0 = new Array<<32>>(2);
             global o1 = new Array<<32>>(2);
@@ -175,10 +168,8 @@ const ROWS: &[Row] = &[
         ),
     },
     // Block-locals that share their names with a `const`, `SELF` and a
-    // group, read after their block closes. The checker resolves the
-    // later reads to the const / `SELF` / the group; the walker's flat
-    // environment still holds the locals when the block ran, and reads
-    // through to them when it did not.
+    // group, read after their block closes: the later reads mean the
+    // const / `SELF` / the group, whether or not the block ran.
     Row {
         name: "block_locals_shadowing_const_self_group_read_after_their_block",
         src: r#"
@@ -200,27 +191,8 @@ const ROWS: &[Row] = &[
         "#,
         switches: 3,
         schedule: &[(1, 0, "go", &[0]), (1, 100, "go", &[1])],
-        want: Want::Split {
-            ast: r#"
-            s1 o0=[0, 7]
-            s1 o1=[5, 7]
-            s1 seen=[0]
-            s2 o0=[0, 0]
-            s2 o1=[0, 0]
-            s2 seen=[6]
-            s3 o0=[0, 0]
-            s3 o1=[0, 0]
-            s3 seen=[16]
-            stats processed=4 handled=4 recirculated=0 sent_remote=2 exported=0 dropped=0 per_event=[("go", 2), ("ping", 2)]
-            trace 0ns s1 go[0]
-            trace 100ns s1 go[1]
-            trace 1000ns s2 ping[6]
-            trace 1100ns s3 ping[16]
-            printf "X=5 SELF=1"
-            printf "X=7 SELF=9"
-            fault none
-        "#,
-            bytecode: r#"
+        want: Want::All(
+            r#"
             s1 o0=[0, 7]
             s1 o1=[5, 5]
             s1 seen=[0]
@@ -239,7 +211,7 @@ const ROWS: &[Row] = &[
             printf "X=5 SELF=1"
             fault none
         "#,
-        },
+        ),
     },
     // Assignment keeps the width of the `Int` already in the slot; an
     // untyped local takes whatever width its initializer computed.
@@ -321,8 +293,7 @@ const ROWS: &[Row] = &[
     },
     // One function with an array parameter, called with two different
     // globals; afterwards a plain access to the global that shares the
-    // parameter's name must mean the global again (the dynamic array
-    // stack is truncated on return).
+    // parameter's name means the global again.
     Row {
         name: "array_param_two_globals_then_plain_access",
         src: r#"
@@ -353,6 +324,48 @@ const ROWS: &[Row] = &[
             fault none
         "#,
         ),
+    },
+    // A callee names a global that shares its live caller's
+    // array-parameter name: `a` inside `mark` is the global `a`, as the
+    // checker and the P4 backend (`reg_a`) resolve it — not `via`'s
+    // parameter, which is bound to `b`.
+    Row {
+        name: "callee_names_the_global_not_a_live_callers_array_parameter",
+        src: r#"
+            global a = new Array<<32>>(2);
+            global b = new Array<<32>>(2);
+            fun void mark(int v) { Array.set(a, 0, v); }
+            fun void via(Array<<32>> a, int v) { mark(v); }
+            event go(int v);
+            handle go(int v) { via(b, v); }
+        "#,
+        switches: 2,
+        schedule: &[(1, 0, "go", &[7]), (2, 50, "go", &[9])],
+        want: Want::All(
+            r#"
+            s1 a=[7, 0]
+            s1 b=[0, 0]
+            s2 a=[9, 0]
+            s2 b=[0, 0]
+            stats processed=2 handled=2 recirculated=0 sent_remote=0 exported=0 dropped=0 per_event=[("go", 2)]
+            trace 0ns s1 go[7]
+            trace 50ns s2 go[9]
+            fault none
+        "#,
+        ),
+    },
+    // A local named `SELF` is what `SELF` means while it is in scope —
+    // to the checker too: a bool plus an int is a type error.
+    Row {
+        name: "a_bool_local_named_self_is_typed_as_the_local",
+        src: r#"
+            global o = new Array<<32>>(1);
+            event go(int v);
+            handle go(int v) { bool SELF = true; Array.set(o, 0, SELF + 1); }
+        "#,
+        switches: 1,
+        schedule: &[],
+        want: Want::Rejected("expected an integer"),
     },
     // An event value held in a local, delayed and located, generated
     // twice (each `generate` consumes a copy, the local stays bound).
