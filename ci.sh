@@ -92,13 +92,12 @@ if ! diff -ru tests/golden "$golden_tmp"; then
   exit 1
 fi
 echo "-- 40 golden listings match"
-# Disassembly stability for the packed encoding: a word listing is a
-# pure function of the source program, so dumping the same app twice at
-# the same opt level must produce byte-identical text. This catches
-# nondeterminism the golden diff above cannot — e.g. hash-ordered
-# side-table (wide/ext pool) emission or address-dependent rendering —
-# and `--verify-bytecode` makes every dump decode-check the packed
-# words (V0011) before printing.
+# Disassembly stability: a listing is a pure function of the source
+# program, so dumping the same app twice at the same opt level must
+# produce byte-identical text. This catches nondeterminism the golden
+# diff above cannot — e.g. hash-ordered pool interning or
+# address-dependent rendering — and `--verify-bytecode` makes every dump
+# run the verifier before printing.
 for opt in 0 1 2; do
   for prog in crates/apps/programs/*.lucid; do
     a=$(target/release/lucidc sim --dump-bytecode --verify-bytecode --opt="$opt" "$prog")
@@ -109,7 +108,7 @@ for opt in 0 1 2; do
     fi
   done
 done
-echo "-- packed-word disassembly stable across repeated dumps (10 apps x 3 opt levels)"
+echo "-- disassembly stable across repeated dumps (10 apps x 3 opt levels)"
 
 echo "== fuzz smoke"
 # Bounded differential fuzzing: the vendored proptest shim is seeded, so

@@ -605,14 +605,14 @@ impl<'a> Checker<'a> {
                 for a in args {
                     let (ty, s2) = self.check_expr(a, scopes, cur, None);
                     cur = s2;
-                    if let CkTy::Val(t) = ty {
-                        if t.int_width().is_none() && t != Ty::Bool {
-                            self.diags.push(Diagnostic::error(
-                                format!("cannot print a value of type {t}"),
-                                a.span,
-                            ));
+                    let bad = match ty {
+                        CkTy::Val(t) if t.int_width().is_none() && t != Ty::Bool => {
+                            format!("cannot print a value of type {t}")
                         }
-                    }
+                        CkTy::Val(_) => continue,
+                        CkTy::ArrayRef(_) => "cannot print an array".to_string(),
+                    };
+                    self.diags.push(Diagnostic::error(bad, a.span));
                 }
                 (cur, false)
             }

@@ -328,6 +328,28 @@ fn sim_runtime_fault_still_emits_json() {
 }
 
 #[test]
+fn printf_of_an_array_is_a_diagnostic_not_a_crash() {
+    let prog = write_temp(
+        "printf-array.lucid",
+        "global a = new Array<<32>>(4); event go(int v); handle go(int v) { printf(\"a=%d\", a); }",
+    );
+    let sc = write_temp(
+        "printf-array.sim.json",
+        r#"{"events": [{"time_ns": 0, "switch": 1, "event": "go", "args": [1]}]}"#,
+    );
+    let out = lucidc(&["check", prog.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("cannot print an array"),
+        "{out:?}"
+    );
+    for exec in ["--exec=ast", "--exec=bytecode"] {
+        let out = lucidc(&["sim", exec, prog.to_str().unwrap(), sc.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{exec}: {out:?}");
+    }
+}
+
+#[test]
 fn sim_exec_modes_agree_and_are_labeled() {
     let prog = write_temp("sim-exec.lucid", GOOD);
     let sc = write_temp(

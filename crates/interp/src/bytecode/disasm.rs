@@ -4,7 +4,7 @@
 //! each handler line reports its post-regalloc register frame, and every
 //! fused superinstruction renders with its own mnemonic.
 
-use super::{word, CompiledProg, Instr, OptLevel};
+use super::{CompiledProg, Instr, OptLevel};
 use lucid_check::CheckedProgram;
 use std::fmt::Write as _;
 
@@ -69,15 +69,8 @@ impl CompiledProg {
                     .collect();
                 let _ = writeln!(out, "  args: {}", args.join(" "));
             }
-            // Decode each packed word back to the instruction it names;
-            // a word that fails to decode (possible only for bytecode
-            // corrupted outside the pipeline) renders as raw bits.
-            for (pc, &w) in h.code.iter().enumerate() {
-                let text = match word::decode(w, &h.tables) {
-                    Ok(i) => self.instr_text(&i),
-                    Err(e) => format!("?? {:#018x} ; {e}", w.0),
-                };
-                let _ = writeln!(out, "  {pc:>4}: {text}");
+            for (pc, i) in h.code.iter().enumerate() {
+                let _ = writeln!(out, "  {pc:>4}: {}", self.instr_text(i));
             }
         }
         out

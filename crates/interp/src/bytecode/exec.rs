@@ -3,14 +3,13 @@
 //! superinstructions compute exactly what their unfused expansions
 //! would, including fault order and fault payloads.
 //!
-//! Dispatch runs directly on the packed [`Word`] stream: one load per
-//! instruction, a dense match on the opcode byte, and operand fields
-//! extracted by shifts. No [`Instr`](super::Instr) enum is materialized
-//! here — wide immediates and variadic operand lists resolve through
-//! the handler's [`SideTables`].
+//! Dispatch is one `match` on each [`Instr`] of the handler span, the
+//! same instructions the optimizer rewrote and the verifier checked:
+//! operands are read straight out of the variant, and operand lists
+//! (hash, event and printf arguments) are the variant's own boxed
+//! slices.
 
-use super::word::{op, SideTables, Word, BIN_OPS, CMP_OPS, WIDE};
-use super::{CompiledProg, HandlerCode, Obj, Rv};
+use super::{CompiledProg, HandlerCode, Instr, Obj, Rv};
 use crate::machine::{Emitted, Exec, InterpError, InterpFault, Key, OutRec, Shard};
 use crate::value::{lucid_hash, Location, Value};
 use lucid_check::{eval_memop, mask};
@@ -99,9 +98,7 @@ impl CompiledProg {
                 },
             };
         }
-        let res = self.exec_loop(
-            &h.code, &h.tables, &mut regs, &mut objs, exec, shard, switch, key,
-        );
+        let res = self.exec_loop(&h.code, &mut regs, &mut objs, exec, shard, switch, key);
         shard.bc_regs = regs;
         shard.bc_objs = objs;
         res
@@ -121,8 +118,7 @@ impl CompiledProg {
     #[allow(clippy::too_many_arguments)]
     fn exec_loop(
         &self,
-        code: &[Word],
-        tables: &SideTables,
+        code: &[Instr],
         regs: &mut [Rv],
         objs: &mut [Obj],
         exec: &Exec,
@@ -130,165 +126,149 @@ impl CompiledProg {
         switch: u64,
         key: Key,
     ) -> Result<(), InterpError> {
-        let wide = tables.wide.as_slice();
-        let ext = tables.ext.as_slice();
-        // Resolve a (field, D-byte) immediate pair: the wide flag routes
-        // the field through the wide pool, otherwise the field is the
-        // value. The verifier has already proven the index in range.
-        let imm = |field: u16, d: u8| -> u64 {
-            if d & WIDE != 0 {
-                wide[field as usize]
-            } else {
-                field as u64
-            }
-        };
         let mut pc = 0usize;
         loop {
-            let w = code[pc];
-            let (a, b, c, d) = (w.a(), w.b(), w.c(), w.d());
-            match w.op() {
-                op::HALT => return Ok(()),
-                op::CONST => {
-                    regs[a as usize] = Rv {
-                        v: imm(b, d),
-                        w: (d & 0x7F) as u32,
-                    };
+            match &code[pc] {
+                Instr::Halt => return Ok(()),
+                &Instr::Const { dst, imm, w } => {
+                    regs[dst as usize] = Rv { v: imm, w };
                 }
-                op::MOV => {
-                    regs[a as usize] = regs[b as usize];
+                &Instr::Mov { dst, src } => {
+                    regs[dst as usize] = regs[src as usize];
                 }
-                op::STORE_MASKED => {
-                    let w = regs[a as usize].w;
-                    regs[a as usize] = Rv {
-                        v: mask(regs[b as usize].v, w),
+                &Instr::StoreMasked { dst, src } => {
+                    let w = regs[dst as usize].w;
+                    regs[dst as usize] = Rv {
+                        v: mask(regs[src as usize].v, w),
                         w,
                     };
                 }
-                op::BOOL_OF => {
-                    regs[a as usize] = Rv {
-                        v: (regs[b as usize].v != 0) as u64,
+                &Instr::BoolOf { dst, src } => {
+                    regs[dst as usize] = Rv {
+                        v: (regs[src as usize].v != 0) as u64,
                         w: 1,
                     };
                 }
-                op::NOT => {
-                    regs[a as usize] = Rv {
-                        v: (regs[b as usize].v == 0) as u64,
+                &Instr::Not { dst, src } => {
+                    regs[dst as usize] = Rv {
+                        v: (regs[src as usize].v == 0) as u64,
                         w: 1,
                     };
                 }
-                op::NEG => {
-                    let Rv { v, w } = regs[b as usize];
-                    regs[a as usize] = Rv {
+                &Instr::Neg { dst, src } => {
+                    let Rv { v, w } = regs[src as usize];
+                    regs[dst as usize] = Rv {
                         v: mask(v.wrapping_neg(), w),
                         w,
                     };
                 }
-                op::BIT_NOT => {
-                    let Rv { v, w } = regs[b as usize];
-                    regs[a as usize] = Rv { v: mask(!v, w), w };
+                &Instr::BitNot { dst, src } => {
+                    let Rv { v, w } = regs[src as usize];
+                    regs[dst as usize] = Rv { v: mask(!v, w), w };
                 }
-                op::MASKW => {
-                    regs[a as usize] = Rv {
-                        v: mask(regs[b as usize].v, d as u32),
-                        w: d as u32,
+                &Instr::MaskW { dst, src, w } => {
+                    regs[dst as usize] = Rv {
+                        v: mask(regs[src as usize].v, w),
+                        w,
                     };
                 }
-                op::HASH => {
-                    let span = &ext[b as usize..b as usize + c as usize];
-                    let seed = regs[span[0] as usize].v;
+                Instr::Hash { dst, w, args } => {
+                    let seed = regs[args[0] as usize].v;
                     // Reuse the shard's buffer: no per-hash allocation.
                     shard.bc_hash.clear();
                     shard
                         .bc_hash
-                        .extend(span[1..].iter().map(|&r| regs[r as usize].v));
-                    regs[a as usize] = Rv {
-                        v: lucid_hash(d as u32, seed, &shard.bc_hash),
-                        w: d as u32,
+                        .extend(args[1..].iter().map(|&r| regs[r as usize].v));
+                    regs[*dst as usize] = Rv {
+                        v: lucid_hash(*w, seed, &shard.bc_hash),
+                        w: *w,
                     };
                 }
-                op::HASH_CHK => {
-                    let span = &ext[(b as usize)..=(b as usize + c as usize)];
-                    let gid = span[0];
-                    let seed = regs[span[1] as usize].v;
+                Instr::HashChk { dst, w, args, gid } => {
+                    let seed = regs[args[0] as usize].v;
                     shard.bc_hash.clear();
                     shard
                         .bc_hash
-                        .extend(span[2..].iter().map(|&r| regs[r as usize].v));
-                    let v = lucid_hash(d as u32, seed, &shard.bc_hash);
-                    regs[a as usize] = Rv { v, w: d as u32 };
-                    if v >= self.arrays[gid as usize].len {
-                        return Err(self.oob(gid, v));
+                        .extend(args[1..].iter().map(|&r| regs[r as usize].v));
+                    let v = lucid_hash(*w, seed, &shard.bc_hash);
+                    regs[*dst as usize] = Rv { v, w: *w };
+                    if v >= self.arrays[*gid as usize].len {
+                        return Err(self.oob(*gid, v));
                     }
                 }
-                op::JMP => {
-                    pc = c as usize;
+                &Instr::Jmp { to } => {
+                    pc = to as usize;
                     continue;
                 }
-                op::JZ => {
-                    if regs[a as usize].v == 0 {
-                        pc = c as usize;
+                &Instr::Jz { cond, to } => {
+                    if regs[cond as usize].v == 0 {
+                        pc = to as usize;
                         continue;
                     }
                 }
-                op::JNZ => {
-                    if regs[a as usize].v != 0 {
-                        pc = c as usize;
+                &Instr::Jnz { cond, to } => {
+                    if regs[cond as usize].v != 0 {
+                        pc = to as usize;
                         continue;
                     }
                 }
-                op::ARR_CHECK => {
-                    let idx = regs[b as usize].v;
-                    if idx >= self.arrays[a as usize].len {
-                        return Err(self.oob(a as u32, idx));
+                &Instr::ArrCheck { gid, idx } => {
+                    let i = regs[idx as usize].v;
+                    if i >= self.arrays[gid as usize].len {
+                        return Err(self.oob(gid, i));
                     }
                 }
-                op::ARR_GET => {
-                    let i = regs[c as usize].v as usize;
+                &Instr::ArrGet { dst, gid, idx } => {
+                    let i = regs[idx as usize].v as usize;
                     debug_assert!(
-                        (i as u64) < self.arrays[b as usize].len,
+                        (i as u64) < self.arrays[gid as usize].len,
                         "verifier invariant broken: unchecked array access out of bounds"
                     );
-                    let w = self.arrays[b as usize].width;
+                    let w = self.arrays[gid as usize].width;
                     // The walker masks on read (`Value::int(cur, w)`);
                     // cells can legally hold over-width values because
                     // `Array.setm` stores memop results unmasked.
-                    regs[a as usize] = Rv {
-                        v: mask(shard.state.arrays[b as usize][i], w),
+                    regs[dst as usize] = Rv {
+                        v: mask(shard.state.arrays[gid as usize][i], w),
                         w,
                     };
                 }
-                op::CHK_GET => {
-                    let i = regs[c as usize].v;
-                    if i >= self.arrays[b as usize].len {
-                        return Err(self.oob(b as u32, i));
+                &Instr::ChkGet { dst, gid, idx } => {
+                    let i = regs[idx as usize].v;
+                    if i >= self.arrays[gid as usize].len {
+                        return Err(self.oob(gid, i));
                     }
-                    let w = self.arrays[b as usize].width;
-                    regs[a as usize] = Rv {
-                        v: mask(shard.state.arrays[b as usize][i as usize], w),
+                    let w = self.arrays[gid as usize].width;
+                    regs[dst as usize] = Rv {
+                        v: mask(shard.state.arrays[gid as usize][i as usize], w),
                         w,
                     };
                 }
-                op::ARR_SET => {
-                    let i = regs[b as usize].v as usize;
+                &Instr::ArrSet { gid, idx, val } => {
+                    let i = regs[idx as usize].v as usize;
                     debug_assert!(
-                        (i as u64) < self.arrays[a as usize].len,
+                        (i as u64) < self.arrays[gid as usize].len,
                         "verifier invariant broken: unchecked array access out of bounds"
                     );
-                    let w = self.arrays[a as usize].width;
-                    shard.state.arrays[a as usize][i] = mask(regs[c as usize].v, w);
+                    let w = self.arrays[gid as usize].width;
+                    shard.state.arrays[gid as usize][i] = mask(regs[val as usize].v, w);
                 }
-                op::CHK_SET => {
-                    let i = regs[b as usize].v;
-                    if i >= self.arrays[a as usize].len {
-                        return Err(self.oob(a as u32, i));
+                &Instr::ChkSet { gid, idx, val } => {
+                    let i = regs[idx as usize].v;
+                    if i >= self.arrays[gid as usize].len {
+                        return Err(self.oob(gid, i));
                     }
-                    let w = self.arrays[a as usize].width;
-                    shard.state.arrays[a as usize][i as usize] = mask(regs[c as usize].v, w);
+                    let w = self.arrays[gid as usize].width;
+                    shard.state.arrays[gid as usize][i as usize] = mask(regs[val as usize].v, w);
                 }
-                op::ARR_GETM => {
-                    let s = &ext[b as usize..b as usize + 4];
-                    let (gid, idx, memop, local) = (s[0] as usize, s[1], s[2], s[3]);
-                    let i = regs[idx as usize].v as usize;
+                &Instr::ArrGetm {
+                    dst,
+                    gid,
+                    idx,
+                    memop,
+                    local,
+                } => {
+                    let (gid, i) = (gid as usize, regs[idx as usize].v as usize);
                     debug_assert!(
                         (i as u64) < self.arrays[gid].len,
                         "verifier invariant broken: unchecked array access out of bounds"
@@ -296,14 +276,18 @@ impl CompiledProg {
                     let w = self.arrays[gid].width;
                     let cur = shard.state.arrays[gid][i];
                     let local = regs[local as usize].v;
-                    regs[a as usize] = Rv {
+                    regs[dst as usize] = Rv {
                         v: mask(eval_memop(&self.memops[memop as usize], cur, local, w), w),
                         w,
                     };
                 }
-                op::CHK_GETM => {
-                    let s = &ext[b as usize..b as usize + 4];
-                    let (gid, idx, memop, local) = (s[0], s[1], s[2], s[3]);
+                &Instr::ChkGetm {
+                    dst,
+                    gid,
+                    idx,
+                    memop,
+                    local,
+                } => {
                     let i = regs[idx as usize].v;
                     if i >= self.arrays[gid as usize].len {
                         return Err(self.oob(gid, i));
@@ -311,15 +295,18 @@ impl CompiledProg {
                     let w = self.arrays[gid as usize].width;
                     let cur = shard.state.arrays[gid as usize][i as usize];
                     let local = regs[local as usize].v;
-                    regs[a as usize] = Rv {
+                    regs[dst as usize] = Rv {
                         v: mask(eval_memop(&self.memops[memop as usize], cur, local, w), w),
                         w,
                     };
                 }
-                op::ARR_SETM => {
-                    let s = &ext[a as usize..a as usize + 4];
-                    let (gid, idx, memop, local) = (s[0] as usize, s[1], s[2], s[3]);
-                    let i = regs[idx as usize].v as usize;
+                &Instr::ArrSetm {
+                    gid,
+                    idx,
+                    memop,
+                    local,
+                } => {
+                    let (gid, i) = (gid as usize, regs[idx as usize].v as usize);
                     debug_assert!(
                         (i as u64) < self.arrays[gid].len,
                         "verifier invariant broken: unchecked array access out of bounds"
@@ -330,9 +317,12 @@ impl CompiledProg {
                     shard.state.arrays[gid][i] =
                         eval_memop(&self.memops[memop as usize], cur, local, w);
                 }
-                op::CHK_SETM => {
-                    let s = &ext[a as usize..a as usize + 4];
-                    let (gid, idx, memop, local) = (s[0], s[1], s[2], s[3]);
+                &Instr::ChkSetm {
+                    gid,
+                    idx,
+                    memop,
+                    local,
+                } => {
                     let i = regs[idx as usize].v;
                     if i >= self.arrays[gid as usize].len {
                         return Err(self.oob(gid, i));
@@ -343,11 +333,16 @@ impl CompiledProg {
                     shard.state.arrays[gid as usize][i as usize] =
                         eval_memop(&self.memops[memop as usize], cur, local, w);
                 }
-                op::ARR_UPDATE => {
-                    let s = &ext[b as usize..b as usize + 6];
-                    let (gid, idx) = (s[0] as usize, s[1]);
-                    let (getop, getarg, setop, setarg) = (s[2], s[3], s[4], s[5]);
-                    let i = regs[idx as usize].v as usize;
+                &Instr::ArrUpdate {
+                    dst,
+                    gid,
+                    idx,
+                    getop,
+                    getarg,
+                    setop,
+                    setarg,
+                } => {
+                    let (gid, i) = (gid as usize, regs[idx as usize].v as usize);
                     debug_assert!(
                         (i as u64) < self.arrays[gid].len,
                         "verifier invariant broken: unchecked array access out of bounds"
@@ -366,104 +361,111 @@ impl CompiledProg {
                         regs[setarg as usize].v,
                         w,
                     );
-                    regs[a as usize] = Rv { v: mask(ret, w), w };
+                    regs[dst as usize] = Rv { v: mask(ret, w), w };
                 }
-                op::CHK_UPDATE => {
-                    let s = &ext[b as usize..b as usize + 6];
-                    let (gid, idx) = (s[0], s[1]);
-                    let (getop, getarg, setop, setarg) = (s[2], s[3], s[4], s[5]);
+                &Instr::ChkUpdate {
+                    dst,
+                    gid,
+                    idx,
+                    getop,
+                    getarg,
+                    setop,
+                    setarg,
+                } => {
                     let i = regs[idx as usize].v;
                     if i >= self.arrays[gid as usize].len {
                         return Err(self.oob(gid, i));
                     }
-                    let i = i as usize;
-                    let w = self.arrays[gid as usize].width;
-                    let cur = shard.state.arrays[gid as usize][i];
+                    let (gid, i) = (gid as usize, i as usize);
+                    let w = self.arrays[gid].width;
+                    let cur = shard.state.arrays[gid][i];
                     let ret = eval_memop(
                         &self.memops[getop as usize],
                         cur,
                         regs[getarg as usize].v,
                         w,
                     );
-                    shard.state.arrays[gid as usize][i] = eval_memop(
+                    shard.state.arrays[gid][i] = eval_memop(
                         &self.memops[setop as usize],
                         cur,
                         regs[setarg as usize].v,
                         w,
                     );
-                    regs[a as usize] = Rv { v: mask(ret, w), w };
+                    regs[dst as usize] = Rv { v: mask(ret, w), w };
                 }
-                op::MK_EVENT => {
-                    let widths = &self.events[b as usize].widths;
-                    let span = &ext[c as usize..c as usize + d as usize];
+                Instr::MkEvent {
+                    dst,
+                    event_id,
+                    args,
+                } => {
+                    let widths = &self.events[*event_id as usize].widths;
                     // Argument buffers come from the worker's arena: an
                     // event that never reaches the trace (untraced run,
                     // drop, multicast fan-out source) returns it there.
-                    let mut vals = shard.arena.take(span.len());
+                    let mut vals = shard.arena.take(args.len());
                     vals.extend(
-                        span.iter()
+                        args.iter()
                             .zip(widths.iter())
                             .map(|(&r, w)| mask(regs[r as usize].v, *w)),
                     );
-                    objs[a as usize] = Obj::Ev(Emitted {
-                        event_id: b as usize,
+                    objs[*dst as usize] = Obj::Ev(Emitted {
+                        event_id: *event_id as usize,
                         args: vals,
                         delay_ns: 0,
                         location: Location::Here,
                     });
                 }
-                op::OBJ_COPY => {
-                    objs[a as usize] = objs[b as usize].clone();
+                &Instr::ObjCopy { dst, src } => {
+                    objs[dst as usize] = objs[src as usize].clone();
                 }
-                op::LOAD_GROUP => {
-                    objs[a as usize] = Obj::Group(self.groups[b as usize].1.clone());
+                &Instr::LoadGroup { dst, group } => {
+                    objs[dst as usize] = Obj::Group(self.groups[group as usize].1.clone());
                 }
-                op::EV_DELAY => {
-                    let d_us = regs[b as usize].v;
-                    if let Obj::Ev(ev) = &mut objs[a as usize] {
+                &Instr::EvDelay { obj, us } => {
+                    let d_us = regs[us as usize].v;
+                    if let Obj::Ev(ev) = &mut objs[obj as usize] {
                         ev.delay_ns += d_us * 1_000;
                     }
                 }
-                op::EV_LOCATE => {
-                    let loc = regs[b as usize].v;
-                    if let Obj::Ev(ev) = &mut objs[a as usize] {
+                &Instr::EvLocate { obj, loc } => {
+                    let loc = regs[loc as usize].v;
+                    if let Obj::Ev(ev) = &mut objs[obj as usize] {
                         ev.location = Location::Switch(loc);
                     }
                 }
-                op::EV_MLOCATE => {
-                    let members = match &objs[b as usize] {
+                &Instr::EvMLocate { obj, group } => {
+                    let members = match &objs[group as usize] {
                         Obj::Group(g) => g.clone(),
                         other => panic!("checked: group operand holds {other:?}"),
                     };
-                    if let Obj::Ev(ev) = &mut objs[a as usize] {
+                    if let Obj::Ev(ev) = &mut objs[obj as usize] {
                         ev.location = Location::Group(members);
                     }
                 }
-                op::GENERATE => {
-                    let Obj::Ev(ev) = std::mem::take(&mut objs[a as usize]) else {
+                &Instr::Generate { obj } => {
+                    let Obj::Ev(ev) = std::mem::take(&mut objs[obj as usize]) else {
                         panic!("checked: generate of non-event")
                     };
                     exec.emit(shard, ev);
                 }
-                op::LOAD_SELF => {
-                    regs[a as usize] = Rv { v: switch, w: 32 };
+                &Instr::LoadSelf { dst } => {
+                    regs[dst as usize] = Rv { v: switch, w: 32 };
                 }
-                op::LOAD_TIME => {
-                    regs[a as usize] = Rv {
+                &Instr::LoadTime { dst } => {
+                    regs[dst as usize] = Rv {
                         v: mask(shard.now_ns / 1_000, 32),
                         w: 32,
                     };
                 }
-                op::LOAD_PORT => {
-                    regs[a as usize] = Rv { v: 0, w: 32 };
+                &Instr::LoadPort { dst } => {
+                    regs[dst as usize] = Rv { v: 0, w: 32 };
                 }
-                op::PRINTF => {
-                    let span = &ext[b as usize..b as usize + c as usize];
-                    let vals: Vec<Value> = span
+                Instr::Printf { fmt, args } => {
+                    let vals: Vec<Value> = args
                         .iter()
-                        .map(|&e| {
-                            let r = regs[(e as u16) as usize];
-                            if e >> 16 != 0 {
+                        .map(|p| {
+                            let r = regs[p.reg as usize];
+                            if p.is_bool {
                                 Value::Bool(r.v != 0)
                             } else {
                                 Value::Int { v: r.v, width: r.w }
@@ -472,62 +474,43 @@ impl CompiledProg {
                         .collect();
                     // Defer formatting to the run's merge point: record
                     // the interned format id plus the evaluated values.
-                    shard.output.push((key, OutRec::Fmt { fmt: a, vals }));
+                    shard.output.push((key, OutRec::Fmt { fmt: *fmt, vals }));
                 }
-                opb @ op::BIN..=op::BIN_LAST => {
-                    let Rv { v: x, w: wx } = regs[b as usize];
-                    let Rv { v: y, w: wy } = regs[c as usize];
-                    regs[a as usize] = bin_eval(BIN_OPS[(opb - op::BIN) as usize], x, wx, y, wy);
+                &Instr::Bin { op, dst, a, b } => {
+                    let Rv { v: x, w: wx } = regs[a as usize];
+                    let Rv { v: y, w: wy } = regs[b as usize];
+                    regs[dst as usize] = bin_eval(op, x, wx, y, wy);
                 }
-                opb @ op::BIN_IMM..=op::BIN_IMM_LAST => {
-                    let Rv { v: x, w: wx } = regs[b as usize];
-                    regs[a as usize] = bin_eval(
-                        BIN_OPS[(opb - op::BIN_IMM) as usize],
-                        x,
-                        wx,
-                        imm(c, d),
-                        (d & 0x7F) as u32,
-                    );
+                &Instr::BinImm { op, dst, a, imm, w } => {
+                    let Rv { v: x, w: wx } = regs[a as usize];
+                    regs[dst as usize] = bin_eval(op, x, wx, imm, w);
                 }
-                opb @ op::CMP..=op::CMP_LAST => {
-                    let v = cmp_eval(
-                        CMP_OPS[(opb - op::CMP) as usize],
-                        regs[b as usize].v,
-                        regs[c as usize].v,
-                    );
-                    regs[a as usize] = Rv { v: v as u64, w: 1 };
+                &Instr::Cmp { op, dst, a, b } => {
+                    let v = cmp_eval(op, regs[a as usize].v, regs[b as usize].v);
+                    regs[dst as usize] = Rv { v: v as u64, w: 1 };
                 }
-                opb @ op::CMP_IMM..=op::CMP_IMM_LAST => {
-                    let v = cmp_eval(
-                        CMP_OPS[(opb - op::CMP_IMM) as usize],
-                        regs[b as usize].v,
-                        imm(c, d),
-                    );
-                    regs[a as usize] = Rv { v: v as u64, w: 1 };
+                &Instr::CmpImm { op, dst, a, imm } => {
+                    let v = cmp_eval(op, regs[a as usize].v, imm);
+                    regs[dst as usize] = Rv { v: v as u64, w: 1 };
                 }
-                opb @ op::JCMP..=op::JCMP_LAST => {
-                    if cmp_eval(
-                        CMP_OPS[(opb - op::JCMP) as usize],
-                        regs[a as usize].v,
-                        regs[b as usize].v,
-                    ) == (d & 1 != 0)
-                    {
-                        pc = c as usize;
+                &Instr::JCmp { op, a, b, when, to } => {
+                    if cmp_eval(op, regs[a as usize].v, regs[b as usize].v) == when {
+                        pc = to as usize;
                         continue;
                     }
                 }
-                opb @ op::JCMP_IMM..=op::JCMP_IMM_LAST => {
-                    if cmp_eval(
-                        CMP_OPS[(opb - op::JCMP_IMM) as usize],
-                        regs[a as usize].v,
-                        imm(b, d),
-                    ) == (d & 1 != 0)
-                    {
-                        pc = c as usize;
+                &Instr::JCmpImm {
+                    op,
+                    a,
+                    imm,
+                    when,
+                    to,
+                } => {
+                    if cmp_eval(op, regs[a as usize].v, imm) == when {
+                        pc = to as usize;
                         continue;
                     }
                 }
-                opb => unreachable!("verifier admitted opcode {opb:#04x}"),
             }
             pc += 1;
         }

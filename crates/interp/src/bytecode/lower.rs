@@ -6,7 +6,7 @@
 //! differential matrix (walker vs. unoptimized vs. optimized bytecode)
 //! meaningful.
 
-use super::{word, CompiledProg, HandlerCode, Instr, ParamBind, PrintArg};
+use super::{CompiledProg, HandlerCode, Instr, ParamBind, PrintArg};
 use lucid_check::{mask, CheckedProgram, GlobalId};
 use lucid_frontend::ast::*;
 use std::collections::HashMap;
@@ -71,11 +71,7 @@ impl Alloc {
 struct Cc<'p> {
     prog: &'p CheckedProgram,
     pools: &'p mut CompiledProg,
-    /// The span under construction, already in packed form — lowering
-    /// emits words, not boxed instructions (see [`word`]).
-    code: Vec<word::Word>,
-    /// The wide/ext pools [`Cc::code`] indexes into.
-    tables: word::SideTables,
+    code: Vec<Instr>,
     regs: Alloc,
     objs: Alloc,
     frames: Vec<Frame>,
@@ -96,7 +92,6 @@ pub(super) fn compile_handler(
         prog,
         pools,
         code: Vec::new(),
-        tables: word::SideTables::default(),
         regs: Alloc::default(),
         objs: Alloc::default(),
         frames: Vec::new(),
@@ -118,11 +113,6 @@ pub(super) fn compile_handler(
     cc.frames.push(Frame { vars, ret: None });
     cc.block(body);
     cc.emit(Instr::Halt);
-    assert!(
-        cc.code.len() < 0xFFFF,
-        "handler span of {} exceeds the 16-bit jump-target space",
-        cc.code.len()
-    );
     HandlerCode {
         event_id,
         name: name.to_string(),
@@ -131,28 +121,23 @@ pub(super) fn compile_handler(
         nregs: cc.regs.next as usize,
         nobjs: cc.objs.next as usize,
         code: cc.code,
-        tables: cc.tables,
         elisions: Vec::new(),
     }
 }
 
 impl Cc<'_> {
     fn emit(&mut self, i: Instr) -> usize {
-        self.code.push(word::encode(&i, &mut self.tables));
+        self.code.push(i);
         self.code.len() - 1
     }
 
-    /// Point a forward jump at the current end of the code (the C field
-    /// of the packed word holds the target for every jump opcode).
+    /// Point a forward jump at the current end of the code.
     fn patch(&mut self, at: usize) {
-        let to = u16::try_from(self.code.len()).expect("span bounded at seal time");
-        let w = &mut self.code[at];
-        assert!(
-            matches!(w.op(), word::op::JMP | word::op::JZ | word::op::JNZ),
-            "patching a non-jump opcode {:#04x}",
-            w.op()
-        );
-        w.set_c(to);
+        let here = u32::try_from(self.code.len()).expect("handler span fits u32 jump targets");
+        match &mut self.code[at] {
+            Instr::Jmp { to } | Instr::Jz { to, .. } | Instr::Jnz { to, .. } => *to = here,
+            other => panic!("patching a non-jump {other:?}"),
+        }
     }
 
     /// Free the storage a consumed temporary held.
@@ -283,7 +268,7 @@ impl Cc<'_> {
                 let c = self.expr(cond);
                 let jz = self.emit(Instr::Jz {
                     cond: self.reg_of(c),
-                    to: 0xFFFF,
+                    to: u32::MAX,
                 });
                 self.release(c);
                 // A branch's own declarations leave scope at its end, as
@@ -291,7 +276,7 @@ impl Cc<'_> {
                 let saved = self.frames.last().expect("frame").vars.clone();
                 self.block(then_blk);
                 if let Some(e) = else_blk {
-                    let jend = self.emit(Instr::Jmp { to: 0xFFFF });
+                    let jend = self.emit(Instr::Jmp { to: u32::MAX });
                     self.patch(jz);
                     self.frames.last_mut().expect("frame").vars = saved.clone();
                     self.block(e);
@@ -339,7 +324,7 @@ impl Cc<'_> {
                     }
                     self.release(v);
                 }
-                let j = self.emit(Instr::Jmp { to: 0xFFFF });
+                let j = self.emit(Instr::Jmp { to: u32::MAX });
                 self.frames
                     .last_mut()
                     .expect("frame")
@@ -477,20 +462,8 @@ impl Cc<'_> {
                     temp: false,
                 },
                 Slot::Obj(o) => Val::Obj { o, temp: false },
-                // The walker binds array params as their global id.
-                Slot::ArrayRef(gid) => {
-                    let dst = self.regs.get();
-                    self.emit(Instr::Const {
-                        dst,
-                        imm: gid.0 as u64,
-                        w: 32,
-                    });
-                    Val::Reg {
-                        r: dst,
-                        is_bool: false,
-                        temp: true,
-                    }
-                }
+                // The checker admits an array name only in array position.
+                Slot::ArrayRef(_) => panic!("checked: array `{}` read as a value", id.name),
                 Slot::Void => Val::Void,
             };
         }
@@ -541,12 +514,12 @@ impl Cc<'_> {
             let j = if op == BinOp::And {
                 self.emit(Instr::Jz {
                     cond: dst,
-                    to: 0xFFFF,
+                    to: u32::MAX,
                 })
             } else {
                 self.emit(Instr::Jnz {
                     cond: dst,
-                    to: 0xFFFF,
+                    to: u32::MAX,
                 })
             };
             let r = self.expr(rhs);

@@ -25,10 +25,14 @@
 //!   arithmetic) into single opcodes, then a linear-scan register
 //!   allocation pass ([`OptLevel::O2`], the default) that coalesces
 //!   moves and shrinks the per-shard scratch frame;
+//! * `verify` — the independent static re-check run after each pass;
 //! * `exec` — the flat dispatch loop;
 //! * `disasm` — the stable listing golden-file tests pin
 //!   (`lucidc sim --dump-bytecode`).
 //!
+//! Every stage speaks one form, the [`Instr`] stream: what `lower`
+//! emits is what the optimizer rewrites in place, what the verifier
+//! checks, what the disassembler prints and what `exec` dispatches on.
 //! Every optimization level is bit-identical to the walker; the
 //! differential suites sweep the full engine × exec × opt matrix.
 //!
@@ -60,11 +64,9 @@ mod exec;
 mod lower;
 mod opt;
 pub mod verify;
-mod word;
 
 pub use disasm::{disassemble, disassemble_opt};
 pub use verify::{violations_to_diagnostics, Violation};
-pub use word::{DecodeError, SideTables, Word};
 
 use crate::machine::Emitted;
 use lucid_check::{CheckedProgram, MemopIr};
@@ -450,9 +452,7 @@ pub struct Elision {
     pub bound: u128,
 }
 
-/// One handler's compiled body: packed instruction words plus the side
-/// tables their overflow operands index into (see the `word` module
-/// docs for the layout).
+/// One handler's compiled body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HandlerCode {
     event_id: usize,
@@ -462,43 +462,23 @@ pub struct HandlerCode {
     binds: Vec<ParamBind>,
     nregs: usize,
     nobjs: usize,
-    /// The handler span as packed 64-bit words.
-    code: Vec<Word>,
-    /// Wide-immediate and ext-operand pools the words reference.
-    tables: SideTables,
+    /// The handler span.
+    code: Vec<Instr>,
     /// Bounds-check elision proofs recorded by the optimizer (empty at
     /// `O0`; regalloc remaps the index registers along with the code).
     elisions: Vec<Elision>,
 }
 
 impl HandlerCode {
-    /// Decode the packed span back into the structured instruction view
-    /// (the optimizer, verifier, and disassembler work on this; the
-    /// executor dispatches on the raw words). Panics on a corrupted
-    /// encoding — callers that must not panic go through the `word`
-    /// module's `decode` and get the structured error instead.
-    pub fn instrs(&self) -> Vec<Instr> {
-        word::decode_all(&self.code, &self.tables)
-            .unwrap_or_else(|(pc, e)| panic!("undecodable word at pc {pc}: {e}"))
-    }
-
-    /// The packed instruction words (with [`HandlerCode::tables`], the
-    /// complete executable form).
-    pub fn words(&self) -> &[Word] {
+    /// The handler span, exactly as the executor runs it.
+    pub fn instrs(&self) -> &[Instr] {
         &self.code
     }
 
-    /// The side tables backing [`HandlerCode::words`].
-    pub fn tables(&self) -> &SideTables {
-        &self.tables
-    }
-
-    /// Replace the handler span, re-encoding through fresh side tables
-    /// (dead pool entries from rewritten instructions are dropped).
-    fn set_instrs(&mut self, code: &[Instr]) {
-        let (words, tables) = word::encode_all(code);
-        self.code = words;
-        self.tables = tables;
+    /// [`HandlerCode::instrs`] under its old name. Kept for `benchmark/`:
+    /// `benchmark/src/workloads/compile_apps.rs` counts `h.words().len()`.
+    pub fn words(&self) -> &[Instr] {
+        &self.code
     }
 
     /// The handler's event name.

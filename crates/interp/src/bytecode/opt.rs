@@ -43,24 +43,17 @@ use std::collections::HashMap;
 /// sub-pass can expose patterns for the others (a deleted `Const` makes
 /// a `Cmp` adjacent to its branch, a sunk check abuts its array op), and
 /// every sub-pass strictly deletes instructions or moves a check later,
-/// so the loop terminates.
-///
-/// The packed span is decoded once, rewritten in the structured
-/// [`Instr`] view, and re-encoded through fresh side tables at the end
-/// — re-encoding is deterministic, so running the pass again on its own
-/// output reproduces the same words bit for bit (idempotence, asserted
-/// by tests).
+/// so the loop terminates. Running the pass again on its own output
+/// changes nothing (idempotence, asserted by tests).
 pub(super) fn peephole(h: &mut HandlerCode, pools: &CompiledProg) {
-    let mut code = h.instrs();
     loop {
-        let mut changed = elide_checks(&mut code, &mut h.elisions, pools);
-        changed |= sink_checks(&mut code);
-        changed |= fuse(&mut code, h.nregs);
+        let mut changed = elide_checks(&mut h.code, &mut h.elisions, pools);
+        changed |= sink_checks(&mut h.code);
+        changed |= fuse(&mut h.code, h.nregs);
         if !changed {
             break;
         }
     }
-    h.set_instrs(&code);
 }
 
 // -------------------------------------------------------------- analysis
@@ -825,8 +818,7 @@ pub(super) fn regalloc(h: &mut HandlerCode) {
         return;
     }
     let nparams = h.binds.len();
-    let decoded = h.instrs();
-    let code = &decoded;
+    let code = &h.code;
     let mut start = vec![usize::MAX; n];
     let mut end = vec![0usize; n];
     for (pc, i) in code.iter().enumerate() {
@@ -929,8 +921,8 @@ pub(super) fn regalloc(h: &mut HandlerCode) {
         new_count <= n,
         "regalloc grew the frame: {n} -> {new_count}"
     );
-    let mut code = compact(&decoded, &keep);
-    for i in &mut code {
+    h.code = compact(&h.code, &keep);
+    for i in &mut h.code {
         rewrite_regs(i, &map);
     }
     // Elision proofs name index registers; rename them with the code
@@ -941,6 +933,5 @@ pub(super) fn regalloc(h: &mut HandlerCode) {
             e.idx = m;
         }
     }
-    h.set_instrs(&code);
     h.nregs = new_count;
 }

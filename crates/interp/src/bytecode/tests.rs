@@ -395,11 +395,6 @@ fn peephole_is_idempotent() {
             let mut again = h.clone();
             opt::peephole(&mut again, &cp);
             assert_eq!(h.code, again.code, "{}: peephole not idempotent", h.name);
-            assert_eq!(
-                h.tables, again.tables,
-                "{}: re-encoding the fixpoint moved the side tables",
-                h.name
-            );
         }
     }
 }
@@ -638,13 +633,12 @@ fn mutated<F: FnOnce(&mut HandlerCode)>(prog: &CheckedProgram, f: F) -> Compiled
     cp
 }
 
-/// Decode a handler's packed span, rewrite it as `Instr`s, and
-/// re-encode — the mutation tests' bridge from bit-packed words back to
-/// pattern-matchable instructions.
-fn recode<F: FnOnce(&mut Vec<Instr>)>(h: &mut HandlerCode, f: F) {
-    let mut code = h.instrs();
-    f(&mut code);
-    h.set_instrs(&code);
+/// The pc of the first instruction matching `f`.
+fn find(h: &HandlerCode, what: &str, f: impl Fn(&Instr) -> bool) -> usize {
+    h.code
+        .iter()
+        .position(f)
+        .unwrap_or_else(|| panic!("no {what} in the handler"))
 }
 
 /// Mutation smoke test: each mutation below is one *miscompile class* —
@@ -658,16 +652,12 @@ fn verifier_rejects_classic_miscompiles() {
     // loops, so any backward edge is a miscompile (and would break the
     // verifier's single-forward-pass completeness argument).
     let cp = mutated(&prog, |h| {
-        recode(h, |code| {
-            let pc = code
-                .iter()
-                .position(|i| matches!(i, Instr::Jz { .. } | Instr::Jnz { .. }))
-                .expect("a conditional branch");
-            match &mut code[pc] {
-                Instr::Jz { to, .. } | Instr::Jnz { to, .. } => *to = 0,
-                _ => unreachable!(),
-            }
+        let pc = find(h, "conditional branch", |i| {
+            matches!(i, Instr::Jz { .. } | Instr::Jnz { .. })
         });
+        if let Instr::Jz { to, .. } | Instr::Jnz { to, .. } = &mut h.code[pc] {
+            *to = 0;
+        }
     });
     expect_violation(&cp, verify::codes::BAD_JUMP);
 
@@ -675,19 +665,11 @@ fn verifier_rejects_classic_miscompiles() {
     // file would carry an unmaskable value and every downstream masking
     // decision goes wrong.
     let cp = mutated(&prog, |h| {
-        recode(h, |code| {
-            let pc = code
-                .iter()
-                .position(|i| matches!(i, Instr::Const { .. }))
-                .expect("a constant load");
-            match &mut code[pc] {
-                Instr::Const { imm, w, .. } => {
-                    *imm = 0xff;
-                    *w = 1;
-                }
-                _ => unreachable!(),
-            }
-        });
+        let pc = find(h, "constant load", |i| matches!(i, Instr::Const { .. }));
+        if let Instr::Const { imm, w, .. } = &mut h.code[pc] {
+            *imm = 0xff;
+            *w = 1;
+        }
     });
     expect_violation(&cp, verify::codes::BAD_WIDTH);
 
@@ -696,13 +678,8 @@ fn verifier_rejects_classic_miscompiles() {
     // access that follows is no longer dominated by a check and carries
     // no elision proof.
     let cp = mutated(&prog, |h| {
-        recode(h, |code| {
-            let pc = code
-                .iter()
-                .position(|i| matches!(i, Instr::ArrCheck { .. }))
-                .expect("a bounds check");
-            code[pc] = Instr::Mov { dst: 0, src: 0 };
-        });
+        let pc = find(h, "bounds check", |i| matches!(i, Instr::ArrCheck { .. }));
+        h.code[pc] = Instr::Mov { dst: 0, src: 0 };
     });
     expect_violation(&cp, verify::codes::UNCHECKED_ACCESS);
 
@@ -710,9 +687,7 @@ fn verifier_rejects_classic_miscompiles() {
     // bug class (a rename map entry pointing past the compacted frame).
     let cp = mutated(&prog, |h| {
         let dst = h.nregs as u16;
-        recode(h, |code| {
-            code[0] = Instr::Const { dst, imm: 0, w: 32 };
-        });
+        h.code[0] = Instr::Const { dst, imm: 0, w: 32 };
     });
     expect_violation(&cp, verify::codes::REG_OUT_OF_FRAME);
 
@@ -721,284 +696,63 @@ fn verifier_rejects_classic_miscompiles() {
     let cp = mutated(&prog, |h| {
         assert!(h.nregs > 2, "kitchen sink frame is large");
         let src = h.nregs as u16 - 1;
-        recode(h, |code| {
-            code[0] = Instr::Mov { dst: 0, src };
-        });
+        h.code[0] = Instr::Mov { dst: 0, src };
     });
     expect_violation(&cp, verify::codes::UNINIT_REG);
 
     // Class 6: a truncated handler — fell off the end without `halt`.
     let cp = mutated(&prog, |h| {
-        recode(h, |code| {
-            assert!(matches!(code.pop(), Some(Instr::Halt)));
-        });
+        assert!(matches!(h.code.pop(), Some(Instr::Halt)));
     });
     expect_violation(&cp, verify::codes::NO_HALT);
-}
 
-// ------------------------------------------------------- packed words
+    // Class 7: an object operand past the object frame — regalloc's
+    // bug class for the event/group slots.
+    let cp = mutated(&prog, |h| {
+        let nobjs = h.nobjs as u16;
+        let pc = find(h, "generate", |i| matches!(i, Instr::Generate { .. }));
+        h.code[pc] = Instr::Generate { obj: nobjs };
+    });
+    expect_violation(&cp, verify::codes::OBJ_OUT_OF_FRAME);
 
-/// Build one valid instruction from raw fuzz material: `sel` picks the
-/// variant, the remaining fields fill its operands. Covers every
-/// encoding shape (inline + wide immediates, flags, ext-pool spans).
-fn raw_instr(sel: u8, a: u16, b: u16, c: u16, imm: u64, flag: bool) -> Instr {
-    let w = 1 + (imm % 64) as u32;
-    let bin = word::BIN_OPS[(c % 10) as usize];
-    let cmp = word::CMP_OPS[(c % 6) as usize];
-    let args: Box<[u16]> = (0..=(a % 3)).map(|k| b.wrapping_add(k)).collect();
-    match sel % 25 {
-        0 => Instr::Const { dst: a, imm, w },
-        1 => Instr::Mov { dst: a, src: b },
-        2 => Instr::StoreMasked { dst: a, src: b },
-        3 => Instr::BoolOf { dst: a, src: b },
-        4 => Instr::Not { dst: a, src: b },
-        5 => Instr::Neg { dst: a, src: b },
-        6 => Instr::BitNot { dst: a, src: b },
-        7 => Instr::MaskW { dst: a, src: b, w },
-        8 => Instr::Bin {
-            op: bin,
-            dst: a,
-            a: b,
-            b: c,
-        },
-        9 => Instr::BinImm {
-            op: bin,
-            dst: a,
-            a: b,
-            imm,
-            w,
-        },
-        10 => Instr::Cmp {
-            op: cmp,
-            dst: a,
-            a: b,
-            b: c,
-        },
-        11 => Instr::CmpImm {
-            op: cmp,
-            dst: a,
-            a: b,
-            imm,
-        },
-        12 => Instr::Jmp { to: c as u32 },
-        13 => Instr::Jz {
-            cond: a,
-            to: c as u32,
-        },
-        14 => Instr::Jnz {
-            cond: a,
-            to: c as u32,
-        },
-        15 => Instr::JCmp {
-            op: cmp,
-            a,
-            b,
-            when: flag,
-            to: c as u32,
-        },
-        16 => Instr::JCmpImm {
-            op: cmp,
-            a,
-            imm,
-            when: flag,
-            to: c as u32,
-        },
-        17 => Instr::Hash { dst: a, w, args },
-        18 => Instr::HashChk {
-            dst: a,
-            w,
-            args,
-            gid: b as u32,
-        },
-        19 => Instr::ArrCheck {
-            gid: a as u32,
-            idx: b,
-        },
-        20 => Instr::ChkGetm {
-            dst: a,
-            gid: b as u32,
-            idx: c,
-            memop: a,
-            local: b,
-        },
-        21 => Instr::ArrUpdate {
-            dst: a,
-            gid: b as u32,
-            idx: c,
-            getop: a,
-            getarg: b,
-            setop: c,
-            setarg: a,
-        },
-        22 => Instr::MkEvent {
-            dst: a,
-            event_id: b as u32,
-            args,
-        },
-        23 => Instr::Printf {
-            fmt: a,
-            args: (0..=(b % 3))
-                .map(|k| PrintArg {
-                    reg: c.wrapping_add(k),
-                    is_bool: flag ^ (k & 1 != 0),
-                })
-                .collect(),
-        },
-        _ => Instr::Halt,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Round trip: any valid instruction sequence encodes to packed
-    /// words that decode back to the same instructions, and re-encoding
-    /// the decode reproduces the exact bits and side tables (canonical
-    /// form is a fixpoint).
-    #[test]
-    fn packed_words_roundtrip(
-        raws in proptest::collection::vec(
-            (0u8..=255, 0u16..=400, 0u16..=400, 0u16..=400, proptest::prelude::any::<u64>(), proptest::prelude::any::<bool>()),
-            1..16
-        )
-    ) {
-        let code: Vec<Instr> = raws
-            .iter()
-            .map(|&(sel, a, b, c, imm, flag)| raw_instr(sel, a, b, c, imm, flag))
-            .collect();
-        let (w1, t1) = word::encode_all(&code);
-        let decoded = match word::decode_all(&w1, &t1) {
-            Ok(d) => d,
-            Err((pc, e)) => panic!("compiler-encoded word at pc {pc} failed to decode: {e}"),
-        };
-        prop_assert_eq!(&code, &decoded);
-        let (w2, t2) = word::encode_all(&decoded);
-        prop_assert_eq!(&w1, &w2);
-        prop_assert_eq!(&t1, &t2);
-    }
-
-    /// Totality: any 64-bit pattern, against any small side tables,
-    /// either decodes or yields a structured error — never a panic.
-    #[test]
-    fn arbitrary_words_never_panic_the_decoder(
-        raw in proptest::prelude::any::<u64>(),
-        wides in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..4),
-        exts in proptest::collection::vec(0u32..=200_000, 0..8)
-    ) {
-        let t = SideTables { wide: wides, ext: exts };
-        // Both arms are fine; what matters is that decode returns.
-        match word::decode(Word(raw), &t) {
-            Ok(_) | Err(_) => {}
+    // Class 8: a slot used after `generate` consumed it — a duplicated
+    // emit, or a pass reordering a use below the consuming `generate`.
+    let cp = mutated(&prog, |h| {
+        let pc = find(h, "generate", |i| matches!(i, Instr::Generate { .. }));
+        let again = h.code[pc].clone();
+        h.code.insert(pc + 1, again);
+        // Keep every jump on the instruction it targeted.
+        for i in &mut h.code {
+            if let Instr::Jmp { to } | Instr::Jz { to, .. } | Instr::Jnz { to, .. } = i {
+                if *to as usize > pc {
+                    *to += 1;
+                }
+            }
         }
-    }
-}
-
-/// Each malformed-word class reports its own structured [`DecodeError`]
-/// variant (the verifier folds them all into V0011, but the error
-/// itself names the exact corruption).
-#[test]
-fn malformed_words_decode_to_structured_errors() {
-    let t = SideTables::default();
-    let decode = |raw: u64, t: &SideTables| word::decode(Word(raw), t);
-
-    // An opcode past the dense space.
-    assert!(matches!(
-        decode(word::op::LIMIT as u64, &t),
-        Err(DecodeError::BadOpcode(b)) if b == word::op::LIMIT
-    ));
-    // Halt with junk in an operand field.
-    assert!(matches!(
-        decode((word::op::HALT as u64) | (1 << 8), &t),
-        Err(DecodeError::JunkBits { .. })
-    ));
-    // Wide flag pointing past the (empty) wide pool.
-    let wide_const = Word::new(word::op::CONST, 0, 3, 0, 32 | word::WIDE);
-    assert!(matches!(
-        word::decode(wide_const, &t),
-        Err(DecodeError::WideIndex { idx: 3, len: 0 })
-    ));
-    // A wide-pool entry that should have been inline.
-    let t_small = SideTables {
-        wide: vec![5],
-        ext: Vec::new(),
-    };
-    let wide_const = Word::new(word::op::CONST, 0, 0, 0, 32 | word::WIDE);
-    assert!(matches!(
-        word::decode(wide_const, &t_small),
-        Err(DecodeError::NonCanonicalWide { value: 5 })
-    ));
-    // An ext span running past the pool.
-    let hash = Word::new(word::op::HASH, 0, 0, 3, 8);
-    assert!(matches!(
-        word::decode(hash, &t),
-        Err(DecodeError::ExtRange {
-            base: 0,
-            len: 3,
-            ..
-        })
-    ));
-    // An ext entry with bits outside its operand's range.
-    let t_junk = SideTables {
-        wide: Vec::new(),
-        ext: vec![1 << 20],
-    };
-    let hash = Word::new(word::op::HASH, 0, 0, 1, 8);
-    assert!(matches!(
-        word::decode(hash, &t_junk),
-        Err(DecodeError::ExtJunk { .. })
-    ));
-}
-
-/// Bit-flip mutation test: corrupt the packed words themselves, one
-/// field class at a time. A flip that breaks the encoding gets the
-/// encoding code (V0011); a flip that decodes into a provably wrong
-/// instruction gets that rule's own stable code. Either way the
-/// verifier names the corruption and never panics.
-#[test]
-fn verifier_names_bit_flipped_words() {
-    let prog = checked(KITCHEN_SINK);
-
-    // Opcode byte driven outside the dense ISA: undecodable.
-    let cp = mutated(&prog, |h| {
-        h.code[0].0 |= 0xFF;
     });
-    expect_violation(&cp, verify::codes::BAD_ENCODING);
+    expect_violation(&cp, verify::codes::UNINIT_OBJ);
 
-    // Register field (A, the destination) flipped to all-ones: the word
-    // still decodes, but the register is far outside the frame.
+    // Class 9: a pool index past its pool — an array id the program
+    // never declared.
     let cp = mutated(&prog, |h| {
-        let pc = h
-            .code
-            .iter()
-            .position(|w| w.op() == word::op::CONST)
-            .expect("a constant load");
-        h.code[pc].0 |= 0xFFFFu64 << 8;
+        let pc = find(h, "bounds check", |i| matches!(i, Instr::ArrCheck { .. }));
+        if let Instr::ArrCheck { gid, .. } = &mut h.code[pc] {
+            *gid = 99;
+        }
     });
-    expect_violation(&cp, verify::codes::REG_OUT_OF_FRAME);
+    expect_violation(&cp, verify::codes::BAD_POOL_INDEX);
 
-    // Immediate field: flipping the wide flag turns an inline immediate
-    // into a dangling wide-pool index (the kitchen sink's O0 pool holds
-    // no >16-bit immediates, so any index is out of range).
+    // Class 10: an event built with fewer arguments than its signature
+    // declares — the executor would schedule a short argument list.
     let cp = mutated(&prog, |h| {
-        assert!(h.tables.wide.is_empty(), "test premise: empty wide pool");
-        let pc = h
-            .code
-            .iter()
-            .position(|w| w.op() == word::op::CONST)
-            .expect("a constant load");
-        h.code[pc].0 ^= 1u64 << 63;
+        let pc = find(
+            h,
+            "event construction",
+            |i| matches!(i, Instr::MkEvent { args, .. } if !args.is_empty()),
+        );
+        if let Instr::MkEvent { args, .. } = &mut h.code[pc] {
+            *args = args[1..].into();
+        }
     });
-    expect_violation(&cp, verify::codes::BAD_ENCODING);
-
-    // A bit in a field the opcode does not use: strict canonical form
-    // rejects junk bits rather than silently ignoring them.
-    let cp = mutated(&prog, |h| {
-        let pc = h
-            .code
-            .iter()
-            .position(|w| w.op() == word::op::CONST)
-            .expect("a constant load");
-        h.code[pc].0 ^= 1u64 << 40;
-    });
-    expect_violation(&cp, verify::codes::BAD_ENCODING);
+    expect_violation(&cp, verify::codes::BAD_ARITY);
 }

@@ -26,11 +26,6 @@
 //! * **Pools** — every array/memop/group/format/event index resolves
 //!   ([`V0008`]), and variable-arity operands match their signature
 //!   ([`V0010`]).
-//! * **Encoding** — every packed instruction word decodes under the
-//!   strict canonical form ([`V0011`]): valid opcode, zero bits in
-//!   unused fields, in-range side-table spans, wide immediates only
-//!   where an inline field cannot hold them. A span that fails to
-//!   decode is rejected before any semantic rule runs.
 //! * **Bounds** — every unfused array/memop access is dominated by a
 //!   bounds check on the same `(array, index-register)` pair, **or**
 //!   carries an elision proof recorded by the O1 upper-bound analysis
@@ -55,9 +50,8 @@
 //! [`V0008`]: self::codes::BAD_POOL_INDEX
 //! [`V0009`]: self::codes::UNCHECKED_ACCESS
 //! [`V0010`]: self::codes::BAD_ARITY
-//! [`V0011`]: self::codes::BAD_ENCODING
 
-use super::{opt, word, CompiledProg, HandlerCode, Instr};
+use super::{opt, CompiledProg, HandlerCode, Instr};
 use lucid_check::mask;
 use lucid_frontend::ast::BinOp;
 use lucid_frontend::diag::{Diagnostic, Diagnostics};
@@ -91,10 +85,6 @@ pub mod codes {
     /// Variable-arity operand list does not match its signature
     /// (event arity, empty hash).
     pub const BAD_ARITY: &str = "V0010";
-    /// Packed instruction word fails to decode: bad opcode, junk bits
-    /// in an unused field, an out-of-range side-table span, or a
-    /// non-canonical wide immediate.
-    pub const BAD_ENCODING: &str = "V0011";
 }
 
 /// One verifier violation: which rule broke, where, and after which
@@ -152,24 +142,8 @@ pub(super) fn verify_handler(
     pools: &CompiledProg,
     pass: &'static str,
 ) -> Vec<Violation> {
-    // Decode the packed span first: every rule below reasons about the
-    // structured view, so an undecodable word is its own violation
-    // class — the V-code pins the pc and the structural reason.
-    let code = match word::decode_all(h.words(), h.tables()) {
-        Ok(code) => code,
-        Err((pc, e)) => {
-            return vec![Violation {
-                code: codes::BAD_ENCODING,
-                pass,
-                handler: h.name.clone(),
-                pc,
-                message: format!("packed word does not decode: {e}"),
-            }]
-        }
-    };
     let mut v = Verifier {
         h,
-        code: &code,
         pools,
         pass,
         out: Vec::new(),
@@ -186,8 +160,6 @@ pub(super) fn verify_handler(
 
 struct Verifier<'a> {
     h: &'a HandlerCode,
-    /// The span, decoded from [`HandlerCode::words`] up front.
-    code: &'a [Instr],
     pools: &'a CompiledProg,
     pass: &'static str,
     out: Vec<Violation>,
@@ -220,27 +192,27 @@ impl Verifier<'_> {
                 ),
             );
         }
-        match self.code.last() {
+        match self.h.code.last() {
             Some(Instr::Halt) => {}
             _ => self.report(
                 codes::NO_HALT,
-                self.code.len().saturating_sub(1),
+                self.h.code.len().saturating_sub(1),
                 "handler span does not end in Halt".to_string(),
             ),
         }
-        for (pc, i) in self.code.iter().enumerate() {
+        for (pc, i) in self.h.code.iter().enumerate() {
             self.check_frames(pc, i);
             self.check_pools(pc, i);
             self.check_widths(pc, i);
             if let Some(to) = jump_to(i) {
                 let to = to as usize;
-                if to >= self.code.len() {
+                if to >= self.h.code.len() {
                     self.report(
                         codes::BAD_JUMP,
                         pc,
                         format!(
                             "jump target {to} outside the span (len {})",
-                            self.code.len()
+                            self.h.code.len()
                         ),
                     );
                 } else if to <= pc {
@@ -436,7 +408,7 @@ impl Verifier<'_> {
     /// fixpoint: by the time `pc` is reached, every predecessor (all at
     /// lower addresses) has already contributed its out-state.
     fn dataflow(&mut self) {
-        let code = self.code;
+        let code = &self.h.code;
         let mut inflow: Vec<Option<State>> = vec![None; code.len()];
         let mut cur = State::entry(self.h);
         // Whether `cur` describes a reachable path into the next pc;

@@ -59,7 +59,6 @@ const REGISTRY: &[(&str, &str)] = &[
     ("V0008", "pool index out of range"),
     ("V0009", "array access neither checked nor elision-proven"),
     ("V0010", "event arity or argument-list violation"),
-    ("V0011", "packed instruction word does not decode"),
 ];
 
 /// Exact-literal scan: a code is "emitted" iff the 7-byte sequence
