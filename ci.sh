@@ -73,6 +73,17 @@ if [ "$json_literals" -ne 0 ]; then
   exit 1
 fi
 echo "-- no hand-escaped JSON literals outside the codec"
+# Every bytecode array op checks its own index: the executor reaches a
+# cell only through `.get`/`.get_mut`, whose miss is the walker's
+# IndexOutOfBounds fault. A direct `arrays[…][…]` index would turn an
+# out-of-range index into a panic instead.
+if ! awk '/#\[cfg\(test\)\]/ { exit } /arrays\[.*\]\[/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit bad }' \
+    crates/interp/src/bytecode/exec.rs >&2; then
+  echo "static analysis: bytecode/exec.rs indexes an array cell directly" \
+       "(use .get/.get_mut so a miss faults)" >&2
+  exit 1
+fi
+echo "-- bytecode array cells reached only through .get/.get_mut"
 
 echo "== golden drift guard"
 # Regenerate the per-opt-level bytecode disassembly into a temp dir and
@@ -151,9 +162,9 @@ for sc in "${scenarios[@]}"; do
     echo "-- sim [$engine/ast] $sc"
     target/release/lucidc sim --engine=$engine --exec=ast "$prog" "$sc"
     # The bytecode executor runs at both ends of the optimizer pipeline:
-    # raw lowering and the full superinstruction + regalloc stack. Each
-    # run is fronted by the bytecode verifier, so the code that executes
-    # is the code the dataflow pass vouched for.
+    # raw lowering and fusion plus register allocation. Each run is
+    # fronted by the bytecode verifier, so the code that executes is the
+    # code the verifier accepted.
     for opt in 0 2; do
       echo "-- sim [$engine/bytecode/o$opt] $sc"
       target/release/lucidc sim --engine=$engine --exec=bytecode --opt="$opt" \

@@ -29,6 +29,12 @@ pub use memop::{eval_memop, validate_memops, MemopAtom, MemopBody, MemopCell, Me
 pub use symbols::{mask, ConstInfo, EventInfo, GlobalId, GlobalInfo, GroupInfo, ProgramInfo};
 pub use typecheck::{analyze, check, Analysis, CheckOptions, CheckedProgram};
 
+/// The deepest chain of nested function calls a handler may make
+/// (`E0404` beyond it). Functions are inlined per call site, so this
+/// bounds what the checker, the walker and the bytecode compiler
+/// recurse through.
+pub const MAX_CALL_DEPTH: usize = 64;
+
 /// Parse and check in one call.
 pub fn parse_and_check(src: &str) -> Result<CheckedProgram, Diagnostics> {
     let program = lucid_frontend::parse_program(src).map_err(|d| {

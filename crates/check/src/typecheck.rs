@@ -22,6 +22,7 @@
 
 use crate::memop::{validate_memops, MemopIr};
 use crate::symbols::{GlobalId, ProgramInfo};
+use crate::MAX_CALL_DEPTH;
 use lucid_frontend::ast::*;
 use lucid_frontend::diag::{Diagnostic, Diagnostics};
 use lucid_frontend::span::Span;
@@ -365,6 +366,16 @@ impl<'a> Checker<'a> {
                      to iterate over time, `generate` a recursive *event* instead (§3.1)",
                     )
                     .with_code("E0402"),
+            );
+            return (CkTy::Val(ret_ty), stage);
+        }
+        if self.call_stack.len() >= MAX_CALL_DEPTH {
+            self.diags.push(
+                Diagnostic::error(
+                    format!("call chain deeper than {MAX_CALL_DEPTH} functions"),
+                    callee.span,
+                )
+                .with_code("E0404"),
             );
             return (CkTy::Val(ret_ty), stage);
         }
@@ -1244,6 +1255,27 @@ mod tests {
         let d = first_error(src);
         assert!(d.message.contains("recursive"), "{d}");
         assert!(d.notes.iter().any(|(n, _)| n.contains("generate")), "{d:?}");
+    }
+
+    #[test]
+    fn call_chain_depth_is_bounded() {
+        // f1 -> f2 -> ... -> fn, each `return f{i+1}(x) + 1;`.
+        let chain = |n: usize| {
+            let mut src = String::new();
+            for i in 1..n {
+                src.push_str(&format!(
+                    "fun int f{i}(int x) {{ return f{}(x) + 1; }}\n",
+                    i + 1
+                ));
+            }
+            src.push_str(&format!("fun int f{n}(int x) {{ return x; }}\n"));
+            src.push_str("event go(int x);\nhandle go(int x) { int y = f1(x); }\n");
+            src
+        };
+        assert!(check_src(&chain(MAX_CALL_DEPTH)).is_ok());
+        let d = first_error(&chain(MAX_CALL_DEPTH + 1));
+        assert_eq!(d.code, Some("E0404"), "{d}");
+        assert!(d.message.contains("deeper than 64"), "{d}");
     }
 
     // --- branches ---------------------------------------------------------

@@ -585,15 +585,21 @@ fn opt_flag_unifies_both_backends() {
 
 #[test]
 fn dump_bytecode_respects_opt_level() {
-    // A program whose check cannot be elided (array smaller than the
-    // index domain), so the optimized listing must show fused ops.
+    // Array ops check their own index: the pure-operand access to
+    // `small` has no `check` line at any level, and the access to `big`,
+    // whose memop argument prints, has exactly one.
     let prog = write_temp(
         "opt-dump.lucid",
         r#"
         global small = new Array<<32>>(3);
+        global big = new Array<<32>>(3);
         memop plus(int m, int x) { return m + x; }
+        fun int note(int v) { printf("arg %d", v); return v; }
         event pkt(int idx);
-        handle pkt(int idx) { Array.setm(small, idx, plus, 1); }
+        handle pkt(int idx) {
+            Array.setm(small, idx, plus, 1);
+            Array.setm(big, idx, plus, note(idx));
+        }
         "#,
     );
     let path = prog.to_str().unwrap();
@@ -602,17 +608,15 @@ fn dump_bytecode_respects_opt_level() {
     assert_eq!(raw.status.code(), Some(0), "{raw:?}");
     let raw = String::from_utf8_lossy(&raw.stdout).to_string();
     assert!(raw.contains("; opt level 0"), "{raw}");
-    assert!(
-        raw.contains("check small") || raw.contains("check g0"),
-        "{raw}"
-    );
-    assert!(!raw.contains("chk g0"), "{raw}");
+    assert_eq!(raw.matches(": check ").count(), 1, "{raw}");
+    assert!(raw.contains(": check g1["), "{raw}");
 
     let opt = lucidc(&["sim", "--dump-bytecode", path]);
     assert_eq!(opt.status.code(), Some(0), "{opt:?}");
     let opt = String::from_utf8_lossy(&opt.stdout).to_string();
     assert!(opt.contains("; opt level 2"), "{opt}");
-    assert!(opt.contains("chk g0"), "fused op missing:\n{opt}");
+    assert_eq!(opt.matches(": check ").count(), 1, "{opt}");
+    assert!(opt.contains(": check g1["), "{opt}");
     assert!(
         opt.lines().count() <= raw.lines().count(),
         "optimized listing should not be longer"
@@ -642,6 +646,48 @@ fn dump_bytecode_respects_opt_level() {
     let s = String::from_utf8_lossy(&out.stdout);
     assert!(s.contains("; opt level 0"), "{s}");
     assert!(s.contains("(opt 0)"), "{s}");
+}
+
+#[test]
+fn call_chain_depth_is_a_diagnostic_not_a_crash() {
+    // f1 -> f2 -> ... -> fn, each `return f{i+1}(x) + 1;`, called from a
+    // handler. Past 64 functions the checker refuses the program (E0404)
+    // before either executor sees it; at 64 both executors run it.
+    let chain = |n: usize| {
+        let mut src = String::from("global out = new Array<<32>>(1);\n");
+        for i in 1..n {
+            src.push_str(&format!(
+                "fun int f{i}(int x) {{ return f{}(x) + 1; }}\n",
+                i + 1
+            ));
+        }
+        src.push_str(&format!("fun int f{n}(int x) {{ return x; }}\n"));
+        src.push_str("event go(int x);\nhandle go(int x) { Array.set(out, 0, f1(x)); }\n");
+        src
+    };
+    let sc = write_temp(
+        "chain.sim.json",
+        r#"{"events": [{"time_ns": 0, "switch": 1, "event": "go", "args": [1]}]}"#,
+    );
+    let sc = sc.to_str().unwrap();
+    for (n, code) in [(70, 1), (64, 0)] {
+        let prog = write_temp(&format!("chain{n}.lucid"), &chain(n));
+        let path = prog.to_str().unwrap();
+        let out = lucidc(&["check", path]);
+        assert_eq!(out.status.code(), Some(code), "check, depth {n}: {out:?}");
+        if code == 1 {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("error[E0404]"), "{stderr}");
+        }
+        for exec in ["--exec=ast", "--exec=bytecode"] {
+            let out = lucidc(&["sim", exec, path, sc]);
+            assert_eq!(
+                out.status.code(),
+                Some(code),
+                "sim {exec}, depth {n}: {out:?}"
+            );
+        }
+    }
 }
 
 #[test]

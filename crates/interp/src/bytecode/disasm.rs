@@ -100,15 +100,6 @@ impl CompiledProg {
                 let rest: Vec<String> = args[1..].iter().map(|r| format!("r{r}")).collect();
                 format!("r{dst} = hash<<{w}>>(r{}; {})", args[0], rest.join(", "))
             }
-            Instr::HashChk { dst, w, args, gid } => {
-                let rest: Vec<String> = args[1..].iter().map(|r| format!("r{r}")).collect();
-                format!(
-                    "r{dst} = hash<<{w}>>(r{}; {}) chk {}",
-                    args[0],
-                    rest.join(", "),
-                    arr(gid)
-                )
-            }
             Instr::Jmp { to } => format!("jmp {to}"),
             Instr::Jz { cond, to } => format!("jz r{cond} -> {to}"),
             Instr::Jnz { cond, to } => format!("jnz r{cond} -> {to}"),
@@ -124,9 +115,7 @@ impl CompiledProg {
             } => format!("{} r{a} {} {imm} -> {to}", jword(when), op.symbol()),
             Instr::ArrCheck { gid, idx } => format!("check {}[r{idx}]", arr(gid)),
             Instr::ArrGet { dst, gid, idx } => format!("r{dst} = {}[r{idx}]", arr(gid)),
-            Instr::ChkGet { dst, gid, idx } => format!("r{dst} = chk {}[r{idx}]", arr(gid)),
             Instr::ArrSet { gid, idx, val } => format!("{}[r{idx}] = r{val}", arr(gid)),
-            Instr::ChkSet { gid, idx, val } => format!("chk {}[r{idx}] = r{val}", arr(gid)),
             Instr::ArrGetm {
                 dst,
                 gid,
@@ -134,25 +123,12 @@ impl CompiledProg {
                 memop,
                 local,
             } => format!("r{dst} = {}[r{idx}].m{memop}(r{local})", arr(gid)),
-            Instr::ChkGetm {
-                dst,
-                gid,
-                idx,
-                memop,
-                local,
-            } => format!("r{dst} = chk {}[r{idx}].m{memop}(r{local})", arr(gid)),
             Instr::ArrSetm {
                 gid,
                 idx,
                 memop,
                 local,
             } => format!("{}[r{idx}] = m{memop}(r{local})", arr(gid)),
-            Instr::ChkSetm {
-                gid,
-                idx,
-                memop,
-                local,
-            } => format!("chk {}[r{idx}] = m{memop}(r{local})", arr(gid)),
             Instr::ArrUpdate {
                 dst,
                 gid,
@@ -163,18 +139,6 @@ impl CompiledProg {
                 setarg,
             } => format!(
                 "r{dst} = update {}[r{idx}] get m{getop}(r{getarg}) set m{setop}(r{setarg})",
-                arr(gid)
-            ),
-            Instr::ChkUpdate {
-                dst,
-                gid,
-                idx,
-                getop,
-                getarg,
-                setop,
-                setarg,
-            } => format!(
-                "r{dst} = chk update {}[r{idx}] get m{getop}(r{getarg}) set m{setop}(r{setarg})",
                 arr(gid)
             ),
             Instr::MkEvent {

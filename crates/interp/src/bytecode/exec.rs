@@ -7,7 +7,9 @@
 //! same instructions the optimizer rewrote and the verifier checked:
 //! operands are read straight out of the variant, and operand lists
 //! (hash, event and printf arguments) are the variant's own boxed
-//! slices.
+//! slices. Every array op reaches its cell through `cell_at`, and a miss
+//! is the walker's `IndexOutOfBounds` fault: that one compare is the
+//! whole bounds check.
 
 use super::{CompiledProg, HandlerCode, Instr, Obj, Rv};
 use crate::machine::{Emitted, Exec, InterpError, InterpFault, Key, OutRec, Shard};
@@ -67,6 +69,13 @@ fn cmp_eval(op: BinOp, a: u64, b: u64) -> bool {
         BinOp::Ge => a >= b,
         other => unreachable!("{other:?} executed as Cmp"),
     }
+}
+
+/// The cell at index `i`, or `None` when `i` is out of range: the
+/// bounds check of every array op.
+#[inline]
+fn cell_at(cells: &mut [u64], i: u64) -> Option<&mut u64> {
+    usize::try_from(i).ok().and_then(|i| cells.get_mut(i))
 }
 
 impl CompiledProg {
@@ -184,18 +193,6 @@ impl CompiledProg {
                         w: *w,
                     };
                 }
-                Instr::HashChk { dst, w, args, gid } => {
-                    let seed = regs[args[0] as usize].v;
-                    shard.bc_hash.clear();
-                    shard
-                        .bc_hash
-                        .extend(args[1..].iter().map(|&r| regs[r as usize].v));
-                    let v = lucid_hash(*w, seed, &shard.bc_hash);
-                    regs[*dst as usize] = Rv { v, w: *w };
-                    if v >= self.arrays[*gid as usize].len {
-                        return Err(self.oob(*gid, v));
-                    }
-                }
                 &Instr::Jmp { to } => {
                     pc = to as usize;
                     continue;
@@ -219,47 +216,23 @@ impl CompiledProg {
                     }
                 }
                 &Instr::ArrGet { dst, gid, idx } => {
-                    let i = regs[idx as usize].v as usize;
-                    debug_assert!(
-                        (i as u64) < self.arrays[gid as usize].len,
-                        "verifier invariant broken: unchecked array access out of bounds"
-                    );
+                    let i = regs[idx as usize].v;
+                    let Some(&mut cur) = cell_at(&mut shard.state.arrays[gid as usize], i) else {
+                        return Err(self.oob(gid, i));
+                    };
                     let w = self.arrays[gid as usize].width;
                     // The walker masks on read (`Value::int(cur, w)`);
                     // cells can legally hold over-width values because
                     // `Array.setm` stores memop results unmasked.
-                    regs[dst as usize] = Rv {
-                        v: mask(shard.state.arrays[gid as usize][i], w),
-                        w,
-                    };
-                }
-                &Instr::ChkGet { dst, gid, idx } => {
-                    let i = regs[idx as usize].v;
-                    if i >= self.arrays[gid as usize].len {
-                        return Err(self.oob(gid, i));
-                    }
-                    let w = self.arrays[gid as usize].width;
-                    regs[dst as usize] = Rv {
-                        v: mask(shard.state.arrays[gid as usize][i as usize], w),
-                        w,
-                    };
+                    regs[dst as usize] = Rv { v: mask(cur, w), w };
                 }
                 &Instr::ArrSet { gid, idx, val } => {
-                    let i = regs[idx as usize].v as usize;
-                    debug_assert!(
-                        (i as u64) < self.arrays[gid as usize].len,
-                        "verifier invariant broken: unchecked array access out of bounds"
-                    );
-                    let w = self.arrays[gid as usize].width;
-                    shard.state.arrays[gid as usize][i] = mask(regs[val as usize].v, w);
-                }
-                &Instr::ChkSet { gid, idx, val } => {
                     let i = regs[idx as usize].v;
-                    if i >= self.arrays[gid as usize].len {
-                        return Err(self.oob(gid, i));
-                    }
                     let w = self.arrays[gid as usize].width;
-                    shard.state.arrays[gid as usize][i as usize] = mask(regs[val as usize].v, w);
+                    let Some(cell) = cell_at(&mut shard.state.arrays[gid as usize], i) else {
+                        return Err(self.oob(gid, i));
+                    };
+                    *cell = mask(regs[val as usize].v, w);
                 }
                 &Instr::ArrGetm {
                     dst,
@@ -268,32 +241,11 @@ impl CompiledProg {
                     memop,
                     local,
                 } => {
-                    let (gid, i) = (gid as usize, regs[idx as usize].v as usize);
-                    debug_assert!(
-                        (i as u64) < self.arrays[gid].len,
-                        "verifier invariant broken: unchecked array access out of bounds"
-                    );
-                    let w = self.arrays[gid].width;
-                    let cur = shard.state.arrays[gid][i];
-                    let local = regs[local as usize].v;
-                    regs[dst as usize] = Rv {
-                        v: mask(eval_memop(&self.memops[memop as usize], cur, local, w), w),
-                        w,
-                    };
-                }
-                &Instr::ChkGetm {
-                    dst,
-                    gid,
-                    idx,
-                    memop,
-                    local,
-                } => {
                     let i = regs[idx as usize].v;
-                    if i >= self.arrays[gid as usize].len {
+                    let Some(&mut cur) = cell_at(&mut shard.state.arrays[gid as usize], i) else {
                         return Err(self.oob(gid, i));
-                    }
+                    };
                     let w = self.arrays[gid as usize].width;
-                    let cur = shard.state.arrays[gid as usize][i as usize];
                     let local = regs[local as usize].v;
                     regs[dst as usize] = Rv {
                         v: mask(eval_memop(&self.memops[memop as usize], cur, local, w), w),
@@ -306,32 +258,13 @@ impl CompiledProg {
                     memop,
                     local,
                 } => {
-                    let (gid, i) = (gid as usize, regs[idx as usize].v as usize);
-                    debug_assert!(
-                        (i as u64) < self.arrays[gid].len,
-                        "verifier invariant broken: unchecked array access out of bounds"
-                    );
-                    let w = self.arrays[gid].width;
-                    let cur = shard.state.arrays[gid][i];
-                    let local = regs[local as usize].v;
-                    shard.state.arrays[gid][i] =
-                        eval_memop(&self.memops[memop as usize], cur, local, w);
-                }
-                &Instr::ChkSetm {
-                    gid,
-                    idx,
-                    memop,
-                    local,
-                } => {
                     let i = regs[idx as usize].v;
-                    if i >= self.arrays[gid as usize].len {
-                        return Err(self.oob(gid, i));
-                    }
                     let w = self.arrays[gid as usize].width;
-                    let cur = shard.state.arrays[gid as usize][i as usize];
                     let local = regs[local as usize].v;
-                    shard.state.arrays[gid as usize][i as usize] =
-                        eval_memop(&self.memops[memop as usize], cur, local, w);
+                    let Some(cell) = cell_at(&mut shard.state.arrays[gid as usize], i) else {
+                        return Err(self.oob(gid, i));
+                    };
+                    *cell = eval_memop(&self.memops[memop as usize], *cell, local, w);
                 }
                 &Instr::ArrUpdate {
                     dst,
@@ -342,55 +275,15 @@ impl CompiledProg {
                     setop,
                     setarg,
                 } => {
-                    let (gid, i) = (gid as usize, regs[idx as usize].v as usize);
-                    debug_assert!(
-                        (i as u64) < self.arrays[gid].len,
-                        "verifier invariant broken: unchecked array access out of bounds"
-                    );
-                    let w = self.arrays[gid].width;
-                    let cur = shard.state.arrays[gid][i];
-                    let ret = eval_memop(
-                        &self.memops[getop as usize],
-                        cur,
-                        regs[getarg as usize].v,
-                        w,
-                    );
-                    shard.state.arrays[gid][i] = eval_memop(
-                        &self.memops[setop as usize],
-                        cur,
-                        regs[setarg as usize].v,
-                        w,
-                    );
-                    regs[dst as usize] = Rv { v: mask(ret, w), w };
-                }
-                &Instr::ChkUpdate {
-                    dst,
-                    gid,
-                    idx,
-                    getop,
-                    getarg,
-                    setop,
-                    setarg,
-                } => {
                     let i = regs[idx as usize].v;
-                    if i >= self.arrays[gid as usize].len {
+                    let w = self.arrays[gid as usize].width;
+                    let (getarg, setarg) = (regs[getarg as usize].v, regs[setarg as usize].v);
+                    let Some(cell) = cell_at(&mut shard.state.arrays[gid as usize], i) else {
                         return Err(self.oob(gid, i));
-                    }
-                    let (gid, i) = (gid as usize, i as usize);
-                    let w = self.arrays[gid].width;
-                    let cur = shard.state.arrays[gid][i];
-                    let ret = eval_memop(
-                        &self.memops[getop as usize],
-                        cur,
-                        regs[getarg as usize].v,
-                        w,
-                    );
-                    shard.state.arrays[gid][i] = eval_memop(
-                        &self.memops[setop as usize],
-                        cur,
-                        regs[setarg as usize].v,
-                        w,
-                    );
+                    };
+                    let cur = *cell;
+                    *cell = eval_memop(&self.memops[setop as usize], cur, setarg, w);
+                    let ret = eval_memop(&self.memops[getop as usize], cur, getarg, w);
                     regs[dst as usize] = Rv { v: mask(ret, w), w };
                 }
                 Instr::MkEvent {

@@ -7,7 +7,7 @@
 //! meaningful.
 
 use super::{CompiledProg, HandlerCode, Instr, ParamBind, PrintArg};
-use lucid_check::{mask, CheckedProgram, GlobalId};
+use lucid_check::{mask, CheckedProgram, GlobalId, MAX_CALL_DEPTH};
 use lucid_frontend::ast::*;
 use std::collections::HashMap;
 
@@ -75,8 +75,8 @@ struct Cc<'p> {
     regs: Alloc,
     objs: Alloc,
     frames: Vec<Frame>,
-    /// Inlining depth guard (the checker rules out recursion; this turns
-    /// a hypothetical checker bug into a clean panic, not a hang).
+    /// Inlining depth. The checker rejects recursion and any call chain
+    /// deeper than [`MAX_CALL_DEPTH`], so exceeding it is a checker bug.
     depth: usize,
 }
 
@@ -121,7 +121,6 @@ pub(super) fn compile_handler(
         nregs: cc.regs.next as usize,
         nobjs: cc.objs.next as usize,
         code: cc.code,
-        elisions: Vec::new(),
     }
 }
 
@@ -582,7 +581,10 @@ impl Cc<'_> {
             .unwrap_or_else(|| panic!("checked program calls unknown `{}`", callee.name));
         let (ret_ty, params, body) = (*ret_ty, params.clone(), body.clone());
         self.depth += 1;
-        assert!(self.depth <= 64, "function inlining depth exceeded");
+        assert!(
+            self.depth <= MAX_CALL_DEPTH,
+            "checked: call chain deeper than {MAX_CALL_DEPTH} functions"
+        );
 
         // Bind arguments in declaration order, resolving each — array
         // names included — in the caller's frame.
@@ -663,10 +665,12 @@ impl Cc<'_> {
                 let gid = self.resolve_array(&args[0]).0 as u32;
                 let iv = self.expr(&args[1]);
                 let idx = self.reg_of(iv);
-                // The walker bounds-checks before evaluating any memop
-                // argument; keeping that order keeps error runs
-                // bit-identical too.
-                self.emit(Instr::ArrCheck { gid, idx });
+                // Every array op checks its own index. The walker checks
+                // before evaluating any later operand, so an operand that
+                // could fault or print gets a separate check first.
+                if args[2..].iter().any(impure) {
+                    self.emit(Instr::ArrCheck { gid, idx });
+                }
                 let out = match builtin {
                     Builtin::ArrayGet => {
                         let dst = self.regs.get();
@@ -797,6 +801,22 @@ impl Cc<'_> {
                     temp: true,
                 }
             }
+        }
+    }
+}
+
+/// Could evaluating `e` fault or print? Only an `Array.*` builtin or a
+/// user-function call can (an event constructor is never an int
+/// operand, so every call in one is a function call).
+fn impure(e: &Expr) -> bool {
+    match &e.kind {
+        ExprKind::Int { .. } | ExprKind::Bool(_) | ExprKind::Var(_) => false,
+        ExprKind::Unary { arg, .. } | ExprKind::Cast { arg, .. } => impure(arg),
+        ExprKind::Binary { lhs, rhs, .. } => impure(lhs) || impure(rhs),
+        ExprKind::Hash { args, .. } => args.iter().any(impure),
+        ExprKind::Call { .. } => true,
+        ExprKind::BuiltinCall { builtin, args, .. } => {
+            builtin.is_array_op() || args.iter().any(impure)
         }
     }
 }

@@ -19,10 +19,8 @@
 //! * `lower` — one pass over the checked AST per handler, producing
 //!   raw bytecode (what [`OptLevel::O0`] executes);
 //! * `opt` — the optimizer: a peephole/superinstruction pass
-//!   ([`OptLevel::O1`]) that elides provably-safe bounds checks and
-//!   fuses the dominant handler patterns (hash-then-index, checked
-//!   memop load/modify/store, compare-and-branch, const-operand
-//!   arithmetic) into single opcodes, then a linear-scan register
+//!   ([`OptLevel::O1`]) that fuses compare-and-branch and const-operand
+//!   arithmetic into single opcodes, then a linear-scan register
 //!   allocation pass ([`OptLevel::O2`], the default) that coalesces
 //!   moves and shrinks the per-shard scratch frame;
 //! * `verify` — the independent static re-check run after each pass;
@@ -54,6 +52,10 @@
 //!   per-instantiation analysis: array-typed parameters resolve to
 //!   concrete global ids at compile time, value parameters become
 //!   registers, `return` becomes a jump to the inlined epilogue.
+//! * **Array ops check their own index**: an out-of-range index raises
+//!   the walker's `IndexOutOfBounds` fault at the op itself. A separate
+//!   `ArrCheck` precedes an op only when a later operand could fault or
+//!   print, so the fault still comes before that operand runs.
 //!
 //! Array lengths, cell widths, memop bodies, event signatures, group
 //! memberships, and printf format strings live in per-program pools so
@@ -107,9 +109,8 @@ impl ExecMode {
 pub enum OptLevel {
     /// Raw lowering, exactly as `lower` emits it.
     O0,
-    /// Peephole/superinstruction pass: bounds-check elision and the
-    /// fused opcodes (hash-then-index, checked array ops,
-    /// compare-and-branch, const-operand arithmetic).
+    /// Peephole/superinstruction pass: the fused opcodes
+    /// (compare-and-branch, const-operand arithmetic).
     O1,
     /// Peephole plus linear-scan register allocation (move coalescing,
     /// dead-register reuse, smaller scratch frames). The default.
@@ -171,9 +172,9 @@ pub struct PrintArg {
 
 /// One bytecode instruction. `dst`/`a`/`b`/... index registers; `obj`
 /// fields index object slots; `gid`, `memop`, `group`, `fmt`, and
-/// `event_id` index the per-program pools. The `Chk*`, `*Imm`, `JCmp*`,
-/// and `HashChk` variants are superinstructions: `lower` never emits
-/// them, the `opt` peephole pass fuses them out of the raw patterns.
+/// `event_id` index the per-program pools. The `*Imm` and `JCmp*`
+/// variants are superinstructions: `lower` never emits them, the `opt`
+/// peephole pass fuses them out of the raw patterns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Instr {
     /// `r[dst] = (imm, w)`.
@@ -255,14 +256,6 @@ pub enum Instr {
         w: u32,
         args: Box<[u16]>,
     },
-    /// Fused `Hash` + `ArrCheck` on the hash result (the hash-then-index
-    /// hot path): hash into `dst`, then bounds-check it against `gid`.
-    HashChk {
-        dst: u16,
-        w: u32,
-        args: Box<[u16]>,
-        gid: u32,
-    },
     Jmp {
         to: u32,
     },
@@ -293,13 +286,15 @@ pub enum Instr {
         when: bool,
         to: u32,
     },
-    /// Bounds-check `r[idx]` against array `gid` (faults exactly where
-    /// the walker would, before any memop argument evaluates).
+    /// Bounds-check `r[idx]` against array `gid` ahead of an operand
+    /// that could fault or print, so the fault lands where the walker's
+    /// does: before that operand evaluates.
     ArrCheck {
         gid: u32,
         idx: u16,
     },
-    /// `r[dst] = (cells[r[idx]], cell_w)`.
+    /// `r[dst] = (cells[r[idx]], cell_w)`. This op and the four below
+    /// fault on an out-of-range `r[idx]` themselves.
     ArrGet {
         dst: u16,
         gid: u32,
@@ -328,43 +323,6 @@ pub enum Instr {
     },
     /// Parallel read-and-write through two memops.
     ArrUpdate {
-        dst: u16,
-        gid: u32,
-        idx: u16,
-        getop: u16,
-        getarg: u16,
-        setop: u16,
-        setarg: u16,
-    },
-    /// Fused `ArrCheck` + `ArrGet`.
-    ChkGet {
-        dst: u16,
-        gid: u32,
-        idx: u16,
-    },
-    /// Fused `ArrCheck` + `ArrSet`.
-    ChkSet {
-        gid: u32,
-        idx: u16,
-        val: u16,
-    },
-    /// Fused `ArrCheck` + `ArrGetm` (the memop load/modify hot path).
-    ChkGetm {
-        dst: u16,
-        gid: u32,
-        idx: u16,
-        memop: u16,
-        local: u16,
-    },
-    /// Fused `ArrCheck` + `ArrSetm` (the memop modify/store hot path).
-    ChkSetm {
-        gid: u32,
-        idx: u16,
-        memop: u16,
-        local: u16,
-    },
-    /// Fused `ArrCheck` + `ArrUpdate`.
-    ChkUpdate {
         dst: u16,
         gid: u32,
         idx: u16,
@@ -438,20 +396,6 @@ enum ParamBind {
     Bool,
 }
 
-/// An elision proof: the O1 upper-bound analysis deleted the runtime
-/// bounds check for accesses to array `gid` through register `idx`
-/// because the register provably holds a value below `bound`
-/// (exclusive) — and `bound` fits the array. The [`verify`] pass
-/// re-derives the bound with its own dataflow; an access whose check
-/// merely vanished, with no proof or with a proof the verifier cannot
-/// reproduce, is a `V0009` violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Elision {
-    pub gid: u32,
-    pub idx: u16,
-    pub bound: u128,
-}
-
 /// One handler's compiled body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HandlerCode {
@@ -464,9 +408,6 @@ pub struct HandlerCode {
     nobjs: usize,
     /// The handler span.
     code: Vec<Instr>,
-    /// Bounds-check elision proofs recorded by the optimizer (empty at
-    /// `O0`; regalloc remaps the index registers along with the code).
-    elisions: Vec<Elision>,
 }
 
 impl HandlerCode {
@@ -495,11 +436,6 @@ impl HandlerCode {
     /// Object-slot frame size.
     pub fn nobjs(&self) -> usize {
         self.nobjs
-    }
-
-    /// The bounds-check elision proofs the optimizer recorded.
-    pub fn elisions(&self) -> &[Elision] {
-        &self.elisions
     }
 }
 
@@ -618,7 +554,7 @@ impl CompiledProg {
                     violations.extend(verify::verify_handler(&h, &cp, "lower"));
                 }
                 if level >= OptLevel::O1 {
-                    opt::peephole(&mut h, &cp);
+                    opt::peephole(&mut h);
                     if verify {
                         violations.extend(verify::verify_handler(&h, &cp, "peephole"));
                     }

@@ -8,52 +8,30 @@
 //! whole-span linear-scan register intervals sound (no dynamic path can
 //! revisit an earlier pc), and bounds every rewrite loop.
 //!
-//! The peephole pipeline, iterated to a fixpoint (which is what makes
-//! the pass idempotent — a property the tests assert):
-//!
-//! 1. **Bounds-check elision** — a per-register upper-bound dataflow
-//!    over straight-line segments deletes `ArrCheck`s that can never
-//!    fire (e.g. an index produced by `hash<<w>>` into an array of at
-//!    least `2^w` cells, or masked by `& (len-1)`).
-//! 2. **Check sinking** — an `ArrCheck` may drift past register-pure,
-//!    non-faulting instructions (never past a jump, a jump target, an
-//!    observable effect, another potential fault, or a write to the
-//!    index register) until it abuts the array op it guards. Faults
-//!    stay bit-identical: the instructions crossed cannot fault or be
-//!    observed, and the scratch registers they write are not part of a
-//!    faulted run's observable state.
-//! 3. **Fusion** — adjacent pairs become single superinstructions:
-//!    `Hash`+`ArrCheck` (hash-then-index), `ArrCheck`+array op (the
-//!    memop load/modify/store path), `Const`+`Bin`/`Cmp`
-//!    (const-operand arithmetic), and `Cmp`/`CmpImm`/`BoolOf`/`Not`
-//!    followed by a conditional jump (compare-and-branch). Pairs fuse
-//!    only when the intermediate register is dead afterwards and the
-//!    second instruction is not a jump target.
+//! The peephole pass fuses adjacent pairs into single
+//! superinstructions, iterated to a fixpoint (which is what makes the
+//! pass idempotent — a property the tests assert): `Const`+`Bin`/`Cmp`
+//! (const-operand arithmetic), and `Cmp`/`CmpImm`/`BoolOf`/`Not`
+//! followed by a conditional jump (compare-and-branch). Pairs fuse only
+//! when the intermediate register is dead afterwards and the second
+//! instruction is not a jump target. Bounds checks are not its
+//! business: every array op checks its own index at run time.
 //!
 //! Register allocation then repacks the frame: whole-span intervals per
 //! register, smallest-free-first assignment, and `Mov` coalescing when
 //! the source dies exactly where the destination is born. The new frame
 //! is never larger than the old one (also asserted by tests).
 
-use super::{CompiledProg, Elision, HandlerCode, Instr};
+use super::{HandlerCode, Instr};
 use lucid_frontend::ast::BinOp;
-use std::collections::HashMap;
 
-/// The peephole/superinstruction pass, iterated to a fixpoint. Each
-/// sub-pass can expose patterns for the others (a deleted `Const` makes
-/// a `Cmp` adjacent to its branch, a sunk check abuts its array op), and
-/// every sub-pass strictly deletes instructions or moves a check later,
-/// so the loop terminates. Running the pass again on its own output
-/// changes nothing (idempotence, asserted by tests).
-pub(super) fn peephole(h: &mut HandlerCode, pools: &CompiledProg) {
-    loop {
-        let mut changed = elide_checks(&mut h.code, &mut h.elisions, pools);
-        changed |= sink_checks(&mut h.code);
-        changed |= fuse(&mut h.code, h.nregs);
-        if !changed {
-            break;
-        }
-    }
+/// The peephole/superinstruction pass, iterated to a fixpoint. One
+/// fusion can expose another (a `Const` folded into its `Cmp` makes a
+/// `CmpImm` adjacent to its branch), and every round strictly deletes
+/// instructions, so the loop terminates. Running the pass again on its
+/// own output changes nothing (idempotence, asserted by tests).
+pub(super) fn peephole(h: &mut HandlerCode) {
+    while fuse(&mut h.code, h.nregs) {}
 }
 
 // -------------------------------------------------------------- analysis
@@ -74,13 +52,9 @@ pub(super) fn def(i: &Instr) -> Option<u16> {
         | Instr::CmpImm { dst, .. }
         | Instr::MaskW { dst, .. }
         | Instr::Hash { dst, .. }
-        | Instr::HashChk { dst, .. }
         | Instr::ArrGet { dst, .. }
         | Instr::ArrGetm { dst, .. }
         | Instr::ArrUpdate { dst, .. }
-        | Instr::ChkGet { dst, .. }
-        | Instr::ChkGetm { dst, .. }
-        | Instr::ChkUpdate { dst, .. }
         | Instr::LoadSelf { dst }
         | Instr::LoadTime { dst }
         | Instr::LoadPort { dst } => Some(*dst),
@@ -121,32 +95,22 @@ pub(super) fn uses(i: &Instr, f: &mut impl FnMut(u16)) {
             f(*a);
             f(*b);
         }
-        Instr::Hash { args, .. } | Instr::HashChk { args, .. } | Instr::MkEvent { args, .. } => {
+        Instr::Hash { args, .. } | Instr::MkEvent { args, .. } => {
             for r in args {
                 f(*r);
             }
         }
         Instr::Jz { cond, .. } | Instr::Jnz { cond, .. } => f(*cond),
-        Instr::ArrCheck { idx, .. } => f(*idx),
-        Instr::ArrGet { idx, .. } | Instr::ChkGet { idx, .. } => f(*idx),
-        Instr::ArrSet { idx, val, .. } | Instr::ChkSet { idx, val, .. } => {
+        Instr::ArrCheck { idx, .. } | Instr::ArrGet { idx, .. } => f(*idx),
+        Instr::ArrSet { idx, val, .. } => {
             f(*idx);
             f(*val);
         }
-        Instr::ArrGetm { idx, local, .. }
-        | Instr::ArrSetm { idx, local, .. }
-        | Instr::ChkGetm { idx, local, .. }
-        | Instr::ChkSetm { idx, local, .. } => {
+        Instr::ArrGetm { idx, local, .. } | Instr::ArrSetm { idx, local, .. } => {
             f(*idx);
             f(*local);
         }
         Instr::ArrUpdate {
-            idx,
-            getarg,
-            setarg,
-            ..
-        }
-        | Instr::ChkUpdate {
             idx,
             getarg,
             setarg,
@@ -198,7 +162,7 @@ fn rewrite_regs(i: &mut Instr, map: &[u16]) {
             m(b);
         }
         Instr::JCmpImm { a, .. } => m(a),
-        Instr::Hash { dst, args, .. } | Instr::HashChk { dst, args, .. } => {
+        Instr::Hash { dst, args, .. } => {
             m(dst);
             for r in args.iter_mut() {
                 m(r);
@@ -212,36 +176,26 @@ fn rewrite_regs(i: &mut Instr, map: &[u16]) {
         Instr::Jmp { .. } => {}
         Instr::Jz { cond, .. } | Instr::Jnz { cond, .. } => m(cond),
         Instr::ArrCheck { idx, .. } => m(idx),
-        Instr::ArrGet { dst, idx, .. } | Instr::ChkGet { dst, idx, .. } => {
+        Instr::ArrGet { dst, idx, .. } => {
             m(dst);
             m(idx);
         }
-        Instr::ArrSet { idx, val, .. } | Instr::ChkSet { idx, val, .. } => {
+        Instr::ArrSet { idx, val, .. } => {
             m(idx);
             m(val);
         }
         Instr::ArrGetm {
-            dst, idx, local, ..
-        }
-        | Instr::ChkGetm {
             dst, idx, local, ..
         } => {
             m(dst);
             m(idx);
             m(local);
         }
-        Instr::ArrSetm { idx, local, .. } | Instr::ChkSetm { idx, local, .. } => {
+        Instr::ArrSetm { idx, local, .. } => {
             m(idx);
             m(local);
         }
         Instr::ArrUpdate {
-            dst,
-            idx,
-            getarg,
-            setarg,
-            ..
-        }
-        | Instr::ChkUpdate {
             dst,
             idx,
             getarg,
@@ -355,7 +309,8 @@ fn live_after(code: &[Instr], live: &[BitSet], pc: usize, r: u16) -> bool {
 /// Drop the instructions marked dead and remap every jump target. A
 /// dropped instruction that was itself a jump target maps to the next
 /// kept one — valid because fusion folds a dropped instruction's effect
-/// into its (kept) successor and elision only drops no-ops.
+/// into its (kept) successor and regalloc only drops moves that
+/// coalescing made no-ops.
 fn compact(code: &[Instr], keep: &[bool]) -> Vec<Instr> {
     let mut map = vec![0u32; code.len() + 1];
     let mut n = 0u32;
@@ -380,186 +335,6 @@ fn compact(code: &[Instr], keep: &[bool]) -> Vec<Instr> {
             i
         })
         .collect()
-}
-
-// ------------------------------------------------- bounds-check elision
-
-/// Delete `ArrCheck`s whose index register provably holds a value below
-/// the array length. Upper bounds (exclusive) propagate through the
-/// value-narrowing instructions within one straight-line segment; jump
-/// targets merge paths, so all knowledge resets there.
-///
-/// Every deleted check records an [`Elision`] proof (array, index
-/// register, derived bound) on the handler, which the bytecode
-/// verifier audits by re-deriving the bound with its own dataflow —
-/// an unproven deletion is a `V0009` violation.
-fn elide_checks(code: &mut Vec<Instr>, elisions: &mut Vec<Elision>, pools: &CompiledProg) -> bool {
-    let targets = jump_targets(code);
-    let mut ub: HashMap<u16, u128> = HashMap::new();
-    let mut keep = vec![true; code.len()];
-    let mut changed = false;
-    for (pc, i) in code.iter().enumerate() {
-        if targets[pc] {
-            ub.clear();
-        }
-        if let Instr::ArrCheck { gid, idx } = i {
-            if let Some(b) = ub
-                .get(idx)
-                .copied()
-                .filter(|b| *b <= pools.arrays[*gid as usize].len as u128)
-            {
-                elisions.push(Elision {
-                    gid: *gid,
-                    idx: *idx,
-                    bound: b,
-                });
-                keep[pc] = false;
-                changed = true;
-                continue;
-            }
-        }
-        let width_bound = |w: u32| 1u128 << w.min(64);
-        let known = match i {
-            Instr::Const { imm, .. } => Some(*imm as u128 + 1),
-            Instr::Hash { w, .. } | Instr::HashChk { w, .. } => Some(width_bound(*w)),
-            Instr::MaskW { src, w, .. } => Some(
-                ub.get(src)
-                    .copied()
-                    .unwrap_or(u128::MAX)
-                    .min(width_bound(*w)),
-            ),
-            Instr::Mov { src, .. } => ub.get(src).copied(),
-            Instr::Bin {
-                op: BinOp::BitAnd,
-                a,
-                b,
-                ..
-            } => match (ub.get(a), ub.get(b)) {
-                (None, None) => None,
-                (x, y) => Some(
-                    x.copied()
-                        .unwrap_or(u128::MAX)
-                        .min(y.copied().unwrap_or(u128::MAX)),
-                ),
-            },
-            Instr::BinImm {
-                op: BinOp::BitAnd,
-                imm,
-                a,
-                ..
-            } => Some(
-                ub.get(a)
-                    .copied()
-                    .unwrap_or(u128::MAX)
-                    .min(*imm as u128 + 1),
-            ),
-            Instr::Bin {
-                op: BinOp::Mod, b, ..
-            } => ub.get(b).copied(),
-            Instr::BinImm {
-                op: BinOp::Mod,
-                imm,
-                ..
-            } => Some((*imm as u128).max(1)),
-            Instr::ArrGet { gid, .. }
-            | Instr::ChkGet { gid, .. }
-            | Instr::ArrGetm { gid, .. }
-            | Instr::ChkGetm { gid, .. }
-            | Instr::ArrUpdate { gid, .. }
-            | Instr::ChkUpdate { gid, .. } => Some(width_bound(pools.arrays[*gid as usize].width)),
-            Instr::Cmp { .. } | Instr::CmpImm { .. } | Instr::BoolOf { .. } | Instr::Not { .. } => {
-                Some(2)
-            }
-            Instr::LoadPort { .. } => Some(1),
-            _ => None,
-        };
-        if let Some(d) = def(i) {
-            match known {
-                Some(b) => {
-                    ub.insert(d, b);
-                }
-                None => {
-                    ub.remove(&d);
-                }
-            }
-        }
-    }
-    if changed {
-        *code = compact(code, &keep);
-    }
-    changed
-}
-
-// --------------------------------------------------------- check sinking
-
-/// May an `ArrCheck` drift past this instruction? Only register-pure,
-/// non-faulting instructions qualify: nothing observable on a faulted
-/// run (no array writes, no `generate`, no printf), nothing that can
-/// fault itself (the relative order of two faults is observable), and
-/// no jumps.
-fn sinkable(i: &Instr) -> bool {
-    matches!(
-        i,
-        Instr::Const { .. }
-            | Instr::Mov { .. }
-            | Instr::StoreMasked { .. }
-            | Instr::BoolOf { .. }
-            | Instr::Not { .. }
-            | Instr::Neg { .. }
-            | Instr::BitNot { .. }
-            | Instr::Bin { .. }
-            | Instr::BinImm { .. }
-            | Instr::Cmp { .. }
-            | Instr::CmpImm { .. }
-            | Instr::MaskW { .. }
-            | Instr::Hash { .. }
-            | Instr::LoadSelf { .. }
-            | Instr::LoadTime { .. }
-            | Instr::LoadPort { .. }
-    )
-}
-
-/// Sink each `ArrCheck` as far down its straight-line segment as safety
-/// allows, so the fusion pass finds it adjacent to the array op it
-/// guards. Stops at jump targets (a path joining there never ran the
-/// check), at writes to the index register, and at anything
-/// non-[`sinkable`].
-fn sink_checks(code: &mut [Instr]) -> bool {
-    let targets = jump_targets(code);
-    let mut changed = false;
-    let mut pc = 0;
-    while pc < code.len() {
-        let Instr::ArrCheck { gid: _, idx } = code[pc] else {
-            pc += 1;
-            continue;
-        };
-        let mut stop = pc + 1;
-        while stop < code.len()
-            && !targets[stop]
-            && sinkable(&code[stop])
-            && def(&code[stop]) != Some(idx)
-        {
-            stop += 1;
-        }
-        if stop > pc + 1 {
-            code[pc..stop].rotate_left(1);
-            changed = true;
-        }
-        pc = stop.max(pc + 1);
-    }
-    changed
-}
-
-/// Is this the (unfused) array op that `ArrCheck { gid, idx }` guards?
-fn is_array_op_on(i: &Instr, gid: u32, idx: u16) -> bool {
-    match i {
-        Instr::ArrGet { gid: g, idx: x, .. }
-        | Instr::ArrSet { gid: g, idx: x, .. }
-        | Instr::ArrGetm { gid: g, idx: x, .. }
-        | Instr::ArrSetm { gid: g, idx: x, .. }
-        | Instr::ArrUpdate { gid: g, idx: x, .. } => *g == gid && *x == idx,
-        _ => false,
-    }
 }
 
 // ---------------------------------------------------------------- fusion
@@ -601,70 +376,6 @@ fn fuse(code: &mut Vec<Instr>, nregs: usize) -> bool {
             continue;
         }
         let fused: Option<Instr> = match (&code[pc], &code[pc + 1]) {
-            // Hash-then-index: the sketch/table hot path.
-            (Instr::Hash { dst, w, args }, Instr::ArrCheck { gid, idx }) if idx == dst => {
-                Some(Instr::HashChk {
-                    dst: *dst,
-                    w: *w,
-                    args: args.clone(),
-                    gid: *gid,
-                })
-            }
-            // Bounds check + the array op it guards.
-            (Instr::ArrCheck { gid, idx }, op) if is_array_op_on(op, *gid, *idx) => match op {
-                Instr::ArrGet { dst, gid, idx } => Some(Instr::ChkGet {
-                    dst: *dst,
-                    gid: *gid,
-                    idx: *idx,
-                }),
-                Instr::ArrSet { gid, idx, val } => Some(Instr::ChkSet {
-                    gid: *gid,
-                    idx: *idx,
-                    val: *val,
-                }),
-                Instr::ArrGetm {
-                    dst,
-                    gid,
-                    idx,
-                    memop,
-                    local,
-                } => Some(Instr::ChkGetm {
-                    dst: *dst,
-                    gid: *gid,
-                    idx: *idx,
-                    memop: *memop,
-                    local: *local,
-                }),
-                Instr::ArrSetm {
-                    gid,
-                    idx,
-                    memop,
-                    local,
-                } => Some(Instr::ChkSetm {
-                    gid: *gid,
-                    idx: *idx,
-                    memop: *memop,
-                    local: *local,
-                }),
-                Instr::ArrUpdate {
-                    dst,
-                    gid,
-                    idx,
-                    getop,
-                    getarg,
-                    setop,
-                    setarg,
-                } => Some(Instr::ChkUpdate {
-                    dst: *dst,
-                    gid: *gid,
-                    idx: *idx,
-                    getop: *getop,
-                    getarg: *getarg,
-                    setop: *setop,
-                    setarg: *setarg,
-                }),
-                _ => None,
-            },
             // Const-operand arithmetic and comparison. The const's value
             // dies at the consumer (overwritten by it, or dead after).
             (Instr::Const { dst: c, imm, w }, Instr::Bin { op, dst, a, b }) => {
@@ -924,14 +635,6 @@ pub(super) fn regalloc(h: &mut HandlerCode) {
     h.code = compact(&h.code, &keep);
     for i in &mut h.code {
         rewrite_regs(i, &map);
-    }
-    // Elision proofs name index registers; rename them with the code
-    // (a proof for a register the code no longer touches is inert).
-    for e in &mut h.elisions {
-        let m = map[e.idx as usize];
-        if m != u16::MAX {
-            e.idx = m;
-        }
     }
     h.nregs = new_count;
 }

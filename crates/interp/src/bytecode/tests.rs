@@ -59,10 +59,9 @@ const KITCHEN_SINK: &str = r#"
     }
 "#;
 
-/// A program shaped so that every fused superinstruction appears at O1+
-/// (every array is deliberately smaller than the hash range / index
-/// domain, so no check can be elided; accesses run in declaration order
-/// to satisfy the effect system).
+/// A program shaped so that every fused superinstruction appears at O1+,
+/// beside all five array ops on arrays smaller than their index domain
+/// (accesses run in declaration order to satisfy the effect system).
 const FUSION_SINK: &str = r#"
     global a = new Array<<32>>(3);
     global b = new Array<<32>>(3);
@@ -173,10 +172,13 @@ fn kitchen_sink_bytecode_matches_walker_everywhere() {
 #[test]
 fn out_of_bounds_is_bit_identical_including_prior_writes() {
     // The fault must hit at the same event, leave identical state
-    // behind (writes before the faulting op included), and carry the
-    // same location under both executors — at every opt level, since
-    // the fused checked ops carry the fault themselves.
-    let src = r#"
+    // behind (writes before the faulting op included), print the same
+    // lines and carry the same location under both executors — at
+    // every opt level, since the array ops carry the fault themselves.
+    // In the second program the faulting op's memop argument prints:
+    // the walker faults before evaluating it, so the bytecode checks the
+    // index ahead of it, and `arg 9` must never appear.
+    let pure = r#"
         global a = new Array<<32>>(4);
         global b = new Array<<32>>(4);
         memop plus(int m, int x) { return m + x; }
@@ -186,43 +188,63 @@ fn out_of_bounds_is_bit_identical_including_prior_writes() {
             Array.set(b, i, 7);
         }
     "#;
-    let prog = checked(src);
-    let mut results = Vec::new();
-    let mut combos = vec![(ExecMode::Ast, OptLevel::O2)];
-    combos.extend(LEVELS.map(|l| (ExecMode::Bytecode, l)));
-    for (exec, opt) in combos {
-        let mut cfg = NetConfig::single();
-        cfg.exec = exec;
-        cfg.opt = opt;
-        let mut sim = Interp::new(&prog, cfg);
-        sim.schedule(1, 0, "go", &[1]).unwrap();
-        sim.schedule(1, 50, "go", &[9]).unwrap();
-        let err = sim.run_to_quiescence().unwrap_err();
-        results.push((
-            err,
-            sim.array(1, "a").to_vec(),
-            sim.array(1, "b").to_vec(),
-            sim.stats.clone(),
-        ));
+    let impure = r#"
+        global a = new Array<<32>>(4);
+        global b = new Array<<32>>(4);
+        memop plus(int m, int x) { return m + x; }
+        fun int note(int v) { printf("arg %d", v); return v; }
+        event go(int i);
+        handle go(int i) {
+            Array.setm(a, 0, plus, 1);
+            Array.setm(b, i, plus, note(i));
+        }
+    "#;
+    for (src, checks, output) in [(pure, 0, vec![]), (impure, 1, vec!["arg 1".to_string()])] {
+        let prog = checked(src);
+        // Only an impure operand earns a separate `check` line.
+        for level in LEVELS {
+            let text = disassemble_opt(&prog, level);
+            assert_eq!(text.matches(": check ").count(), checks, "{text}");
+        }
+        let mut results = Vec::new();
+        let mut combos = vec![(ExecMode::Ast, OptLevel::O2)];
+        combos.extend(LEVELS.map(|l| (ExecMode::Bytecode, l)));
+        for (exec, opt) in combos {
+            let mut cfg = NetConfig::single();
+            cfg.exec = exec;
+            cfg.opt = opt;
+            let mut sim = Interp::new(&prog, cfg);
+            sim.schedule(1, 0, "go", &[1]).unwrap();
+            sim.schedule(1, 50, "go", &[9]).unwrap();
+            let err = sim.run_to_quiescence().unwrap_err();
+            results.push((
+                err,
+                sim.array(1, "a").to_vec(),
+                sim.array(1, "b").to_vec(),
+                sim.stats.clone(),
+                sim.output.clone(),
+            ));
+        }
+        for r in &results[1..] {
+            assert_eq!(&results[0], r);
+        }
+        let (err, a, _, _, out) = &results[0];
+        assert!(
+            matches!(
+                &err.kind,
+                InterpFault::IndexOutOfBounds {
+                    index: 9,
+                    len: 4,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        let at = err.at.as_ref().expect("located");
+        assert_eq!((at.time_ns, at.switch, at.event.as_str()), (50, 1, "go"));
+        assert_eq!(a[0], 2, "the write before the fault must have landed");
+        assert_eq!(out, &output);
     }
-    for r in &results[1..] {
-        assert_eq!(&results[0], r);
-    }
-    let (err, a, ..) = &results[0];
-    assert!(
-        matches!(
-            &err.kind,
-            InterpFault::IndexOutOfBounds {
-                index: 9,
-                len: 4,
-                ..
-            }
-        ),
-        "{err}"
-    );
-    let at = err.at.as_ref().expect("located");
-    assert_eq!((at.time_ns, at.switch, at.event.as_str()), (50, 1, "go"));
-    assert_eq!(a[0], 2, "the write before the fault must have landed");
 }
 
 #[test]
@@ -330,11 +352,10 @@ fn disassembly_is_stable_and_complete() {
         }
         // Handler-less events compile to no code block.
         assert!(!text.contains("handler `report`"), "{text}");
+        // Every operand after an index here is pure, so each array op's
+        // own check is the only one.
+        assert!(!text.contains("check "), "{text}");
     }
-    // The raw listing keeps explicit checks; the optimized one elides
-    // them all here (every index is a hash or a masked value that fits).
-    assert!(disassemble_opt(&prog, OptLevel::O0).contains("check "));
-    assert!(!disassemble_opt(&prog, OptLevel::O2).contains("check "));
 }
 
 #[test]
@@ -343,11 +364,6 @@ fn fused_ops_render_and_run_identically() {
     // Every superinstruction appears in the optimized listing...
     let text = disassemble_opt(&prog, OptLevel::O1);
     for needle in [
-        ") chk g0",        // HashChk guarding `a`
-        "chk g1[r0] = r1", // ChkSet on `b`
-        "= chk g2[",       // ChkGetm on `c`
-        "chk g3[r0] =",    // ChkSetm on `d`
-        "chk update g4",   // ChkUpdate on `e`
         "junless r0 < r1", // JCmp from `i < v`
         "junless r1 > 3",  // JCmpImm from `v > 3` (via CmpImm)
         " + 1 <<32>>",     // BinImm from `v + 1`
@@ -356,7 +372,7 @@ fn fused_ops_render_and_run_identically() {
     }
     // ...and none survive in the raw lowering.
     let raw = disassemble_opt(&prog, OptLevel::O0);
-    for absent in ["chk", "junless", "jif"] {
+    for absent in ["junless", "jif"] {
         assert!(!raw.contains(absent), "unexpected {absent:?} in:\n{raw}");
     }
     // In-bounds and out-of-bounds runs agree with the walker.
@@ -393,7 +409,7 @@ fn peephole_is_idempotent() {
         let cp = CompiledProg::compile_opt(&prog, OptLevel::O1);
         for h in cp.handlers.iter().flatten() {
             let mut again = h.clone();
-            opt::peephole(&mut again, &cp);
+            opt::peephole(&mut again);
             assert_eq!(h.code, again.code, "{}: peephole not idempotent", h.name);
         }
     }
@@ -673,17 +689,7 @@ fn verifier_rejects_classic_miscompiles() {
     });
     expect_violation(&cp, verify::codes::BAD_WIDTH);
 
-    // Class 3: a dropped bounds check — the exact bug `elide_checks`
-    // would have if its upper-bound analysis were unsound. The raw
-    // access that follows is no longer dominated by a check and carries
-    // no elision proof.
-    let cp = mutated(&prog, |h| {
-        let pc = find(h, "bounds check", |i| matches!(i, Instr::ArrCheck { .. }));
-        h.code[pc] = Instr::Mov { dst: 0, src: 0 };
-    });
-    expect_violation(&cp, verify::codes::UNCHECKED_ACCESS);
-
-    // Class 4: a destination outside the register frame — the regalloc
+    // Class 3: a destination outside the register frame — the regalloc
     // bug class (a rename map entry pointing past the compacted frame).
     let cp = mutated(&prog, |h| {
         let dst = h.nregs as u16;
@@ -691,7 +697,7 @@ fn verifier_rejects_classic_miscompiles() {
     });
     expect_violation(&cp, verify::codes::REG_OUT_OF_FRAME);
 
-    // Class 5: a read of a register no path has written — the
+    // Class 4: a read of a register no path has written — the
     // use-before-def class (e.g. a pass sinking a def below its use).
     let cp = mutated(&prog, |h| {
         assert!(h.nregs > 2, "kitchen sink frame is large");
@@ -700,13 +706,13 @@ fn verifier_rejects_classic_miscompiles() {
     });
     expect_violation(&cp, verify::codes::UNINIT_REG);
 
-    // Class 6: a truncated handler — fell off the end without `halt`.
+    // Class 5: a truncated handler — fell off the end without `halt`.
     let cp = mutated(&prog, |h| {
         assert!(matches!(h.code.pop(), Some(Instr::Halt)));
     });
     expect_violation(&cp, verify::codes::NO_HALT);
 
-    // Class 7: an object operand past the object frame — regalloc's
+    // Class 6: an object operand past the object frame — regalloc's
     // bug class for the event/group slots.
     let cp = mutated(&prog, |h| {
         let nobjs = h.nobjs as u16;
@@ -715,7 +721,7 @@ fn verifier_rejects_classic_miscompiles() {
     });
     expect_violation(&cp, verify::codes::OBJ_OUT_OF_FRAME);
 
-    // Class 8: a slot used after `generate` consumed it — a duplicated
+    // Class 7: a slot used after `generate` consumed it — a duplicated
     // emit, or a pass reordering a use below the consuming `generate`.
     let cp = mutated(&prog, |h| {
         let pc = find(h, "generate", |i| matches!(i, Instr::Generate { .. }));
@@ -732,17 +738,17 @@ fn verifier_rejects_classic_miscompiles() {
     });
     expect_violation(&cp, verify::codes::UNINIT_OBJ);
 
-    // Class 9: a pool index past its pool — an array id the program
+    // Class 8: a pool index past its pool — an array id the program
     // never declared.
     let cp = mutated(&prog, |h| {
-        let pc = find(h, "bounds check", |i| matches!(i, Instr::ArrCheck { .. }));
-        if let Instr::ArrCheck { gid, .. } = &mut h.code[pc] {
+        let pc = find(h, "array op", |i| matches!(i, Instr::ArrSetm { .. }));
+        if let Instr::ArrSetm { gid, .. } = &mut h.code[pc] {
             *gid = 99;
         }
     });
     expect_violation(&cp, verify::codes::BAD_POOL_INDEX);
 
-    // Class 10: an event built with fewer arguments than its signature
+    // Class 9: an event built with fewer arguments than its signature
     // declares — the executor would schedule a short argument list.
     let cp = mutated(&prog, |h| {
         let pc = find(

@@ -1,14 +1,12 @@
 //! The bytecode verifier: an independent static re-check of every
 //! handler the pipeline produces.
 //!
-//! PR 5's optimizer rewrites each handler three ways (bounds-check
-//! elision, superinstruction fusion, register allocation) with nothing
-//! but differential testing between a miscompile and silently wrong
-//! results. This module closes that trust gap: it runs after lowering
-//! and after *each* optimizer pass, so a violation names the guilty
-//! pass, and it shares no analysis code with the optimizer — the
-//! upper-bound dataflow here is a from-scratch reimplementation, which
-//! is what makes the audit independent.
+//! The optimizer rewrites each handler twice (superinstruction fusion,
+//! register allocation) with nothing but differential testing between a
+//! miscompile and silently wrong results. This module closes that trust
+//! gap: it runs after lowering and after *each* optimizer pass, so a
+//! violation names the guilty pass. Bounds are not among its
+//! obligations: every array op checks its own index at run time.
 //!
 //! Per handler span the verifier proves:
 //!
@@ -26,13 +24,6 @@
 //! * **Pools** — every array/memop/group/format/event index resolves
 //!   ([`V0008`]), and variable-arity operands match their signature
 //!   ([`V0010`]).
-//! * **Bounds** — every unfused array/memop access is dominated by a
-//!   bounds check on the same `(array, index-register)` pair, **or**
-//!   carries an elision proof recorded by the O1 upper-bound analysis
-//!   *and* the verifier's own dataflow re-derives that bound
-//!   ([`V0009`]). Check elision is therefore auditable, not trusted: a
-//!   pass that merely deletes an `ArrCheck` without recording why is
-//!   rejected even when the bound happens to hold.
 //!
 //! Verification is always on in debug builds (`cargo test`, CI) via
 //! [`CompiledProg::compile_opt`], explicit via
@@ -48,14 +39,11 @@
 //! [`V0006`]: self::codes::BAD_JUMP
 //! [`V0007`]: self::codes::NO_HALT
 //! [`V0008`]: self::codes::BAD_POOL_INDEX
-//! [`V0009`]: self::codes::UNCHECKED_ACCESS
 //! [`V0010`]: self::codes::BAD_ARITY
 
 use super::{opt, CompiledProg, HandlerCode, Instr};
 use lucid_check::mask;
-use lucid_frontend::ast::BinOp;
 use lucid_frontend::diag::{Diagnostic, Diagnostics};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// The stable verifier diagnostic codes (`V00xx` range; see the
@@ -79,9 +67,6 @@ pub mod codes {
     pub const NO_HALT: &str = "V0007";
     /// Array/memop/group/format/event pool index out of range.
     pub const BAD_POOL_INDEX: &str = "V0008";
-    /// Unfused array access neither dominated by a bounds check nor
-    /// covered by a re-derivable elision proof.
-    pub const UNCHECKED_ACCESS: &str = "V0009";
     /// Variable-arity operand list does not match its signature
     /// (event arity, empty hash).
     pub const BAD_ARITY: &str = "V0010";
@@ -283,29 +268,14 @@ impl Verifier<'_> {
         let bad: Vec<String> = match i {
             Instr::ArrCheck { gid: g, .. }
             | Instr::ArrGet { gid: g, .. }
-            | Instr::ArrSet { gid: g, .. }
-            | Instr::ChkGet { gid: g, .. }
-            | Instr::ChkSet { gid: g, .. }
-            | Instr::HashChk { gid: g, .. } => gid(*g).into_iter().collect(),
+            | Instr::ArrSet { gid: g, .. } => gid(*g).into_iter().collect(),
             Instr::ArrGetm {
                 gid: g, memop: m, ..
             }
             | Instr::ArrSetm {
                 gid: g, memop: m, ..
-            }
-            | Instr::ChkGetm {
-                gid: g, memop: m, ..
-            }
-            | Instr::ChkSetm {
-                gid: g, memop: m, ..
             } => gid(*g).into_iter().chain(memop(*m)).collect(),
             Instr::ArrUpdate {
-                gid: g,
-                getop,
-                setop,
-                ..
-            }
-            | Instr::ChkUpdate {
                 gid: g,
                 getop,
                 setop,
@@ -362,7 +332,7 @@ impl Verifier<'_> {
         for b in bad {
             self.report(codes::BAD_POOL_INDEX, pc, format!("{b} out of range"));
         }
-        if let Instr::Hash { args, .. } | Instr::HashChk { args, .. } = i {
+        if let Instr::Hash { args, .. } = i {
             if args.is_empty() {
                 self.report(
                     codes::BAD_ARITY,
@@ -396,7 +366,7 @@ impl Verifier<'_> {
                     );
                 }
             }
-            Instr::MaskW { w, .. } | Instr::Hash { w, .. } | Instr::HashChk { w, .. } => width(*w),
+            Instr::MaskW { w, .. } | Instr::Hash { w, .. } => width(*w),
             _ => {}
         }
     }
@@ -429,8 +399,7 @@ impl Verifier<'_> {
             }
             let i = &code[pc];
             self.check_reads(pc, i, &cur);
-            self.check_access(pc, i, &cur);
-            cur.transfer(i, self.pools);
+            cur.transfer(i);
             match i {
                 Instr::Jmp { to } => {
                     flow(&mut inflow, *to as usize, &cur);
@@ -469,41 +438,6 @@ impl Verifier<'_> {
                 );
             }
         }
-    }
-
-    /// The bounds obligation (`V0009`) for unfused array accesses.
-    fn check_access(&mut self, pc: usize, i: &Instr, cur: &State) {
-        let Some((gid, idx)) = raw_access(i) else {
-            return;
-        };
-        if cur.checked.contains(&(gid, idx)) {
-            return;
-        }
-        let len = self.pools.arrays[gid as usize].len as u128;
-        let has_proof = self
-            .h
-            .elisions
-            .iter()
-            .any(|e| e.gid == gid && e.idx == idx && e.bound <= len);
-        let rederived = cur.ub.get(&idx).is_some_and(|b| *b <= len);
-        if has_proof && rederived {
-            return;
-        }
-        let arr = &self.pools.arrays[gid as usize].name;
-        let msg = if has_proof {
-            format!(
-                "access to `{arr}` via r{idx} carries an elision proof, but the \
-                 verifier cannot re-derive r{idx} < {len}"
-            )
-        } else if rederived {
-            format!(
-                "access to `{arr}` via r{idx} is in bounds but no pass recorded an \
-                 elision proof — a bounds check was dropped without evidence"
-            )
-        } else {
-            format!("access to `{arr}` via r{idx} is not dominated by a bounds check")
-        };
-        self.report(codes::UNCHECKED_ACCESS, pc, msg);
     }
 }
 
@@ -544,19 +478,6 @@ fn obj_operands_rw(i: &Instr) -> Vec<(u16, bool)> {
     }
 }
 
-/// The `(gid, idx-register)` of an *unfused* array access — the
-/// instructions the executor indexes with no runtime check.
-fn raw_access(i: &Instr) -> Option<(u32, u16)> {
-    match i {
-        Instr::ArrGet { gid, idx, .. }
-        | Instr::ArrSet { gid, idx, .. }
-        | Instr::ArrGetm { gid, idx, .. }
-        | Instr::ArrSetm { gid, idx, .. }
-        | Instr::ArrUpdate { gid, idx, .. } => Some((*gid, *idx)),
-        _ => None,
-    }
-}
-
 /// The dataflow state at one program point.
 #[derive(Clone)]
 struct State {
@@ -564,11 +485,6 @@ struct State {
     init: Vec<bool>,
     /// Object slots definitely holding a value on every path here.
     obj: Vec<bool>,
-    /// `(gid, idx)` pairs with a dominating runtime bounds check.
-    checked: HashSet<(u32, u16)>,
-    /// Exclusive upper bounds definitely holding on every path here —
-    /// the verifier's own reimplementation of the O1 elision analysis.
-    ub: HashMap<u16, u128>,
 }
 
 impl State {
@@ -582,8 +498,6 @@ impl State {
         State {
             init,
             obj: vec![false; h.nobjs],
-            checked: HashSet::new(),
-            ub: HashMap::new(),
         }
     }
 
@@ -595,29 +509,11 @@ impl State {
         for (a, b) in self.obj.iter_mut().zip(&o.obj) {
             *a &= *b;
         }
-        self.checked.retain(|k| o.checked.contains(k));
-        self.ub = self
-            .ub
-            .iter()
-            .filter_map(|(r, b)| o.ub.get(r).map(|ob| (*r, (*b).max(*ob))))
-            .collect();
     }
 
-    fn transfer(&mut self, i: &Instr, pools: &CompiledProg) {
-        // Derive the post-bound before the def invalidates source
-        // bounds (an instruction may read and write the same register).
-        let bound = ub_out(i, &self.ub, pools);
+    fn transfer(&mut self, i: &Instr) {
         if let Some(d) = opt::def(i) {
             self.init[d as usize] = true;
-            self.checked.retain(|(_, r)| *r != d);
-            match bound {
-                Some(b) => {
-                    self.ub.insert(d, b);
-                }
-                None => {
-                    self.ub.remove(&d);
-                }
-            }
         }
         for (o, is_use) in obj_operands_rw(i) {
             if !is_use {
@@ -628,88 +524,5 @@ impl State {
         if let Instr::Generate { obj } = i {
             self.obj[*obj as usize] = false;
         }
-        // Runtime checks establish bounds facts for the registers that
-        // survive them. A fused op whose destination *is* its index
-        // register destroys the checked value, so no fact survives.
-        match i {
-            Instr::ArrCheck { gid, idx } => {
-                self.checked.insert((*gid, *idx));
-            }
-            Instr::HashChk { dst, gid, .. } => {
-                // The check is on the freshly hashed dst.
-                self.checked.insert((*gid, *dst));
-            }
-            Instr::ChkSet { gid, idx, .. } | Instr::ChkSetm { gid, idx, .. } => {
-                self.checked.insert((*gid, *idx));
-            }
-            Instr::ChkGet { dst, gid, idx }
-            | Instr::ChkGetm { dst, gid, idx, .. }
-            | Instr::ChkUpdate { dst, gid, idx, .. }
-                if dst != idx =>
-            {
-                self.checked.insert((*gid, *idx));
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Exclusive upper bound of an instruction's result, given the bounds
-/// of its inputs. Mirrors (independently) the O1 elision transfer.
-fn ub_out(i: &Instr, ub: &HashMap<u16, u128>, pools: &CompiledProg) -> Option<u128> {
-    let width_bound = |w: u32| 1u128 << w.min(64);
-    match i {
-        Instr::Const { imm, .. } => Some(*imm as u128 + 1),
-        Instr::Hash { w, .. } | Instr::HashChk { w, .. } => Some(width_bound(*w)),
-        Instr::MaskW { src, w, .. } => Some(
-            ub.get(src)
-                .copied()
-                .unwrap_or(u128::MAX)
-                .min(width_bound(*w)),
-        ),
-        Instr::Mov { src, .. } => ub.get(src).copied(),
-        Instr::Bin {
-            op: BinOp::BitAnd,
-            a,
-            b,
-            ..
-        } => match (ub.get(a), ub.get(b)) {
-            (None, None) => None,
-            (x, y) => Some(
-                x.copied()
-                    .unwrap_or(u128::MAX)
-                    .min(y.copied().unwrap_or(u128::MAX)),
-            ),
-        },
-        Instr::BinImm {
-            op: BinOp::BitAnd,
-            imm,
-            a,
-            ..
-        } => Some(
-            ub.get(a)
-                .copied()
-                .unwrap_or(u128::MAX)
-                .min(*imm as u128 + 1),
-        ),
-        Instr::Bin {
-            op: BinOp::Mod, b, ..
-        } => ub.get(b).copied(),
-        Instr::BinImm {
-            op: BinOp::Mod,
-            imm,
-            ..
-        } => Some((*imm as u128).max(1)),
-        Instr::ArrGet { gid, .. }
-        | Instr::ChkGet { gid, .. }
-        | Instr::ArrGetm { gid, .. }
-        | Instr::ChkGetm { gid, .. }
-        | Instr::ArrUpdate { gid, .. }
-        | Instr::ChkUpdate { gid, .. } => Some(width_bound(pools.arrays[*gid as usize].width)),
-        Instr::Cmp { .. } | Instr::CmpImm { .. } | Instr::BoolOf { .. } | Instr::Not { .. } => {
-            Some(2)
-        }
-        Instr::LoadPort { .. } => Some(1),
-        _ => None,
     }
 }

@@ -31,8 +31,9 @@ const REGISTRY: &[(&str, &str)] = &[
     // E04xx — the ordered type-and-effect system (§5).
     ("E0400", "type error"),
     ("E0401", "global accessed out of pipeline order"),
-    ("E0402", "handler parameter shadows a global"),
+    ("E0402", "recursive function call"),
     ("E0403", "width mismatch in assignment or call"),
+    ("E0404", "call chain deeper than 64 functions"),
     // E06xx — elaboration to atomic tables.
     ("E0600", "handler cannot be elaborated to atomic tables"),
     // E07xx — layout against the pipeline model.
@@ -57,7 +58,6 @@ const REGISTRY: &[(&str, &str)] = &[
     ("V0006", "jump target not a forward in-span boundary"),
     ("V0007", "handler does not end in halt"),
     ("V0008", "pool index out of range"),
-    ("V0009", "array access neither checked nor elision-proven"),
     ("V0010", "event arity or argument-list violation"),
 ];
 

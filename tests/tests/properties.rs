@@ -238,11 +238,8 @@ proptest! {
 
     /// Every generated program compiles to *verified* bytecode at all
     /// three optimization levels: init-before-use, width consistency,
-    /// jump sanity, frame bounds, and check coverage all hold, and every
-    /// elided bounds check carries a proof the verifier re-derives.
-    /// Varying the array size exercises both outcomes of the elision
-    /// analysis (a `hash<<w>>`-bounded index elides against a large
-    /// array, survives against a small one).
+    /// jump sanity, frame bounds and pool indexes all hold. The array
+    /// size varies from below the `hash<<4>>` index range to above it.
     #[test]
     fn generated_programs_verify_at_every_level(
         mask in proptest::collection::vec(any::<bool>(), 8),

@@ -33,46 +33,3 @@ fn bundled_apps_verify_at_every_level() {
     }
     assert_eq!(checked, 30, "ten apps x three levels must all verify");
 }
-
-/// The O1 check-elision pass must leave auditable proofs behind: when a
-/// bounds check disappears, the handler carries an `Elision` record the
-/// verifier independently re-derives. Across the app suite the pass
-/// fires somewhere, so at least one proof must exist — otherwise the
-/// verifier's hardest obligation (V0009) is never actually exercised by
-/// real programs.
-#[test]
-fn elided_checks_leave_proofs_the_verifier_audits() {
-    let mut proofs = 0;
-    for app in lucid_apps::all() {
-        let prog = app.checked();
-        for level in [OptLevel::O1, OptLevel::O2] {
-            let cp = CompiledProg::compile_verified(&prog, level)
-                .unwrap_or_else(|vs| panic!("{} O{}: {vs:?}", app.key, level.label()));
-            proofs += cp.handlers().map(|h| h.elisions().len()).sum::<usize>();
-        }
-    }
-    assert!(
-        proofs > 0,
-        "no app's compilation elided a single bounds check; the V0009 \
-         elision-proof path is dead code on the real suite"
-    );
-}
-
-/// Lowering at O0 never records elisions — proofs exist only where the
-/// optimizer actually removed a check, so the audit trail cannot be
-/// polluted by records that correspond to no deletion.
-#[test]
-fn unoptimized_code_carries_no_elision_proofs() {
-    for app in lucid_apps::all() {
-        let prog = app.checked();
-        let cp = CompiledProg::compile_verified(&prog, OptLevel::O0)
-            .unwrap_or_else(|vs| panic!("{}: {vs:?}", app.key));
-        for h in cp.handlers() {
-            assert!(
-                h.elisions().is_empty(),
-                "{}: O0 handler carries elision proofs",
-                app.key
-            );
-        }
-    }
-}
