@@ -178,9 +178,9 @@ echo "== workload scale"
 # scenario (its advertisement threads and its fail/recover of switch 4
 # left running) with one million generated packets spread over every
 # switch — `--gen` supplies the generator, `--events` the total; the
-# stream is pulled lazily, so what is resident is the in-flight frontier,
-# each worker's capped argument arena and (these legs leave trace
-# retention on) the trace — and require both engines to agree on the final state digest AND the
+# stream is pulled lazily and a `sim` run keeps no dispatch trace, so what
+# is resident is the in-flight frontier and each worker's capped argument
+# arena — and require both engines to agree on the final state digest AND the
 # latency-metrics digest (one mis-bucketed histogram sample in the
 # sharded collector fails here, not just state divergence). A topology
 # with one switch would resolve to a lone worker whatever `--workers`
@@ -222,6 +222,24 @@ agree "sharded bytecode" "$j_sh"
 agree "the sequential walker" "$j_ast"
 echo "-- 1M-packet rip_router flood digests agree: state $d_seq, metrics $m_seq"
 echo "-- events/s: bytecode sequential $(eps_of "$j_seq"), bytecode sharded w4 $(eps_of "$j_sh"), walker sequential $(eps_of "$j_ast")"
+# Resident memory of a default million-event run: no per-event record may
+# outlive its event. A retained dispatch trace puts this run past 200 MiB;
+# the frontier and the arenas fit in about 14.
+python3 - <<'EOF'
+import resource, subprocess, sys
+
+LIMIT_MIB = 48
+subprocess.run(["target/release/lucidc", "sim", "--exec=bytecode", "--events=1000000",
+                "--json", "crates/apps/programs/dns_defense.lucid",
+                "crates/apps/scenarios/dns_defense.flood.sim.json"],
+               stdout=subprocess.DEVNULL, check=True)
+mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+if mib >= LIMIT_MIB:
+    print(f"workload scale: a default 1M-event dns_defense.flood run peaked at "
+          f"{mib:.1f} MiB resident (limit {LIMIT_MIB})", file=sys.stderr)
+    sys.exit(1)
+print(f"-- 1M-event dns_defense.flood resident peak {mib:.1f} MiB (limit {LIMIT_MIB})")
+EOF
 
 echo "== serve gate"
 # The persistent-service invariant: a session served by the `lucidc

@@ -55,10 +55,6 @@
 //!                             metrics object alone as stdout's one JSON
 //!                             document (conflicts with `--json`, which
 //!                             already embeds it in the full report)
-//!   --no-trace                skip retaining the per-event trace (`sim`);
-//!                             stats, expectations, metrics, and the state
-//!                             digest are unchanged — the run just stops
-//!                             paying for a log nobody reads
 //!   --json                    print the `sim` report as one JSON object
 //!   --socket=PATH             serve over a Unix domain socket instead of
 //!                             stdin/stdout (`serve`); one request per
@@ -86,7 +82,7 @@ const USAGE: &str = "usage: lucidc <check|compile|stages> [--emit=ast|ir|layout|
 [--json-diagnostics] <file.lucid>\n       \
 lucidc sim [--engine=sequential|sharded] [--workers=N] [--exec=ast|bytecode] \
 [--opt=0|1|2] [--seed=S] [--events=N] [--gen=<spec>] [--verify-bytecode] \
-[--metrics[=json]] [--no-trace] [--json] <file.lucid> <scenario.sim.json>\n       \
+[--metrics[=json]] [--json] <file.lucid> <scenario.sim.json>\n       \
 lucidc sim --dump-bytecode [--opt=0|1|2] [--verify-bytecode] <file.lucid> \
 [<scenario.sim.json>]\n       \
 lucidc serve [--socket=PATH]\n       \
@@ -210,8 +206,6 @@ struct SimArgs {
     verify_bytecode: bool,
     /// `--metrics[=json]`: how to surface the latency metrics.
     metrics: MetricsOut,
-    /// `--no-trace`: skip recording the per-event trace.
-    no_trace: bool,
     program: String,
     /// `None` only under `--dump-bytecode` (dump-only invocation).
     scenario: Option<String>,
@@ -243,7 +237,6 @@ fn parse_sim_options(args: &[String]) -> Result<SimArgs, String> {
     let mut dump_bytecode = false;
     let mut verify_bytecode = false;
     let mut metrics = MetricsOut::Off;
-    let mut no_trace = false;
     let mut files: Vec<String> = Vec::new();
     for a in args {
         if let Some(v) = a.strip_prefix("--engine=") {
@@ -280,8 +273,6 @@ fn parse_sim_options(args: &[String]) -> Result<SimArgs, String> {
             dump_bytecode = true;
         } else if a == "--verify-bytecode" {
             verify_bytecode = true;
-        } else if a == "--no-trace" {
-            no_trace = true;
         } else if a == "--metrics" {
             metrics = MetricsOut::Table;
         } else if let Some(v) = a.strip_prefix("--metrics=") {
@@ -346,7 +337,6 @@ fn parse_sim_options(args: &[String]) -> Result<SimArgs, String> {
         dump_bytecode,
         verify_bytecode,
         metrics,
-        no_trace,
         program,
         scenario,
     })
@@ -456,9 +446,8 @@ fn run_sim(args: &[String]) -> ExitCode {
         workers: None,
         seed: opts.seed,
         events: opts.events,
-        // The trace stays on unless `--no-trace` sheds it; either way
-        // stats, expectations, and the state digest are unchanged.
-        record_trace: opts.no_trace.then_some(false),
+        // The report carries no trace, so the run records none.
+        record_trace: false,
     };
     match build.interp(&scenario, &options) {
         Ok(report) => {
@@ -1023,24 +1012,6 @@ mod tests {
         assert!(!o.lint && !o.deny_lints);
         assert!(parse_options("stages", &["--lint".into(), "f".into()]).is_err());
         assert!(parse_options("stages", &["--deny-lints".into(), "f".into()]).is_err());
-    }
-
-    #[test]
-    fn no_trace_flag_parses() {
-        let o = parse_sim_options(&["--no-trace".into(), "p".into(), "s".into()]).unwrap();
-        assert!(o.no_trace);
-        let o = parse_sim_options(&["p".into(), "s".into()]).unwrap();
-        assert!(!o.no_trace, "the trace is retained by default");
-        // Composes with the other sim flags.
-        let o = parse_sim_options(&[
-            "--no-trace".into(),
-            "--json".into(),
-            "--engine=sharded".into(),
-            "p".into(),
-            "s".into(),
-        ])
-        .unwrap();
-        assert!(o.no_trace && o.json);
     }
 
     #[test]

@@ -582,8 +582,8 @@ pub(crate) struct Exec {
     link_ns: u64,
     /// Whether handled/exported events are retained in the trace. Off,
     /// the per-event record is skipped and its argument buffer goes
-    /// straight back to the worker's arena — for throughput measurement,
-    /// where nobody reads the trace and retaining it taxes every row.
+    /// straight back to the worker's arena — a session's default, since
+    /// nothing it returns reads the trace.
     record_trace: bool,
     code: Code,
 }
@@ -800,8 +800,8 @@ pub struct Interp {
     pub stats: Stats,
     /// When false, handled/exported events are not retained in `trace`
     /// (statistics, per-event counts, metrics, and `printf` output are
-    /// unaffected). Defaults to true; benchmarks turn it off so rows
-    /// don't pay for a per-event log nobody reads.
+    /// unaffected). Defaults to true; a [`crate::SimSession`] records
+    /// only when its options ask, so it keeps no log nobody reads.
     record_trace: bool,
     /// The executable form of `prog` that `config.exec` selects.
     code: Code,
@@ -867,7 +867,8 @@ impl Interp {
     /// Toggle trace retention (on by default). Off, handled/exported
     /// events skip their [`Handled`] record entirely; everything else —
     /// stats, per-event counts, metrics, `printf` output, final state —
-    /// is byte-identical to a recording run.
+    /// is byte-identical to a recording run. Off, [`Interp::load_world`]
+    /// also drops the trace a snapshot carries.
     pub fn set_record_trace(&mut self, on: bool) {
         self.record_trace = on;
     }

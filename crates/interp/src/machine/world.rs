@@ -196,7 +196,9 @@ impl Interp {
         }
         // Trace records re-intern their event names: known events share
         // the world's interned `Arc<str>`s, names from an earlier program
-        // epoch get their own allocation.
+        // epoch get their own allocation. A world that records no trace
+        // still decodes (and bounds-checks) every record but keeps none:
+        // it would never extend a restored prefix, only export it again.
         let by_name: HashMap<&str, usize> = self
             .names
             .iter()
@@ -204,12 +206,15 @@ impl Interp {
             .map(|(i, n)| (&**n, i))
             .collect();
         let n = r.len(25, "trace")?;
-        self.trace = Vec::with_capacity(n);
+        self.trace = Vec::with_capacity(if self.record_trace { n } else { 0 });
         for _ in 0..n {
             let time_ns = r.u64()?;
             let switch = r.u64()?;
             let name = r.str()?;
             let args = r.u64s()?;
+            if !self.record_trace {
+                continue;
+            }
             let event = match by_name.get(name.as_str()) {
                 Some(&i) => self.names[i].clone(),
                 None => Arc::from(name.as_str()),

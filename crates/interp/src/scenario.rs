@@ -470,13 +470,13 @@ impl Scenario {
 // ----------------------------------------------------------------- runner
 
 /// Run-time knobs layered over a scenario's own choices (`lucidc sim
-/// --engine/--exec/--opt/--workers/--seed/--events/--no-trace`).
-/// [`Default`] overrides nothing; the builder methods set one knob each
-/// and chain:
+/// --engine/--exec/--opt/--workers/--seed/--events`). [`Default`]
+/// overrides nothing and records no trace; the builder methods set one
+/// knob each and chain:
 ///
 /// ```
 /// use lucid_interp::{Engine, SimOptions};
-/// let opts = SimOptions::new().engine(Engine::Sequential).seed(7).record_trace(false);
+/// let opts = SimOptions::new().engine(Engine::Sequential).seed(7).record_trace(true);
 /// assert_eq!(opts.seed, Some(7));
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -505,12 +505,12 @@ pub struct SimOptions {
     /// scenario's authored expectations — the run reports its statistics
     /// and digest but skips the `expect` checks.
     pub events: Option<u64>,
-    /// `Some(false)` disables trace retention for the run: handled and
-    /// exported events are not logged (stats, per-event counts, metrics,
-    /// `printf` output, and the state digest are unchanged). Benchmarks
-    /// use it so wall-clock rows don't pay for a log nobody reads; the
-    /// report drops the trace regardless.
-    pub record_trace: Option<bool>,
+    /// Retain the per-event dispatch trace in the session's world
+    /// ([`crate::SimSession::world`]). Off by default: nothing a session
+    /// returns reads it — the report carries no trace — and stats,
+    /// per-event counts, metrics, `printf` output and the state digest
+    /// are the same either way. Callers that compare traces turn it on.
+    pub record_trace: bool,
 }
 
 impl SimOptions {
@@ -550,7 +550,7 @@ impl SimOptions {
     }
 
     pub fn record_trace(mut self, on: bool) -> SimOptions {
-        self.record_trace = Some(on);
+        self.record_trace = on;
         self
     }
 

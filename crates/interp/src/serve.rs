@@ -373,7 +373,7 @@ fn options_of(req: Cursor) -> Result<SimOptions, ServeError> {
         let on = v
             .bool()
             .map_err(|e| ServeError::new(ErrorKind::Protocol, format!("{}: {}", e.path, e.msg)))?;
-        opts.record_trace = Some(on);
+        opts.record_trace = on;
     }
     Ok(opts)
 }
@@ -716,12 +716,13 @@ pub mod socket {
 // ------------------------------------------------------------------- hex
 
 /// Lowercase hex, two digits per byte (snapshots ride inside JSON
-/// strings; base64 would save bytes but cost a dependency or a table).
+/// strings; base64 would save bytes but cost a dependency).
 pub fn hex_encode(bytes: &[u8]) -> String {
-    use std::fmt::Write as _;
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = write!(s, "{b:02x}");
+    for &b in bytes {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     s
 }
@@ -774,6 +775,15 @@ mod tests {
             hex_decode("DEADbeef").unwrap(),
             vec![0xDE, 0xAD, 0xBE, 0xEF]
         );
+    }
+
+    #[test]
+    fn hex_encodes_every_byte_like_format() {
+        for b in 0..=255u8 {
+            let hex = hex_encode(&[b]);
+            assert_eq!(hex, format!("{b:02x}"));
+            assert_eq!(hex_decode(&hex).unwrap(), [b]);
+        }
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! `run_scenario_with` is implemented as `SimSession::open` + `drain`,
 //! which makes the core invariant hold by construction: a served session
 //! that advances in any number of steps — with a `snapshot`/`restore`
-//! round-trip anywhere in between — produces state, stats, trace, and
-//! metrics digests bit-identical to the equivalent one-shot run, under
-//! both engines. The engines already pause exactly at a time horizon
-//! (events beyond it stay queued, keys are materialization-independent),
-//! so segmentation is free; sessions just expose it.
+//! round-trip anywhere in between — produces state, stats, metrics
+//! digests and (when recorded) trace bit-identical to the equivalent
+//! one-shot run, under both engines. The engines already pause exactly
+//! at a time horizon (events beyond it stay queued, keys are
+//! materialization-independent), so segmentation is free; sessions just
+//! expose it.
 
 use crate::machine::{Interp, SwapStats};
 use crate::metrics::Metrics;
@@ -153,7 +154,7 @@ impl SimSession {
         let exec = cfg.exec.label();
         let opt = cfg.opt.label();
         let mut sim = Interp::from_arc(Arc::clone(&prog), cfg);
-        sim.set_record_trace(opts.record_trace.unwrap_or(true));
+        sim.set_record_trace(opts.record_trace);
 
         let gen_names: Vec<String> = sc.generators.iter().map(|g| g.name.clone()).collect();
         if sc.generators.is_empty() {
@@ -241,7 +242,9 @@ impl SimSession {
         (self.engine, self.exec, self.opt)
     }
 
-    /// Direct read access to the world (arrays, stats, trace, metrics).
+    /// Direct read access to the world (arrays, stats, metrics, and the
+    /// trace — empty unless the session was opened with
+    /// `record_trace` on).
     pub fn world(&self) -> &Interp {
         &self.sim
     }

@@ -221,7 +221,9 @@ fn metric_expectations_skip_when_workload_overridden() {
 // ----------------------------------------------------- checked-in suite
 
 /// Every `crates/apps/scenarios/*.sim.json` must load, validate against
-/// its app, and pass — the in-tree mirror of CI's sim gate.
+/// its app, and pass — the in-tree mirror of CI's sim gate — and report
+/// the same whether or not the run records its trace (wall-clock fields
+/// aside).
 #[test]
 fn bundled_scenarios_all_pass() {
     let dir = repo_root().join("crates/apps/scenarios");
@@ -243,13 +245,24 @@ fn bundled_scenarios_all_pass() {
         let sc =
             Scenario::from_json(&sc_text).unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
         let mut build = Compiler::new().build(app, &src);
-        let report = build
-            .interp(&sc, &lucid_core::SimOptions::default())
-            .unwrap_or_else(|e| panic!("{name} failed to run: {e}"));
+        let mut run = |opts: &lucid_core::SimOptions| {
+            let mut report = build
+                .interp(&sc, opts)
+                .unwrap_or_else(|e| panic!("{name} failed to run: {e}"));
+            (report.wall_ms, report.events_per_sec) = (0.0, 0.0);
+            report
+        };
+        let report = run(&lucid_core::SimOptions::default());
         assert!(
             report.passed(),
             "{name} has mismatches: {:?}",
             report.mismatches
+        );
+        let traced = run(&lucid_core::SimOptions::new().record_trace(true));
+        assert_eq!(
+            report.to_json(),
+            traced.to_json(),
+            "{name}: recording the trace changed the report"
         );
         ran += 1;
     }

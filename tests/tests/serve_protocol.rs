@@ -658,7 +658,7 @@ fn served_sessions_are_bit_identical_to_one_shot_runs() {
             epoch_ns: 0,
         },
     ] {
-        let opts = SimOptions::new().engine(engine);
+        let opts = SimOptions::new().engine(engine).record_trace(true);
         let oneshot = run_scenario_with(&prog, &sc, &opts).expect("one-shot runs");
 
         // Segmented advance: odd step sizes, a snapshot/restore detour in
@@ -682,6 +682,14 @@ fn served_sessions_are_bit_identical_to_one_shot_runs() {
         let snap = b.snapshot().expect("snapshot");
         b.restore(&snap).expect("restore");
         b.advance(u64::MAX).expect("run");
+        for s in [&a, &b] {
+            let world = s.world();
+            assert_eq!(
+                world.trace.len() as u64,
+                world.stats.processed,
+                "{engine:?}"
+            );
+        }
         assert_eq!(
             format!("{:?}", a.world().trace),
             format!("{:?}", b.world().trace),
@@ -708,6 +716,39 @@ fn snapshots_transplant_between_sessions() {
     heir.restore(&snap).expect("restore");
     let served = heir.drain().expect("drain");
     assert_eq!(fingerprint(&served), fingerprint(&oneshot));
+}
+
+/// A traced session's snapshot restores into a default (untraced) one
+/// without its trace: that world would never extend the restored prefix,
+/// only carry it into every later snapshot.
+#[test]
+fn untraced_sessions_drop_a_restored_trace() {
+    let prog = lucid_core::check::parse_and_check(COUNTER).expect("program checks");
+    let sc = Scenario::from_json(SCENARIO).expect("scenario parses");
+    let open = |opts: &SimOptions| {
+        let mut session = SimSession::open(&prog, &sc, opts).expect("session opens");
+        session.advance(150).expect("advance");
+        session
+    };
+    let traced = open(&SimOptions::new().record_trace(true));
+    assert_eq!(traced.world().trace.len(), 2);
+    let snap = traced.snapshot().expect("snapshot");
+
+    let mut heir = SimSession::open(&prog, &sc, &SimOptions::default()).expect("session opens");
+    heir.restore(&snap).expect("restore");
+    assert!(heir.world().trace.is_empty());
+    assert_eq!(heir.world().stats, traced.world().stats);
+    let (got, want) = (heir.status(), traced.status());
+    assert_eq!(
+        (got.state_digest, got.metrics_digest),
+        (want.state_digest, want.metrics_digest)
+    );
+
+    // The heir's next snapshot is an untraced run's at the same instant:
+    // a trace count of zero and no records.
+    let resnap = heir.snapshot().expect("snapshot");
+    assert_eq!(resnap, open(&SimOptions::default()).snapshot().unwrap());
+    assert!(resnap.len() < snap.len());
 }
 
 #[test]

@@ -1,10 +1,13 @@
-//! A streamed, untraced run holds its in-flight frontier and nothing
-//! else: resident memory must not grow with the number of injections.
+//! A session run with default options holds its in-flight frontier and
+//! nothing else: resident memory must not grow with the number of
+//! injections, whether a generator streams them or a serve-style caller
+//! ingests them in batches.
 //!
 //! One test in a binary of its own, so no neighbour's allocations show
 //! in the process-wide numbers it reads.
 
-use lucid_core::{Engine, ExecMode, Scenario, SimOptions, SimSession};
+use lucid_core::interp::scenario::Injection;
+use lucid_core::{CheckedProgram, Engine, ExecMode, Scenario, SimOptions, SimSession};
 
 /// Cross-switch forwarding on a 4-switch mesh: every root spawns one
 /// child somewhere else, so buffers change shards (and, at four workers,
@@ -32,6 +35,13 @@ const FLOOD: &str = r#"{
     ]
 }"#;
 
+/// The same mesh with no workload of its own: every event arrives
+/// through `ingest`, the way `lucidc serve` feeds a session.
+const SERVED: &str = r#"{"name": "streaming-memory-served", "net": {"switches": 4}}"#;
+
+/// Events per `ingest` + `advance` step of the served leg.
+const BATCH: u64 = 1000;
+
 /// The process's resident high-water mark in KiB (`None` off Linux):
 /// monotone, so the growth across a leg is what that leg added.
 fn peak_rss_kib() -> Option<u64> {
@@ -40,13 +50,58 @@ fn peak_rss_kib() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
+/// Fail unless the peak grew by less than 4 MiB from the short run to
+/// the long one.
+fn assert_flat(what: &str, peaks: &[u64]) {
+    let growth_kib = peaks[1].saturating_sub(peaks[0]);
+    assert!(
+        growth_kib < 4 * 1024,
+        "{what}: ten times the injections grew the resident peak by {growth_kib} KiB \
+         ({} -> {} KiB): something retains memory per event",
+        peaks[0],
+        peaks[1]
+    );
+}
+
+/// A default session fed `roots` explicit events in [`BATCH`]-sized
+/// `ingest` + `advance` steps, then drained.
+fn serve_roots(prog: &CheckedProgram, sc: &Scenario, roots: u64) {
+    let mut session = SimSession::open(prog, sc, &SimOptions::default()).expect("scenario opens");
+    for start in (0..roots).step_by(BATCH as usize) {
+        let end = (start + BATCH).min(roots);
+        let batch: Vec<Injection> = (start..end)
+            .map(|i| Injection {
+                time_ns: 2 * i,
+                switch: i % 4 + 1,
+                event: "pkt".to_string(),
+                args: vec![i.wrapping_mul(2_654_435_761) % 4096, 1],
+            })
+            .collect();
+        session.ingest(&batch).expect("batch schedules");
+        session.advance(2 * (end - 1)).expect("batch runs");
+    }
+    let report = session.drain().expect("the flood quiesces");
+    assert_eq!(report.stats.processed, 2 * roots, "served {roots} roots");
+}
+
 #[test]
-fn untraced_flood_memory_is_independent_of_its_length() {
+fn default_flood_memory_is_independent_of_its_length() {
     if peak_rss_kib().is_none() {
         eprintln!("skipped: no /proc/self/status");
         return;
     }
     let prog = lucid_core::check::parse_and_check(MESH).expect("program checks");
+
+    // The served leg first, so the generator legs' larger peaks cannot
+    // hide what it retains.
+    let served = Scenario::from_json(SERVED).expect("scenario parses");
+    let mut peaks = Vec::new();
+    for roots in [20_000u64, 200_000] {
+        serve_roots(&prog, &served, roots);
+        peaks.push(peak_rss_kib().expect("read once already"));
+    }
+    assert_flat("ingested in batches", &peaks);
+
     let sc = Scenario::from_json(FLOOD).expect("scenario parses");
     let pool = Engine::Sharded {
         workers: 4,
@@ -65,11 +120,7 @@ fn untraced_flood_memory_is_independent_of_its_length() {
     for roots in [200_000u64, 2_000_000] {
         let mut digests = Vec::new();
         for (exec, engine) in legs {
-            let opts = SimOptions::new()
-                .exec(exec)
-                .engine(engine)
-                .events(roots)
-                .record_trace(false);
+            let opts = SimOptions::new().exec(exec).engine(engine).events(roots);
             let mut session = SimSession::open(&prog, &sc, &opts).expect("scenario opens");
             let report = session.drain().expect("the flood quiesces");
             assert_eq!(report.stats.processed, 2 * roots, "{exec:?} {engine:?}");
@@ -81,12 +132,5 @@ fn untraced_flood_memory_is_independent_of_its_length() {
         );
         peaks.push(peak_rss_kib().expect("read once already"));
     }
-    let growth_kib = peaks[1].saturating_sub(peaks[0]);
-    assert!(
-        growth_kib < 4 * 1024,
-        "ten times the injections grew the resident peak by {growth_kib} KiB \
-         ({} -> {} KiB): something retains memory per event",
-        peaks[0],
-        peaks[1]
-    );
+    assert_flat("generated", &peaks);
 }

@@ -137,7 +137,8 @@ fn generator_matrix_is_bit_identical_and_seed_sensitive() {
         let (prog, sc) = mesh_case(switches);
         let base = SimOptions::new()
             .engine(Engine::Sequential)
-            .exec(ExecMode::Ast);
+            .exec(ExecMode::Ast)
+            .record_trace(true);
         let (reference, ref_world) = run_to_world(&prog, &sc, &base);
         let ref_trace = &ref_world.world().trace;
         assert_eq!(ref_world.world().source_counts(), [4000, 2000, 1500]);
@@ -173,7 +174,7 @@ fn generator_matrix_is_bit_identical_and_seed_sensitive() {
                 (ExecMode::Bytecode, OptLevel::O1),
                 (ExecMode::Bytecode, OptLevel::O2),
             ] {
-                let opts = SimOptions::new().engine(engine).exec(exec).opt(opt);
+                let opts = base.engine(engine).exec(exec).opt(opt);
                 let (got, world) = run_to_world(&prog, &sc, &opts);
                 let world = world.world();
                 let at = format!(
@@ -183,6 +184,7 @@ fn generator_matrix_is_bit_identical_and_seed_sensitive() {
                     opt.label()
                 );
                 assert_eq!(fingerprint(&reference), fingerprint(&got), "{at}");
+                assert_eq!(world.trace.len() as u64, got.stats.processed, "{at}");
                 assert!(*ref_trace == world.trace, "{at}: dispatch traces differ");
                 assert_eq!(world.source_counts(), [4000, 2000, 1500], "{at}");
                 assert_eq!(world.pending(), 0, "{at}");
