@@ -142,33 +142,57 @@ echo "== sim gate"
 # handler executors. The sharded legs pin four workers: a bare
 # `--engine=sharded` means one worker per core, and at one worker the
 # engine *is* the sequential loop — on a one-core runner those legs would
-# never touch a mailbox, a horizon or a barrier.
+# never touch a mailbox, a horizon or a barrier. Running green is not
+# enough: no default path runs the AST walker any more, so it is the
+# oracle here, and every other leg of a scenario must land on the
+# sequential walker's state digest and latency-metrics digest.
 shopt -s nullglob
 scenarios=(crates/apps/scenarios/*.sim.json)
 if [ "${#scenarios[@]}" -lt 8 ]; then
   echo "sim gate: expected at least 8 scenarios, found ${#scenarios[@]}" >&2
   exit 1
 fi
+state_of()   { printf '%s' "$1" | sed -n 's/.*"state_digest":"\([0-9a-f]*\)".*/\1/p'; }
+metrics_of() { printf '%s' "$1" | sed -n 's/.*"metrics":{"digest":"\([0-9a-f]*\)".*/\1/p'; }
+sim_leg() { # <label> <flags...>: one passing run whose digests match $want
+  local label=$1 out got
+  shift
+  echo "-- sim [$label] $sc"
+  out=$(target/release/lucidc sim "$@" --json "$prog" "$sc") || {
+    printf '%s\n' "$out" >&2
+    exit 1
+  }
+  got="state $(state_of "$out"), metrics $(metrics_of "$out")"
+  if [ "$got" != "$want" ]; then
+    echo "sim gate: $sc [$label] ($got) disagrees with the walker ($want)" >&2
+    exit 1
+  fi
+}
 for sc in "${scenarios[@]}"; do
   base=$(basename "$sc" .sim.json)
   app=${base%%.*}
   prog="crates/apps/programs/$app.lucid"
+  ref=$(target/release/lucidc sim --engine=sequential --exec=ast --json "$prog" "$sc")
+  d=$(state_of "$ref"); m=$(metrics_of "$ref")
+  if [ -z "$d" ] || [ -z "$m" ]; then
+    echo "sim gate: the sequential walker printed no digests for $sc" >&2
+    exit 1
+  fi
+  want="state $d, metrics $m"
+  echo "-- sim [sequential/ast] $sc: $want"
   # One run exactly as authored (no overrides), so scenario-pinned
   # engine/exec/opt fields stay exercised end to end.
-  echo "-- sim [authored] $sc"
-  target/release/lucidc sim "$prog" "$sc"
+  sim_leg authored
+  sim_leg "sharded --workers=4/ast" --engine=sharded --workers=4 --exec=ast
   for engine in sequential "sharded --workers=4"; do
     # $engine is left unquoted below so the pinned leg splits into its flags.
-    echo "-- sim [$engine/ast] $sc"
-    target/release/lucidc sim --engine=$engine --exec=ast "$prog" "$sc"
     # The bytecode executor runs at both ends of the optimizer pipeline:
     # raw lowering and fusion plus register allocation. Each run is
     # fronted by the bytecode verifier, so the code that executes is the
     # code the verifier accepted.
     for opt in 0 2; do
-      echo "-- sim [$engine/bytecode/o$opt] $sc"
-      target/release/lucidc sim --engine=$engine --exec=bytecode --opt="$opt" \
-        --verify-bytecode "$prog" "$sc"
+      sim_leg "$engine/bytecode/o$opt" --engine=$engine --exec=bytecode --opt="$opt" \
+        --verify-bytecode
     done
   done
 done
@@ -187,9 +211,10 @@ echo "== workload scale"
 # says; this one gives each of the four workers a shard, so worker 0
 # pulls the stream a window ahead and mails three quarters of it, the
 # packets' next-hop chains cross shards, and the pool still lands
-# digest-for-digest on sequential. The AST walker — the default executor
-# and the semantics of record — floods the same million packets on the
-# sequential engine and must land on the same two digests.
+# digest-for-digest on sequential. The AST walker — the semantics of
+# record, run only when asked for with --exec=ast — floods the same
+# million packets on the sequential engine and must land on the same two
+# digests.
 flood_gen='[{"name": "pkts", "event": "pkt", "switches": [1, 2, 3, 4],
   "interval_ns": 1, "count": 1000, "args": [{"uniform": [0, 1000000]}]}]'
 flood_json() {
@@ -201,9 +226,7 @@ flood_json() {
 j_seq=$(flood_json bytecode sequential)
 j_sh=$(flood_json bytecode sharded --workers=4)
 j_ast=$(flood_json ast sequential)
-state_of()   { printf '%s' "$1" | sed -n 's/.*"state_digest":"\([0-9a-f]*\)".*/\1/p'; }
-metrics_of() { printf '%s' "$1" | sed -n 's/.*"metrics":{"digest":"\([0-9a-f]*\)".*/\1/p'; }
-eps_of()     { printf '%s' "$1" | sed -n 's/.*"events_per_sec":\([0-9]*\).*/\1/p'; }
+eps_of() { printf '%s' "$1" | sed -n 's/.*"events_per_sec":\([0-9]*\).*/\1/p'; }
 d_seq=$(state_of "$j_seq"); m_seq=$(metrics_of "$j_seq")
 if [ -z "$d_seq" ] || [ -z "$m_seq" ]; then
   echo "workload scale: the sequential bytecode flood printed no digests" >&2
@@ -229,7 +252,7 @@ python3 - <<'EOF'
 import resource, subprocess, sys
 
 LIMIT_MIB = 48
-subprocess.run(["target/release/lucidc", "sim", "--exec=bytecode", "--events=1000000",
+subprocess.run(["target/release/lucidc", "sim", "--events=1000000",
                 "--json", "crates/apps/programs/dns_defense.lucid",
                 "crates/apps/scenarios/dns_defense.flood.sim.json"],
                stdout=subprocess.DEVNULL, check=True)

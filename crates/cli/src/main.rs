@@ -30,7 +30,8 @@
 //!   --json-diagnostics        report diagnostics as a JSON array on stderr
 //!   --engine=sequential|sharded   override the scenario's engine (`sim`)
 //!   --workers=N               sharded-engine worker threads (`sim`; 0 = cores)
-//!   --exec=ast|bytecode       override the scenario's handler executor (`sim`)
+//!   --exec=ast|bytecode       override the scenario's handler executor (`sim`;
+//!                             default bytecode, `ast` is the reference walker)
 //!   --seed=S                  override the scenario's workload seed (`sim`)
 //!   --events=N                cap total generator-sourced injections (`sim`)
 //!   --gen=<spec>              replace the scenario's generators (`sim`);

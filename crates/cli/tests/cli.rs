@@ -361,15 +361,17 @@ fn sim_exec_modes_agree_and_are_labeled() {
                        "arrays": [{"switch": 1, "array": "cts", "index": 9, "value": 2}]}}"#,
     );
     let mut digests = Vec::new();
-    for exec in ["ast", "bytecode"] {
-        let out = lucidc(&[
-            "sim",
-            &format!("--exec={exec}"),
-            "--json",
-            prog.to_str().unwrap(),
-            sc.to_str().unwrap(),
-        ]);
-        assert_eq!(out.status.code(), Some(0), "{exec}: {out:?}");
+    // Without `--exec` the run is bytecode: the default executor.
+    for (flag, exec) in [
+        (Some("--exec=ast"), "ast"),
+        (Some("--exec=bytecode"), "bytecode"),
+        (None, "bytecode"),
+    ] {
+        let mut args = vec!["sim"];
+        args.extend(flag);
+        args.extend(["--json", prog.to_str().unwrap(), sc.to_str().unwrap()]);
+        let out = lucidc(&args);
+        assert_eq!(out.status.code(), Some(0), "{flag:?}: {out:?}");
         let s = String::from_utf8_lossy(&out.stdout);
         assert!(s.contains(&format!("\"exec\":\"{exec}\"")), "{s}");
         assert!(s.contains("\"ok\":true"), "{s}");
@@ -381,7 +383,10 @@ fn sim_exec_modes_agree_and_are_labeled() {
             .to_string();
         digests.push(digest);
     }
-    assert_eq!(digests[0], digests[1], "executors must agree on state");
+    assert!(
+        digests.iter().all(|d| *d == digests[0]),
+        "executors must agree on state: {digests:?}"
+    );
 
     // Unknown exec value is a usage error.
     let out = lucidc(&["sim", "--exec=jit", "a", "b"]);

@@ -8,11 +8,12 @@
 //! once, at [`Interp`](crate::Interp) construction, into a compact
 //! register bytecode that a flat dispatch loop executes with no
 //! allocation beyond what the program itself asks for (event values,
-//! printf lines). Selecting it is [`ExecMode::Bytecode`] on
-//! [`NetConfig`](crate::NetConfig); results are bit-identical to the
-//! walker — state, statistics, trace, and printf output — which the
-//! differential property suite in `tests/tests/differential.rs` and the
-//! generator matrix in `tests/tests/workload.rs` both enforce.
+//! printf lines). It is the default executor ([`ExecMode::Bytecode`] on
+//! [`NetConfig`](crate::NetConfig)); the walker runs only when asked
+//! for (`--exec=ast`). Results are bit-identical to the walker — state,
+//! statistics, trace, and printf output — which the differential
+//! property suite in `tests/tests/differential.rs` and the generator
+//! matrix in `tests/tests/workload.rs` both enforce.
 //!
 //! The module tree mirrors the pipeline:
 //!
@@ -74,13 +75,15 @@ use crate::machine::Emitted;
 use lucid_check::{CheckedProgram, MemopIr};
 use lucid_frontend::ast::*;
 
-/// Which executor runs handler bodies.
+/// Which executor runs handler bodies. `ExecMode::default()` is the one
+/// place the default is named; `NetConfig` and the decoder call it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Tree-walk the checked AST — the reference semantics.
-    #[default]
+    /// Tree-walk the checked AST — the reference semantics
+    /// (`--exec=ast`, `"exec": "ast"`).
     Ast,
-    /// Flat dispatch loop over compiled register bytecode.
+    /// Flat dispatch loop over compiled register bytecode. The default.
+    #[default]
     Bytecode,
 }
 

@@ -155,7 +155,7 @@ impl Default for NetConfig {
             link_latency_ns: 1_000,
             recirc_latency_ns: 600,
             engine: Engine::Sequential,
-            exec: ExecMode::Ast,
+            exec: ExecMode::default(),
             opt: OptLevel::default(),
         }
     }
@@ -181,12 +181,6 @@ impl NetConfig {
             workers,
             epoch_ns: 0,
         };
-        self
-    }
-
-    /// Select the bytecode executor.
-    pub fn bytecode(mut self) -> Self {
-        self.exec = ExecMode::Bytecode;
         self
     }
 }
@@ -1789,7 +1783,11 @@ mod tests {
         }
         let prog = checked(MESH_MIX);
         let fresh = || {
-            let mut i = Interp::new(&prog, NetConfig::mesh(8));
+            let cfg = NetConfig {
+                exec: ExecMode::Ast,
+                ..NetConfig::mesh(8)
+            };
+            let mut i = Interp::new(&prog, cfg);
             for s in 1..=8u64 {
                 i.schedule(s, 0, "pkt", &[s, 3, 6]).unwrap();
             }

@@ -915,6 +915,12 @@ mod tests {
         assert_eq!(ast.state_digest, bc.state_digest);
         assert_eq!(ast.stats, bc.stats);
 
+        // Bytecode is the default; the walker is reached by name.
+        let exec_of = |doc: &str| Scenario::from_json(doc).unwrap().exec;
+        assert_eq!(exec_of("{}"), ExecMode::Bytecode);
+        assert_eq!(exec_of(r#"{"exec": "ast"}"#), ExecMode::Ast);
+        assert_eq!(exec_of(r#"{"exec": "walker"}"#), ExecMode::Ast);
+
         let err = Scenario::from_json(r#"{"exec": "jit"}"#).unwrap_err();
         assert!(
             matches!(&err, ScenarioError::Schema { path, .. } if path == "$.exec"),

@@ -148,7 +148,7 @@ fn scenario_of(root: Cursor) -> Result<Scenario, PathError> {
     };
 
     let exec = match root.get("exec") {
-        None => ExecMode::Ast,
+        None => ExecMode::default(),
         Some(j) => match j.node() {
             Json::Str(s) => ExecMode::parse(s).ok_or_else(|| {
                 j.err(format!(

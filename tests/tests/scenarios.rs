@@ -293,7 +293,7 @@ fn bundled_scenarios_are_engine_deterministic() {
                 .unwrap();
         let prog = checked(&src);
         let sc = Scenario::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let seq = run_scenario(&prog, &sc, Some(Engine::Sequential), None).unwrap();
+        let seq = run_scenario(&prog, &sc, Some(Engine::Sequential), Some(ExecMode::Ast)).unwrap();
         // Full engine x exec matrix against the sequential AST reference.
         for engine in [
             Engine::Sequential,

@@ -67,7 +67,7 @@ fn open_replies_with_the_session_header() {
     assert_eq!(
         reply,
         "{\"ok\":true,\"session\":1,\"scenario\":\"served\",\"switches\":2,\
-         \"engine\":\"sequential\",\"exec\":\"ast\",\"opt\":2}"
+         \"engine\":\"sequential\",\"exec\":\"bytecode\",\"opt\":2}"
     );
     // Session ids are allocated in order, never reused.
     let reply = ask(&mut state, &mut host, &open_line());
