@@ -14,14 +14,13 @@
 //! OPTIONS:
 //!   --emit=ast|ir|layout|p4   artifact for `compile` (default p4)
 //!   --target=tofino|pisa      pipeline model to compile against
-//!   --opt=0|1|2               optimization level; one flag story for both
+//!   --opt=0|2                 optimization level; one flag story for both
 //!                             backends. `compile`/`stages`: 0 disables the
-//!                             P4 IR clean-up pass, 1 and 2 enable it
-//!                             (default). `sim`: the bytecode pipeline —
-//!                             0 = raw lowering, 1 = peephole fusion,
-//!                             2 = peephole + register allocation (default)
-//!   --no-opt                  alias for --opt=0 (kept from the days when
-//!                             only the P4 backend had an optimizer)
+//!                             P4 IR clean-up pass, 2 enables it (default).
+//!                             `sim`: the bytecode pipeline — 0 = raw
+//!                             lowering, 2 = peephole fusion + register
+//!                             allocation (default)
+//!   --no-opt                  alias for --opt=0 (`compile`/`stages` only)
 //!   --lint                    run the lint pass (`check`/`compile`): style
 //!                             and dead-state warnings with stable W05xx
 //!                             codes, reported like any other warnings
@@ -79,12 +78,12 @@ const EXIT_DIAGNOSTICS: u8 = 1;
 const EXIT_USAGE: u8 = 2;
 
 const USAGE: &str = "usage: lucidc <check|compile|stages> [--emit=ast|ir|layout|p4] \
-[--target=tofino|pisa] [--opt=0|1|2] [--no-opt] [--lint] [--deny-lints] \
+[--target=tofino|pisa] [--opt=0|2] [--no-opt] [--lint] [--deny-lints] \
 [--json-diagnostics] <file.lucid>\n       \
 lucidc sim [--engine=sequential|sharded] [--workers=N] [--exec=ast|bytecode] \
-[--opt=0|1|2] [--seed=S] [--events=N] [--gen=<spec>] [--verify-bytecode] \
+[--opt=0|2] [--seed=S] [--events=N] [--gen=<spec>] [--verify-bytecode] \
 [--metrics[=json]] [--json] <file.lucid> <scenario.sim.json>\n       \
-lucidc sim --dump-bytecode [--opt=0|1|2] [--verify-bytecode] <file.lucid> \
+lucidc sim --dump-bytecode [--opt=0|2] [--verify-bytecode] <file.lucid> \
 [<scenario.sim.json>]\n       \
 lucidc serve [--socket=PATH]\n       \
 lucidc apps | app <key>";
@@ -190,14 +189,10 @@ fn main() -> ExitCode {
 
 /// Parsed command line for `sim`.
 struct SimArgs {
-    engine: Option<Engine>,
-    exec: Option<ExecMode>,
-    /// `--opt=0|1|2` (or `--no-opt` = level 0): the bytecode pipeline.
-    opt: Option<OptLevel>,
-    /// Workload overrides: `--seed=S` reshuffles every generator stream,
-    /// `--events=N` caps total generated injections.
-    seed: Option<u64>,
-    events: Option<u64>,
+    /// `--engine`, `--workers`, `--exec`, `--opt`, `--seed`, `--events`:
+    /// the overrides the run resolves against the scenario. The report
+    /// carries no trace, so the run records none.
+    options: SimOptions,
     /// `--gen=<file-or-inline-json>`: replace the scenario's generators.
     gen: Option<String>,
     json: bool,
@@ -226,13 +221,7 @@ enum MetricsOut {
 }
 
 fn parse_sim_options(args: &[String]) -> Result<SimArgs, String> {
-    let mut engine: Option<Engine> = None;
-    let mut exec: Option<ExecMode> = None;
-    let mut opt: Option<OptLevel> = None;
-    let mut no_opt = false;
-    let mut workers: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut events: Option<u64> = None;
+    let mut options = SimOptions::default();
     let mut gen: Option<String> = None;
     let mut json = false;
     let mut dump_bytecode = false;
@@ -241,28 +230,23 @@ fn parse_sim_options(args: &[String]) -> Result<SimArgs, String> {
     let mut files: Vec<String> = Vec::new();
     for a in args {
         if let Some(v) = a.strip_prefix("--engine=") {
-            engine = Some(Engine::parse(v).ok_or_else(|| format!("unknown --engine value `{v}`"))?);
+            options.engine = Some(Engine::parse(v).map_err(|e| format!("--engine: {e}"))?);
         } else if let Some(v) = a.strip_prefix("--exec=") {
-            exec = Some(ExecMode::parse(v).ok_or_else(|| format!("unknown --exec value `{v}`"))?);
+            options.exec = Some(ExecMode::parse(v).map_err(|e| format!("--exec: {e}"))?);
         } else if let Some(v) = a.strip_prefix("--opt=") {
-            opt = Some(
-                OptLevel::parse(v)
-                    .ok_or_else(|| format!("unknown --opt value `{v}` (expected 0, 1, or 2)"))?,
-            );
-        } else if a == "--no-opt" {
-            no_opt = true;
+            options.opt = Some(OptLevel::parse(v).map_err(|e| format!("--opt: {e}"))?);
         } else if let Some(v) = a.strip_prefix("--workers=") {
-            workers = Some(
+            options.workers = Some(
                 v.parse::<usize>()
                     .map_err(|_| format!("bad --workers value `{v}`"))?,
             );
         } else if let Some(v) = a.strip_prefix("--seed=") {
-            seed = Some(
+            options.seed = Some(
                 v.parse::<u64>()
                     .map_err(|_| format!("bad --seed value `{v}`"))?,
             );
         } else if let Some(v) = a.strip_prefix("--events=") {
-            events = Some(
+            options.events = Some(
                 v.parse::<u64>()
                     .map_err(|_| format!("bad --events value `{v}`"))?,
             );
@@ -287,14 +271,6 @@ fn parse_sim_options(args: &[String]) -> Result<SimArgs, String> {
             files.push(a.clone());
         }
     }
-    if no_opt {
-        // `--no-opt` is the historical spelling of `--opt=0`; an explicit
-        // `--opt=` beside it is ambiguous at best.
-        if opt.is_some() {
-            return Err("pass either `--no-opt` or `--opt=N`, not both".to_string());
-        }
-        opt = Some(OptLevel::O0);
-    }
     if metrics == MetricsOut::Json && json {
         // Both ask for stdout's one JSON document; the full `--json`
         // report already embeds the metrics object.
@@ -302,19 +278,8 @@ fn parse_sim_options(args: &[String]) -> Result<SimArgs, String> {
             "`--metrics=json` conflicts with `--json` (which already embeds metrics)".to_string(),
         );
     }
-    if let Some(w) = workers {
-        match &mut engine {
-            Some(Engine::Sharded { workers, .. }) => *workers = w,
-            Some(Engine::Sequential) => {
-                return Err("`--workers` only applies to `--engine=sharded`".to_string());
-            }
-            None => {
-                engine = Some(Engine::Sharded {
-                    workers: w,
-                    epoch_ns: 0,
-                });
-            }
-        }
+    if options.workers.is_some() && options.engine == Some(Engine::Sequential) {
+        return Err("`--workers` only applies to `--engine=sharded`".to_string());
     }
     let (program, scenario) = match files.as_slice() {
         [program, scenario] => (program.clone(), Some(scenario.clone())),
@@ -328,11 +293,7 @@ fn parse_sim_options(args: &[String]) -> Result<SimArgs, String> {
         }
     };
     Ok(SimArgs {
-        engine,
-        exec,
-        opt,
-        seed,
-        events,
+        options,
         gen,
         json,
         dump_bytecode,
@@ -362,7 +323,7 @@ fn run_sim(args: &[String]) -> ExitCode {
     // Dump-only invocation: no scenario to consult, so `--opt` (or the
     // default level) picks the listing.
     if opts.dump_bytecode && opts.scenario.is_none() {
-        let level = opts.opt.unwrap_or_default();
+        let level = opts.options.opt.unwrap_or_default();
         if opts.verify_bytecode {
             if let Err(code) = verify_listing(&mut build, level, opts.json) {
                 return code;
@@ -395,7 +356,11 @@ fn run_sim(args: &[String]) -> ExitCode {
     // The verifier runs at the level the simulation will actually use, so
     // a clean report vouches for exactly the code about to execute.
     if opts.verify_bytecode {
-        if let Err(code) = verify_listing(&mut build, opts.opt.unwrap_or(scenario.opt), opts.json) {
+        if let Err(code) = verify_listing(
+            &mut build,
+            opts.options.opt.unwrap_or(scenario.opt),
+            opts.json,
+        ) {
             return code;
         }
     }
@@ -403,7 +368,11 @@ fn run_sim(args: &[String]) -> ExitCode {
     // the scenario's own level so the dump describes the bytecode that
     // actually runs below.
     if opts.dump_bytecode {
-        if let Err(code) = dump_listing(&mut build, opts.opt.unwrap_or(scenario.opt), opts.json) {
+        if let Err(code) = dump_listing(
+            &mut build,
+            opts.options.opt.unwrap_or(scenario.opt),
+            opts.json,
+        ) {
             return code;
         }
     }
@@ -439,18 +408,7 @@ fn run_sim(args: &[String]) -> ExitCode {
             }
         }
     }
-    let options = SimOptions {
-        engine: opts.engine,
-        exec: opts.exec,
-        opt: opts.opt,
-        // `--workers` is folded into the engine override at parse time.
-        workers: None,
-        seed: opts.seed,
-        events: opts.events,
-        // The report carries no trace, so the run records none.
-        record_trace: false,
-    };
-    match build.interp(&scenario, &options) {
+    match build.interp(&scenario, &opts.options) {
         Ok(report) => {
             if opts.json {
                 println!("{}", report.to_json());
@@ -663,10 +621,7 @@ fn parse_options(cmd: &str, args: &[String]) -> Result<Options, String> {
                     "`--opt` has no effect on `check` (the backend does not run)".to_string(),
                 );
             }
-            opt = Some(
-                OptLevel::parse(v)
-                    .ok_or_else(|| format!("unknown --opt value `{v}` (expected 0, 1, or 2)"))?,
-            );
+            opt = Some(OptLevel::parse(v).map_err(|e| format!("--opt: {e}"))?);
         } else if a == "--lint" || a == "--deny-lints" {
             // Linting runs on the checked program, which `stages` also
             // produces — but its output is a layout report, not a
@@ -691,8 +646,7 @@ fn parse_options(cmd: &str, args: &[String]) -> Result<Options, String> {
         return Err("pass either `--no-opt` or `--opt=N`, not both".to_string());
     }
     // One flag story across backends: level 0 disables the P4 IR
-    // clean-up pass; 1 and 2 (the default) enable it. The finer-grained
-    // distinction only exists in the interpreter's bytecode pipeline.
+    // clean-up pass; 2 (the default) enables it.
     let optimize = !no_opt && opt.unwrap_or_default() != OptLevel::O0;
     let file = file.ok_or_else(|| "missing <file.lucid>".to_string())?;
     Ok(Options {
@@ -915,13 +869,11 @@ mod tests {
 
     #[test]
     fn opt_levels_unify_with_no_opt() {
-        // `--opt=0` is `--no-opt`; 1 and 2 leave the backend pass on.
+        // `--opt=0` is `--no-opt`; 2 leaves the backend pass on.
         let o = parse_options("compile", &["--opt=0".into(), "f".into()]).unwrap();
         assert!(!o.optimize);
-        for lvl in ["1", "2"] {
-            let o = parse_options("compile", &[format!("--opt={lvl}"), "f".into()]).unwrap();
-            assert!(o.optimize, "--opt={lvl}");
-        }
+        let o = parse_options("compile", &["--opt=2".into(), "f".into()]).unwrap();
+        assert!(o.optimize, "--opt=2");
         let o = parse_options("compile", &["f".into()]).unwrap();
         assert!(o.optimize, "default is optimized");
         // The two spellings conflict rather than silently racing.
@@ -930,21 +882,26 @@ mod tests {
             &["--no-opt".into(), "--opt=2".into(), "f".into()]
         )
         .is_err());
-        assert!(parse_options("compile", &["--opt=3".into(), "f".into()]).is_err());
-        assert!(parse_options("check", &["--opt=1".into(), "f".into()]).is_err());
+        for bad in ["--opt=1", "--opt=3", "--opt=02"] {
+            assert!(
+                parse_options("compile", &[bad.into(), "f".into()]).is_err(),
+                "{bad}"
+            );
+        }
+        assert!(parse_options("check", &["--opt=2".into(), "f".into()]).is_err());
 
-        // The sim side: same flag, the bytecode pipeline's level.
-        let o = parse_sim_options(&["--opt=1".into(), "p".into(), "s".into()]).unwrap();
-        assert_eq!(o.opt, Some(OptLevel::O1));
-        let o = parse_sim_options(&["--no-opt".into(), "p".into(), "s".into()]).unwrap();
-        assert_eq!(o.opt, Some(OptLevel::O0));
+        // The sim side: same flag, the bytecode pipeline's level, and
+        // `--opt=0` is its only spelling of level 0.
+        let o = parse_sim_options(&["--opt=0".into(), "p".into(), "s".into()]).unwrap();
+        assert_eq!(o.options.opt, Some(OptLevel::O0));
         let o = parse_sim_options(&["p".into(), "s".into()]).unwrap();
-        assert_eq!(o.opt, None, "no override: the scenario decides");
-        assert!(parse_sim_options(&["--opt=9".into(), "p".into(), "s".into()]).is_err());
-        assert!(
-            parse_sim_options(&["--no-opt".into(), "--opt=2".into(), "p".into(), "s".into()])
-                .is_err()
-        );
+        assert_eq!(o.options.opt, None, "no override: the scenario decides");
+        for bad in ["--opt=1", "--opt=9", "--no-opt"] {
+            assert!(
+                parse_sim_options(&[bad.into(), "p".into(), "s".into()]).is_err(),
+                "{bad}"
+            );
+        }
     }
 
     #[test]
@@ -959,21 +916,24 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(
-            o.engine,
+            o.options.engine,
             Some(Engine::Sharded {
-                workers: 3,
+                workers: 0,
                 epoch_ns: 0
             })
         );
-        assert_eq!(o.exec, Some(ExecMode::Bytecode));
+        assert_eq!(o.options.workers, Some(3));
+        assert_eq!(o.options.exec, Some(ExecMode::Bytecode));
+        assert!(!o.options.record_trace);
         assert!(o.json);
         assert_eq!(
             (o.program.as_str(), o.scenario.as_deref()),
             ("p.lucid", Some("s.sim.json"))
         );
-        // --workers alone implies the sharded engine.
+        // --workers alone leaves the engine to the resolver, which makes
+        // it sharded.
         let o = parse_sim_options(&["--workers=2".into(), "p".into(), "s".into()]).unwrap();
-        assert!(matches!(o.engine, Some(Engine::Sharded { workers: 2, .. })));
+        assert_eq!((o.options.engine, o.options.workers), (None, Some(2)));
         // Workload knobs parse and default to None.
         let o = parse_sim_options(&[
             "--seed=17".into(),
@@ -983,11 +943,14 @@ mod tests {
             "s".into(),
         ])
         .unwrap();
-        assert_eq!(o.seed, Some(17));
-        assert_eq!(o.events, Some(1_000_000));
+        assert_eq!(o.options.seed, Some(17));
+        assert_eq!(o.options.events, Some(1_000_000));
         assert_eq!(o.gen.as_deref(), Some("spec.json"));
         let o = parse_sim_options(&["p".into(), "s".into()]).unwrap();
-        assert_eq!((o.seed, o.events, o.gen), (None, None, None));
+        assert_eq!(
+            (o.options.seed, o.options.events, o.gen),
+            (None, None, None)
+        );
         assert!(parse_sim_options(&["--seed=zz".into(), "p".into(), "s".into()]).is_err());
         assert!(parse_sim_options(&["--events=-1".into(), "p".into(), "s".into()]).is_err());
         assert!(parse_sim_options(&["p".into()]).is_err());

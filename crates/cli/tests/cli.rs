@@ -465,8 +465,8 @@ fn sim_verify_bytecode_gates_the_run() {
     let s = String::from_utf8_lossy(&out.stdout);
     assert!(s.contains("expectations: all met"), "{s}");
 
-    // Dump-only invocations accept the gate too, at every level.
-    for opt in ["0", "1", "2"] {
+    // Dump-only invocations accept the gate too, at both levels.
+    for opt in ["0", "2"] {
         let out = lucidc(&[
             "sim",
             "--dump-bytecode",
@@ -530,9 +530,9 @@ fn opt_flag_unifies_both_backends() {
     let out = lucidc(&["stages", "--opt=2", path]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 
-    // ...and on the sim side, where every level must agree on state.
+    // ...and on the sim side, where both levels must agree on state.
     let mut digests = Vec::new();
-    for opt in ["0", "1", "2"] {
+    for opt in ["0", "2"] {
         let out = lucidc(&[
             "sim",
             "--exec=bytecode",
@@ -558,33 +558,22 @@ fn opt_flag_unifies_both_backends() {
         "opt levels disagree on state: {digests:?}"
     );
 
-    // `--no-opt` is the alias for level 0.
-    let out = lucidc(&[
-        "sim",
-        "--exec=bytecode",
-        "--no-opt",
-        "--json",
-        path,
-        sc.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("\"opt\":0"),
-        "{out:?}"
-    );
-
     // Conflicts and bad values are usage errors (exit 2), and the
-    // usage text documents the unified flag.
+    // usage text documents the unified flag. Level 1 is gone, and
+    // `sim` spells level 0 only as `--opt=0` (`--no-opt` is the
+    // backend's flag).
     for args in [
-        vec!["sim", "--no-opt", "--opt=2", "a", "b"],
-        vec!["compile", "--no-opt", "--opt=1", "x.lucid"],
+        vec!["compile", "--no-opt", "--opt=2", "x.lucid"],
+        vec!["compile", "--opt=1", "x.lucid"],
+        vec!["sim", "--opt=1", "a", "b"],
+        vec!["sim", "--no-opt", "a", "b"],
         vec!["sim", "--opt=3", "a", "b"],
-        vec!["check", "--opt=1", "x.lucid"],
+        vec!["check", "--opt=2", "x.lucid"],
     ] {
         let out = lucidc(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("--opt=0|1|2"), "usage text: {stderr}");
+        assert!(stderr.contains("--opt=0|2"), "usage text: {stderr}");
     }
 }
 
@@ -632,25 +621,25 @@ fn dump_bytecode_respects_opt_level() {
     // --opt still wins.
     let sc = write_temp(
         "opt-dump.sim.json",
-        r#"{"exec": "bytecode", "opt": 1,
+        r#"{"exec": "bytecode", "opt": 0,
             "events": [{"time_ns": 0, "switch": 1, "event": "pkt", "args": [1]}]}"#,
     );
     let out = lucidc(&["sim", "--dump-bytecode", path, sc.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let s = String::from_utf8_lossy(&out.stdout);
-    assert!(s.contains("; opt level 1"), "{s}");
-    assert!(s.contains("(opt 1)"), "report runs the same level: {s}");
+    assert!(s.contains("; opt level 0"), "{s}");
+    assert!(s.contains("(opt 0)"), "report runs the same level: {s}");
     let out = lucidc(&[
         "sim",
         "--dump-bytecode",
-        "--opt=0",
+        "--opt=2",
         path,
         sc.to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let s = String::from_utf8_lossy(&out.stdout);
-    assert!(s.contains("; opt level 0"), "{s}");
-    assert!(s.contains("(opt 0)"), "{s}");
+    assert!(s.contains("; opt level 2"), "{s}");
+    assert!(s.contains("(opt 2)"), "{s}");
 }
 
 #[test]

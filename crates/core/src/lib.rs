@@ -64,12 +64,12 @@ pub use lucid_check::{Analysis, CheckOptions, CheckedProgram};
 pub use lucid_frontend::json::escape as json_escape;
 pub use lucid_frontend::{Diagnostic, Diagnostics, Program, SourceMap};
 pub use lucid_interp::{
-    disassemble, disassemble_opt, handle_line, run_scenario, run_scenario_with, serve_lines,
-    ArgDist, CheckHost, ClassHists, ClassMetrics, CmpOp, Engine, ErrorKind, EventSource, ExecMode,
-    FaultAt, GenSpec, Histogram, Interp, InterpError, InterpFault, MetricExpect, MetricSel,
-    Metrics, Mismatch, NetConfig, OptLevel, Outcome, Phase, ProgramHost, Scenario, ScenarioError,
-    ServeError, ServeState, SessionStatus, SimOptions, SimReport, SimRunError, SimSession,
-    SnapError, SourcedEvent, SwapStats, Violation, Workload,
+    disassemble, disassemble_opt, handle_line, run_scenario_with, serve_lines, ArgDist, CheckHost,
+    ClassHists, ClassMetrics, CmpOp, Engine, ErrorKind, EventSource, ExecMode, FaultAt, GenSpec,
+    Histogram, Interp, InterpError, InterpFault, MetricExpect, MetricSel, Metrics, Mismatch,
+    NetConfig, OptLevel, Outcome, Phase, ProgramHost, Scenario, ScenarioError, ServeError,
+    ServeState, SessionStatus, SimOptions, SimReport, SimRunError, SimSession, SnapError,
+    SourcedEvent, SwapStats, Violation, Workload,
 };
 pub use lucid_tofino::PipelineSpec;
 

@@ -19,11 +19,11 @@
 //!
 //! * `lower` — one pass over the checked AST per handler, producing
 //!   raw bytecode (what [`OptLevel::O0`] executes);
-//! * `opt` — the optimizer: a peephole/superinstruction pass
-//!   ([`OptLevel::O1`]) that fuses compare-and-branch and const-operand
-//!   arithmetic into single opcodes, then a linear-scan register
-//!   allocation pass ([`OptLevel::O2`], the default) that coalesces
-//!   moves and shrinks the per-shard scratch frame;
+//! * `opt` — the optimizer ([`OptLevel::O2`], the default): a
+//!   peephole/superinstruction pass that fuses compare-and-branch and
+//!   const-operand arithmetic into single opcodes, then a linear-scan
+//!   register allocation pass that coalesces moves and shrinks the
+//!   per-shard scratch frame;
 //! * `verify` — the independent static re-check run after each pass;
 //! * `exec` — the flat dispatch loop;
 //! * `disasm` — the stable listing golden-file tests pin
@@ -32,7 +32,7 @@
 //! Every stage speaks one form, the [`Instr`] stream: what `lower`
 //! emits is what the optimizer rewrites in place, what the verifier
 //! checks, what the disassembler prints and what `exec` dispatches on.
-//! Every optimization level is bit-identical to the walker; the
+//! Both optimization levels are bit-identical to the walker; the
 //! differential suites sweep the full engine × exec × opt matrix.
 //!
 //! # The ISA
@@ -88,12 +88,15 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// Parse a CLI/scenario exec-mode name.
-    pub fn parse(name: &str) -> Option<ExecMode> {
+    /// Parse an exec-mode name (`--exec`, scenario `exec`, serve
+    /// `options.exec`). The error is the message every surface reports.
+    pub fn parse(name: &str) -> Result<ExecMode, String> {
         match name {
-            "ast" | "walker" => Some(ExecMode::Ast),
-            "bytecode" | "bc" => Some(ExecMode::Bytecode),
-            _ => None,
+            "ast" | "walker" => Ok(ExecMode::Ast),
+            "bytecode" | "bc" => Ok(ExecMode::Bytecode),
+            _ => Err(format!(
+                "unknown exec mode `{name}` (expected `ast` or `bytecode`)"
+            )),
         }
     }
 
@@ -106,37 +109,46 @@ impl ExecMode {
 }
 
 /// How hard the bytecode pipeline optimizes between lowering and
-/// execution. Every level is bit-identical to the AST walker; higher
-/// levels only run faster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+/// execution. Both levels are bit-identical to the AST walker; the
+/// numbers are the spellings (`--opt=0`, `"opt": 2`), so the gap at 1
+/// is a refused value, not an oversight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OptLevel {
-    /// Raw lowering, exactly as `lower` emits it.
+    /// Raw lowering, exactly as `lower` emits it: the optimizer's
+    /// oracle leg.
     O0,
-    /// Peephole/superinstruction pass: the fused opcodes
-    /// (compare-and-branch, const-operand arithmetic).
-    O1,
-    /// Peephole plus linear-scan register allocation (move coalescing,
-    /// dead-register reuse, smaller scratch frames). The default.
+    /// Peephole/superinstruction fusion (compare-and-branch,
+    /// const-operand arithmetic), then linear-scan register allocation
+    /// (move coalescing, dead-register reuse, smaller scratch frames).
+    /// The default.
     #[default]
     O2,
 }
 
 impl OptLevel {
-    /// Parse a CLI/scenario opt-level (`0`, `1`, or `2`).
-    pub fn parse(name: &str) -> Option<OptLevel> {
-        match name {
-            "0" => Some(OptLevel::O0),
-            "1" => Some(OptLevel::O1),
-            "2" => Some(OptLevel::O2),
-            _ => None,
+    /// Decode a level number (scenario `opt`, serve `options.opt`).
+    /// The error is the message every surface reports.
+    pub fn from_number(n: u64) -> Result<OptLevel, String> {
+        match n {
+            0 => Ok(OptLevel::O0),
+            2 => Ok(OptLevel::O2),
+            _ => Err(format!("unknown opt level `{n}` (expected 0 or 2)")),
         }
     }
 
-    /// The numeric level (`"0"`, `"1"`, `"2"`).
+    /// Parse the command-line spelling (`--opt=N`): exactly a level's
+    /// [`label`](OptLevel::label).
+    pub fn parse(name: &str) -> Result<OptLevel, String> {
+        match name.parse::<u64>() {
+            Ok(n) if n.to_string() == name => OptLevel::from_number(n),
+            _ => Err(format!("unknown opt level `{name}` (expected 0 or 2)")),
+        }
+    }
+
+    /// The numeric level (`"0"` or `"2"`).
     pub fn label(&self) -> &'static str {
         match self {
             OptLevel::O0 => "0",
-            OptLevel::O1 => "1",
             OptLevel::O2 => "2",
         }
     }
@@ -556,13 +568,11 @@ impl CompiledProg {
                 if verify {
                     violations.extend(verify::verify_handler(&h, &cp, "lower"));
                 }
-                if level >= OptLevel::O1 {
+                if level == OptLevel::O2 {
                     opt::peephole(&mut h);
                     if verify {
                         violations.extend(verify::verify_handler(&h, &cp, "peephole"));
                     }
-                }
-                if level >= OptLevel::O2 {
                     opt::regalloc(&mut h);
                     if verify {
                         violations.extend(verify::verify_handler(&h, &cp, "regalloc"));

@@ -1,6 +1,6 @@
-//! The bytecode optimizer: a peephole/superinstruction pass
-//! ([`OptLevel::O1`]) followed by linear-scan register allocation
-//! ([`OptLevel::O2`]).
+//! The bytecode optimizer behind [`OptLevel::O2`]: a
+//! peephole/superinstruction pass followed by linear-scan register
+//! allocation. [`OptLevel::O0`] runs neither.
 //!
 //! Everything here leans on one structural property of lowered
 //! handlers: **jumps are forward-only** (Lucid has no loops). That

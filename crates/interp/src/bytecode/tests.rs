@@ -1,14 +1,25 @@
 //! Unit tests for the bytecode pipeline: differential equivalence with
 //! the AST walker across the full engine × opt matrix, plus the
 //! optimizer-pass properties (peephole idempotence, regalloc frame
-//! bounds, fused-op disassembly stability).
+//! bounds, fused-op disassembly stability). The peephole's own output,
+//! which no level stops at, is reached by calling the pass directly.
 
 use super::*;
 use crate::machine::{Engine, Interp, InterpFault, NetConfig};
 use lucid_check::parse_and_check;
 use proptest::prelude::*;
 
-const LEVELS: [OptLevel; 3] = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
+const LEVELS: [OptLevel; 2] = [OptLevel::O0, OptLevel::O2];
+
+/// The raw lowering with only the peephole pass applied: what
+/// [`OptLevel::O2`] hands to register allocation.
+fn peephole_only(prog: &CheckedProgram) -> CompiledProg {
+    let mut cp = CompiledProg::compile_opt(prog, OptLevel::O0);
+    for h in cp.handlers.iter_mut().flatten() {
+        opt::peephole(h);
+    }
+    cp
+}
 
 fn checked(src: &str) -> CheckedProgram {
     match parse_and_check(src) {
@@ -59,7 +70,8 @@ const KITCHEN_SINK: &str = r#"
     }
 "#;
 
-/// A program shaped so that every fused superinstruction appears at O1+,
+/// A program shaped so that every fused superinstruction appears once the
+/// peephole has run,
 /// beside all five array ops on arrays smaller than their index domain
 /// (accesses run in declaration order to satisfy the effect system).
 const FUSION_SINK: &str = r#"
@@ -361,8 +373,8 @@ fn disassembly_is_stable_and_complete() {
 #[test]
 fn fused_ops_render_and_run_identically() {
     let prog = checked(FUSION_SINK);
-    // Every superinstruction appears in the optimized listing...
-    let text = disassemble_opt(&prog, OptLevel::O1);
+    // Every superinstruction appears in the peephole's listing...
+    let text = peephole_only(&prog).disasm();
     for needle in [
         "junless r0 < r1", // JCmp from `i < v`
         "junless r1 > 3",  // JCmpImm from `v > 3` (via CmpImm)
@@ -406,7 +418,7 @@ fn peephole_is_idempotent() {
     // pass iterates to an internal fixpoint.
     for src in [KITCHEN_SINK, FUSION_SINK] {
         let prog = checked(src);
-        let cp = CompiledProg::compile_opt(&prog, OptLevel::O1);
+        let cp = peephole_only(&prog);
         for h in cp.handlers.iter().flatten() {
             let mut again = h.clone();
             opt::peephole(&mut again);
@@ -419,9 +431,9 @@ fn peephole_is_idempotent() {
 fn regalloc_never_grows_the_frame_and_shrinks_these() {
     for src in [KITCHEN_SINK, FUSION_SINK] {
         let prog = checked(src);
-        let o1 = CompiledProg::compile_opt(&prog, OptLevel::O1);
+        let fused = peephole_only(&prog);
         let o2 = CompiledProg::compile_opt(&prog, OptLevel::O2);
-        for (h1, h2) in o1.handlers().zip(o2.handlers()) {
+        for (h1, h2) in fused.handlers().zip(o2.handlers()) {
             assert!(
                 h2.nregs <= h1.nregs,
                 "{}: regalloc grew the frame {} -> {}",
@@ -439,9 +451,9 @@ fn regalloc_never_grows_the_frame_and_shrinks_these() {
     // The kitchen sink has coalescable moves; the pass must actually
     // deliver on at least one handler, not just hold the bound.
     let prog = checked(KITCHEN_SINK);
-    let o1 = CompiledProg::compile_opt(&prog, OptLevel::O1);
+    let fused = peephole_only(&prog);
     let o2 = CompiledProg::compile_opt(&prog, OptLevel::O2);
-    let shrunk = o1
+    let shrunk = fused
         .handlers()
         .zip(o2.handlers())
         .any(|(a, b)| b.nregs < a.nregs || b.code.len() < a.code.len());
@@ -451,19 +463,12 @@ fn regalloc_never_grows_the_frame_and_shrinks_these() {
 #[test]
 fn optimization_strictly_shortens_the_kitchen_sink() {
     let prog = checked(KITCHEN_SINK);
-    let count = |level| {
-        CompiledProg::compile_opt(&prog, level)
-            .handlers()
-            .map(|h| h.code.len())
-            .sum::<usize>()
-    };
-    let (o0, o1, o2) = (
-        count(OptLevel::O0),
-        count(OptLevel::O1),
-        count(OptLevel::O2),
-    );
-    assert!(o1 < o0, "peephole did nothing: {o0} -> {o1}");
-    assert!(o2 <= o1, "regalloc grew the code: {o1} -> {o2}");
+    let count = |cp: CompiledProg| cp.handlers().map(|h| h.code.len()).sum::<usize>();
+    let o0 = count(CompiledProg::compile_opt(&prog, OptLevel::O0));
+    let fused = count(peephole_only(&prog));
+    let o2 = count(CompiledProg::compile_opt(&prog, OptLevel::O2));
+    assert!(fused < o0, "peephole did nothing: {o0} -> {fused}");
+    assert!(o2 <= fused, "regalloc grew the code: {fused} -> {o2}");
 }
 
 #[test]

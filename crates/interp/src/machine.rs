@@ -83,10 +83,13 @@ fn _assert_prog_thread_safe() {
 }
 
 /// How many workers the round loop executes the shards on.
+/// `Engine::default()` is the one place the default is named;
+/// `NetConfig` and the decoder call it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// One worker, one queue, one thread: the reference engine — strict
-    /// `Key` order with no horizon, mailbox or barrier wait.
+    /// `Key` order with no horizon, mailbox or barrier wait. The
+    /// default.
     #[default]
     Sequential,
     /// Lockstep-round parallel execution on a worker pool, with adaptive
@@ -107,15 +110,19 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Parse a CLI/scenario engine name.
-    pub fn parse(name: &str) -> Option<Engine> {
+    /// Parse an engine name (`--engine`, scenario `engine`, serve
+    /// `options.engine`); `sharded` means one worker per core and
+    /// adaptive epochs. The error is the message every surface reports.
+    pub fn parse(name: &str) -> Result<Engine, String> {
         match name {
-            "sequential" | "seq" => Some(Engine::Sequential),
-            "sharded" | "parallel" => Some(Engine::Sharded {
+            "sequential" | "seq" => Ok(Engine::Sequential),
+            "sharded" | "parallel" => Ok(Engine::Sharded {
                 workers: 0,
                 epoch_ns: 0,
             }),
-            _ => None,
+            _ => Err(format!(
+                "unknown engine `{name}` (expected `sequential` or `sharded`)"
+            )),
         }
     }
 
@@ -154,7 +161,7 @@ impl Default for NetConfig {
             switches: vec![1],
             link_latency_ns: 1_000,
             recirc_latency_ns: 600,
-            engine: Engine::Sequential,
+            engine: Engine::default(),
             exec: ExecMode::default(),
             opt: OptLevel::default(),
         }

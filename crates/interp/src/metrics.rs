@@ -32,6 +32,7 @@
 //! selected bucket in pure integer arithmetic, clamped by the exact
 //! min/max, so a report's p50/p90/p99/p999 are engine-independent too.
 
+use crate::value::Fnv1a;
 use lucid_frontend::json::{self, Writer};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -198,13 +199,13 @@ impl Histogram {
     }
 
     /// Mix this histogram's observable content into an FNV-1a state.
-    fn digest_into(&self, mix: &mut impl FnMut(u64)) {
-        mix(self.count);
-        mix(self.sum);
-        mix(self.min());
-        mix(self.max);
+    fn digest_into(&self, h: &mut Fnv1a) {
+        h.u64(self.count);
+        h.u64(self.sum);
+        h.u64(self.min());
+        h.u64(self.max);
         for &b in &self.buckets {
-            mix(b);
+            h.u64(b);
         }
     }
 
@@ -419,23 +420,17 @@ impl Metrics {
     /// when their metrics are bit-identical — the engine-determinism
     /// check, same contract as `state_digest`.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            for i in 0..8 {
-                h ^= (x >> (8 * i)) & 0xff;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::new();
         for c in &self.classes {
-            mix(c.switch);
-            for byte in c.event.as_bytes() {
-                mix(u64::from(*byte));
+            h.u64(c.switch);
+            for &byte in c.event.as_bytes() {
+                h.u64(u64::from(byte));
             }
-            mix(c.hists.count);
-            c.hists.dispatch.digest_into(&mut mix);
-            c.hists.residency.digest_into(&mut mix);
+            h.u64(c.hists.count);
+            c.hists.dispatch.digest_into(&mut h);
+            c.hists.residency.digest_into(&mut h);
         }
-        h
+        h.finish()
     }
 
     /// The machine-readable form embedded in `lucidc sim --json` (and

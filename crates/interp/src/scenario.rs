@@ -17,7 +17,7 @@
 //! [`Scenario::from_json`] parses and shape-checks the file;
 //! [`Scenario::validate`] resolves it against a checked program (unknown
 //! events, bad arity, out-of-range switches and indices all become
-//! structured [`ScenarioError`]s); [`run_scenario`] executes it and
+//! structured [`ScenarioError`]s); [`run_scenario_with`] executes it and
 //! returns a [`SimReport`] whose [`Mismatch`] list is empty exactly when
 //! every expectation held.
 //!
@@ -324,25 +324,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The [`NetConfig`] this scenario describes, with optional engine,
-    /// executor, and opt-level overrides (e.g. from `lucidc sim
-    /// --engine=...` / `--exec=...` / `--opt=...`).
-    pub fn net_config(
-        &self,
-        engine_override: Option<Engine>,
-        exec_override: Option<ExecMode>,
-        opt_override: Option<OptLevel>,
-    ) -> NetConfig {
-        NetConfig {
-            switches: self.switches.clone(),
-            link_latency_ns: self.link_latency_ns,
-            recirc_latency_ns: self.recirc_latency_ns,
-            engine: engine_override.unwrap_or(self.engine),
-            exec: exec_override.unwrap_or(self.exec),
-            opt: opt_override.unwrap_or(self.opt),
-        }
-    }
-
     /// Resolve the scenario against a checked program: every event name,
     /// arity, array name, switch id, array index, and initial cell value
     /// must fit.
@@ -556,52 +537,38 @@ impl SimOptions {
 
     /// Resolve the effective network configuration for `sc`: the
     /// scenario's choices, overridden knob by knob, with `workers`
-    /// folded into the engine last.
+    /// folded into the engine last. The one place a run's configuration
+    /// is decided.
     pub(crate) fn resolve(&self, sc: &Scenario) -> NetConfig {
-        let mut cfg = sc.net_config(self.engine, self.exec, self.opt);
-        if let Some(w) = self.workers {
-            cfg.engine = match cfg.engine {
-                Engine::Sharded { epoch_ns, .. } => Engine::Sharded {
-                    workers: w,
-                    epoch_ns,
-                },
+        let mut engine = self.engine.unwrap_or(sc.engine);
+        if let Some(workers) = self.workers {
+            engine = match engine {
+                Engine::Sharded { epoch_ns, .. } => Engine::Sharded { workers, epoch_ns },
                 Engine::Sequential => Engine::Sharded {
-                    workers: w,
+                    workers,
                     epoch_ns: 0,
                 },
             };
         }
-        cfg
+        NetConfig {
+            switches: sc.switches.clone(),
+            link_latency_ns: sc.link_latency_ns,
+            recirc_latency_ns: sc.recirc_latency_ns,
+            engine,
+            exec: self.exec.unwrap_or(sc.exec),
+            opt: self.opt.unwrap_or(sc.opt),
+        }
     }
 }
 
-/// Validate and execute a scenario against a checked program. The engine
-/// and executor can be overridden (CLI `--engine` / `--exec`); otherwise
-/// the scenario's own choices run. Expectation failures are *not* errors
-/// — they come back in [`SimReport::mismatches`] so the caller can render
-/// all of them.
-pub fn run_scenario(
-    prog: &CheckedProgram,
-    sc: &Scenario,
-    engine_override: Option<Engine>,
-    exec_override: Option<ExecMode>,
-) -> Result<SimReport, SimRunError> {
-    run_scenario_with(
-        prog,
-        sc,
-        &SimOptions {
-            engine: engine_override,
-            exec: exec_override,
-            ..SimOptions::default()
-        },
-    )
-}
-
-/// [`run_scenario`] with the full option set, including the workload
-/// knobs (`--seed`, `--events`). One-shot runs are a served session
-/// opened and drained in one breath — [`crate::session::SimSession`] is
-/// the single execution path, which is what makes a served world
-/// bit-identical to this function by construction.
+/// Validate and execute a scenario against a checked program under
+/// `ov` (`SimOptions::default()` runs the scenario's own choices).
+/// Expectation failures are *not* errors — they come back in
+/// [`SimReport::mismatches`] so the caller can render all of them.
+/// One-shot runs are a served session opened and drained in one
+/// breath — [`crate::session::SimSession`] is the single execution
+/// path, which is what makes a served world bit-identical to this
+/// function by construction.
 pub fn run_scenario_with(
     prog: &CheckedProgram,
     sc: &Scenario,
@@ -816,7 +783,7 @@ mod tests {
                            "arrays": [{"switch": 1, "array": "cts", "index": 3, "value": 9}]}}"#,
         )
         .unwrap();
-        let report = run_scenario(&p, &sc, None, None).unwrap();
+        let report = run_scenario_with(&p, &sc, &SimOptions::default()).unwrap();
         assert!(!report.passed());
         assert_eq!(report.mismatches.len(), 2, "{:?}", report.mismatches);
         assert!(report.mismatches.contains(&Mismatch::Array {
@@ -847,7 +814,7 @@ mod tests {
                            "arrays": [{"switch": 1, "array": "cts", "values": [5,0,0,1,0,0,0,0]}]}}"#,
         )
         .unwrap();
-        let report = run_scenario(&p, &sc, None, None).unwrap();
+        let report = run_scenario_with(&p, &sc, &SimOptions::default()).unwrap();
         assert!(report.passed(), "{:?}", report.mismatches);
         assert!(report.to_json().contains("\"ok\":true"));
     }
@@ -868,7 +835,7 @@ mod tests {
                                       {"switch": 2, "array": "cts", "index": 2, "value": 1}]}}"#,
         )
         .unwrap();
-        let report = run_scenario(&p, &sc, None, None).unwrap();
+        let report = run_scenario_with(&p, &sc, &SimOptions::default()).unwrap();
         assert!(report.passed(), "{:?}", report.mismatches);
     }
 
@@ -880,15 +847,14 @@ mod tests {
                 "events": [{"time_ns": 0, "switch": 2, "event": "pkt", "args": [1]}]}"#,
         )
         .unwrap();
-        let seq = run_scenario(&p, &sc, None, None).unwrap();
-        let sh = run_scenario(
+        let seq = run_scenario_with(&p, &sc, &SimOptions::default()).unwrap();
+        let sh = run_scenario_with(
             &p,
             &sc,
-            Some(Engine::Sharded {
+            &SimOptions::new().engine(Engine::Sharded {
                 workers: 2,
                 epoch_ns: 0,
             }),
-            None,
         )
         .unwrap();
         assert_eq!(seq.engine, "sequential");
@@ -906,11 +872,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sc.exec, ExecMode::Bytecode);
-        let bc = run_scenario(&p, &sc, None, None).unwrap();
+        let bc = run_scenario_with(&p, &sc, &SimOptions::default()).unwrap();
         assert_eq!(bc.exec, "bytecode");
         assert!(bc.passed(), "{:?}", bc.mismatches);
         assert!(bc.to_json().contains("\"exec\":\"bytecode\""));
-        let ast = run_scenario(&p, &sc, None, Some(ExecMode::Ast)).unwrap();
+        let ast = run_scenario_with(&p, &sc, &SimOptions::new().exec(ExecMode::Ast)).unwrap();
         assert_eq!(ast.exec, "ast");
         assert_eq!(ast.state_digest, bc.state_digest);
         assert_eq!(ast.stats, bc.stats);
@@ -935,38 +901,33 @@ mod tests {
         assert_eq!(sc.opt, OptLevel::O2);
         // Authored level flows into the config and the report.
         let sc = Scenario::from_json(
-            r#"{"name": "o1", "exec": "bytecode", "opt": 1,
+            r#"{"name": "o0", "exec": "bytecode", "opt": 0,
                 "events": [{"time_ns": 0, "switch": 1, "event": "pkt", "args": [3]}]}"#,
         )
         .unwrap();
-        assert_eq!(sc.opt, OptLevel::O1);
-        assert_eq!(sc.net_config(None, None, None).opt, OptLevel::O1);
-        let report = run_scenario(&prog(), &sc, None, None).unwrap();
-        assert_eq!(report.opt, "1");
+        assert_eq!(sc.opt, OptLevel::O0);
+        assert_eq!(SimOptions::default().resolve(&sc).opt, OptLevel::O0);
+        let report = run_scenario_with(&prog(), &sc, &SimOptions::default()).unwrap();
+        assert_eq!(report.opt, "0");
         assert!(
-            report.to_json().contains("\"opt\":1"),
+            report.to_json().contains("\"opt\":0"),
             "{}",
             report.to_json()
         );
         // The CLI override wins.
-        let report = run_scenario_with(
-            &prog(),
-            &sc,
-            &SimOptions {
-                opt: Some(OptLevel::O0),
-                ..SimOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(report.opt, "0");
-        // Out-of-range and non-numeric levels are schema errors at $.opt.
-        for bad in [r#"{"opt": 3}"#, r#"{"opt": "two"}"#] {
+        let report = run_scenario_with(&prog(), &sc, &SimOptions::new().opt(OptLevel::O2)).unwrap();
+        assert_eq!(report.opt, "2");
+        // Level 1 is gone; it, out-of-range and non-numeric levels are
+        // schema errors at $.opt.
+        for bad in [r#"{"opt": 1}"#, r#"{"opt": 3}"#, r#"{"opt": "two"}"#] {
             let err = Scenario::from_json(bad).unwrap_err();
             assert!(
                 matches!(&err, ScenarioError::Schema { path, .. } if path == "$.opt"),
                 "{err:?}"
             );
         }
+        let err = Scenario::from_json(r#"{"opt": 1}"#).unwrap_err();
+        assert!(err.to_string().contains("expected 0 or 2"), "{err}");
     }
 
     #[test]
@@ -1098,7 +1059,7 @@ mod tests {
                 "expect": {"handled": 200, "per_event": {"pkt": 200}}}"#,
         )
         .unwrap();
-        let report = run_scenario(&p, &sc, None, None).unwrap();
+        let report = run_scenario_with(&p, &sc, &SimOptions::default()).unwrap();
         assert!(report.passed(), "{:?}", report.mismatches);
         assert_eq!(
             report.gens,
@@ -1167,7 +1128,7 @@ mod tests {
         .unwrap();
         assert_eq!(reseeded.stats.handled, 40);
         assert!(reseeded.passed());
-        let baseline = run_scenario(&p, &sc, None, None).unwrap();
+        let baseline = run_scenario_with(&p, &sc, &SimOptions::default()).unwrap();
         assert_ne!(
             baseline.state_digest, reseeded.state_digest,
             "a different seed must spread keys differently"
@@ -1287,7 +1248,7 @@ mod tests {
                 "events": [{"time_ns": 40, "switch": 1, "event": "pkt", "args": [99]}]}"#,
         )
         .unwrap();
-        let err = run_scenario(&p, &sc, None, None).unwrap_err();
+        let err = run_scenario_with(&p, &sc, &SimOptions::default()).unwrap_err();
         let SimRunError::Runtime(e) = err else {
             panic!("want runtime fault, got {err:?}")
         };

@@ -124,23 +124,18 @@ fn scenario_of(root: Cursor) -> Result<Scenario, PathError> {
     }
 
     let engine = match root.get("engine") {
-        None => Engine::Sequential,
+        None => Engine::default(),
         Some(j) => match j.node() {
-            Json::Str(s) => Engine::parse(s).ok_or_else(|| {
-                j.err(format!(
-                    "unknown engine `{s}` (expected `sequential` or `sharded`)"
-                ))
-            })?,
+            Json::Str(s) => Engine::parse(s).map_err(|msg| j.err(msg))?,
             Json::Obj(_) => {
                 j.only(&["kind", "workers", "epoch_ns"])?;
                 let kind = j.req("kind")?;
-                match Engine::parse(kind.str()?) {
-                    Some(Engine::Sequential) => Engine::Sequential,
-                    Some(Engine::Sharded { .. }) => Engine::Sharded {
+                match Engine::parse(kind.str()?).map_err(|msg| kind.err(msg))? {
+                    Engine::Sequential => Engine::Sequential,
+                    Engine::Sharded { .. } => Engine::Sharded {
                         workers: opt_u64(j.get("workers"))?.unwrap_or(0) as usize,
                         epoch_ns: opt_u64(j.get("epoch_ns"))?.unwrap_or(0),
                     },
-                    None => return Err(kind.err(format!("unknown engine `{}`", kind.str()?))),
                 }
             }
             _ => return Err(j.err("expected an engine name or {kind, workers, epoch_ns}")),
@@ -149,29 +144,12 @@ fn scenario_of(root: Cursor) -> Result<Scenario, PathError> {
 
     let exec = match root.get("exec") {
         None => ExecMode::default(),
-        Some(j) => match j.node() {
-            Json::Str(s) => ExecMode::parse(s).ok_or_else(|| {
-                j.err(format!(
-                    "unknown exec mode `{s}` (expected `ast` or `bytecode`)"
-                ))
-            })?,
-            _ => return Err(j.err("expected an exec-mode name (`ast` or `bytecode`)")),
-        },
+        Some(j) => ExecMode::parse(j.str()?).map_err(|msg| j.err(msg))?,
     };
 
     let opt = match root.get("opt") {
         None => OptLevel::default(),
-        Some(j) => match j.node() {
-            Json::Num(_) => match j.u64()? {
-                0 => OptLevel::O0,
-                1 => OptLevel::O1,
-                2 => OptLevel::O2,
-                n => {
-                    return Err(j.err(format!("unknown opt level `{n}` (expected 0, 1, or 2)")));
-                }
-            },
-            _ => return Err(j.err("expected an optimization level (0, 1, or 2)")),
-        },
+        Some(j) => OptLevel::from_number(j.u64()?).map_err(|msg| j.err(msg))?,
     };
 
     let mut max_events = 1_000_000;

@@ -6,6 +6,7 @@
 use super::{Expectations, MetricExpect};
 use crate::machine::{Interp, Stats};
 use crate::metrics::Metrics;
+use crate::value::Fnv1a;
 use lucid_check::CheckedProgram;
 use lucid_frontend::json::{self, Writer};
 use std::fmt;
@@ -122,7 +123,7 @@ pub struct SimReport {
     pub engine: &'static str,
     /// Which executor ran handler bodies (`ast` or `bytecode`).
     pub exec: &'static str,
-    /// The bytecode optimization level the run used (`"0"`/`"1"`/`"2"`;
+    /// The bytecode optimization level the run used (`"0"` or `"2"`;
     /// reported even under the AST walker, which ignores it).
     pub opt: &'static str,
     pub switches: usize,
@@ -240,26 +241,20 @@ impl SimReport {
 pub(crate) fn digest_state(prog: &CheckedProgram, sim: &Interp, switches: &[u64]) -> u64 {
     let mut sorted = switches.to_vec();
     sorted.sort_unstable();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        for i in 0..8 {
-            h ^= (x >> (8 * i)) & 0xff;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::new();
     for s in sorted {
-        mix(s);
+        h.u64(s);
         if !sim.alive(s) {
-            mix(u64::MAX); // failed switch marker
+            h.u64(u64::MAX); // failed switch marker
             continue;
         }
         for g in &prog.info.globals {
             for &cell in sim.try_array(s, &g.name).expect("alive switch") {
-                mix(cell);
+                h.u64(cell);
             }
         }
     }
-    h
+    h.finish()
 }
 
 pub(crate) fn check_expectations(sim: &Interp, expect: &Expectations, out: &mut Vec<Mismatch>) {

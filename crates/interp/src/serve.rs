@@ -38,6 +38,7 @@ use lucid_frontend::json::{self, Cursor, Json, PathError, Writer};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 // ------------------------------------------------------------ the host
@@ -324,32 +325,15 @@ fn options_of(req: Cursor) -> Result<SimOptions, ServeError> {
         "record_trace",
     ])?;
     let mut opts = SimOptions::default();
+    let protocol = |msg| ServeError::new(ErrorKind::Protocol, msg);
     if let Some(v) = of.get("engine") {
-        let name = v.str()?;
-        opts.engine = Some(Engine::parse(name).ok_or_else(|| {
-            ServeError::new(
-                ErrorKind::Protocol,
-                format!("unknown engine `{name}` (expected `sequential` or `sharded`)"),
-            )
-        })?);
+        opts.engine = Some(Engine::parse(v.str()?).map_err(protocol)?);
     }
     if let Some(v) = of.get("exec") {
-        let name = v.str()?;
-        opts.exec = Some(ExecMode::parse(name).ok_or_else(|| {
-            ServeError::new(
-                ErrorKind::Protocol,
-                format!("unknown exec `{name}` (expected `ast` or `bytecode`)"),
-            )
-        })?);
+        opts.exec = Some(ExecMode::parse(v.str()?).map_err(protocol)?);
     }
     if let Some(v) = of.get("opt") {
-        let n = v.u64()?;
-        opts.opt = Some(OptLevel::parse(&n.to_string()).ok_or_else(|| {
-            ServeError::new(
-                ErrorKind::Protocol,
-                format!("unknown opt level {n} (expected 0, 1, or 2)"),
-            )
-        })?);
+        opts.opt = Some(OptLevel::from_number(v.u64()?).map_err(protocol)?);
     }
     if let Some(v) = of.get("workers") {
         let w = v.u64()?;
@@ -606,6 +590,34 @@ fn serve_line(state: &mut ServeState, host: &mut dyn ProgramHost, line: &str) ->
     }))
 }
 
+/// The line loop both transports run: read a request line, `step` it
+/// (`None` for a blank line), write and flush the reply, and stop at
+/// EOF, at `shutdown`, or at the first line read once `done` is set.
+/// A `shutdown` sets `done` and returns `true`.
+fn line_loop<R: BufRead, W: Write>(
+    input: R,
+    mut output: W,
+    done: &AtomicBool,
+    mut step: impl FnMut(&str) -> Option<Outcome>,
+) -> io::Result<bool> {
+    for line in input.lines() {
+        let line = line?;
+        if done.load(Ordering::SeqCst) {
+            break;
+        }
+        let Some(outcome) = step(&line) else {
+            continue;
+        };
+        writeln!(output, "{}", outcome.reply())?;
+        output.flush()?;
+        if matches!(outcome, Outcome::Shutdown(_)) {
+            done.store(true, Ordering::SeqCst);
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
 /// The stdin/stdout daemon loop: one request line in, one reply line
 /// out, until EOF or `shutdown`. Returns whether `shutdown` was the
 /// reason for stopping.
@@ -613,26 +625,18 @@ pub fn serve_lines<R: BufRead, W: Write>(
     state: &mut ServeState,
     host: &mut dyn ProgramHost,
     input: R,
-    mut output: W,
+    output: W,
 ) -> io::Result<bool> {
-    for line in input.lines() {
-        let Some(outcome) = serve_line(state, host, &line?) else {
-            continue;
-        };
-        writeln!(output, "{}", outcome.reply())?;
-        output.flush()?;
-        if matches!(outcome, Outcome::Shutdown(_)) {
-            return Ok(true);
-        }
-    }
-    Ok(false)
+    line_loop(input, output, &AtomicBool::new(false), |line| {
+        serve_line(state, host, line)
+    })
 }
 
 /// Unix-socket transport: concurrent connections over one shared world.
 #[cfg(unix)]
 pub mod socket {
-    use super::{serve_line, Outcome, ProgramHost, ServeState};
-    use std::io::{self, BufRead, Write};
+    use super::{line_loop, serve_line, ProgramHost, ServeState};
+    use std::io;
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::Path;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -683,31 +687,18 @@ pub mod socket {
         sock: &Path,
     ) -> io::Result<()> {
         let reader = io::BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
-        for line in reader.lines() {
-            let line = line?;
-            if done.load(Ordering::SeqCst) {
-                break;
-            }
-            let outcome = {
-                // `serve_line` contains a handler's panic and closes the
-                // session it was running, so the state behind a poisoned
-                // lock is as sound as behind a clean one.
-                let mut guard = shared.lock().unwrap_or_else(PoisonError::into_inner);
-                let Shared { state, host } = &mut *guard;
-                serve_line(state, host, &line)
-            };
-            let Some(outcome) = outcome else {
-                continue;
-            };
-            writeln!(writer, "{}", outcome.reply())?;
-            if matches!(outcome, Outcome::Shutdown(_)) {
-                done.store(true, Ordering::SeqCst);
-                // The accept loop is blocked; a throwaway connection
-                // wakes it so it can observe the flag and stop.
-                let _ = UnixStream::connect(sock);
-                break;
-            }
+        let shutdown = line_loop(reader, stream, done, |line| {
+            // `serve_line` contains a handler's panic and closes the
+            // session it was running, so the state behind a poisoned
+            // lock is as sound as behind a clean one.
+            let mut guard = shared.lock().unwrap_or_else(PoisonError::into_inner);
+            let Shared { state, host } = &mut *guard;
+            serve_line(state, host, line)
+        })?;
+        if shutdown {
+            // The accept loop is blocked; a throwaway connection wakes
+            // it so it can observe `done` and stop.
+            let _ = UnixStream::connect(sock);
         }
         Ok(())
     }

@@ -20,6 +20,7 @@ use crate::scenario::{
     Injection, Scenario, ScenarioError, SimOptions, SimReport, SimRunError,
 };
 use crate::snap;
+use crate::value::Fnv1a;
 use crate::workload::{GenSpec, Workload};
 use lucid_check::CheckedProgram;
 use std::sync::Arc;
@@ -28,16 +29,6 @@ use std::time::Instant;
 /// Snapshot container magic: wraps the world bytes with the session
 /// cursor and the program/scenario fingerprints a restore must match.
 const SNAP_MAGIC: u64 = u64::from_le_bytes(*b"LUCSNAP\x01");
-
-/// FNV-1a over a byte stream (the same construction as the state digest).
-fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Fingerprint of a program's simulation-relevant interface: event names
 /// and arities plus global geometry, in declaration order. Two programs
@@ -56,7 +47,7 @@ fn program_fingerprint(prog: &CheckedProgram) -> u64 {
         bytes.extend_from_slice(&g.cell_width.to_le_bytes());
         bytes.extend_from_slice(&g.len.to_le_bytes());
     }
-    fnv(bytes)
+    Fnv1a::of(bytes)
 }
 
 /// Fingerprint of the scenario shape a session was opened from: name,
@@ -74,7 +65,7 @@ fn scenario_fingerprint(sc: &Scenario) -> u64 {
     w.u64(sc.events.len() as u64);
     w.u64(sc.generators.len() as u64);
     w.u64(sc.failures.len() as u64);
-    fnv(w.buf)
+    Fnv1a::of(w.buf)
 }
 
 /// A cheap, deterministic view of a live session (the serve `query`

@@ -93,6 +93,41 @@ impl fmt::Display for Value {
     }
 }
 
+/// 64-bit FNV-1a: the one hash behind the state digest, the metrics
+/// digest and the snapshot fingerprints. Digests are pinned across
+/// versions (scenario expect blocks, the benchmark's expected digests,
+/// snapshot files), so the byte order fed to it is part of the format.
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub(crate) fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn bytes(&mut self, bytes: impl IntoIterator<Item = u8>) {
+        for b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// Mix `x` as its eight little-endian bytes.
+    pub(crate) fn u64(&mut self, x: u64) {
+        self.bytes(x.to_le_bytes());
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// The hash of one byte stream.
+    pub(crate) fn of(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        let mut h = Fnv1a::new();
+        h.bytes(bytes);
+        h.finish()
+    }
+}
+
 /// The deterministic hash used by `hash<<w>>(seed, args..)` in both the
 /// interpreter and the Tofino model: a 64-bit FNV-1a-style mix, truncated.
 /// Determinism matters — the same program must behave identically in the

@@ -206,7 +206,6 @@ fn every_app_runs_identically_across_the_matrix() {
             let combos = [
                 (ExecMode::Ast, OptLevel::O2),
                 (ExecMode::Bytecode, OptLevel::O0),
-                (ExecMode::Bytecode, OptLevel::O1),
                 (ExecMode::Bytecode, OptLevel::O2),
             ];
             for (exec, opt) in combos {
@@ -272,7 +271,7 @@ fn shift_counts_past_the_width_agree_across_executors() {
     let vals: [u64; 4] = [0xAB, 0xBEEF, 0xDEAD_BEEF, 0xDEAD_BEEF_CAFE_F00D];
     let mut observed = Vec::new();
     let mut combos = vec![(ExecMode::Ast, OptLevel::O2)];
-    combos.extend([OptLevel::O0, OptLevel::O1, OptLevel::O2].map(|l| (ExecMode::Bytecode, l)));
+    combos.extend([OptLevel::O0, OptLevel::O2].map(|l| (ExecMode::Bytecode, l)));
     for (exec, opt) in combos {
         let mut cfg = NetConfig::single();
         cfg.exec = exec;

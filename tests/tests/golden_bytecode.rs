@@ -1,8 +1,8 @@
 //! Golden-file tests for the bytecode disassembler: the
 //! `lucidc sim --dump-bytecode` listing of every bundled Figure-9 app is
 //! pinned **per optimization level** under
-//! `tests/golden/<key>.o<level>.bc.txt` — o0 is the raw lowering, o1 the
-//! peephole/superinstruction pass, o2 adds register allocation. A diff
+//! `tests/golden/<key>.o<level>.bc.txt` — o0 is the raw lowering, o2 the
+//! peephole/superinstruction pass plus register allocation. A diff
 //! means the compiler's lowering, an optimizer pass, or the listing
 //! format changed — regenerate deliberately with
 //! `UPDATE_GOLDEN=1 cargo test -p lucid-tests --test golden_bytecode`
@@ -22,7 +22,7 @@ fn golden_dir() -> PathBuf {
     }
 }
 
-const LEVELS: [OptLevel; 3] = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
+const LEVELS: [OptLevel; 2] = [OptLevel::O0, OptLevel::O2];
 
 #[test]
 fn bundled_app_bytecode_matches_golden_files() {
@@ -62,8 +62,8 @@ fn bundled_app_bytecode_matches_golden_files() {
         }
     }
     assert_eq!(
-        checked, 30,
-        "all ten Figure-9 apps must have goldens at all three opt levels"
+        checked, 20,
+        "all ten Figure-9 apps must have goldens at both opt levels"
     );
 }
 
@@ -82,13 +82,14 @@ fn disassembly_is_deterministic() {
     }
 }
 
-/// Optimization monotonically helps on the bundled apps: O1 never emits
-/// more instructions than O0, O2 never more than O1 and never a larger
-/// register frame — and across the whole app suite both passes must
-/// actually fire somewhere.
+/// Optimization helps on the bundled apps: O2 never emits more
+/// instructions than O0 and never a larger register frame — and across
+/// the whole app suite it must shrink both somewhere. (The peephole's
+/// own output, between the two, is pinned by the `lucid-interp` unit
+/// tests, which call the pass directly.)
 #[test]
 fn optimizer_improves_the_bundled_apps() {
-    let (mut o1_shrank, mut o2_shrank_regs) = (false, false);
+    let (mut code_shrank, mut regs_shrank) = (false, false);
     for app in lucid_apps::all() {
         let prog = app.checked();
         let sizes: Vec<(usize, usize)> = LEVELS
@@ -103,19 +104,22 @@ fn optimizer_improves_the_bundled_apps() {
                 (instrs, regs)
             })
             .collect();
-        let [(i0, _), (i1, r1), (i2, r2)] = sizes[..] else {
+        let [(i0, r0), (i2, r2)] = sizes[..] else {
             unreachable!()
         };
-        assert!(i1 <= i0, "{}: peephole grew the code {i0} -> {i1}", app.key);
-        assert!(i2 <= i1, "{}: regalloc grew the code {i1} -> {i2}", app.key);
         assert!(
-            r2 <= r1,
-            "{}: regalloc grew the register frames {r1} -> {r2}",
+            i2 <= i0,
+            "{}: the optimizer grew the code {i0} -> {i2}",
             app.key
         );
-        o1_shrank |= i1 < i0;
-        o2_shrank_regs |= r2 < r1;
+        assert!(
+            r2 <= r0,
+            "{}: the optimizer grew the register frames {r0} -> {r2}",
+            app.key
+        );
+        code_shrank |= i2 < i0;
+        regs_shrank |= r2 < r0;
     }
-    assert!(o1_shrank, "peephole fired on no app at all");
-    assert!(o2_shrank_regs, "regalloc shrank no frame on any app");
+    assert!(code_shrank, "the optimizer shortened no app at all");
+    assert!(regs_shrank, "regalloc shrank no frame on any app");
 }

@@ -10,7 +10,7 @@
 //! Every value read lands in `out[k]` through a `report(k, v)` event (its
 //! own handler, so probes never meet the ordered-state rule), and every
 //! array-position name shows as the global an `Array.set` writes. The
-//! program runs under the walker and bytecode at O0/O1/O2, sequential and
+//! program runs under the walker and bytecode at O0/O2, sequential and
 //! sharded at two workers; each run must equal the model on the arrays
 //! and the first run on everything observable.
 //!
@@ -789,7 +789,7 @@ fn check(seed: u64, shape: Shape) {
     let mut first: Option<String> = None;
     for (engine, elabel) in [(Engine::Sequential, "sequential"), (sharded, "sharded-w2")] {
         let mut combos = vec![(ExecMode::Ast, OptLevel::O2)];
-        combos.extend([OptLevel::O0, OptLevel::O1, OptLevel::O2].map(|l| (ExecMode::Bytecode, l)));
+        combos.extend([OptLevel::O0, OptLevel::O2].map(|l| (ExecMode::Bytecode, l)));
         for (exec, opt) in combos {
             let (got, rest) = observe(&src, &schedule, engine, exec, opt);
             let first = first.get_or_insert_with(|| rest.clone());

@@ -3,7 +3,9 @@
 //! (the same files CI's sim gate runs), and sequential/sharded engine
 //! determinism on an 8-switch mesh.
 
-use lucid_core::{run_scenario, Compiler, Engine, ExecMode, Scenario, ScenarioError};
+use lucid_core::{
+    run_scenario_with, Compiler, Engine, ExecMode, Scenario, ScenarioError, SimOptions,
+};
 use std::path::PathBuf;
 
 fn repo_root() -> PathBuf {
@@ -93,7 +95,7 @@ fn expectation_mismatches_are_structured_and_rendered() {
                        "arrays": [{"switch": 1, "array": "a", "values": [0, 0, 2, 0]}]}}"#,
     )
     .unwrap();
-    let report = run_scenario(&prog, &sc, None, None).unwrap();
+    let report = run_scenario_with(&prog, &sc, &SimOptions::default()).unwrap();
     assert!(!report.passed());
     // One count mismatch + one cell mismatch, each structured.
     assert_eq!(report.mismatches.len(), 2, "{:?}", report.mismatches);
@@ -180,7 +182,7 @@ fn metric_expectation_failures_are_structured() {
             ]}}"#,
     )
     .unwrap();
-    let report = run_scenario(&prog, &sc, None, None).unwrap();
+    let report = run_scenario_with(&prog, &sc, &SimOptions::default()).unwrap();
     assert!(!report.passed());
     assert_eq!(report.mismatches.len(), 2, "{:?}", report.mismatches);
     let rendered = report.render();
@@ -205,10 +207,10 @@ fn metric_expectations_skip_when_workload_overridden() {
             "metrics": {"expect": [{"event": "pkt", "metric": "count", "op": "==", "value": 10}]}}"#,
     )
     .unwrap();
-    let base = run_scenario(&prog, &sc, None, None).unwrap();
+    let base = run_scenario_with(&prog, &sc, &SimOptions::default()).unwrap();
     assert!(base.passed(), "{:?}", base.mismatches);
 
-    let overrides = lucid_core::SimOptions {
+    let overrides = SimOptions {
         events: Some(25),
         ..Default::default()
     };
@@ -245,20 +247,20 @@ fn bundled_scenarios_all_pass() {
         let sc =
             Scenario::from_json(&sc_text).unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
         let mut build = Compiler::new().build(app, &src);
-        let mut run = |opts: &lucid_core::SimOptions| {
+        let mut run = |opts: &SimOptions| {
             let mut report = build
                 .interp(&sc, opts)
                 .unwrap_or_else(|e| panic!("{name} failed to run: {e}"));
             (report.wall_ms, report.events_per_sec) = (0.0, 0.0);
             report
         };
-        let report = run(&lucid_core::SimOptions::default());
+        let report = run(&SimOptions::default());
         assert!(
             report.passed(),
             "{name} has mismatches: {:?}",
             report.mismatches
         );
-        let traced = run(&lucid_core::SimOptions::new().record_trace(true));
+        let traced = run(&SimOptions::new().record_trace(true));
         assert_eq!(
             report.to_json(),
             traced.to_json(),
@@ -293,7 +295,14 @@ fn bundled_scenarios_are_engine_deterministic() {
                 .unwrap();
         let prog = checked(&src);
         let sc = Scenario::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let seq = run_scenario(&prog, &sc, Some(Engine::Sequential), Some(ExecMode::Ast)).unwrap();
+        let seq = run_scenario_with(
+            &prog,
+            &sc,
+            &SimOptions::new()
+                .engine(Engine::Sequential)
+                .exec(ExecMode::Ast),
+        )
+        .unwrap();
         // Full engine x exec matrix against the sequential AST reference.
         for engine in [
             Engine::Sequential,
@@ -303,7 +312,9 @@ fn bundled_scenarios_are_engine_deterministic() {
             },
         ] {
             for exec in [ExecMode::Ast, ExecMode::Bytecode] {
-                let got = run_scenario(&prog, &sc, Some(engine), Some(exec)).unwrap();
+                let got =
+                    run_scenario_with(&prog, &sc, &SimOptions::new().engine(engine).exec(exec))
+                        .unwrap();
                 let combo = format!("{app} [{}/{}]", engine.label(), exec.label());
                 assert_eq!(seq.state_digest, got.state_digest, "{combo}: state differs");
                 assert_eq!(seq.stats, got.stats, "{combo}: statistics differ");
@@ -357,17 +368,18 @@ fn sharded_equals_sequential_on_eight_switch_mesh() {
     ))
     .unwrap();
 
-    let seq = run_scenario(&prog, &sc, Some(Engine::Sequential), None).unwrap();
+    let seq = run_scenario_with(&prog, &sc, &SimOptions::new().engine(Engine::Sequential)).unwrap();
     for workers in [2, 4, 8] {
         for exec in [ExecMode::Ast, ExecMode::Bytecode] {
-            let sh = run_scenario(
+            let sh = run_scenario_with(
                 &prog,
                 &sc,
-                Some(Engine::Sharded {
-                    workers,
-                    epoch_ns: 0,
-                }),
-                Some(exec),
+                &SimOptions::new()
+                    .engine(Engine::Sharded {
+                        workers,
+                        epoch_ns: 0,
+                    })
+                    .exec(exec),
             )
             .unwrap();
             assert_eq!(

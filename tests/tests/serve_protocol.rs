@@ -100,6 +100,18 @@ fn open_accepts_engine_and_exec_options() {
         reply.contains("only applies to the sharded engine"),
         "{reply}"
     );
+
+    // Level 1 is gone: `opt` takes 0 or 2, and the refusal is a
+    // protocol error naming both.
+    let line = format!(
+        "{{\"op\":\"open\",\"program\":{},\"scenario\":{},\
+         \"options\":{{\"opt\":1}}}}",
+        q(COUNTER),
+        q(SCENARIO)
+    );
+    let reply = ask(&mut state, &mut host, &line);
+    assert!(reply.contains("\"kind\":\"protocol\""), "{reply}");
+    assert!(reply.contains("expected 0 or 2"), "{reply}");
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Integration gate for the bytecode verifier: every bundled Figure-9
-//! app must compile to *verified* bytecode at every optimization level.
+//! app must compile to *verified* bytecode at both optimization levels.
 //! `compile_verified` re-runs the verifier after lowering and after each
 //! optimizer pass, so a regression in `lower`, `peephole`, or `regalloc`
 //! fails here with a V-code naming the guilty pass — before any
@@ -9,7 +9,7 @@
 use lucid_core::OptLevel;
 use lucid_interp::CompiledProg;
 
-const LEVELS: [OptLevel; 3] = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
+const LEVELS: [OptLevel; 2] = [OptLevel::O0, OptLevel::O2];
 
 #[test]
 fn bundled_apps_verify_at_every_level() {
@@ -31,5 +31,5 @@ fn bundled_apps_verify_at_every_level() {
             }
         }
     }
-    assert_eq!(checked, 30, "ten apps x three levels must all verify");
+    assert_eq!(checked, 20, "ten apps x two levels must all verify");
 }

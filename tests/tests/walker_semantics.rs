@@ -103,7 +103,7 @@ fn check_row(row: &Row) {
     }
     for (engine, elabel) in engines {
         let mut combos = vec![(ExecMode::Ast, OptLevel::O2)];
-        combos.extend([OptLevel::O0, OptLevel::O1, OptLevel::O2].map(|l| (ExecMode::Bytecode, l)));
+        combos.extend([OptLevel::O0, OptLevel::O2].map(|l| (ExecMode::Bytecode, l)));
         for (exec, opt) in combos {
             let Want::All(want) = row.want else {
                 unreachable!()

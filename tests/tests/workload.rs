@@ -4,8 +4,8 @@
 //! property sweep over randomly drawn generator specs.
 
 use lucid_core::{
-    run_scenario, run_scenario_with, ArgDist, Engine, ExecMode, GenSpec, Interp, InterpFault,
-    NetConfig, OptLevel, Phase, Scenario, SimOptions, SimReport, SimSession, Workload,
+    run_scenario_with, ArgDist, Engine, ExecMode, GenSpec, Interp, InterpFault, NetConfig,
+    OptLevel, Phase, Scenario, SimOptions, SimReport, SimSession, Workload,
 };
 use proptest::prelude::*;
 
@@ -171,7 +171,6 @@ fn generator_matrix_is_bit_identical_and_seed_sensitive() {
             for (exec, opt) in [
                 (ExecMode::Ast, OptLevel::O2),
                 (ExecMode::Bytecode, OptLevel::O0),
-                (ExecMode::Bytecode, OptLevel::O1),
                 (ExecMode::Bytecode, OptLevel::O2),
             ] {
                 let opts = base.engine(engine).exec(exec).opt(opt);
@@ -337,8 +336,14 @@ fn bundled_generator_scenarios_are_matrix_deterministic() {
             &std::fs::read_to_string(root.join(format!("crates/apps/programs/{app}.lucid")))
                 .unwrap(),
         );
-        let reference =
-            run_scenario(&prog, &sc, Some(Engine::Sequential), Some(ExecMode::Ast)).unwrap();
+        let reference = run_scenario_with(
+            &prog,
+            &sc,
+            &SimOptions::new()
+                .engine(Engine::Sequential)
+                .exec(ExecMode::Ast),
+        )
+        .unwrap();
         assert!(reference.passed(), "{name}: {:?}", reference.mismatches);
         for engine in [
             Engine::Sequential,
@@ -348,7 +353,9 @@ fn bundled_generator_scenarios_are_matrix_deterministic() {
             },
         ] {
             for exec in [ExecMode::Ast, ExecMode::Bytecode] {
-                let got = run_scenario(&prog, &sc, Some(engine), Some(exec)).unwrap();
+                let got =
+                    run_scenario_with(&prog, &sc, &SimOptions::new().engine(engine).exec(exec))
+                        .unwrap();
                 assert_eq!(
                     fingerprint(&reference),
                     fingerprint(&got),
@@ -438,7 +445,7 @@ proptest! {
         let total: u64 = gens.iter().map(|g| g.count.unwrap()).sum();
         let sc = scenario_of(switches, seed, gens);
         let reference =
-            run_scenario(&prog, &sc, Some(Engine::Sequential), Some(ExecMode::Ast)).unwrap();
+            run_scenario_with(&prog, &sc, &SimOptions::new().engine(Engine::Sequential).exec(ExecMode::Ast)).unwrap();
         let injected: u64 = reference.gens.iter().map(|(_, n)| n).sum();
         prop_assert_eq!(injected, total);
         for (engine, exec) in [
@@ -446,7 +453,7 @@ proptest! {
             (Engine::Sharded { workers: 2, epoch_ns: 0 }, ExecMode::Ast),
             (Engine::Sharded { workers: 3, epoch_ns: 0 }, ExecMode::Bytecode),
         ] {
-            let got = run_scenario(&prog, &sc, Some(engine), Some(exec)).unwrap();
+            let got = run_scenario_with(&prog, &sc, &SimOptions::new().engine(engine).exec(exec)).unwrap();
             prop_assert_eq!(&fingerprint(&reference), &fingerprint(&got));
         }
     }
