@@ -73,6 +73,21 @@ if [ "$json_literals" -ne 0 ]; then
   exit 1
 fi
 echo "-- no hand-escaped JSON literals outside the codec"
+# Integer semantics are decided by one module: outside
+# crates/check/src/arith.rs no non-test first-party source may spell the
+# marks of an operator table (`wrapping_shl`/`wrapping_shr` for the shift
+# rule, `checked_div`/`checked_rem` for division by zero).
+op_tables=0
+for src in $(find crates/*/src -name '*.rs' ! -path crates/check/src/arith.rs); do
+  awk '/#\[cfg\(test\)\]/ { exit } /wrapping_sh[lr]|checked_(div|rem)/ { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit bad }' \
+    "$src" >&2 || op_tables=1
+done
+if [ "$op_tables" -ne 0 ]; then
+  echo "static analysis: an operator table outside crates/check/src/arith.rs" \
+       "(call lucid_check::arith)" >&2
+  exit 1
+fi
+echo "-- integer operators decided only in lucid_check::arith"
 # Every bytecode array op checks its own index: the executor reaches a
 # cell only through `.get`/`.get_mut`, whose miss is the walker's
 # IndexOutOfBounds fault. A direct `arrays[…][…]` index would turn an

@@ -476,17 +476,8 @@ impl Elab<'_, '_> {
         }
         let (var_e, cmp, value) = match (self.fold(lhs, env), self.fold(rhs, env)) {
             (None, Some(v)) => (lhs, *op, v),
-            (Some(v), None) => {
-                // Mirror: `5 < x` is `x > 5`.
-                let flipped = match op {
-                    BinOp::Lt => BinOp::Gt,
-                    BinOp::Gt => BinOp::Lt,
-                    BinOp::Le => BinOp::Ge,
-                    BinOp::Ge => BinOp::Le,
-                    o => *o,
-                };
-                (rhs, flipped, v)
-            }
+            // Mirror: `5 < x` is `x > 5`.
+            (Some(v), None) => (rhs, op.mirrored(), v),
             _ => return None,
         };
         match &var_e.kind {

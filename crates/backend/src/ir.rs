@@ -233,18 +233,9 @@ pub struct Cond {
 impl Cond {
     /// The logical negation, still expressible as one match rule.
     pub fn negate(&self) -> Cond {
-        let cmp = match self.cmp {
-            BinOp::Eq => BinOp::Neq,
-            BinOp::Neq => BinOp::Eq,
-            BinOp::Lt => BinOp::Ge,
-            BinOp::Ge => BinOp::Lt,
-            BinOp::Gt => BinOp::Le,
-            BinOp::Le => BinOp::Gt,
-            other => other,
-        };
         Cond {
             var: self.var.clone(),
-            cmp,
+            cmp: self.cmp.negated(),
             value: self.value,
         }
     }

@@ -17,16 +17,18 @@
 
 #![forbid(unsafe_code)]
 
+pub mod arith;
 pub mod calculus;
 pub mod lint;
 pub mod memop;
 pub mod symbols;
 pub mod typecheck;
 
+pub use arith::mask;
 pub use lint::lint;
 pub use lucid_frontend::diag::{Diagnostic, Diagnostics, Level};
 pub use memop::{eval_memop, validate_memops, MemopAtom, MemopBody, MemopCell, MemopIr};
-pub use symbols::{mask, ConstInfo, EventInfo, GlobalId, GlobalInfo, GroupInfo, ProgramInfo};
+pub use symbols::{ConstInfo, EventInfo, GlobalId, GlobalInfo, GroupInfo, ProgramInfo};
 pub use typecheck::{analyze, check, Analysis, CheckOptions, CheckedProgram};
 
 /// The deepest chain of nested function calls a handler may make

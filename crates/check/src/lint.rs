@@ -20,6 +20,7 @@
 //! the bundled Figure-9 apps is pinned by golden files
 //! (`tests/golden/<app>.lints.txt`).
 
+use crate::arith;
 use crate::symbols::ConstInfo;
 use crate::typecheck::CheckedProgram;
 use lucid_frontend::ast::*;
@@ -466,12 +467,9 @@ fn fold(e: &Expr, consts: &HashMap<String, ConstInfo>) -> Option<CVal> {
                 (BinOp::Or, CVal::Bool(x), CVal::Bool(y)) => Some(CVal::Bool(x || y)),
                 (BinOp::Eq, CVal::Bool(x), CVal::Bool(y)) => Some(CVal::Bool(x == y)),
                 (BinOp::Neq, CVal::Bool(x), CVal::Bool(y)) => Some(CVal::Bool(x != y)),
-                (BinOp::Eq, CVal::Int(x), CVal::Int(y)) => Some(CVal::Bool(x == y)),
-                (BinOp::Neq, CVal::Int(x), CVal::Int(y)) => Some(CVal::Bool(x != y)),
-                (BinOp::Lt, CVal::Int(x), CVal::Int(y)) => Some(CVal::Bool(x < y)),
-                (BinOp::Gt, CVal::Int(x), CVal::Int(y)) => Some(CVal::Bool(x > y)),
-                (BinOp::Le, CVal::Int(x), CVal::Int(y)) => Some(CVal::Bool(x <= y)),
-                (BinOp::Ge, CVal::Int(x), CVal::Int(y)) => Some(CVal::Bool(x >= y)),
+                (op, CVal::Int(x), CVal::Int(y)) if op.is_comparison() => {
+                    Some(CVal::Bool(arith::cmp(*op, x, y)))
+                }
                 _ => None,
             }
         }

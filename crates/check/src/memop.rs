@@ -27,6 +27,7 @@
 //! Every rejection carries the span of the offending expression so the
 //! programmer sees *exactly* which construct exceeds one sALU.
 
+use crate::arith;
 use crate::symbols::ProgramInfo;
 use lucid_frontend::ast::*;
 use lucid_frontend::diag::{Diagnostic, Diagnostics};
@@ -450,40 +451,18 @@ pub fn eval_memop(m: &MemopIr, mem: u64, local: u64, width: u32) -> u64 {
         match a {
             MemopAtom::Mem => mem,
             MemopAtom::Local => local,
-            MemopAtom::Const(c) => crate::symbols::mask(c, width),
+            MemopAtom::Const(c) => arith::mask(c, width),
         }
     };
     let cell = |c: &MemopCell| -> u64 {
         match c {
             MemopCell::Atom(a) => atom(*a),
             MemopCell::Binop { op, lhs, rhs } => {
-                let a = atom(*lhs);
-                let b = atom(*rhs);
-                let r = match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::BitAnd => a & b,
-                    BinOp::BitOr => a | b,
-                    BinOp::BitXor => a ^ b,
-                    _ => unreachable!("validator admits only sALU ops"),
-                };
-                crate::symbols::mask(r, width)
+                arith::binop(*op, atom(*lhs), width, atom(*rhs), width).0
             }
         }
     };
-    let cmp_eval = |l: MemopAtom, cmp: BinOp, r: MemopAtom| -> bool {
-        let a = atom(l);
-        let b = atom(r);
-        match cmp {
-            BinOp::Eq => a == b,
-            BinOp::Neq => a != b,
-            BinOp::Lt => a < b,
-            BinOp::Gt => a > b,
-            BinOp::Le => a <= b,
-            BinOp::Ge => a >= b,
-            _ => unreachable!("validator admits only comparisons"),
-        }
-    };
+    let cmp_eval = |l: MemopAtom, cmp: BinOp, r: MemopAtom| arith::cmp(cmp, atom(l), atom(r));
     match &m.body {
         MemopBody::Return(c) => cell(c),
         MemopBody::Cond {

@@ -6,6 +6,8 @@
 //! index** — the declaration-order position that the ordered type-and-effect
 //! system (§5 of the paper) treats as the specification of pipeline layout.
 
+use crate::arith::{self, mask};
+use crate::typecheck::{literal_width, type_operands};
 use lucid_frontend::ast::*;
 use lucid_frontend::diag::{Diagnostic, Diagnostics};
 use lucid_frontend::span::Span;
@@ -117,7 +119,7 @@ impl ProgramInfo {
                 match &decl.kind {
                     DeclKind::Const { ty, name, value } => {
                         claim(name, &mut taken)?;
-                        let v = info.eval_const(value)?;
+                        let (v, _) = info.eval_typed(value, Some(*ty))?;
                         let v = match ty {
                             Ty::Int(w) => mask(v, *w),
                             Ty::Bool => {
@@ -235,11 +237,23 @@ impl ProgramInfo {
     /// Evaluate a compile-time constant expression. Only integers, booleans,
     /// previously-declared constants, and pure operators are allowed.
     pub fn eval_const(&self, e: &Expr) -> Result<u64, Diagnostic> {
+        self.eval_typed(e, None).map(|(v, _)| v)
+    }
+
+    /// [`ProgramInfo::eval_const`] with `context` as the type the value
+    /// is wanted at: the value and its width (a boolean is one bit),
+    /// computed with the checker's literal widths and the run time's
+    /// operators.
+    fn eval_typed(&self, e: &Expr, context: Option<Ty>) -> Result<(u64, u32), Diagnostic> {
         match &e.kind {
-            ExprKind::Int { value, .. } => Ok(*value),
-            ExprKind::Bool(b) => Ok(*b as u64),
+            ExprKind::Int { value, width } => {
+                let w = width.get().copied();
+                let w = w.unwrap_or_else(|| literal_width(context));
+                Ok((mask(*value, w), w))
+            }
+            ExprKind::Bool(b) => Ok((*b as u64, 1)),
             ExprKind::Var(id) => match self.consts.get(&id.name) {
-                Some(c) => Ok(c.value),
+                Some(c) => Ok((c.value, c.ty.int_width().unwrap_or(1))),
                 None => Err(Diagnostic::error(
                     format!(
                         "`{}` is not a compile-time constant (only `const` names may appear here)",
@@ -249,65 +263,36 @@ impl ProgramInfo {
                 )),
             },
             ExprKind::Unary { op, arg } => {
-                let v = self.eval_const(arg)?;
-                Ok(match op {
-                    UnOp::Not => (v == 0) as u64,
-                    UnOp::Neg => v.wrapping_neg(),
-                    UnOp::BitNot => !v,
-                })
+                let (v, w) = self.eval_typed(arg, context)?;
+                Ok(arith::unop(*op, v, w))
             }
             ExprKind::Binary { op, lhs, rhs } => {
-                let a = self.eval_const(lhs)?;
-                let b = self.eval_const(rhs)?;
-                let r = match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::Mul => a.wrapping_mul(b),
-                    BinOp::Div => {
-                        if b == 0 {
-                            return Err(Diagnostic::error("division by zero in constant", e.span));
-                        }
-                        a / b
-                    }
-                    BinOp::Mod => {
-                        if b == 0 {
-                            return Err(Diagnostic::error("modulo by zero in constant", e.span));
-                        }
-                        a % b
-                    }
-                    BinOp::BitAnd => a & b,
-                    BinOp::BitOr => a | b,
-                    BinOp::BitXor => a ^ b,
-                    // Match the interpreter: a shift count at or past the
-                    // operand width (64 here — const arithmetic is
-                    // width-free) clears the value instead of wrapping the
-                    // count mod 64.
-                    BinOp::Shl => {
-                        if b >= 64 {
-                            0
-                        } else {
-                            a.wrapping_shl(b as u32)
-                        }
-                    }
-                    BinOp::Shr => {
-                        if b >= 64 {
-                            0
-                        } else {
-                            a.wrapping_shr(b as u32)
-                        }
-                    }
-                    BinOp::Eq => (a == b) as u64,
-                    BinOp::Neq => (a != b) as u64,
-                    BinOp::Lt => (a < b) as u64,
-                    BinOp::Gt => (a > b) as u64,
-                    BinOp::Le => (a <= b) as u64,
-                    BinOp::Ge => (a >= b) as u64,
-                    BinOp::And => ((a != 0) && (b != 0)) as u64,
-                    BinOp::Or => ((a != 0) || (b != 0)) as u64,
-                };
-                Ok(r)
+                let (l, r) = type_operands(
+                    *op,
+                    lhs,
+                    rhs,
+                    context,
+                    |x, want| self.eval_typed(x, want),
+                    |r| r.as_ref().ok().map(|&(_, w)| Ty::Int(w)),
+                );
+                let ((a, wa), (b, wb)) = (l?, r?);
+                if b == 0 && matches!(op, BinOp::Div | BinOp::Mod) {
+                    let what = if *op == BinOp::Div {
+                        "division"
+                    } else {
+                        "modulo"
+                    };
+                    return Err(Diagnostic::error(
+                        format!("{what} by zero in constant"),
+                        e.span,
+                    ));
+                }
+                Ok(arith::binop(*op, a, wa, b, wb))
             }
-            ExprKind::Cast { width, arg } => Ok(mask(self.eval_const(arg)?, *width)),
+            ExprKind::Cast { width, arg } => {
+                let (v, _) = self.eval_typed(arg, None)?;
+                Ok((mask(v, *width), *width))
+            }
             _ => Err(Diagnostic::error(
                 "this expression is not a compile-time constant",
                 e.span,
@@ -323,15 +308,6 @@ impl ProgramInfo {
     /// Look up an event by name.
     pub fn event(&self, name: &str) -> Option<&EventInfo> {
         self.events_by_name.get(name).map(|id| &self.events[*id])
-    }
-}
-
-/// Truncate `v` to `width` bits.
-pub fn mask(v: u64, width: u32) -> u64 {
-    if width >= 64 {
-        v
-    } else {
-        v & ((1u64 << width) - 1)
     }
 }
 

@@ -163,20 +163,13 @@ enum CkTy {
 
 /// The effect state threaded through a handler: the current stage plus the
 /// most recent access, kept for diagnostics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Stage {
     current: usize,
     last: Option<(String, Span)>,
 }
 
 impl Stage {
-    fn start() -> Self {
-        Stage {
-            current: 0,
-            last: None,
-        }
-    }
-
     /// Join of two control-flow branches: the pipeline must be laid out for
     /// whichever branch reaches further.
     fn join(a: Stage, b: Stage) -> Stage {
@@ -264,7 +257,7 @@ impl<'a> Checker<'a> {
                         }
                     }
                 }
-                self.check_body(&name.name, params, body, None, Stage::start());
+                self.check_body(&name.name, params, body, None, Stage::default());
             }
         }
         // Standalone sanity check of function bodies that are never called
@@ -645,7 +638,9 @@ impl<'a> Checker<'a> {
     ) -> (CkTy, Stage) {
         match &e.kind {
             ExprKind::Int { value, width } => {
-                let w = width.or(expected.and_then(Ty::int_width)).unwrap_or(32);
+                // The first context decides; every later instantiation
+                // of a function body types the literal in the same one.
+                let w = *width.get_or_init(|| literal_width(expected));
                 if w < 64 && *value >= (1u64 << w) {
                     self.diags.push(Diagnostic::error(
                         format!("literal {value} does not fit in int<<{w}>>"),
@@ -792,44 +787,35 @@ impl<'a> Checker<'a> {
         stage: Stage,
         expected: Option<Ty>,
     ) -> (CkTy, Stage) {
+        let mut cur = stage;
+        let (lt, rt) = type_operands(
+            op,
+            lhs,
+            rhs,
+            expected,
+            |x, want| {
+                let (t, s) = self.check_expr(x, scopes, std::mem::take(&mut cur), want);
+                cur = s;
+                t
+            },
+            |t| match t {
+                CkTy::Val(t) => Some(*t),
+                CkTy::ArrayRef(_) => None,
+            },
+        );
         if op.is_logical() {
-            let (lt, s1) = self.check_expr(lhs, scopes, stage, Some(Ty::Bool));
             self.expect_val(&lt, Ty::Bool, lhs.span);
-            let (rt, s2) = self.check_expr(rhs, scopes, s1, Some(Ty::Bool));
             self.expect_val(&rt, Ty::Bool, rhs.span);
-            return (CkTy::Val(Ty::Bool), s2);
+            return (CkTy::Val(Ty::Bool), cur);
         }
         if matches!(op, BinOp::Shl | BinOp::Shr) {
-            let (lt, s1) = self.check_expr(lhs, scopes, stage, expected);
             let w = self.int_width_of(&lt, lhs.span);
-            let (rt, s2) = self.check_expr(rhs, scopes, s1, Some(Ty::Int(32)));
             self.int_width_of(&rt, rhs.span);
-            return (CkTy::Val(Ty::Int(w)), s2);
+            return (CkTy::Val(Ty::Int(w)), cur);
         }
 
         // Arithmetic / bitwise / comparison: both sides must be ints of the
-        // same width (or bools for ==/!=). Infer the non-literal side first
-        // so literals adopt its width.
-        let lhs_literal = matches!(lhs.kind, ExprKind::Int { .. });
-        let rhs_literal = matches!(rhs.kind, ExprKind::Int { .. });
-        let (lt, rt, s_out) = if lhs_literal && !rhs_literal {
-            let (rt, s1) = self.check_expr(rhs, scopes, stage, expected);
-            let want = match rt {
-                CkTy::Val(t) => Some(t),
-                _ => None,
-            };
-            let (lt, s2) = self.check_expr(lhs, scopes, s1, want);
-            (lt, rt, s2)
-        } else {
-            let (lt, s1) = self.check_expr(lhs, scopes, stage, expected);
-            let want = match lt {
-                CkTy::Val(t) => Some(t),
-                _ => None,
-            };
-            let (rt, s2) = self.check_expr(rhs, scopes, s1, want);
-            (lt, rt, s2)
-        };
-
+        // same width (or bools for ==/!=).
         if op.is_comparison() {
             match (&lt, &rt) {
                 (CkTy::Val(Ty::Bool), CkTy::Val(Ty::Bool))
@@ -846,7 +832,7 @@ impl<'a> Checker<'a> {
                     ));
                 }
             }
-            return (CkTy::Val(Ty::Bool), s_out);
+            return (CkTy::Val(Ty::Bool), cur);
         }
 
         let wa = self.int_width_of(&lt, lhs.span);
@@ -854,7 +840,7 @@ impl<'a> Checker<'a> {
         if wa != wb {
             self.width_mismatch(e, wa, wb);
         }
-        (CkTy::Val(Ty::Int(wa)), s_out)
+        (CkTy::Val(Ty::Int(wa)), cur)
     }
 
     fn check_builtin(
@@ -1102,6 +1088,46 @@ impl<'a> Checker<'a> {
             .with_help("insert an explicit cast, e.g. `(int<<{w}>>) x`")
             .with_code("E0403"),
         );
+    }
+}
+
+/// The width of an unsuffixed integer literal: the integer type its
+/// context wants, else `int`.
+pub(crate) fn literal_width(context: Option<Ty>) -> u32 {
+    context.and_then(Ty::int_width).unwrap_or(32)
+}
+
+/// Type the operands of `lhs op rhs` in the order and context that
+/// decide each unsuffixed literal's width: a literal adopts the other
+/// operand's type, else the context's (via [`literal_width`]). The
+/// connectives want booleans; a shift types its count as `int` and its
+/// left operand in the context; otherwise the non-literal side is typed
+/// first, in the context, and the other side in its type. `infer(e,
+/// context)` types one operand and `ty` reads back the type it found.
+pub(crate) fn type_operands<T>(
+    op: BinOp,
+    lhs: &Expr,
+    rhs: &Expr,
+    context: Option<Ty>,
+    mut infer: impl FnMut(&Expr, Option<Ty>) -> T,
+    ty: impl Fn(&T) -> Option<Ty>,
+) -> (T, T) {
+    if op.is_logical() {
+        let l = infer(lhs, Some(Ty::Bool));
+        return (l, infer(rhs, Some(Ty::Bool)));
+    }
+    if matches!(op, BinOp::Shl | BinOp::Shr) {
+        let l = infer(lhs, context);
+        return (l, infer(rhs, Some(Ty::Int(32))));
+    }
+    let literal = |e: &Expr| matches!(e.kind, ExprKind::Int { .. });
+    if literal(lhs) && !literal(rhs) {
+        let r = infer(rhs, context);
+        (infer(lhs, ty(&r)), r)
+    } else {
+        let l = infer(lhs, context);
+        let r = infer(rhs, ty(&l));
+        (l, r)
     }
 }
 

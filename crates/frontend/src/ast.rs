@@ -10,6 +10,7 @@
 
 use crate::span::Span;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// An identifier with its source span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,6 +125,45 @@ impl BinOp {
     /// True for the boolean connectives `&&` and `||`.
     pub fn is_logical(self) -> bool {
         matches!(self, BinOp::And | BinOp::Or)
+    }
+
+    /// The comparison that holds with the operands swapped: `a < b` is
+    /// `b > a`. Operators other than comparisons come back unchanged.
+    pub fn mirrored(self) -> BinOp {
+        use BinOp::*;
+        match self {
+            Lt => Gt,
+            Gt => Lt,
+            Le => Ge,
+            Ge => Le,
+            other => other,
+        }
+    }
+
+    /// The comparison that holds exactly when this one does not: `a < b`
+    /// fails exactly when `a >= b` holds. Operators other than
+    /// comparisons come back unchanged.
+    pub fn negated(self) -> BinOp {
+        use BinOp::*;
+        match self {
+            Eq => Neq,
+            Neq => Eq,
+            Lt => Ge,
+            Ge => Lt,
+            Gt => Le,
+            Le => Gt,
+            other => other,
+        }
+    }
+
+    /// True when `a op b` equals `b op a` for all operands, including
+    /// the result width (the wider operand's).
+    pub fn commutes(self) -> bool {
+        use BinOp::*;
+        matches!(
+            self,
+            Add | Mul | BitAnd | BitOr | BitXor | Eq | Neq | And | Or
+        )
     }
 
     /// True for operators a single stateful ALU can evaluate on its operand
@@ -282,7 +322,8 @@ impl Expr {
 
     /// An integer literal with a dummy span.
     pub fn synth_int(value: u64) -> Self {
-        Expr::new(ExprKind::Int { value, width: None }, Span::DUMMY)
+        let width = OnceLock::new();
+        Expr::new(ExprKind::Int { value, width }, Span::DUMMY)
     }
 
     /// A variable reference with a dummy span.
@@ -294,11 +335,13 @@ impl Expr {
 /// The different kinds of expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExprKind {
-    /// Integer literal, optionally width-annotated (`5` or, via cast
-    /// desugaring, a fixed width).
+    /// Integer literal. Its width is decided once, by the checker, which
+    /// writes into `width` the width it infers when it first types the
+    /// literal; a literal it never reaches (in a function no handler
+    /// calls) keeps an empty `width`.
     Int {
         value: u64,
-        width: Option<u32>,
+        width: OnceLock<u32>,
     },
     Bool(bool),
     Var(Ident),

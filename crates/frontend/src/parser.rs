@@ -639,7 +639,8 @@ impl Parser {
         match self.peek_kind().clone() {
             TokenKind::Int(value) => {
                 self.bump();
-                Ok(Expr::new(ExprKind::Int { value, width: None }, start))
+                let width = std::sync::OnceLock::new();
+                Ok(Expr::new(ExprKind::Int { value, width }, start))
             }
             TokenKind::True => {
                 self.bump();

@@ -152,11 +152,10 @@ pub fn stmt(out: &mut String, s: &Stmt, depth: usize) {
 /// correct with respect to precedence.
 pub fn expr_str(e: &Expr) -> String {
     match &e.kind {
-        ExprKind::Int { value, width: None } => format!("{value}"),
-        ExprKind::Int {
-            value,
-            width: Some(w),
-        } => format!("(int<<{w}>>) {value}"),
+        ExprKind::Int { value, width } => match width.get() {
+            None => format!("{value}"),
+            Some(w) => format!("(int<<{w}>>) {value}"),
+        },
         ExprKind::Bool(b) => format!("{b}"),
         ExprKind::Var(id) => id.name.clone(),
         ExprKind::Unary { op, arg } => format!("{}{}", op.symbol(), atom(arg)),

@@ -1,7 +1,9 @@
 //! The flat dispatch loop. Mirrors the AST walker's `exec_block` bit
 //! for bit at every [`OptLevel`](super::OptLevel): the fused
 //! superinstructions compute exactly what their unfused expansions
-//! would, including fault order and fault payloads.
+//! would, including fault order and fault payloads. Every operator
+//! (`Bin`, `Cmp`, the unary ops and their fused forms) is
+//! `lucid_check::arith`'s, the table the walker calls too.
 //!
 //! Dispatch is one `match` on each [`Instr`] of the handler span, the
 //! same instructions the optimizer rewrote and the verifier checked:
@@ -14,62 +16,8 @@
 use super::{CompiledProg, HandlerCode, Instr, Obj, Rv};
 use crate::machine::{Emitted, Exec, InterpError, InterpFault, Key, OutRec, Shard};
 use crate::value::{lucid_hash, Location, Value};
-use lucid_check::{eval_memop, mask};
-use lucid_frontend::ast::BinOp;
-
-/// One arithmetic/bitwise/shift op, exactly as the walker's
-/// `eval_binop` computes it: result width is the wider operand's,
-/// shifts keep the shifted operand's width, and a shift count at or
-/// past that width yields 0.
-#[inline]
-fn bin_eval(op: BinOp, a: u64, wa: u32, b: u64, wb: u32) -> Rv {
-    let w = match op {
-        BinOp::Shl | BinOp::Shr => wa,
-        _ => wa.max(wb),
-    };
-    let v = match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        // Division by zero yields zero in the data plane.
-        BinOp::Div => a.checked_div(b).unwrap_or(0),
-        BinOp::Mod => a.checked_rem(b).unwrap_or(0),
-        BinOp::BitAnd => a & b,
-        BinOp::BitOr => a | b,
-        BinOp::BitXor => a ^ b,
-        BinOp::Shl => {
-            if b >= w as u64 {
-                0
-            } else {
-                a.wrapping_shl(b as u32)
-            }
-        }
-        BinOp::Shr => {
-            if b >= w as u64 {
-                0
-            } else {
-                a.wrapping_shr(b as u32)
-            }
-        }
-        other => unreachable!("comparison {other:?} executed as Bin"),
-    };
-    Rv { v: mask(v, w), w }
-}
-
-/// One comparison, on values only (widths do not participate, exactly
-/// as in the walker).
-#[inline]
-fn cmp_eval(op: BinOp, a: u64, b: u64) -> bool {
-    match op {
-        BinOp::Eq => a == b,
-        BinOp::Neq => a != b,
-        BinOp::Lt => a < b,
-        BinOp::Gt => a > b,
-        BinOp::Le => a <= b,
-        BinOp::Ge => a >= b,
-        other => unreachable!("{other:?} executed as Cmp"),
-    }
-}
+use lucid_check::{arith, eval_memop, mask};
+use lucid_frontend::ast::UnOp;
 
 /// The cell at index `i`, or `None` when `i` is out of range: the
 /// bounds check of every array op.
@@ -159,21 +107,19 @@ impl CompiledProg {
                     };
                 }
                 &Instr::Not { dst, src } => {
-                    regs[dst as usize] = Rv {
-                        v: (regs[src as usize].v == 0) as u64,
-                        w: 1,
-                    };
+                    let Rv { v, w } = regs[src as usize];
+                    let (v, w) = arith::unop(UnOp::Not, v, w);
+                    regs[dst as usize] = Rv { v, w };
                 }
                 &Instr::Neg { dst, src } => {
                     let Rv { v, w } = regs[src as usize];
-                    regs[dst as usize] = Rv {
-                        v: mask(v.wrapping_neg(), w),
-                        w,
-                    };
+                    let (v, w) = arith::unop(UnOp::Neg, v, w);
+                    regs[dst as usize] = Rv { v, w };
                 }
                 &Instr::BitNot { dst, src } => {
                     let Rv { v, w } = regs[src as usize];
-                    regs[dst as usize] = Rv { v: mask(!v, w), w };
+                    let (v, w) = arith::unop(UnOp::BitNot, v, w);
+                    regs[dst as usize] = Rv { v, w };
                 }
                 &Instr::MaskW { dst, src, w } => {
                     regs[dst as usize] = Rv {
@@ -372,22 +318,24 @@ impl CompiledProg {
                 &Instr::Bin { op, dst, a, b } => {
                     let Rv { v: x, w: wx } = regs[a as usize];
                     let Rv { v: y, w: wy } = regs[b as usize];
-                    regs[dst as usize] = bin_eval(op, x, wx, y, wy);
+                    let (v, w) = arith::binop(op, x, wx, y, wy);
+                    regs[dst as usize] = Rv { v, w };
                 }
                 &Instr::BinImm { op, dst, a, imm, w } => {
                     let Rv { v: x, w: wx } = regs[a as usize];
-                    regs[dst as usize] = bin_eval(op, x, wx, imm, w);
+                    let (v, w) = arith::binop(op, x, wx, imm, w);
+                    regs[dst as usize] = Rv { v, w };
                 }
                 &Instr::Cmp { op, dst, a, b } => {
-                    let v = cmp_eval(op, regs[a as usize].v, regs[b as usize].v);
+                    let v = arith::cmp(op, regs[a as usize].v, regs[b as usize].v);
                     regs[dst as usize] = Rv { v: v as u64, w: 1 };
                 }
                 &Instr::CmpImm { op, dst, a, imm } => {
-                    let v = cmp_eval(op, regs[a as usize].v, imm);
+                    let v = arith::cmp(op, regs[a as usize].v, imm);
                     regs[dst as usize] = Rv { v: v as u64, w: 1 };
                 }
                 &Instr::JCmp { op, a, b, when, to } => {
-                    if cmp_eval(op, regs[a as usize].v, regs[b as usize].v) == when {
+                    if arith::cmp(op, regs[a as usize].v, regs[b as usize].v) == when {
                         pc = to as usize;
                         continue;
                     }
@@ -399,7 +347,7 @@ impl CompiledProg {
                     when,
                     to,
                 } => {
-                    if cmp_eval(op, regs[a as usize].v, imm) == when {
+                    if arith::cmp(op, regs[a as usize].v, imm) == when {
                         pc = to as usize;
                         continue;
                     }

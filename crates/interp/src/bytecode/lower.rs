@@ -360,7 +360,7 @@ impl Cc<'_> {
     fn expr(&mut self, e: &Expr) -> Val {
         match &e.kind {
             ExprKind::Int { value, width } => {
-                let w = width.unwrap_or(32);
+                let w = *width.get().expect("checked: literal width");
                 let dst = self.regs.get();
                 self.emit(Instr::Const {
                     dst,

@@ -23,7 +23,6 @@
 //! is never larger than the old one (also asserted by tests).
 
 use super::{HandlerCode, Instr};
-use lucid_frontend::ast::BinOp;
 
 /// The peephole/superinstruction pass, iterated to a fixpoint. One
 /// fusion can expose another (a `Const` folded into its `Cmp` makes a
@@ -339,27 +338,6 @@ fn compact(code: &[Instr], keep: &[bool]) -> Vec<Instr> {
 
 // ---------------------------------------------------------------- fusion
 
-/// Commutative integer ops (safe to swap a const left operand to the
-/// immediate slot — `Bin`'s result width is the wider operand's, which
-/// is symmetric for these).
-fn commutative(op: BinOp) -> bool {
-    matches!(
-        op,
-        BinOp::Add | BinOp::Mul | BinOp::BitAnd | BinOp::BitOr | BinOp::BitXor
-    )
-}
-
-/// Mirror a comparison across its operands (`imm < x` ⇔ `x > imm`).
-fn flip(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Ge => BinOp::Le,
-        other => other,
-    }
-}
-
 /// Fuse adjacent instruction pairs into superinstructions. A pair fuses
 /// only when the second instruction is not a jump target (a joining
 /// path must see both halves execute) and any intermediate register is
@@ -388,7 +366,7 @@ fn fuse(code: &mut Vec<Instr>, nregs: usize) -> bool {
                         imm: *imm,
                         w: *w,
                     })
-                } else if dead && a == c && b != c && commutative(*op) {
+                } else if dead && a == c && b != c && op.commutes() {
                     Some(Instr::BinImm {
                         op: *op,
                         dst: *dst,
@@ -411,7 +389,7 @@ fn fuse(code: &mut Vec<Instr>, nregs: usize) -> bool {
                     })
                 } else if dead && a == c && b != c {
                     Some(Instr::CmpImm {
-                        op: flip(*op),
+                        op: op.mirrored(),
                         dst: *dst,
                         a: *b,
                         imm: *imm,

@@ -261,8 +261,8 @@ fn out_of_bounds_is_bit_identical_including_prior_writes() {
 
 #[test]
 fn width_mixing_literals_match_walker() {
-    // Literals keep their syntactic width at runtime (32 unless
-    // annotated); the walker's max-width rule must survive both
+    // Literals run at the width the checker gives them (here `x`'s
+    // int<<8>>, in every position), and that width must survive both
     // compilation and const-operand fusion exactly.
     let src = r#"
         global o0 = new Array<<32>>(1);
@@ -300,10 +300,9 @@ fn width_mixing_literals_match_walker() {
     for o in &outs[1..] {
         assert_eq!(&outs[0], o);
     }
-    // Literals run at width 32 (the walker's `unwrap_or(32)` rule), so
-    // `x + 250` is 260 even though the checker typed it int<<8>>; the
-    // re-assignment to `narrow` masks back to 8 bits.
-    assert_eq!(outs[0], vec![260, 4, 1, 4]);
+    // The checker types `x + 250` as int<<8>>, so it wraps to 4 wherever
+    // it appears, and `x + 250 > 255` cannot hold.
+    assert_eq!(outs[0], vec![4, 4, 0, 4]);
 }
 
 #[test]
@@ -473,9 +472,10 @@ fn optimization_strictly_shortens_the_kitchen_sink() {
 
 #[test]
 fn array_get_masks_over_width_cells_like_the_walker() {
-    // `Array.setm` stores memop results unmasked, so a cell can hold
-    // an over-width value; the walker masks on *read* and the
-    // bytecode executor must too.
+    // `Array.setm` stores memop results unmasked and both executors
+    // mask on *read*. The memop's argument is typed at the cell's
+    // width (the literal adopts `x`'s int<<8>>), so the cell holds an
+    // in-width value and the read returns it unchanged.
     let src = r#"
         global tag = new Array<<8>>(4);
         global out = new Array<<32>>(1);
@@ -502,9 +502,11 @@ fn array_get_masks_over_width_cells_like_the_walker() {
     for o in &outs[1..] {
         assert_eq!(&outs[0], o);
     }
-    // 10 + 250 runs at width 32 (literal rule) -> the memop stores
-    // 260 raw; the read masks it back to 8 bits.
-    assert_eq!(outs[0].0[0], 260, "the cell itself holds the raw value");
+    // 10 + 250 runs at width 8 -> the memop stores 4.
+    assert_eq!(
+        outs[0].0[0], 4,
+        "the memop's argument is typed at the cell width"
+    );
     assert_eq!(outs[0].1[0], 4, "reads mask to the cell width");
 }
 

@@ -59,7 +59,7 @@ use crate::metrics::{ClassHists, Metrics, ShardMetrics};
 use crate::value::{Location, Value};
 use crate::workload::EventSource;
 use lucid_check::{mask, CheckedProgram};
-use lucid_frontend::ast::{BinOp, Ty};
+use lucid_frontend::ast::Ty;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -1099,69 +1099,6 @@ fn value_of(ty: Ty, raw: u64) -> Value {
         Ty::Int(w) => Value::int(raw, w),
         _ => Value::int(raw, 32),
     }
-}
-
-fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Value {
-    if op.is_comparison() {
-        let a = l.as_int().expect("checked");
-        let b = r.as_int().expect("checked");
-        return Value::Bool(match op {
-            BinOp::Eq => a == b,
-            BinOp::Neq => a != b,
-            BinOp::Lt => a < b,
-            BinOp::Gt => a > b,
-            BinOp::Le => a <= b,
-            BinOp::Ge => a >= b,
-            _ => unreachable!(),
-        });
-    }
-    let (a, wa) = match l {
-        Value::Int { v, width } => (*v, *width),
-        Value::Bool(b) => (*b as u64, 1),
-        _ => panic!("checked: arithmetic on non-int"),
-    };
-    let (b, wb) = match r {
-        Value::Int { v, width } => (*v, *width),
-        Value::Bool(b) => (*b as u64, 1),
-        _ => panic!("checked: arithmetic on non-int"),
-    };
-    // Shifts keep the shifted operand's width (the checker types `a << b`
-    // as `a`'s width regardless of `b`'s); everything else joins widths.
-    let w = match op {
-        BinOp::Shl | BinOp::Shr => wa,
-        _ => wa.max(wb),
-    };
-    let v = match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        // Division by zero yields zero in the data plane.
-        BinOp::Div => a.checked_div(b).unwrap_or(0),
-        BinOp::Mod => a.checked_rem(b).unwrap_or(0),
-        BinOp::BitAnd => a & b,
-        BinOp::BitOr => a | b,
-        BinOp::BitXor => a ^ b,
-        // A shift count at or past the operand width clears every bit of
-        // a `width`-bit register; `wrapping_shl` alone would wrap the
-        // count mod 64 and leave bits behind for 64-bit operands.
-        BinOp::Shl => {
-            if b >= w as u64 {
-                0
-            } else {
-                a.wrapping_shl(b as u32)
-            }
-        }
-        BinOp::Shr => {
-            if b >= w as u64 {
-                0
-            } else {
-                a.wrapping_shr(b as u32)
-            }
-        }
-        BinOp::And | BinOp::Or => unreachable!("short-circuited above"),
-        _ => unreachable!(),
-    };
-    Value::int(v, w)
 }
 
 /// Minimal printf: `%d` decimal, `%x` hex, `%b` binary, `%%` literal.

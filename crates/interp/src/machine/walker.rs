@@ -19,25 +19,24 @@
 //! parameter of that name, or else the global. Each binding owns a slot,
 //! reused once its block closes, so a read never meets an unbound slot.
 //!
-//! It is resolution only. Nothing is folded, inlined or inferred:
-//! [`Value`]s still carry their width at run time (assignment keeps the
-//! width of the `Int` already in the slot), evaluation order is the
-//! by-name walker's (index, bounds check, then memop operands), and
-//! every `checked:` invariant still panics — so this stays a
-//! structurally independent oracle for the bytecode compiler, which
-//! *does* decide widths and call sites statically.
+//! It is resolution only. Nothing is folded, inlined or inferred: a
+//! literal takes the width the checker wrote into it, every operator is
+//! `lucid_check::arith`'s (the bytecode executor calls the same table),
+//! [`Value`]s carry their width at run time (assignment keeps the width
+//! of the `Int` already in the slot), evaluation order is the by-name
+//! walker's (index, bounds check, then memop operands), and every
+//! `checked:` invariant still panics — so this stays a structurally
+//! independent oracle for the bytecode compiler's control flow, call
+//! sites and register use.
 //!
 //! An activation's locals are a window of one `Vec` kept on the
 //! [`Shard`] (like the bytecode register file), so handling an event
 //! allocates only the argument buffers of the events it generates and
 //! the `printf` lines it prints.
 
-use super::{
-    eval_binop, format_printf, value_of, Emitted, Exec, InterpError, InterpFault, Key, OutRec,
-    Shard,
-};
+use super::{format_printf, value_of, Emitted, Exec, InterpError, InterpFault, Key, OutRec, Shard};
 use crate::value::{lucid_hash, EventVal, Location, Value};
-use lucid_check::{eval_memop, mask, CheckedProgram, GlobalId, MemopIr};
+use lucid_check::{arith, eval_memop, mask, CheckedProgram, GlobalId, MemopIr};
 use lucid_frontend::ast::{self, BinOp, Builtin, ExprKind, StmtKind, Ty, UnOp};
 use std::sync::Arc;
 
@@ -282,7 +281,9 @@ impl<'p> Resolver<'p> {
 
     fn expr(&mut self, e: &'p ast::Expr) -> Expr {
         match &e.kind {
-            ExprKind::Int { value, width } => Expr::Int(*value, width.unwrap_or(32)),
+            ExprKind::Int { value, width } => {
+                Expr::Int(*value, *width.get().expect("checked: literal width"))
+            }
             ExprKind::Bool(b) => Expr::Bool(*b),
             ExprKind::Var(id) => self.var(&id.name),
             ExprKind::Unary { op, arg } => Expr::Unary(*op, self.boxed(arg)),
@@ -425,6 +426,16 @@ impl Walk<'_> {
         Ok(self.eval(e)?.as_bool().expect("checked"))
     }
 
+    /// An operand of an integer operator and its width (a boolean is one
+    /// bit).
+    fn operand(&mut self, e: &Expr) -> Eval<(u64, u32)> {
+        Ok(match self.eval(e)? {
+            Value::Int { v, width } => (v, width),
+            Value::Bool(b) => (b as u64, 1),
+            _ => panic!("checked: arithmetic on non-int"),
+        })
+    }
+
     fn block(&mut self, b: &[Stmt]) -> Eval<Flow> {
         for s in b {
             if let r @ Flow::Returned(_) = self.stmt(s)? {
@@ -495,18 +506,24 @@ impl Walk<'_> {
             Expr::SelfId => Value::int(self.switch, 32),
             Expr::Const(v) => (**v).clone(),
             Expr::Group(members) => Value::Group(members.to_vec()),
-            Expr::Unary(op, arg) => match (op, self.eval(arg)?) {
-                (UnOp::Not, v) => Value::Bool(!v.as_bool().expect("checked")),
-                (UnOp::Neg, Value::Int { v, width }) => Value::int(v.wrapping_neg(), width),
-                (UnOp::BitNot, Value::Int { v, width }) => Value::int(!v, width),
-                _ => panic!("checked"),
-            },
+            Expr::Unary(UnOp::Not, arg) => Value::Bool(!self.bool(arg)?),
+            Expr::Unary(op, arg) => {
+                let (a, w) = self.operand(arg)?;
+                let (v, width) = arith::unop(*op, a, w);
+                Value::Int { v, width }
+            }
             // The logical connectives short-circuit.
             Expr::Binary(BinOp::And, lhs, rhs) => Value::Bool(self.bool(lhs)? && self.bool(rhs)?),
             Expr::Binary(BinOp::Or, lhs, rhs) => Value::Bool(self.bool(lhs)? || self.bool(rhs)?),
             Expr::Binary(op, lhs, rhs) => {
-                let l = self.eval(lhs)?;
-                eval_binop(*op, &l, &self.eval(rhs)?)
+                let (a, wa) = self.operand(lhs)?;
+                let (b, wb) = self.operand(rhs)?;
+                if op.is_comparison() {
+                    Value::Bool(arith::cmp(*op, a, b))
+                } else {
+                    let (v, width) = arith::binop(*op, a, wa, b, wb);
+                    Value::Int { v, width }
+                }
             }
             Expr::Cast(width, arg) => Value::int(self.int(arg)?, *width),
             Expr::Hash(width, args) => {

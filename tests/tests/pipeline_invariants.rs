@@ -3,6 +3,7 @@
 //! P4 is structurally complete, and the evaluation metrics are internally
 //! consistent.
 
+use lucid_backend::ir::{MemKind, Operand};
 use lucid_core::{Artifacts, Compiler, LayoutOptions, PipelineSpec};
 use std::collections::HashMap;
 
@@ -270,4 +271,71 @@ fn lucid_shorter_than_generated_register_actions_plus_tables() {
     }
     let ratio = total_p4 as f64 / total_lucid as f64;
     assert!(ratio > 5.0, "aggregate P4/Lucid ratio {ratio:.1} too small");
+}
+
+#[test]
+fn folded_immediates_store_what_the_interpreter_stores() {
+    // Each global is written once with a value the backend folds to an
+    // immediate. The immediate must be what the interpreter stores and
+    // fit the array's cells (the constant folder and the executors share
+    // one operator table and the checker's literal widths).
+    let src = r#"
+        const int K = (0 - 1) / 2;
+        const int S = (1 << 40) >> 20;
+        global k = new Array<<32>>(1);
+        global s = new Array<<32>>(1);
+        global q = new Array<<8>>(1);
+        global m = new Array<<64>>(1);
+        event go();
+        handle go() {
+            Array.set(k, 0, K);
+            Array.set(s, 0, S);
+            int<<8>> n = (0 - 1) / 2;
+            Array.set(q, 0, n);
+            int<<64>> wide = 1099511627775;
+            Array.set(m, 0, wide & 0xFFFFFFFFFF);
+        }
+    "#;
+    let mut build = Compiler::new().build("probe", src);
+    let art = build
+        .artifacts()
+        .unwrap_or_else(|_| panic!("probe compiles:\n{}", build.render_diagnostics()));
+    let mut sim = lucid_interp::Interp::new(&art.checked, lucid_interp::NetConfig::single());
+    sim.schedule(1, 0, "go", &[]).unwrap();
+    sim.run_to_quiescence().unwrap();
+    let mut stored = Vec::new();
+    for t in art.compiled.handlers.iter().flat_map(|h| &h.tables) {
+        let lucid_backend::ir::AtomicOp::Mem {
+            array,
+            index: Operand::Const(i),
+            kind: MemKind::Set {
+                value: Operand::Const(v),
+            },
+            ..
+        } = &t.op
+        else {
+            continue;
+        };
+        let g = &art.checked.info.globals[array.0];
+        let ran = sim.array(1, &g.name)[*i as usize];
+        assert_eq!(*v, ran, "`{}`: folded immediate vs interpreter", g.name);
+        assert_eq!(
+            *v,
+            lucid_check::mask(*v, g.cell_width),
+            "`{}` cell width",
+            g.name
+        );
+        assert!(
+            art.compiled.p4.source.contains(&format!("mem = {v};")),
+            "`{}`: P4 stores {v}",
+            g.name
+        );
+        stored.push((g.name.as_str(), *v));
+    }
+    stored.sort_unstable();
+    assert_eq!(
+        stored,
+        [("k", 2147483647), ("q", 127), ("s", 0)],
+        "the three constant stores fold"
+    );
 }

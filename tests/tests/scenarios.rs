@@ -347,7 +347,7 @@ fn sharded_equals_sequential_on_eight_switch_mesh() {
             if (hop > 0) {
                 auto next = hash<<3>>(2, flow, n);
                 Array.setm(relay, i, plus, hop);
-                generate Event.locate(pkt(flow + n, hop - 1), next + 1);
+                generate Event.locate(pkt(flow + n, hop - 1), (int<<32>>) next + 1);
             }
         }
         "#,

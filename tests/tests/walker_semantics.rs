@@ -3,9 +3,11 @@
 //! Names resolve lexically, by the checker's rule: a name means its
 //! innermost enclosing binding in the running body, else `SELF` / the
 //! const / the group of that name, and an array-position name means the
-//! running body's own array parameter, else the global. What is still
-//! decided at run time is width: assignment keeps the width of the value
-//! already bound. Each row is a small program run under the walker and
+//! running body's own array parameter, else the global. Widths are the
+//! checker's: every literal carries the width it inferred, and every
+//! operator is `lucid_check::arith`'s, so a `const` folds to what the
+//! same expression computes at run time. Each row is a small program
+//! run under the walker and
 //! under bytecode at every opt level — on the sequential engine and,
 //! where it has two or more switches, sharded at two workers — and
 //! compared against a **pinned literal** of everything observable:
@@ -16,7 +18,10 @@
 //! read after its block, which the by-name walker's flat environment
 //! answered differently from bytecode, and the callee naming a global
 //! that shares a live caller's array-parameter name, which both
-//! executors answered dynamically.
+//! executors answered dynamically. One row was re-pinned when literals
+//! took the checker's width: the untyped local `y` in
+//! `assign_keeps_width_and_untyped_locals`, which used to widen to 32
+//! bits beside a literal.
 
 use lucid_check::parse_and_check;
 use lucid_interp::{Engine, ExecMode, Interp, NetConfig, OptLevel};
@@ -214,7 +219,8 @@ const ROWS: &[Row] = &[
         ),
     },
     // Assignment keeps the width of the `Int` already in the slot; an
-    // untyped local takes whatever width its initializer computed.
+    // untyped local takes the width the checker gives its initializer
+    // (`a + 1` is int<<8>>, so `y + 255` wraps at 8 bits).
     Row {
         name: "assign_keeps_width_and_untyped_locals",
         src: r#"
@@ -242,11 +248,11 @@ const ROWS: &[Row] = &[
         want: Want::All(
             r#"
             s1 o0=[0]
-            s1 o1=[506]
+            s1 o1=[250]
             s1 o2=[243]
             stats processed=1 handled=1 recirculated=0 sent_remote=0 exported=0 dropped=0 per_event=[("go", 1)]
             trace 0ns s1 go[250]
-            printf "x=0 y=506 z=243 b=false"
+            printf "x=0 y=250 z=243 b=false"
             fault none
         "#,
         ),
@@ -483,6 +489,145 @@ const ROWS: &[Row] = &[
             trace 10ns s1 go[255, 0]
             printf "d=10 x=a b=1010 pct=% f=true nf=false fx=1"
             printf "d=255 x=ff b=11111111 pct=% f=false nf=true fx=0"
+            fault none
+        "#,
+        ),
+    },
+    // Integer semantics are decided once (`lucid_check::arith`) and
+    // every literal's width by the checker, so a `const` initializer
+    // folds to what the same expression computes at run time: `(0 - 1)`
+    // is the 32-bit all-ones before it is halved.
+    Row {
+        name: "const_division_folds_at_the_declared_width",
+        src: r#"
+            const int K = (0 - 1) / 2;
+            global o = new Array<<32>>(1);
+            event go(int a);
+            handle go(int a) {
+                printf("K=%d rt=%d", K, (0 - a) / 2);
+                Array.set(o, 0, K);
+            }
+        "#,
+        switches: 1,
+        schedule: &[(1, 0, "go", &[1])],
+        want: Want::All(
+            r#"
+            s1 o=[2147483647]
+            stats processed=1 handled=1 recirculated=0 sent_remote=0 exported=0 dropped=0 per_event=[("go", 1)]
+            trace 0ns s1 go[1]
+            printf "K=2147483647 rt=2147483647"
+            fault none
+        "#,
+        ),
+    },
+    // A shift past the 32-bit width of `int` clears the value in a
+    // `const` exactly as it does at run time.
+    Row {
+        name: "const_shift_past_the_width_clears",
+        src: r#"
+            const int S = (1 << 40) >> 20;
+            global o = new Array<<32>>(1);
+            event go(int a);
+            handle go(int a) {
+                printf("S=%d rt=%d", S, (a << 40) >> 20);
+                Array.set(o, 0, S);
+            }
+        "#,
+        switches: 1,
+        schedule: &[(1, 0, "go", &[1])],
+        want: Want::All(
+            r#"
+            s1 o=[0]
+            stats processed=1 handled=1 recirculated=0 sent_remote=0 exported=0 dropped=0 per_event=[("go", 1)]
+            trace 0ns s1 go[1]
+            printf "S=0 rt=0"
+            fault none
+        "#,
+        ),
+    },
+    // A literal beside a 64-bit operand is a 64-bit literal: the mask
+    // keeps all forty bits.
+    Row {
+        name: "literal_beside_a_64_bit_operand_keeps_its_bits",
+        src: r#"
+            global o = new Array<<64>>(1);
+            event go(int<<64>> a);
+            handle go(int<<64>> a) {
+                Array.set(o, 0, a & 0xFFFFFFFFFF);
+            }
+        "#,
+        switches: 1,
+        schedule: &[(1, 0, "go", &[1099511627775])],
+        want: Want::All(
+            r#"
+            s1 o=[1099511627775]
+            stats processed=1 handled=1 recirculated=0 sent_remote=0 exported=0 dropped=0 per_event=[("go", 1)]
+            trace 0ns s1 go[1099511627775]
+            fault none
+        "#,
+        ),
+    },
+    // The checker types `b + 1` as int<<8>>, so it wraps to 0 at 255.
+    Row {
+        name: "narrow_sum_wraps_at_its_operands_width",
+        src: r#"
+            global o = new Array<<32>>(1);
+            event go(int<<8>> b);
+            handle go(int<<8>> b) {
+                if (b + 1 == 0) { Array.set(o, 0, 1); }
+            }
+        "#,
+        switches: 1,
+        schedule: &[(1, 0, "go", &[255])],
+        want: Want::All(
+            r#"
+            s1 o=[1]
+            stats processed=1 handled=1 recirculated=0 sent_remote=0 exported=0 dropped=0 per_event=[("go", 1)]
+            trace 0ns s1 go[255]
+            fault none
+        "#,
+        ),
+    },
+    // A local declared int<<8>> evaluates its initializer at 8 bits:
+    // `(0 - 1)` is 255 before it is halved.
+    Row {
+        name: "narrow_local_initializer_divides_at_its_width",
+        src: r#"
+            global o = new Array<<8>>(1);
+            event go();
+            handle go() {
+                int<<8>> q = (0 - 1) / 2;
+                Array.set(o, 0, q);
+            }
+        "#,
+        switches: 1,
+        schedule: &[(1, 0, "go", &[])],
+        want: Want::All(
+            r#"
+            s1 o=[127]
+            stats processed=1 handled=1 recirculated=0 sent_remote=0 exported=0 dropped=0 per_event=[("go", 1)]
+            trace 0ns s1 go[]
+            fault none
+        "#,
+        ),
+    },
+    // `b + 255` wraps at 8 bits before the shift sees it.
+    Row {
+        name: "narrow_sum_wraps_before_a_shift",
+        src: r#"
+            global o = new Array<<8>>(1);
+            event go(int<<8>> b);
+            handle go(int<<8>> b) {
+                Array.set(o, 0, (b + 255) >> 1);
+            }
+        "#,
+        switches: 1,
+        schedule: &[(1, 0, "go", &[1])],
+        want: Want::All(
+            r#"
+            s1 o=[0]
+            stats processed=1 handled=1 recirculated=0 sent_remote=0 exported=0 dropped=0 per_event=[("go", 1)]
+            trace 0ns s1 go[1]
             fault none
         "#,
         ),
