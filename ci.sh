@@ -212,6 +212,43 @@ for sc in "${scenarios[@]}"; do
   done
 done
 
+# Two inputs a release build used to get wrong silently (its integer
+# arithmetic wraps where a debug build panics). A delay wider than the
+# event header's 32 bits is refused by the checker, and an event whose
+# time would pass the end of virtual time (u64::MAX ns) is dropped, so
+# a run that reaches it drains instead of wrapping its clock back to
+# zero and spending its fuel.
+probe_tmp=$(mktemp -d)
+trap 'rm -rf "$golden_tmp" "$probe_tmp"' EXIT
+cat > "$probe_tmp/delay64.lucid" <<'EOF'
+event hit();
+event go(int<<64>> d);
+handle go(int<<64>> d) { int<<64>> big = d - 1; generate Event.delay(hit(), big); }
+EOF
+if out=$(target/release/lucidc check "$probe_tmp/delay64.lucid" 2>&1) \
+    || [[ "$out" != *E0403* ]]; then
+  echo "sim gate: a 64-bit Event.delay was not refused with E0403: $out" >&2
+  exit 1
+fi
+echo "-- sim [probe] 64-bit Event.delay refused with E0403"
+cat > "$probe_tmp/tick.lucid" <<'EOF'
+global o = new Array<<32>>(1);
+memop plus(int m, int x) { return m + x; }
+event tick();
+handle tick() { Array.setm(o, 0, plus, 1); generate Event.delay(tick(), 4294967295); }
+EOF
+echo '{"events": [{"time_ns": 0, "switch": 1, "event": "tick", "args": []}],
+  "limits": {"max_events": 4400000}}' > "$probe_tmp/tick.sim.json"
+out=$(target/release/lucidc sim --json "$probe_tmp/tick.lucid" "$probe_tmp/tick.sim.json") || {
+  echo "sim gate: the end-of-time probe did not drain: $out" >&2
+  exit 1
+}
+if [[ "$out" != *'"dropped":1,'* ]]; then
+  echo "sim gate: the end-of-time probe did not drop its last event: ${out:0:400}" >&2
+  exit 1
+fi
+echo "-- sim [probe] an event past the end of virtual time is dropped and the run drains"
+
 echo "== workload scale"
 # The generator subsystem's scale proof: flood the four-switch rip_router
 # scenario (its advertisement threads and its fail/recover of switch 4

@@ -3,20 +3,18 @@
 //! Every evaluator of Lucid integers calls this module: the AST walker,
 //! the bytecode executor, the constant evaluator (`const` initializers
 //! and the backend's folds) and the memop evaluator (the stateful ALU).
-//! A value is an unsigned `u64` together with its bit width, and every
-//! operator masks its own result to that width, the way a fixed-width
-//! data-plane register does. What the width of a value *is* — in
-//! particular the width of an unsuffixed literal — is the checker's
-//! decision, made before anything runs.
+//! A value is an unsigned `u64`, and every operator masks its own result
+//! to the result's bit width, the way a fixed-width data-plane register
+//! does. What that width *is* — the width of every literal, variable and
+//! operator result — is the checker's decision, made before anything
+//! runs, so the callers pass it in and nothing here joins two widths.
 //!
 //! The rules written here and nowhere else:
-//! - the result of an arithmetic or bitwise operator has the wider
-//!   operand's width; a shift keeps the shifted operand's width;
-//! - a shift count at or past that width clears the value (it does not
-//!   wrap the count);
+//! - a shift count at or past the shifted operand's width clears the
+//!   value (it does not wrap the count);
 //! - division and modulo by zero give 0;
-//! - comparisons and the connectives compare values only and give a
-//!   1-bit boolean.
+//! - comparisons and the connectives compare values only and give 0
+//!   or 1.
 
 use lucid_frontend::ast::{BinOp, UnOp};
 
@@ -30,17 +28,14 @@ pub fn mask(v: u64, width: u32) -> u64 {
     }
 }
 
-/// `a op b` for operands of widths `wa` and `wb`: the result and its
-/// width. Comparisons and `&&`/`||` yield 0 or 1 at width 1.
+/// `a op b` at result width `w`: the width both operands have, or for a
+/// shift the shifted operand's (the count `b` may be any width).
+/// Comparisons and `&&`/`||` yield 0 or 1.
 ///
 /// Always inlined: the bytecode executor's `Bin` runs it once per
 /// instruction, and a call there costs more than the operator.
 #[inline(always)]
-pub fn binop(op: BinOp, a: u64, wa: u32, b: u64, wb: u32) -> (u64, u32) {
-    let w = match op {
-        BinOp::Shl | BinOp::Shr => wa,
-        _ => wa.max(wb),
-    };
+pub fn binop(op: BinOp, a: u64, b: u64, w: u32) -> u64 {
     let v = match op {
         BinOp::Add => a.wrapping_add(b),
         BinOp::Sub => a.wrapping_sub(b),
@@ -53,11 +48,11 @@ pub fn binop(op: BinOp, a: u64, wa: u32, b: u64, wb: u32) -> (u64, u32) {
         BinOp::Shl if b < u64::from(w) => a.wrapping_shl(b as u32),
         BinOp::Shr if b < u64::from(w) => a.wrapping_shr(b as u32),
         BinOp::Shl | BinOp::Shr => 0,
-        BinOp::And => return (u64::from(a != 0 && b != 0), 1),
-        BinOp::Or => return (u64::from(a != 0 || b != 0), 1),
-        cmp_op => return (u64::from(cmp(cmp_op, a, b)), 1),
+        BinOp::And => return u64::from(a != 0 && b != 0),
+        BinOp::Or => return u64::from(a != 0 || b != 0),
+        cmp_op => return u64::from(cmp(cmp_op, a, b)),
     };
-    (mask(v, w), w)
+    mask(v, w)
 }
 
 /// One comparison. Widths do not take part: the checker only admits
@@ -75,13 +70,13 @@ pub fn cmp(op: BinOp, a: u64, b: u64) -> bool {
     }
 }
 
-/// `op a` for an operand of width `w`: the result and its width. `!`
-/// yields 0 or 1 at width 1.
+/// `op a` for an operand of width `w`, which is also the result's. `!`
+/// yields 0 or 1.
 #[inline(always)]
-pub fn unop(op: UnOp, a: u64, w: u32) -> (u64, u32) {
+pub fn unop(op: UnOp, a: u64, w: u32) -> u64 {
     match op {
-        UnOp::Not => (u64::from(a == 0), 1),
-        UnOp::Neg => (mask(a.wrapping_neg(), w), w),
-        UnOp::BitNot => (mask(!a, w), w),
+        UnOp::Not => u64::from(a == 0),
+        UnOp::Neg => mask(a.wrapping_neg(), w),
+        UnOp::BitNot => mask(!a, w),
     }
 }

@@ -457,9 +457,7 @@ pub fn eval_memop(m: &MemopIr, mem: u64, local: u64, width: u32) -> u64 {
     let cell = |c: &MemopCell| -> u64 {
         match c {
             MemopCell::Atom(a) => atom(*a),
-            MemopCell::Binop { op, lhs, rhs } => {
-                arith::binop(*op, atom(*lhs), width, atom(*rhs), width).0
-            }
+            MemopCell::Binop { op, lhs, rhs } => arith::binop(*op, atom(*lhs), atom(*rhs), width),
         }
     };
     let cmp_eval = |l: MemopAtom, cmp: BinOp, r: MemopAtom| arith::cmp(cmp, atom(l), atom(r));

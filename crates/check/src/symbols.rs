@@ -7,7 +7,7 @@
 //! system (§5 of the paper) treats as the specification of pipeline layout.
 
 use crate::arith::{self, mask};
-use crate::typecheck::{literal_width, type_operands};
+use crate::typecheck::{literal_width, type_operands, width_mismatch};
 use lucid_frontend::ast::*;
 use lucid_frontend::diag::{Diagnostic, Diagnostics};
 use lucid_frontend::span::Span;
@@ -264,7 +264,7 @@ impl ProgramInfo {
             },
             ExprKind::Unary { op, arg } => {
                 let (v, w) = self.eval_typed(arg, context)?;
-                Ok(arith::unop(*op, v, w))
+                Ok((arith::unop(*op, v, w), if *op == UnOp::Not { 1 } else { w }))
             }
             ExprKind::Binary { op, lhs, rhs } => {
                 let (l, r) = type_operands(
@@ -276,6 +276,10 @@ impl ProgramInfo {
                     |r| r.as_ref().ok().map(|&(_, w)| Ty::Int(w)),
                 );
                 let ((a, wa), (b, wb)) = (l?, r?);
+                let shift = matches!(op, BinOp::Shl | BinOp::Shr);
+                if wa != wb && !shift && !op.is_logical() {
+                    return Err(width_mismatch(e, wa, wb));
+                }
                 if b == 0 && matches!(op, BinOp::Div | BinOp::Mod) {
                     let what = if *op == BinOp::Div {
                         "division"
@@ -287,7 +291,12 @@ impl ProgramInfo {
                         e.span,
                     ));
                 }
-                Ok(arith::binop(*op, a, wa, b, wb))
+                let w = if op.is_comparison() || op.is_logical() {
+                    1
+                } else {
+                    wa
+                };
+                Ok((arith::binop(*op, a, b, w), w))
             }
             ExprKind::Cast { width, arg } => {
                 let (v, _) = self.eval_typed(arg, None)?;
@@ -379,6 +388,18 @@ mod tests {
     fn const_mask_applies_width() {
         let info = build("const int<<8>> A = 300;");
         assert_eq!(info.consts["A"].value, 300 & 0xff);
+    }
+
+    #[test]
+    fn const_operands_of_two_widths_rejected() {
+        // The run-time rule (E0403) holds in constants too: nothing
+        // joins two widths, so `A + B` has no one width to wrap at.
+        let src = "const int<<8>> A = 200; const int<<16>> B = 300; const int<<16>> C = A + B;";
+        let err = ProgramInfo::build(&parse_program(src).unwrap()).unwrap_err();
+        assert_eq!(err.code, Some("E0403"), "{err}");
+        let info =
+            build("const int<<8>> A = 200; const int<<8>> B = A << 4; const int C = 1 << A;");
+        assert_eq!((info.consts["B"].value, info.consts["C"].value), (128, 0));
     }
 
     #[test]

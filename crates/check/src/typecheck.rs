@@ -932,7 +932,18 @@ impl<'a> Checker<'a> {
                 let (et, s1) = self.check_expr(&args[0], scopes, stage, Some(Ty::Event));
                 self.expect_val(&et, Ty::Event, args[0].span);
                 let (dt, s2) = self.check_expr(&args[1], scopes, s1, Some(Ty::Int(32)));
-                self.int_width_of(&dt, args[1].span);
+                // The delay travels in the event header's `bit<32>` field.
+                let w = self.int_width_of(&dt, args[1].span);
+                if w > 32 {
+                    self.diags.push(
+                        Diagnostic::error(
+                            format!("`Event.delay` takes at most int<<32>>, found int<<{w}>>"),
+                            args[1].span,
+                        )
+                        .with_help("cast the delay, e.g. `(int<<32>>) d`")
+                        .with_code("E0403"),
+                    );
+                }
                 (CkTy::Val(Ty::Event), s2)
             }
             Builtin::EventLocate => {
@@ -1080,15 +1091,18 @@ impl<'a> Checker<'a> {
     }
 
     fn width_mismatch(&mut self, e: &Expr, a: u32, b: u32) {
-        self.diags.push(
-            Diagnostic::error(
-                format!("operand widths differ: int<<{a}>> vs int<<{b}>>"),
-                e.span,
-            )
-            .with_help("insert an explicit cast, e.g. `(int<<{w}>>) x`")
-            .with_code("E0403"),
-        );
+        self.diags.push(width_mismatch(e, a, b));
     }
+}
+
+/// E0403: the operands of `e` have different widths.
+pub(crate) fn width_mismatch(e: &Expr, a: u32, b: u32) -> Diagnostic {
+    Diagnostic::error(
+        format!("operand widths differ: int<<{a}>> vs int<<{b}>>"),
+        e.span,
+    )
+    .with_help("insert an explicit cast, e.g. `(int<<{w}>>) x`")
+    .with_code("E0403")
 }
 
 /// The width of an unsuffixed integer literal: the integer type its
@@ -1383,6 +1397,26 @@ mod tests {
         "#;
         let d = first_error(src);
         assert!(d.message.contains("widths differ"), "{d}");
+    }
+
+    #[test]
+    fn event_delay_wider_than_32_bits_rejected() {
+        // `d - 1` at 64 bits is 2^64 - 1 microseconds: no run-time
+        // clock holds that, and the P4 event header's delay is `bit<32>`.
+        let src = r#"
+            event hit();
+            event go(int<<64>> d);
+            handle go(int<<64>> d) { int<<64>> big = d - 1; generate Event.delay(hit(), big); }
+        "#;
+        let d = first_error(src);
+        assert_eq!(d.code, Some("E0403"), "{d}");
+        assert!(d.message.contains("at most int<<32>>"), "{d}");
+        let ok = r#"
+            event hit();
+            event go(int<<64>> d);
+            handle go(int<<64>> d) { generate Event.delay(hit(), (int<<32>>) d); }
+        "#;
+        assert!(check_src(ok).is_ok());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The stable disassembly (`lucidc sim --dump-bytecode`). Golden-file
 //! tests pin this format per optimization level
 //! (`tests/golden/<app>.o<level>.bc.txt`): the header names the level,
-//! each handler line reports its post-regalloc register frame, and every
-//! fused superinstruction renders with its own mnemonic.
+//! each handler line reports its post-regalloc register frame, every
+//! fused superinstruction renders with its own mnemonic, and every
+//! instruction that masks to a width shows it as `<<w>>`.
 
 use super::{CompiledProg, Instr, OptLevel};
 use lucid_check::CheckedProgram;
@@ -84,12 +85,13 @@ impl CompiledProg {
         match i {
             Instr::Const { dst, imm, w } => format!("r{dst} = const {imm} <<{w}>>"),
             Instr::Mov { dst, src } => format!("r{dst} = r{src}"),
-            Instr::StoreMasked { dst, src } => format!("r{dst} =mask r{src}"),
             Instr::BoolOf { dst, src } => format!("r{dst} = bool r{src}"),
             Instr::Not { dst, src } => format!("r{dst} = !r{src}"),
-            Instr::Neg { dst, src } => format!("r{dst} = -r{src}"),
-            Instr::BitNot { dst, src } => format!("r{dst} = ~r{src}"),
-            Instr::Bin { op, dst, a, b } => format!("r{dst} = r{a} {} r{b}", op.symbol()),
+            Instr::Neg { dst, src, w } => format!("r{dst} = -r{src} <<{w}>>"),
+            Instr::BitNot { dst, src, w } => format!("r{dst} = ~r{src} <<{w}>>"),
+            Instr::Bin { op, dst, a, b, w } => {
+                format!("r{dst} = r{a} {} r{b} <<{w}>>", op.symbol())
+            }
             Instr::BinImm { op, dst, a, imm, w } => {
                 format!("r{dst} = r{a} {} {imm} <<{w}>>", op.symbol())
             }

@@ -5,6 +5,11 @@
 //! (`Bin`, `Cmp`, the unary ops and their fused forms) is
 //! `lucid_check::arith`'s, the table the walker calls too.
 //!
+//! Registers are bare `u64`s. A value never leaves its width, so a move
+//! or an assignment copies it as it is, and an operator masks its result
+//! to the width lowering wrote into the instruction: the loop decides no
+//! width itself.
+//!
 //! Dispatch is one `match` on each [`Instr`] of the handler span, the
 //! same instructions the optimizer rewrote and the verifier checked:
 //! operands are read straight out of the variant, and operand lists
@@ -13,7 +18,7 @@
 //! is the walker's `IndexOutOfBounds` fault: that one compare is the
 //! whole bounds check.
 
-use super::{CompiledProg, HandlerCode, Instr, Obj, Rv};
+use super::{CompiledProg, HandlerCode, Instr, Obj, ParamBind};
 use crate::machine::{Emitted, Exec, InterpError, InterpFault, Key, OutRec, Shard};
 use crate::value::{lucid_hash, Location, Value};
 use lucid_check::{arith, eval_memop, mask};
@@ -43,16 +48,13 @@ impl CompiledProg {
         let mut regs = std::mem::take(&mut shard.bc_regs);
         let mut objs = std::mem::take(&mut shard.bc_objs);
         regs.clear();
-        regs.resize(h.nregs, Rv::default());
+        regs.resize(h.nregs, 0);
         objs.clear();
         objs.resize(h.nobjs, Obj::None);
-        for (i, (bind, raw)) in h.binds.iter().zip(args).enumerate() {
+        for (i, (bind, &raw)) in h.binds.iter().zip(args).enumerate() {
             regs[i] = match bind {
-                super::ParamBind::Int(w) => Rv { v: *raw, w: *w },
-                super::ParamBind::Bool => Rv {
-                    v: (*raw != 0) as u64,
-                    w: 1,
-                },
+                ParamBind::Int => raw,
+                ParamBind::Bool => u64::from(raw != 0),
             };
         }
         let res = self.exec_loop(&h.code, &mut regs, &mut objs, exec, shard, switch, key);
@@ -76,7 +78,7 @@ impl CompiledProg {
     fn exec_loop(
         &self,
         code: &[Instr],
-        regs: &mut [Rv],
+        regs: &mut [u64],
         objs: &mut [Obj],
         exec: &Exec,
         shard: &mut Shard,
@@ -87,82 +89,60 @@ impl CompiledProg {
         loop {
             match &code[pc] {
                 Instr::Halt => return Ok(()),
-                &Instr::Const { dst, imm, w } => {
-                    regs[dst as usize] = Rv { v: imm, w };
+                &Instr::Const { dst, imm, .. } => {
+                    regs[dst as usize] = imm;
                 }
                 &Instr::Mov { dst, src } => {
                     regs[dst as usize] = regs[src as usize];
                 }
-                &Instr::StoreMasked { dst, src } => {
-                    let w = regs[dst as usize].w;
-                    regs[dst as usize] = Rv {
-                        v: mask(regs[src as usize].v, w),
-                        w,
-                    };
-                }
                 &Instr::BoolOf { dst, src } => {
-                    regs[dst as usize] = Rv {
-                        v: (regs[src as usize].v != 0) as u64,
-                        w: 1,
-                    };
+                    regs[dst as usize] = u64::from(regs[src as usize] != 0);
                 }
                 &Instr::Not { dst, src } => {
-                    let Rv { v, w } = regs[src as usize];
-                    let (v, w) = arith::unop(UnOp::Not, v, w);
-                    regs[dst as usize] = Rv { v, w };
+                    regs[dst as usize] = arith::unop(UnOp::Not, regs[src as usize], 1);
                 }
-                &Instr::Neg { dst, src } => {
-                    let Rv { v, w } = regs[src as usize];
-                    let (v, w) = arith::unop(UnOp::Neg, v, w);
-                    regs[dst as usize] = Rv { v, w };
+                &Instr::Neg { dst, src, w } => {
+                    regs[dst as usize] = arith::unop(UnOp::Neg, regs[src as usize], w);
                 }
-                &Instr::BitNot { dst, src } => {
-                    let Rv { v, w } = regs[src as usize];
-                    let (v, w) = arith::unop(UnOp::BitNot, v, w);
-                    regs[dst as usize] = Rv { v, w };
+                &Instr::BitNot { dst, src, w } => {
+                    regs[dst as usize] = arith::unop(UnOp::BitNot, regs[src as usize], w);
                 }
                 &Instr::MaskW { dst, src, w } => {
-                    regs[dst as usize] = Rv {
-                        v: mask(regs[src as usize].v, w),
-                        w,
-                    };
+                    regs[dst as usize] = mask(regs[src as usize], w);
                 }
                 Instr::Hash { dst, w, args } => {
-                    let seed = regs[args[0] as usize].v;
+                    let seed = regs[args[0] as usize];
                     // Reuse the shard's buffer: no per-hash allocation.
                     shard.bc_hash.clear();
                     shard
                         .bc_hash
-                        .extend(args[1..].iter().map(|&r| regs[r as usize].v));
-                    regs[*dst as usize] = Rv {
-                        v: lucid_hash(*w, seed, &shard.bc_hash),
-                        w: *w,
-                    };
+                        .extend(args[1..].iter().map(|&r| regs[r as usize]));
+                    regs[*dst as usize] = lucid_hash(*w, seed, &shard.bc_hash);
                 }
                 &Instr::Jmp { to } => {
                     pc = to as usize;
                     continue;
                 }
                 &Instr::Jz { cond, to } => {
-                    if regs[cond as usize].v == 0 {
+                    if regs[cond as usize] == 0 {
                         pc = to as usize;
                         continue;
                     }
                 }
                 &Instr::Jnz { cond, to } => {
-                    if regs[cond as usize].v != 0 {
+                    if regs[cond as usize] != 0 {
                         pc = to as usize;
                         continue;
                     }
                 }
                 &Instr::ArrCheck { gid, idx } => {
-                    let i = regs[idx as usize].v;
+                    let i = regs[idx as usize];
                     if i >= self.arrays[gid as usize].len {
                         return Err(self.oob(gid, i));
                     }
                 }
                 &Instr::ArrGet { dst, gid, idx } => {
-                    let i = regs[idx as usize].v;
+                    let i = regs[idx as usize];
                     let Some(&mut cur) = cell_at(&mut shard.state.arrays[gid as usize], i) else {
                         return Err(self.oob(gid, i));
                     };
@@ -170,15 +150,15 @@ impl CompiledProg {
                     // The walker masks on read (`Value::int(cur, w)`);
                     // cells can legally hold over-width values because
                     // `Array.setm` stores memop results unmasked.
-                    regs[dst as usize] = Rv { v: mask(cur, w), w };
+                    regs[dst as usize] = mask(cur, w);
                 }
                 &Instr::ArrSet { gid, idx, val } => {
-                    let i = regs[idx as usize].v;
+                    let i = regs[idx as usize];
                     let w = self.arrays[gid as usize].width;
                     let Some(cell) = cell_at(&mut shard.state.arrays[gid as usize], i) else {
                         return Err(self.oob(gid, i));
                     };
-                    *cell = mask(regs[val as usize].v, w);
+                    *cell = mask(regs[val as usize], w);
                 }
                 &Instr::ArrGetm {
                     dst,
@@ -187,16 +167,14 @@ impl CompiledProg {
                     memop,
                     local,
                 } => {
-                    let i = regs[idx as usize].v;
+                    let i = regs[idx as usize];
                     let Some(&mut cur) = cell_at(&mut shard.state.arrays[gid as usize], i) else {
                         return Err(self.oob(gid, i));
                     };
                     let w = self.arrays[gid as usize].width;
-                    let local = regs[local as usize].v;
-                    regs[dst as usize] = Rv {
-                        v: mask(eval_memop(&self.memops[memop as usize], cur, local, w), w),
-                        w,
-                    };
+                    let local = regs[local as usize];
+                    regs[dst as usize] =
+                        mask(eval_memop(&self.memops[memop as usize], cur, local, w), w);
                 }
                 &Instr::ArrSetm {
                     gid,
@@ -204,9 +182,9 @@ impl CompiledProg {
                     memop,
                     local,
                 } => {
-                    let i = regs[idx as usize].v;
+                    let i = regs[idx as usize];
                     let w = self.arrays[gid as usize].width;
-                    let local = regs[local as usize].v;
+                    let local = regs[local as usize];
                     let Some(cell) = cell_at(&mut shard.state.arrays[gid as usize], i) else {
                         return Err(self.oob(gid, i));
                     };
@@ -221,16 +199,16 @@ impl CompiledProg {
                     setop,
                     setarg,
                 } => {
-                    let i = regs[idx as usize].v;
+                    let i = regs[idx as usize];
                     let w = self.arrays[gid as usize].width;
-                    let (getarg, setarg) = (regs[getarg as usize].v, regs[setarg as usize].v);
+                    let (getarg, setarg) = (regs[getarg as usize], regs[setarg as usize]);
                     let Some(cell) = cell_at(&mut shard.state.arrays[gid as usize], i) else {
                         return Err(self.oob(gid, i));
                     };
                     let cur = *cell;
                     *cell = eval_memop(&self.memops[setop as usize], cur, setarg, w);
                     let ret = eval_memop(&self.memops[getop as usize], cur, getarg, w);
-                    regs[dst as usize] = Rv { v: mask(ret, w), w };
+                    regs[dst as usize] = mask(ret, w);
                 }
                 Instr::MkEvent {
                     dst,
@@ -245,7 +223,7 @@ impl CompiledProg {
                     vals.extend(
                         args.iter()
                             .zip(widths.iter())
-                            .map(|(&r, w)| mask(regs[r as usize].v, *w)),
+                            .map(|(&r, w)| mask(regs[r as usize], *w)),
                     );
                     objs[*dst as usize] = Obj::Ev(Emitted {
                         event_id: *event_id as usize,
@@ -261,13 +239,13 @@ impl CompiledProg {
                     objs[dst as usize] = Obj::Group(self.groups[group as usize].1.clone());
                 }
                 &Instr::EvDelay { obj, us } => {
-                    let d_us = regs[us as usize].v;
+                    let d_us = regs[us as usize];
                     if let Obj::Ev(ev) = &mut objs[obj as usize] {
                         ev.delay_ns += d_us * 1_000;
                     }
                 }
                 &Instr::EvLocate { obj, loc } => {
-                    let loc = regs[loc as usize].v;
+                    let loc = regs[loc as usize];
                     if let Obj::Ev(ev) = &mut objs[obj as usize] {
                         ev.location = Location::Switch(loc);
                     }
@@ -288,26 +266,23 @@ impl CompiledProg {
                     exec.emit(shard, ev);
                 }
                 &Instr::LoadSelf { dst } => {
-                    regs[dst as usize] = Rv { v: switch, w: 32 };
+                    regs[dst as usize] = switch;
                 }
                 &Instr::LoadTime { dst } => {
-                    regs[dst as usize] = Rv {
-                        v: mask(shard.now_ns / 1_000, 32),
-                        w: 32,
-                    };
+                    regs[dst as usize] = mask(shard.now_ns / 1_000, 32);
                 }
                 &Instr::LoadPort { dst } => {
-                    regs[dst as usize] = Rv { v: 0, w: 32 };
+                    regs[dst as usize] = 0;
                 }
                 Instr::Printf { fmt, args } => {
                     let vals: Vec<Value> = args
                         .iter()
                         .map(|p| {
-                            let r = regs[p.reg as usize];
+                            let v = regs[p.reg as usize];
                             if p.is_bool {
-                                Value::Bool(r.v != 0)
+                                Value::Bool(v != 0)
                             } else {
-                                Value::Int { v: r.v, width: r.w }
+                                Value::Int { v, width: p.w }
                             }
                         })
                         .collect();
@@ -315,27 +290,21 @@ impl CompiledProg {
                     // the interned format id plus the evaluated values.
                     shard.output.push((key, OutRec::Fmt { fmt: *fmt, vals }));
                 }
-                &Instr::Bin { op, dst, a, b } => {
-                    let Rv { v: x, w: wx } = regs[a as usize];
-                    let Rv { v: y, w: wy } = regs[b as usize];
-                    let (v, w) = arith::binop(op, x, wx, y, wy);
-                    regs[dst as usize] = Rv { v, w };
+                &Instr::Bin { op, dst, a, b, w } => {
+                    regs[dst as usize] = arith::binop(op, regs[a as usize], regs[b as usize], w);
                 }
                 &Instr::BinImm { op, dst, a, imm, w } => {
-                    let Rv { v: x, w: wx } = regs[a as usize];
-                    let (v, w) = arith::binop(op, x, wx, imm, w);
-                    regs[dst as usize] = Rv { v, w };
+                    regs[dst as usize] = arith::binop(op, regs[a as usize], imm, w);
                 }
                 &Instr::Cmp { op, dst, a, b } => {
-                    let v = arith::cmp(op, regs[a as usize].v, regs[b as usize].v);
-                    regs[dst as usize] = Rv { v: v as u64, w: 1 };
+                    regs[dst as usize] =
+                        u64::from(arith::cmp(op, regs[a as usize], regs[b as usize]));
                 }
                 &Instr::CmpImm { op, dst, a, imm } => {
-                    let v = arith::cmp(op, regs[a as usize].v, imm);
-                    regs[dst as usize] = Rv { v: v as u64, w: 1 };
+                    regs[dst as usize] = u64::from(arith::cmp(op, regs[a as usize], imm));
                 }
                 &Instr::JCmp { op, a, b, when, to } => {
-                    if arith::cmp(op, regs[a as usize].v, regs[b as usize].v) == when {
+                    if arith::cmp(op, regs[a as usize], regs[b as usize]) == when {
                         pc = to as usize;
                         continue;
                     }
@@ -347,7 +316,7 @@ impl CompiledProg {
                     when,
                     to,
                 } => {
-                    if arith::cmp(op, regs[a as usize].v, imm) == when {
+                    if arith::cmp(op, regs[a as usize], imm) == when {
                         pc = to as usize;
                         continue;
                     }

@@ -14,9 +14,12 @@ use std::collections::HashMap;
 /// What a variable name is bound to during compilation.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
+    /// A register holding a `bool`, or an integer of width `w` (the
+    /// checker's: a declared type, or the initializer's width).
     Reg {
         r: u16,
         is_bool: bool,
+        w: u32,
     },
     Obj(u16),
     /// An array-typed function parameter, resolved to its global.
@@ -28,9 +31,49 @@ enum Slot {
 /// The result of compiling one expression.
 #[derive(Debug, Clone, Copy)]
 enum Val {
-    Reg { r: u16, is_bool: bool, temp: bool },
-    Obj { o: u16, temp: bool },
+    /// Like [`Slot::Reg`]; `temp` marks storage the consumer may reuse.
+    Reg {
+        r: u16,
+        is_bool: bool,
+        w: u32,
+        temp: bool,
+    },
+    Obj {
+        o: u16,
+        temp: bool,
+    },
     Void,
+}
+
+impl Val {
+    /// A fresh `w`-bit integer temporary.
+    fn int(r: u16, w: u32) -> Val {
+        Val::Reg {
+            r,
+            is_bool: false,
+            w,
+            temp: true,
+        }
+    }
+
+    /// A fresh boolean temporary.
+    fn bool(r: u16) -> Val {
+        Val::Reg {
+            r,
+            is_bool: true,
+            w: 1,
+            temp: true,
+        }
+    }
+}
+
+/// How a value of type `ty` sits in a register: whether it is a `bool`,
+/// and its width.
+fn reg_ty(ty: Ty) -> (bool, u32) {
+    match ty {
+        Ty::Bool => (true, 1),
+        ty => (false, ty.int_width().unwrap_or(32)),
+    }
 }
 
 /// Return-value plumbing for one inlined function activation.
@@ -102,12 +145,13 @@ pub(super) fn compile_handler(
     let mut param_names = Vec::with_capacity(params.len());
     for p in params {
         let r = cc.regs.get();
-        let is_bool = p.ty == Ty::Bool;
-        binds.push(match p.ty {
-            Ty::Bool => ParamBind::Bool,
-            ty => ParamBind::Int(ty.int_width().unwrap_or(32)),
+        let (is_bool, w) = reg_ty(p.ty);
+        binds.push(if is_bool {
+            ParamBind::Bool
+        } else {
+            ParamBind::Int
         });
-        vars.insert(p.name.name.clone(), Slot::Reg { r, is_bool });
+        vars.insert(p.name.name.clone(), Slot::Reg { r, is_bool, w });
         param_names.push(p.name.name.clone());
     }
     cc.frames.push(Frame { vars, ret: None });
@@ -149,8 +193,13 @@ impl Cc<'_> {
     }
 
     fn reg_of(&self, v: Val) -> u16 {
+        self.int_of(v).0
+    }
+
+    /// A register operand and its width.
+    fn int_of(&self, v: Val) -> (u16, u32) {
         match v {
-            Val::Reg { r, .. } => r,
+            Val::Reg { r, w, .. } => (r, w),
             other => panic!("checked program used {other:?} as an integer"),
         }
     }
@@ -176,16 +225,18 @@ impl Cc<'_> {
             Val::Reg {
                 r,
                 is_bool,
+                w,
                 temp: true,
-            } => Slot::Reg { r, is_bool },
+            } => Slot::Reg { r, is_bool, w },
             Val::Reg {
                 r,
                 is_bool,
+                w,
                 temp: false,
             } => {
                 let dst = self.regs.get();
                 self.emit(Instr::Mov { dst, src: r });
-                Slot::Reg { r: dst, is_bool }
+                Slot::Reg { r: dst, is_bool, w }
             }
             Val::Obj { o, temp: true } => Slot::Obj(o),
             Val::Obj { o, temp: false } => {
@@ -217,6 +268,7 @@ impl Cc<'_> {
                         Slot::Reg {
                             r: dst,
                             is_bool: false,
+                            w: *w,
                         }
                     }
                     _ => self.bind_value(v),
@@ -237,14 +289,11 @@ impl Cc<'_> {
                     .unwrap_or_else(|| panic!("checked program assigns unbound `{}`", name.name));
                 let v = self.expr(value);
                 match slot {
-                    Slot::Reg { r: dst, is_bool } => {
+                    // The checker gives the value the variable's type, so
+                    // it already fits the variable's width.
+                    Slot::Reg { r: dst, .. } => {
                         let src = self.reg_of(v);
-                        // Ints keep the variable's width; bools just move.
-                        if is_bool {
-                            self.emit(Instr::Mov { dst, src });
-                        } else {
-                            self.emit(Instr::StoreMasked { dst, src });
-                        }
+                        self.emit(Instr::Mov { dst, src });
                     }
                     Slot::Obj(dst) => {
                         let src = match v {
@@ -338,7 +387,7 @@ impl Cc<'_> {
                 let pargs: Box<[PrintArg]> = vals
                     .iter()
                     .map(|v| match *v {
-                        Val::Reg { r, is_bool, .. } => PrintArg { reg: r, is_bool },
+                        Val::Reg { r, is_bool, w, .. } => PrintArg { reg: r, is_bool, w },
                         other => panic!("checked printf arg {other:?}"),
                     })
                     .collect();
@@ -367,11 +416,7 @@ impl Cc<'_> {
                     imm: mask(*value, w),
                     w,
                 });
-                Val::Reg {
-                    r: dst,
-                    is_bool: false,
-                    temp: true,
-                }
+                Val::int(dst, w)
             }
             ExprKind::Bool(b) => {
                 let dst = self.regs.get();
@@ -380,37 +425,23 @@ impl Cc<'_> {
                     imm: *b as u64,
                     w: 1,
                 });
-                Val::Reg {
-                    r: dst,
-                    is_bool: true,
-                    temp: true,
-                }
+                Val::bool(dst)
             }
             ExprKind::Var(id) => self.var(id),
             ExprKind::Unary { op, arg } => {
                 let v = self.expr(arg);
-                let src = self.reg_of(v);
+                let (src, w) = self.int_of(v);
                 self.release(v);
                 let dst = self.regs.get();
-                let is_bool = match op {
+                match op {
                     UnOp::Not => {
                         self.emit(Instr::Not { dst, src });
-                        true
+                        return Val::bool(dst);
                     }
-                    UnOp::Neg => {
-                        self.emit(Instr::Neg { dst, src });
-                        false
-                    }
-                    UnOp::BitNot => {
-                        self.emit(Instr::BitNot { dst, src });
-                        false
-                    }
+                    UnOp::Neg => self.emit(Instr::Neg { dst, src, w }),
+                    UnOp::BitNot => self.emit(Instr::BitNot { dst, src, w }),
                 };
-                Val::Reg {
-                    r: dst,
-                    is_bool,
-                    temp: true,
-                }
+                Val::int(dst, w)
             }
             ExprKind::Binary { op, lhs, rhs } => self.binary(*op, lhs, rhs),
             ExprKind::Cast { width, arg } => {
@@ -423,11 +454,7 @@ impl Cc<'_> {
                     src,
                     w: *width,
                 });
-                Val::Reg {
-                    r: dst,
-                    is_bool: false,
-                    temp: true,
-                }
+                Val::int(dst, *width)
             }
             ExprKind::Hash { width, args } => {
                 let vals: Vec<Val> = args.iter().map(|a| self.expr(a)).collect();
@@ -441,11 +468,7 @@ impl Cc<'_> {
                     w: *width,
                     args: regs,
                 });
-                Val::Reg {
-                    r: dst,
-                    is_bool: false,
-                    temp: true,
-                }
+                Val::int(dst, *width)
             }
             ExprKind::Call { callee, args } => self.call(callee, args),
             ExprKind::BuiltinCall { builtin, args, .. } => self.builtin(*builtin, args),
@@ -455,9 +478,10 @@ impl Cc<'_> {
     fn var(&mut self, id: &Ident) -> Val {
         if let Some(slot) = self.frames.last().expect("frame").vars.get(&id.name) {
             return match *slot {
-                Slot::Reg { r, is_bool } => Val::Reg {
+                Slot::Reg { r, is_bool, w } => Val::Reg {
                     r,
                     is_bool,
+                    w,
                     temp: false,
                 },
                 Slot::Obj(o) => Val::Obj { o, temp: false },
@@ -469,23 +493,21 @@ impl Cc<'_> {
         if id.name == "SELF" {
             let dst = self.regs.get();
             self.emit(Instr::LoadSelf { dst });
-            return Val::Reg {
-                r: dst,
-                is_bool: false,
-                temp: true,
-            };
+            return Val::int(dst, 32);
         }
         if let Some(c) = self.prog.info.consts.get(&id.name) {
-            let (imm, w, is_bool) = match c.ty {
-                Ty::Bool => ((c.value != 0) as u64, 1, true),
-                Ty::Int(w) => (c.value, w, false),
-                _ => (c.value, 32, false),
+            let (is_bool, w) = reg_ty(c.ty);
+            let imm = if is_bool {
+                u64::from(c.value != 0)
+            } else {
+                c.value
             };
             let dst = self.regs.get();
             self.emit(Instr::Const { dst, imm, w });
             return Val::Reg {
                 r: dst,
                 is_bool,
+                w,
                 temp: true,
             };
         }
@@ -528,32 +550,22 @@ impl Cc<'_> {
             });
             self.release(r);
             self.patch(j);
-            return Val::Reg {
-                r: dst,
-                is_bool: true,
-                temp: true,
-            };
+            return Val::bool(dst);
         }
         let l = self.expr(lhs);
         let r = self.expr(rhs);
-        let (a, b) = (self.reg_of(l), self.reg_of(r));
+        // The result has the left operand's width: the checker gives
+        // both operands one width, except a shift's count.
+        let ((a, w), b) = (self.int_of(l), self.reg_of(r));
         self.release(l);
         self.release(r);
         let dst = self.regs.get();
         if op.is_comparison() {
             self.emit(Instr::Cmp { op, dst, a, b });
-            Val::Reg {
-                r: dst,
-                is_bool: true,
-                temp: true,
-            }
+            Val::bool(dst)
         } else {
-            self.emit(Instr::Bin { op, dst, a, b });
-            Val::Reg {
-                r: dst,
-                is_bool: false,
-                temp: true,
-            }
+            self.emit(Instr::Bin { op, dst, a, b, w });
+            Val::int(dst, w)
         }
     }
 
@@ -602,14 +614,14 @@ impl Cc<'_> {
         let ret_slot = match ret_ty {
             Ty::Void => Slot::Void,
             Ty::Event | Ty::Group => Slot::Obj(self.objs.get()),
-            Ty::Bool => Slot::Reg {
-                r: self.regs.get(),
-                is_bool: true,
-            },
-            _ => Slot::Reg {
-                r: self.regs.get(),
-                is_bool: false,
-            },
+            ty => {
+                let (is_bool, w) = reg_ty(ty);
+                Slot::Reg {
+                    r: self.regs.get(),
+                    is_bool,
+                    w,
+                }
+            }
         };
         self.frames.push(Frame {
             vars,
@@ -625,9 +637,10 @@ impl Cc<'_> {
         }
         self.depth -= 1;
         match ret_slot {
-            Slot::Reg { r, is_bool } => Val::Reg {
+            Slot::Reg { r, is_bool, w } => Val::Reg {
                 r,
                 is_bool,
+                w,
                 temp: true,
             },
             Slot::Obj(o) => Val::Obj { o, temp: true },
@@ -663,6 +676,7 @@ impl Cc<'_> {
             | Builtin::ArraySetm
             | Builtin::ArrayUpdate => {
                 let gid = self.resolve_array(&args[0]).0 as u32;
+                let cell_w = self.pools.arrays[gid as usize].width;
                 let iv = self.expr(&args[1]);
                 let idx = self.reg_of(iv);
                 // Every array op checks its own index. The walker checks
@@ -675,11 +689,7 @@ impl Cc<'_> {
                     Builtin::ArrayGet => {
                         let dst = self.regs.get();
                         self.emit(Instr::ArrGet { dst, gid, idx });
-                        Val::Reg {
-                            r: dst,
-                            is_bool: false,
-                            temp: true,
-                        }
+                        Val::int(dst, cell_w)
                     }
                     Builtin::ArrayGetm => {
                         let memop = self.memop_id(&args[2]);
@@ -694,11 +704,7 @@ impl Cc<'_> {
                             memop,
                             local,
                         });
-                        Val::Reg {
-                            r: dst,
-                            is_bool: false,
-                            temp: true,
-                        }
+                        Val::int(dst, cell_w)
                     }
                     Builtin::ArraySet => {
                         let vv = self.expr(&args[2]);
@@ -738,11 +744,7 @@ impl Cc<'_> {
                             setop,
                             setarg,
                         });
-                        Val::Reg {
-                            r: dst,
-                            is_bool: false,
-                            temp: true,
-                        }
+                        Val::int(dst, cell_w)
                     }
                     _ => unreachable!(),
                 };
@@ -774,32 +776,14 @@ impl Cc<'_> {
                 self.release(gv);
                 Val::Obj { o: obj, temp: true }
             }
-            Builtin::SysTime => {
+            Builtin::SysTime | Builtin::SysSelf | Builtin::SysPort => {
                 let dst = self.regs.get();
-                self.emit(Instr::LoadTime { dst });
-                Val::Reg {
-                    r: dst,
-                    is_bool: false,
-                    temp: true,
-                }
-            }
-            Builtin::SysSelf => {
-                let dst = self.regs.get();
-                self.emit(Instr::LoadSelf { dst });
-                Val::Reg {
-                    r: dst,
-                    is_bool: false,
-                    temp: true,
-                }
-            }
-            Builtin::SysPort => {
-                let dst = self.regs.get();
-                self.emit(Instr::LoadPort { dst });
-                Val::Reg {
-                    r: dst,
-                    is_bool: false,
-                    temp: true,
-                }
+                self.emit(match builtin {
+                    Builtin::SysTime => Instr::LoadTime { dst },
+                    Builtin::SysSelf => Instr::LoadSelf { dst },
+                    _ => Instr::LoadPort { dst },
+                });
+                Val::int(dst, 32)
             }
         }
     }

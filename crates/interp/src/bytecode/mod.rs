@@ -37,13 +37,13 @@
 //!
 //! # The ISA
 //!
-//! * **Registers** (`r0`, `r1`, ...) hold a 64-bit value *and its bit
-//!   width*. The reference walker gives every integer a dynamic width
-//!   (literals default to 32 bits regardless of what the checker
-//!   inferred, binary operators take the wider operand, casts re-mask),
-//!   so widths travel with values at runtime rather than being guessed
-//!   at compile time — this is what makes the two engines agree bit for
-//!   bit even on width-mixing programs.
+//! * **Registers** (`r0`, `r1`, ...) hold a bare 64-bit value, always
+//!   within its width. Widths are the checker's, fixed before anything
+//!   runs: lowering reads each one off the checked AST (a literal's
+//!   width, a declared type, a cell, hash or cast width) and writes it
+//!   into the instructions that mask (`Bin`, `BinImm`, `Neg`, `BitNot`,
+//!   `MaskW`, `Hash`), so nothing re-decides a width per instruction.
+//!   The walker still carries widths with its values, as the oracle.
 //! * **Object slots** (`o0`, `o1`, ...) hold event values and multicast
 //!   groups — things a register cannot.
 //! * **Handlers** are straight-line code with forward jumps only (Lucid
@@ -154,20 +154,6 @@ impl OptLevel {
     }
 }
 
-/// A register value: the payload and its current bit width (the same
-/// pair [`Value::Int`](crate::value::Value) carries in the walker).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Rv {
-    pub v: u64,
-    pub w: u32,
-}
-
-impl Default for Rv {
-    fn default() -> Self {
-        Rv { v: 0, w: 32 }
-    }
-}
-
 /// An object slot: an event value, a multicast group, or empty.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) enum Obj {
@@ -177,12 +163,14 @@ pub(crate) enum Obj {
     Group(Vec<u64>),
 }
 
-/// One printf argument: which register, and whether the walker would
-/// have held a `bool` there (bools print as `true`/`false`).
+/// One printf argument: which register, whether the walker would have
+/// held a `bool` there (bools print as `true`/`false`), and otherwise
+/// the integer's width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrintArg {
     reg: u16,
     is_bool: bool,
+    w: u32,
 }
 
 /// One bytecode instruction. `dst`/`a`/`b`/... index registers; `obj`
@@ -192,52 +180,50 @@ pub struct PrintArg {
 /// peephole pass fuses them out of the raw patterns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Instr {
-    /// `r[dst] = (imm, w)`.
+    /// `r[dst] = imm`; `imm` fits `w`, which only the verifier reads.
     Const {
         dst: u16,
         imm: u64,
         w: u32,
     },
-    /// `r[dst] = r[src]` (value and width).
+    /// `r[dst] = r[src]`.
     Mov {
         dst: u16,
         src: u16,
     },
-    /// `r[dst] = mask(r[src], r[dst].w)` — assignment keeps the
-    /// destination variable's width, as the walker does.
-    StoreMasked {
-        dst: u16,
-        src: u16,
-    },
-    /// `r[dst] = (r[src] != 0, 1)` — normalize to a boolean.
+    /// `r[dst] = r[src] != 0` — normalize to a boolean.
     BoolOf {
         dst: u16,
         src: u16,
     },
-    /// `r[dst] = (r[src] == 0, 1)` — logical not.
+    /// `r[dst] = r[src] == 0` — logical not.
     Not {
         dst: u16,
         src: u16,
     },
-    /// `r[dst] = mask(-r[src], r[src].w)`.
+    /// `r[dst] = mask(-r[src], w)`.
     Neg {
         dst: u16,
         src: u16,
+        w: u32,
     },
-    /// `r[dst] = mask(!r[src], r[src].w)`.
+    /// `r[dst] = mask(!r[src], w)`.
     BitNot {
         dst: u16,
         src: u16,
+        w: u32,
     },
-    /// Arithmetic/bitwise/shift op; result width is the wider operand's.
+    /// Arithmetic/bitwise/shift op at result width `w`: both operands'
+    /// width, or a shift's left operand's.
     Bin {
         op: BinOp,
         dst: u16,
         a: u16,
         b: u16,
+        w: u32,
     },
-    /// Fused `Const` + `Bin`: `r[dst] = r[a] op (imm, w)`. Identical
-    /// width/masking rules to `Bin` with a `(imm, w)` right operand.
+    /// Fused `Const` + `Bin`: `r[dst] = r[a] op imm` at result width
+    /// `w`, exactly as `Bin`. A shift's `imm` is its count, of any size.
     BinImm {
         op: BinOp,
         dst: u16,
@@ -252,20 +238,20 @@ pub enum Instr {
         a: u16,
         b: u16,
     },
-    /// Fused `Const` + `Cmp`: `r[dst] = (r[a] op imm, 1)`.
+    /// Fused `Const` + `Cmp`: `r[dst] = r[a] op imm`.
     CmpImm {
         op: BinOp,
         dst: u16,
         a: u16,
         imm: u64,
     },
-    /// `r[dst] = (mask(r[src], w), w)` — cast / typed-local write.
+    /// `r[dst] = mask(r[src], w)` — cast / typed-local write.
     MaskW {
         dst: u16,
         src: u16,
         w: u32,
     },
-    /// `r[dst] = (hash<<w>>(args[0]; args[1..]), w)`.
+    /// `r[dst] = hash<<w>>(args[0]; args[1..])`.
     Hash {
         dst: u16,
         w: u32,
@@ -308,7 +294,7 @@ pub enum Instr {
         gid: u32,
         idx: u16,
     },
-    /// `r[dst] = (cells[r[idx]], cell_w)`. This op and the four below
+    /// `r[dst] = mask(cells[r[idx]], cell_w)`. This op and the four below
     /// fault on an out-of-range `r[idx]` themselves.
     ArrGet {
         dst: u16,
@@ -321,7 +307,7 @@ pub enum Instr {
         idx: u16,
         val: u16,
     },
-    /// `r[dst] = (mask(memop(cell, r[local]), cell_w), cell_w)`.
+    /// `r[dst] = mask(memop(cell, r[local]), cell_w)`.
     ArrGetm {
         dst: u16,
         gid: u32,
@@ -381,15 +367,15 @@ pub enum Instr {
     Generate {
         obj: u16,
     },
-    /// `r[dst] = (switch_id, 32)`.
+    /// `r[dst] = switch_id`.
     LoadSelf {
         dst: u16,
     },
-    /// `r[dst] = (mask(now_ns / 1000, 32), 32)`.
+    /// `r[dst] = mask(now_ns / 1000, 32)`.
     LoadTime {
         dst: u16,
     },
-    /// `r[dst] = (0, 32)` — `Sys.port()` is always 0 in the simulator.
+    /// `r[dst] = 0` — `Sys.port()` is always 0 in the simulator.
     LoadPort {
         dst: u16,
     },
@@ -405,9 +391,9 @@ pub enum Instr {
 /// How one handler parameter binds into its register at dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ParamBind {
-    /// `(raw, w)` — raw values arrive pre-masked from the scheduler.
-    Int(u32),
-    /// `(raw != 0, 1)` — the walker's `value_of(Ty::Bool, raw)`.
+    /// `raw` — every entry masks an argument to its parameter's width.
+    Int,
+    /// `raw != 0` — the walker's `value_of(Ty::Bool, raw)`.
     Bool,
 }
 

@@ -8,10 +8,14 @@
 //! whole-span linear-scan register intervals sound (no dynamic path can
 //! revisit an earlier pc), and bounds every rewrite loop.
 //!
+//! Liveness is plain def/use: registers hold bare values and every
+//! width is an instruction operand, so no instruction reads the
+//! register it writes.
+//!
 //! The peephole pass fuses adjacent pairs into single
 //! superinstructions, iterated to a fixpoint (which is what makes the
 //! pass idempotent — a property the tests assert): `Const`+`Bin`/`Cmp`
-//! (const-operand arithmetic), and `Cmp`/`CmpImm`/`BoolOf`/`Not`
+//! (const-operand arithmetic, keeping the `Bin`'s width), and `Cmp`/`CmpImm`/`BoolOf`/`Not`
 //! followed by a conditional jump (compare-and-branch). Pairs fuse only
 //! when the intermediate register is dead afterwards and the second
 //! instruction is not a jump target. Bounds checks are not its
@@ -40,7 +44,6 @@ pub(super) fn def(i: &Instr) -> Option<u16> {
     match i {
         Instr::Const { dst, .. }
         | Instr::Mov { dst, .. }
-        | Instr::StoreMasked { dst, .. }
         | Instr::BoolOf { dst, .. }
         | Instr::Not { dst, .. }
         | Instr::Neg { dst, .. }
@@ -61,8 +64,7 @@ pub(super) fn def(i: &Instr) -> Option<u16> {
     }
 }
 
-/// Invoke `f` on every register an instruction reads. `StoreMasked`
-/// reads its destination's current width, so its `dst` counts as a use.
+/// Invoke `f` on every register an instruction reads.
 pub(super) fn uses(i: &Instr, f: &mut impl FnMut(u16)) {
     match i {
         Instr::Const { .. }
@@ -81,10 +83,6 @@ pub(super) fn uses(i: &Instr, f: &mut impl FnMut(u16)) {
         | Instr::Neg { src, .. }
         | Instr::BitNot { src, .. }
         | Instr::MaskW { src, .. } => f(*src),
-        Instr::StoreMasked { dst, src } => {
-            f(*src);
-            f(*dst);
-        }
         Instr::Bin { a, b, .. } | Instr::Cmp { a, b, .. } => {
             f(*a);
             f(*b);
@@ -138,11 +136,10 @@ fn rewrite_regs(i: &mut Instr, map: &[u16]) {
         | Instr::LoadTime { dst }
         | Instr::LoadPort { dst } => m(dst),
         Instr::Mov { dst, src }
-        | Instr::StoreMasked { dst, src }
         | Instr::BoolOf { dst, src }
         | Instr::Not { dst, src }
-        | Instr::Neg { dst, src }
-        | Instr::BitNot { dst, src }
+        | Instr::Neg { dst, src, .. }
+        | Instr::BitNot { dst, src, .. }
         | Instr::MaskW { dst, src, .. } => {
             m(dst);
             m(src);
@@ -356,7 +353,8 @@ fn fuse(code: &mut Vec<Instr>, nregs: usize) -> bool {
         let fused: Option<Instr> = match (&code[pc], &code[pc + 1]) {
             // Const-operand arithmetic and comparison. The const's value
             // dies at the consumer (overwritten by it, or dead after).
-            (Instr::Const { dst: c, imm, w }, Instr::Bin { op, dst, a, b }) => {
+            // The fused op keeps the `Bin`'s result width.
+            (Instr::Const { dst: c, imm, .. }, Instr::Bin { op, dst, a, b, w }) => {
                 let dead = dst == c || !live_after(code, &live, pc + 1, *c);
                 if dead && b == c && a != c {
                     Some(Instr::BinImm {

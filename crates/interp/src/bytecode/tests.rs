@@ -696,6 +696,58 @@ fn verifier_rejects_classic_miscompiles() {
     });
     expect_violation(&cp, verify::codes::BAD_WIDTH);
 
+    // Class 2, continued: registers hold bare values, so every width an
+    // operator carries must be a real one, and a `BinImm`'s immediate
+    // must fit it — unless it is a shift count, which may be any size.
+    let replace_const = |make: &dyn Fn(u16) -> Instr| {
+        mutated(&prog, |h| {
+            let pc = find(h, "constant load", |i| matches!(i, Instr::Const { .. }));
+            if let Instr::Const { dst, .. } = h.code[pc] {
+                h.code[pc] = make(dst);
+            }
+        })
+    };
+    for w in [0, 65] {
+        let ops: [&dyn Fn(u16) -> Instr; 4] = [
+            &|dst| Instr::Bin {
+                op: BinOp::Add,
+                dst,
+                a: 0,
+                b: 0,
+                w,
+            },
+            &|dst| Instr::BinImm {
+                op: BinOp::Add,
+                dst,
+                a: 0,
+                imm: 0,
+                w,
+            },
+            &|dst| Instr::Neg { dst, src: 0, w },
+            &|dst| Instr::BitNot { dst, src: 0, w },
+        ];
+        for make in ops {
+            expect_violation(&replace_const(make), verify::codes::BAD_WIDTH);
+        }
+    }
+    let binimm = |op, imm| {
+        replace_const(&move |dst| Instr::BinImm {
+            op,
+            dst,
+            a: 0,
+            imm,
+            w: 8,
+        })
+    };
+    expect_violation(&binimm(BinOp::Add, 0x1ff), verify::codes::BAD_WIDTH);
+    for op in [BinOp::Shl, BinOp::Shr] {
+        assert_eq!(
+            binimm(op, 40).verify(),
+            vec![],
+            "a shift count may pass the width"
+        );
+    }
+
     // Class 3: a destination outside the register frame — the regalloc
     // bug class (a rename map entry pointing past the compacted frame).
     let cp = mutated(&prog, |h| {

@@ -16,8 +16,11 @@
 //! * **Frames** — every register and object-slot operand is inside the
 //!   declared frame ([`V0002`], [`V0003`]), so regalloc can only ever
 //!   shrink frames, never silently widen them.
-//! * **Widths** — every declared width is in `1..=64` and every
-//!   immediate fits its declared width ([`V0005`]).
+//! * **Widths** — every width an instruction carries (`Const`, `Bin`,
+//!   `BinImm`, `Neg`, `BitNot`, `MaskW`, `Hash`) is in `1..=64`, and
+//!   every immediate but a shift count fits its width ([`V0005`]):
+//!   registers hold bare values, so a constant that did not fit would
+//!   carry bits no later mask is obliged to clear.
 //! * **Control flow** — every branch target lands on an instruction
 //!   boundary inside the span, strictly forward ([`V0006`]), and the
 //!   span ends in `Halt` ([`V0007`]).
@@ -43,6 +46,7 @@
 
 use super::{opt, CompiledProg, HandlerCode, Instr};
 use lucid_check::mask;
+use lucid_frontend::ast::BinOp;
 use lucid_frontend::diag::{Diagnostic, Diagnostics};
 use std::fmt;
 
@@ -344,30 +348,27 @@ impl Verifier<'_> {
     }
 
     fn check_widths(&mut self, pc: usize, i: &Instr) {
-        let mut width = |w: u32| {
-            if !(1..=64).contains(&w) {
-                self.out.push(Violation {
-                    code: codes::BAD_WIDTH,
-                    pass: self.pass,
-                    handler: self.h.name.clone(),
-                    pc,
-                    message: format!("width {w} outside 1..=64"),
-                });
+        // A shift's immediate is its count, which need not fit `w`.
+        let (w, imm) = match i {
+            Instr::Const { imm, w, .. } => (*w, Some(*imm)),
+            Instr::BinImm { op, imm, w, .. } => {
+                (*w, (!matches!(op, BinOp::Shl | BinOp::Shr)).then_some(*imm))
             }
+            Instr::Bin { w, .. }
+            | Instr::Neg { w, .. }
+            | Instr::BitNot { w, .. }
+            | Instr::MaskW { w, .. }
+            | Instr::Hash { w, .. } => (*w, None),
+            _ => return,
         };
-        match i {
-            Instr::Const { imm, w, .. } | Instr::BinImm { imm, w, .. } => {
-                width(*w);
-                if (1..=64).contains(w) && mask(*imm, *w) != *imm {
-                    self.report(
-                        codes::BAD_WIDTH,
-                        pc,
-                        format!("immediate {imm:#x} does not fit declared width {w}"),
-                    );
-                }
-            }
-            Instr::MaskW { w, .. } | Instr::Hash { w, .. } => width(*w),
-            _ => {}
+        if !(1..=64).contains(&w) {
+            self.report(codes::BAD_WIDTH, pc, format!("width {w} outside 1..=64"));
+        } else if let Some(imm) = imm.filter(|&imm| mask(imm, w) != imm) {
+            self.report(
+                codes::BAD_WIDTH,
+                pc,
+                format!("immediate {imm:#x} does not fit declared width {w}"),
+            );
         }
     }
 

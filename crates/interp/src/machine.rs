@@ -477,7 +477,7 @@ pub(crate) struct Shard {
     /// buffers here and the dispatched event's buffer retires here.
     pub(crate) arena: ArgArena,
     /// Reusable bytecode register / object-slot / hash-argument buffers.
-    pub(crate) bc_regs: Vec<crate::bytecode::Rv>,
+    pub(crate) bc_regs: Vec<u64>,
     pub(crate) bc_objs: Vec<crate::bytecode::Obj>,
     pub(crate) bc_hash: Vec<u64>,
     /// Reusable walker buffer (it shares `bc_hash`): every live
@@ -727,30 +727,47 @@ impl Exec {
         // args straight into the schedule entry: no clone, no target
         // vector. Multicast clones once per member.
         match location {
-            Location::Here => self.emit_one(shard, from, self.recirc_ns + delay, id, args),
-            Location::Switch(s) => self.emit_one(shard, s, lat_to(s) + delay, id, args),
+            Location::Here => self.emit_one(shard, from, self.recirc_ns, delay, id, args),
+            Location::Switch(s) => self.emit_one(shard, s, lat_to(s), delay, id, args),
             Location::Group(members) => {
                 // Each member gets a copy built in an arena buffer; the
                 // source buffer itself recycles once the fan-out is done.
                 for &m in &members {
                     let mut copy = shard.arena.take(args.len());
                     copy.extend_from_slice(&args);
-                    self.emit_one(shard, m, lat_to(m) + delay, id, copy);
+                    self.emit_one(shard, m, lat_to(m), delay, id, copy);
                 }
                 shard.arena.give(args);
             }
         }
     }
 
-    /// Schedule one copy of a generated event at one target, `after_ns`
-    /// (wire or recirculation latency plus the event's own delay) from
-    /// the shard's clock.
-    fn emit_one(&self, shard: &mut Shard, target: u64, after_ns: u64, id: usize, args: Vec<u64>) {
+    /// Schedule one copy of a generated event at one target, `lat_ns`
+    /// (wire or recirculation latency) plus `delay_ns` (the event's own)
+    /// from the shard's clock. An event that would land past the end of
+    /// virtual time (`u64::MAX` ns) is dropped instead.
+    fn emit_one(
+        &self,
+        shard: &mut Shard,
+        target: u64,
+        lat_ns: u64,
+        delay_ns: u64,
+        id: usize,
+        args: Vec<u64>,
+    ) {
         let from = shard.switch;
+        let at = lat_ns
+            .checked_add(delay_ns)
+            .and_then(|after| shard.now_ns.checked_add(after));
+        let Some(time_ns) = at else {
+            shard.stats.dropped += 1;
+            shard.arena.give(args);
+            return;
+        };
         shard.emit_seq += 1;
         let sched = Scheduled {
             key: Key {
-                time_ns: shard.now_ns + after_ns,
+                time_ns,
                 class: 1,
                 origin: from,
                 seq: shard.emit_seq,
@@ -1623,6 +1640,49 @@ mod tests {
             matches!(err.kind, InterpFault::IndexOutOfBounds { index: 7, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn events_past_the_end_of_virtual_time_are_dropped() {
+        let prog = checked(
+            r#"
+            global seen = new Array<<32>>(1);
+            memop plus(int m, int x) { return m + x; }
+            event tick();
+            handle tick() {
+                Array.setm(seen, 0, plus, 1);
+                generate Event.delay(tick(), 4294967295);
+            }
+            "#,
+        );
+        for engine in [
+            Engine::Sequential,
+            Engine::Sharded {
+                workers: 2,
+                epoch_ns: 0,
+            },
+        ] {
+            for exec in [ExecMode::Ast, ExecMode::Bytecode] {
+                let mut cfg = NetConfig::mesh(2);
+                cfg.engine = engine;
+                cfg.exec = exec;
+                let step = cfg.recirc_latency_ns + 4_294_967_295 * 1_000;
+                let mut i = Interp::new(&prog, cfg);
+                // The child of the first tick lands at u64::MAX - 1; its
+                // own child would land past u64::MAX.
+                for sw in [1, 2] {
+                    i.schedule(sw, u64::MAX - 1 - step, "tick", &[]).unwrap();
+                }
+                i.run_to_quiescence().unwrap();
+                let label = format!("{engine:?} {exec:?}");
+                assert_eq!((i.stats.handled, i.stats.dropped), (4, 2), "{label}");
+                assert_eq!(i.pending(), 0, "{label}");
+                assert_eq!(i.now_ns, u64::MAX - 1, "{label}");
+                for sw in [1, 2] {
+                    assert_eq!(i.array(sw, "seen"), vec![2], "{label}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -508,9 +508,11 @@ impl Walk<'_> {
             Expr::Group(members) => Value::Group(members.to_vec()),
             Expr::Unary(UnOp::Not, arg) => Value::Bool(!self.bool(arg)?),
             Expr::Unary(op, arg) => {
-                let (a, w) = self.operand(arg)?;
-                let (v, width) = arith::unop(*op, a, w);
-                Value::Int { v, width }
+                let (a, width) = self.operand(arg)?;
+                Value::Int {
+                    v: arith::unop(*op, a, width),
+                    width,
+                }
             }
             // The logical connectives short-circuit.
             Expr::Binary(BinOp::And, lhs, rhs) => Value::Bool(self.bool(lhs)? && self.bool(rhs)?),
@@ -518,11 +520,17 @@ impl Walk<'_> {
             Expr::Binary(op, lhs, rhs) => {
                 let (a, wa) = self.operand(lhs)?;
                 let (b, wb) = self.operand(rhs)?;
+                debug_assert!(
+                    wa == wb || matches!(op, BinOp::Shl | BinOp::Shr),
+                    "checked: the operands of `{op}` have one width (E0403), got {wa} and {wb}"
+                );
                 if op.is_comparison() {
                     Value::Bool(arith::cmp(*op, a, b))
                 } else {
-                    let (v, width) = arith::binop(*op, a, wa, b, wb);
-                    Value::Int { v, width }
+                    Value::Int {
+                        v: arith::binop(*op, a, b, wa),
+                        width: wa,
+                    }
                 }
             }
             Expr::Cast(width, arg) => Value::int(self.int(arg)?, *width),

@@ -632,6 +632,39 @@ const ROWS: &[Row] = &[
         "#,
         ),
     },
+    // An `int<<8>>` argument injected as 300 arrives as 44. Bytecode
+    // assigns it to the local with a plain move (the walker re-masks,
+    // as the oracle): a value never leaves its width. Each operator
+    // then wraps at the local's 8 bits (704 -> 192, 299 -> 43) before
+    // the cast widens it.
+    Row {
+        name: "assigned_narrow_argument_keeps_its_width",
+        src: r#"
+            global shl = new Array<<32>>(1);
+            global add = new Array<<32>>(1);
+            event go(int<<8>> b);
+            handle go(int<<8>> b) {
+                int<<8>> x = 0;
+                x = b;
+                Array.set(shl, 0, (int<<32>>) (x << 4));
+                Array.set(add, 0, (int<<32>>) (x + 255));
+            }
+        "#,
+        switches: 2,
+        schedule: &[(1, 0, "go", &[300]), (2, 10, "go", &[300])],
+        want: Want::All(
+            r#"
+            s1 shl=[192]
+            s1 add=[43]
+            s2 shl=[192]
+            s2 add=[43]
+            stats processed=2 handled=2 recirculated=0 sent_remote=0 exported=0 dropped=0 per_event=[("go", 2)]
+            trace 0ns s1 go[44]
+            trace 10ns s2 go[44]
+            fault none
+        "#,
+        ),
+    },
     // Arrays cannot be printed, whether named through an array
     // parameter or as the global itself: the checker decides it.
     Row {
