@@ -99,6 +99,14 @@ if ! awk '/#\[cfg\(test\)\]/ { exit } /arrays\[.*\]\[/ { print FILENAME ":" FNR 
   exit 1
 fi
 echo "-- bytecode array cells reached only through .get/.get_mut"
+# The differential suites' legs are listed once, in tests/src/lib.rs
+# (`lucid_tests::legs`). An `(exec, opt)` pair spelled out in a suite is
+# the mark of a hand-written leg list growing back.
+if grep -rn 'ExecMode::Ast, OptLevel::' tests/tests crates/interp/src/bytecode/tests.rs >&2; then
+  echo "static analysis: a hand-written leg list (use lucid_tests::legs)" >&2
+  exit 1
+fi
+echo "-- differential legs listed only in lucid_tests::legs"
 
 echo "== golden drift guard"
 # Regenerate the per-opt-level bytecode disassembly into a temp dir and
@@ -139,15 +147,15 @@ echo "-- disassembly stable across repeated dumps (10 apps x 2 opt levels)"
 echo "== fuzz smoke"
 # Bounded differential fuzzing: the vendored proptest shim is seeded, so
 # this is deterministic; 64 cases across the Figure-9 apps must agree
-# between the AST walker, the bytecode executor at BOTH --opt=0 and
-# --opt=2 (an optimizer miscompile cannot hide behind an equally-wrong
-# lowering, and vice versa), and the sharded engine — the opt sweep is
-# inside the test itself (tests/tests/differential.rs).
+# on every leg of the reference matrix (`lucid_tests::legs`): the AST
+# walker, the bytecode executor at BOTH --opt=0 and --opt=2 (an
+# optimizer miscompile cannot hide behind an equally-wrong lowering, and
+# vice versa), and the sharded engine (tests/tests/differential.rs).
 LUCID_FUZZ_CASES=64 cargo test -q -p lucid-tests --test differential
 # Generated programs (tests/tests/name_resolution.rs): 64 seeds per shape,
 # each a checker-accepted program whose reads and array writes must land
-# where a lexical model of the checker's scoping rule puts them, under
-# walker x bytecode O0/O2 x sequential/sharded.
+# where a lexical model of the checker's scoping rule puts them, on every
+# leg of the reference matrix.
 LUCID_FUZZ_CASES=64 cargo test -q -p lucid-tests --test name_resolution
 
 echo "== sim gate"

@@ -20,7 +20,6 @@
 //!                             `sim`: the bytecode pipeline — 0 = raw
 //!                             lowering, 2 = peephole fusion + register
 //!                             allocation (default)
-//!   --no-opt                  alias for --opt=0 (`compile`/`stages` only)
 //!   --lint                    run the lint pass (`check`/`compile`): style
 //!                             and dead-state warnings with stable W05xx
 //!                             codes, reported like any other warnings
@@ -78,7 +77,7 @@ const EXIT_DIAGNOSTICS: u8 = 1;
 const EXIT_USAGE: u8 = 2;
 
 const USAGE: &str = "usage: lucidc <check|compile|stages> [--emit=ast|ir|layout|p4] \
-[--target=tofino|pisa] [--opt=0|2] [--no-opt] [--lint] [--deny-lints] \
+[--target=tofino|pisa] [--opt=0|2] [--lint] [--deny-lints] \
 [--json-diagnostics] <file.lucid>\n       \
 lucidc sim [--engine=sequential|sharded] [--workers=N] [--exec=ast|bytecode] \
 [--opt=0|2] [--seed=S] [--events=N] [--gen=<spec>] [--verify-bytecode] \
@@ -577,7 +576,6 @@ fn parse_options(cmd: &str, args: &[String]) -> Result<Options, String> {
     let mut emit = Emit::P4;
     let mut target = PipelineSpec::tofino();
     let mut opt: Option<OptLevel> = None;
-    let mut no_opt = false;
     let mut lint = false;
     let mut deny_lints = false;
     let mut json_diagnostics = false;
@@ -608,13 +606,6 @@ fn parse_options(cmd: &str, args: &[String]) -> Result<Options, String> {
                 "pisa" => PipelineSpec::idealized_pisa(),
                 other => return Err(format!("unknown --target value `{other}`")),
             };
-        } else if a == "--no-opt" {
-            if cmd == "check" {
-                return Err(
-                    "`--no-opt` has no effect on `check` (the backend does not run)".to_string(),
-                );
-            }
-            no_opt = true;
         } else if let Some(v) = a.strip_prefix("--opt=") {
             if cmd == "check" {
                 return Err(
@@ -642,12 +633,9 @@ fn parse_options(cmd: &str, args: &[String]) -> Result<Options, String> {
             file = Some(a.clone());
         }
     }
-    if no_opt && opt.is_some() {
-        return Err("pass either `--no-opt` or `--opt=N`, not both".to_string());
-    }
     // One flag story across backends: level 0 disables the P4 IR
     // clean-up pass; 2 (the default) enables it.
-    let optimize = !no_opt && opt.unwrap_or_default() != OptLevel::O0;
+    let optimize = opt.unwrap_or_default() != OptLevel::O0;
     let file = file.ok_or_else(|| "missing <file.lucid>".to_string())?;
     Ok(Options {
         emit,
@@ -854,7 +842,7 @@ mod tests {
             &[
                 "--emit=layout".into(),
                 "--target=pisa".into(),
-                "--no-opt".into(),
+                "--opt=0".into(),
                 "f.lucid".into(),
             ],
         )
@@ -869,20 +857,17 @@ mod tests {
 
     #[test]
     fn opt_levels_unify_with_no_opt() {
-        // `--opt=0` is `--no-opt`; 2 leaves the backend pass on.
+        // `--opt=0` turns the backend pass off; 2 leaves it on.
         let o = parse_options("compile", &["--opt=0".into(), "f".into()]).unwrap();
         assert!(!o.optimize);
         let o = parse_options("compile", &["--opt=2".into(), "f".into()]).unwrap();
         assert!(o.optimize, "--opt=2");
         let o = parse_options("compile", &["f".into()]).unwrap();
         assert!(o.optimize, "default is optimized");
-        // The two spellings conflict rather than silently racing.
-        assert!(parse_options(
-            "compile",
-            &["--no-opt".into(), "--opt=2".into(), "f".into()]
-        )
-        .is_err());
-        for bad in ["--opt=1", "--opt=3", "--opt=02"] {
+        // The last `--opt` wins.
+        let o = parse_options("compile", &["--opt=0".into(), "--opt=2".into(), "f".into()]);
+        assert!(o.unwrap().optimize, "--opt=0 --opt=2");
+        for bad in ["--opt=1", "--opt=3", "--opt=02", "--no-opt"] {
             assert!(
                 parse_options("compile", &[bad.into(), "f".into()]).is_err(),
                 "{bad}"
@@ -1031,12 +1016,12 @@ mod tests {
     fn inapplicable_flags_rejected_per_subcommand() {
         assert!(parse_options("check", &["--emit=ast".into(), "f".into()]).is_err());
         assert!(parse_options("stages", &["--emit=ast".into(), "f".into()]).is_err());
-        assert!(parse_options("check", &["--no-opt".into(), "f".into()]).is_err());
+        assert!(parse_options("check", &["--opt=0".into(), "f".into()]).is_err());
         assert!(parse_options("check", &["--target=pisa".into(), "f".into()]).is_err());
         // stages legitimately uses the backend: target and opt apply.
         assert!(parse_options(
             "stages",
-            &["--no-opt".into(), "--target=pisa".into(), "f".into()]
+            &["--opt=0".into(), "--target=pisa".into(), "f".into()]
         )
         .is_ok());
         assert!(parse_options("check", &["--json-diagnostics".into(), "f".into()]).is_ok());

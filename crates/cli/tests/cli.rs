@@ -118,7 +118,7 @@ fn emit_variants_produce_artifacts() {
 fn no_opt_and_target_flags_are_accepted() {
     let f = write_temp("flags.lucid", GOOD);
     let path = f.to_str().unwrap();
-    let out = lucidc(&["stages", "--no-opt", "--target=pisa", path]);
+    let out = lucidc(&["stages", "--opt=0", "--target=pisa", path]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let s = String::from_utf8_lossy(&out.stdout);
     assert!(s.contains("total stages:"), "{s}");
@@ -558,12 +558,17 @@ fn opt_flag_unifies_both_backends() {
         "opt levels disagree on state: {digests:?}"
     );
 
-    // Conflicts and bad values are usage errors (exit 2), and the
-    // usage text documents the unified flag. Level 1 is gone, and
-    // `sim` spells level 0 only as `--opt=0` (`--no-opt` is the
-    // backend's flag).
+    // A repeated flag is not a conflict: the last `--opt` wins.
+    let out = lucidc(&["compile", "--opt=0", "--opt=2", path]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(out.stdout, lucidc(&["compile", "--opt=2", path]).stdout);
+
+    // Bad values are usage errors (exit 2), and the usage text
+    // documents the unified flag. Level 1 is gone, and `--opt=0` is
+    // the only spelling of level 0 (`--no-opt` is gone everywhere).
     for args in [
-        vec!["compile", "--no-opt", "--opt=2", "x.lucid"],
+        vec!["compile", "--no-opt", "x.lucid"],
+        vec!["stages", "--no-opt", "x.lucid"],
         vec!["compile", "--opt=1", "x.lucid"],
         vec!["sim", "--opt=1", "a", "b"],
         vec!["sim", "--no-opt", "a", "b"],

@@ -1,7 +1,8 @@
-//! The operator table, four ways: every binary and unary operator at
-//! widths {1, 8, 31, 32, 33, 63, 64} over the edge values {0, 1,
-//! 2^(w-1), 2^w - 1} (and, for shift counts, w - 1 and w), computed by
-//! the `const` folder, the AST walker and bytecode at O0 and O2.
+//! The operator table, every way it is computed: every binary and unary
+//! operator at widths {1, 8, 31, 32, 33, 63, 64} over the edge values
+//! {0, 1, 2^(w-1), 2^w - 1} (and, for shift counts, w - 1 and w),
+//! computed by the `const` folder and on every leg of the reference
+//! matrix (`lucid_tests::legs`).
 //!
 //! Every evaluator calls `lucid_check::arith`, so none of them is an
 //! independent reference any more. The expected values come from
@@ -15,7 +16,7 @@
 //! one side and an `int<<w>>` argument on the other).
 
 use lucid_check::parse_and_check;
-use lucid_interp::{ExecMode, Interp, NetConfig, OptLevel};
+use lucid_tests::{legs, observe, Limits, Schedule};
 use std::fmt::Write as _;
 
 const WIDTHS: [u32; 7] = [1, 8, 31, 32, 33, 63, 64];
@@ -254,30 +255,23 @@ fn constant_division_by_zero_stays_a_diagnostic() {
 
 #[test]
 fn executors_match_the_model_at_every_width() {
-    let mut legs = vec![(ExecMode::Ast, OptLevel::O2)];
-    legs.extend([OptLevel::O0, OptLevel::O2].map(|l| (ExecMode::Bytecode, l)));
     for w in WIDTHS {
         let src = run_program(w);
         let prog = parse_and_check(&src).unwrap_or_else(|ds| panic!("int<<{w}>>: {ds}\n{src}"));
-        for &(exec, opt) in &legs {
-            let mut cfg = NetConfig::single();
-            cfg.exec = exec;
-            cfg.opt = opt;
-            let mut sim = Interp::new(&prog, cfg);
-            let args = edges(w);
-            for (t, &a) in args.iter().enumerate() {
-                sim.schedule(1, t as u64 * 10, "go", &[a]).unwrap();
-            }
-            sim.run_to_quiescence().unwrap();
-            let mut got = sim.output.iter();
+        let args = edges(w);
+        let schedule = args.iter().enumerate().fold(Schedule::new(), |s, (t, &a)| {
+            s.event(1, t as u64 * 10, "go", &[a])
+        });
+        for leg in legs() {
+            let obs = observe(&prog, 1, leg, &schedule, Limits::QUIESCE);
+            assert_eq!(obs.fault, None, "int<<{w}>> [{leg}]");
+            let mut got = obs.output.iter();
             for &a in &args {
                 for (want, b) in expected_lines(a, w).iter().zip(counts(w)) {
                     assert_eq!(
                         got.next(),
                         Some(want),
-                        "int<<{w}>> x={a} b={b} [{}/O{}]; per op: x op b, b op x, top bit",
-                        exec.label(),
-                        opt.label()
+                        "int<<{w}>> x={a} b={b} [{leg}]; per op: x op b, b op x, top bit"
                     );
                 }
             }
@@ -307,18 +301,15 @@ fn connectives_and_not_match_the_model() {
         .iter()
         .map(|&(x, y)| format!("{} {} {} {} {}", x && y, x || y, x == y, x != y, !x))
         .collect();
-    let mut legs = vec![(ExecMode::Ast, OptLevel::O2)];
-    legs.extend([OptLevel::O0, OptLevel::O2].map(|l| (ExecMode::Bytecode, l)));
-    for (exec, opt) in legs {
-        let mut cfg = NetConfig::single();
-        cfg.exec = exec;
-        cfg.opt = opt;
-        let mut sim = Interp::new(&prog, cfg);
-        for (t, &(x, y)) in pairs.iter().enumerate() {
-            sim.schedule(1, t as u64 * 10, "go", &[x.into(), y.into()])
-                .unwrap();
-        }
-        sim.run_to_quiescence().unwrap();
-        assert_eq!(sim.output, want, "[{}/O{}]", exec.label(), opt.label());
+    let schedule = pairs
+        .iter()
+        .enumerate()
+        .fold(Schedule::new(), |s, (t, &(x, y))| {
+            s.event(1, t as u64 * 10, "go", &[x.into(), y.into()])
+        });
+    for leg in legs() {
+        let obs = observe(&prog, 1, leg, &schedule, Limits::QUIESCE);
+        assert_eq!(obs.fault, None, "[{leg}]");
+        assert_eq!(obs.output, want, "[{leg}]");
     }
 }

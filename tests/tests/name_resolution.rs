@@ -10,9 +10,9 @@
 //! Every value read lands in `out[k]` through a `report(k, v)` event (its
 //! own handler, so probes never meet the ordered-state rule), and every
 //! array-position name shows as the global an `Array.set` writes. The
-//! program runs under the walker and bytecode at O0/O2, sequential and
-//! sharded at two workers; each run must equal the model on the arrays
-//! and the first run on everything observable.
+//! program runs on every leg of the reference matrix
+//! (`lucid_tests::legs`); every leg must equal the walker on everything
+//! observable, and the walker the model on the arrays.
 //!
 //! Two shapes, one property each:
 //! * blocks — a handler of nested and sibling blocks that redeclare
@@ -27,16 +27,9 @@
 //! case count (CI's fuzz smoke runs 64).
 
 use lucid_check::parse_and_check;
-use lucid_interp::{Engine, ExecMode, Interp, NetConfig, OptLevel};
+use lucid_tests::{cases, legs, observe_legs, Limits, Schedule};
 use proptest::prelude::*;
 use std::fmt::Write as _;
-
-fn cases() -> u32 {
-    std::env::var("LUCID_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32)
-}
 
 const SWITCHES: u64 = 3;
 const CELLS: u64 = 8;
@@ -736,83 +729,44 @@ fn show(world: &World) -> String {
 
 // ---------------------------------------------------------------- runs
 
-/// The final arrays, and everything else observable.
-fn observe(
-    src: &str,
-    schedule: &[(u64, u64, u64)],
-    engine: Engine,
-    exec: ExecMode,
-    opt: OptLevel,
-) -> (String, String) {
-    let prog = parse_and_check(src).expect("accepted once already");
-    let mut cfg = NetConfig::mesh(SWITCHES);
-    cfg.engine = engine;
-    cfg.exec = exec;
-    cfg.opt = opt;
-    let mut sim = Interp::new(&prog, cfg);
-    for (sw, t, p) in schedule {
-        sim.schedule(*sw, *t, "go", &[*p]).expect("schedule");
-    }
-    let res = sim.run(10_000, u64::MAX);
-    let world: World = (1..=SWITCHES)
-        .map(|s| {
-            ARRAYS
-                .iter()
-                .chain(&["out"])
-                .map(|n| sim.array(s, n).to_vec())
-                .collect()
-        })
-        .collect();
-    let st = &sim.stats;
-    let mut rest = format!(
-        "processed={} recirculated={} sent_remote={} fault={res:?}\n",
-        st.processed, st.recirculated, st.sent_remote
-    );
-    for h in &sim.trace {
-        writeln!(
-            rest,
-            "{}ns s{} {}{:?}",
-            h.time_ns, h.switch, h.event, h.args
-        )
-        .unwrap();
-    }
-    (show(&world), rest)
-}
-
+/// The model's prediction against the reference matrix: every leg must
+/// agree with the walker on everything observable, and the walker with
+/// the model on the final arrays.
 fn check(seed: u64, shape: Shape) {
     let (prog, src, schedule) = case(seed, shape);
     let want = show(&model(&prog, &schedule));
-    let sharded = Engine::Sharded {
-        workers: 2,
-        epoch_ns: 0,
-    };
-    let mut first: Option<String> = None;
-    for (engine, elabel) in [(Engine::Sequential, "sequential"), (sharded, "sharded-w2")] {
-        let mut combos = vec![(ExecMode::Ast, OptLevel::O2)];
-        combos.extend([OptLevel::O0, OptLevel::O2].map(|l| (ExecMode::Bytecode, l)));
-        for (exec, opt) in combos {
-            let (got, rest) = observe(&src, &schedule, engine, exec, opt);
-            let first = first.get_or_insert_with(|| rest.clone());
-            if got != want || rest != *first {
-                panic!(
-                    "seed {seed:#x} ({shape:?}) under {elabel}/{}/O{} differs from {}\n\
-                     --- program ---\n{src}--- schedule (switch, ns, p) ---\n{schedule:?}\n\
-                     --- model ---\n{want}--- got ---\n{got}{rest}--- first run ---\n{first}",
-                    exec.label(),
-                    opt.label(),
-                    if got != want {
-                        "the lexical model"
-                    } else {
-                        "the first run"
-                    },
-                );
-            }
-        }
-    }
+    let checked = parse_and_check(&src).expect("accepted once already");
+    let injections = schedule.iter().fold(Schedule::new(), |s, (sw, t, p)| {
+        s.event(*sw, *t, "go", &[*p])
+    });
+    let context = format!(
+        "seed {seed:#x} ({shape:?})\n--- program ---\n{src}\
+         --- schedule (switch, ns, p) ---\n{schedule:?}"
+    );
+    let reference = observe_legs(
+        &checked,
+        SWITCHES,
+        &legs(),
+        &injections,
+        Limits::events(10_000),
+        &context,
+    );
+    let world: World = (1..=SWITCHES)
+        .map(|s| {
+            let arrays = reference.arrays.iter().filter(|(sw, ..)| *sw == s);
+            arrays.map(|(.., cells)| cells.clone()).collect()
+        })
+        .collect();
+    let got = show(&world);
+    assert!(
+        got == want,
+        "{context}\n--- model ---\n{want}--- got ---\n{got}{}",
+        reference.render()
+    );
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_cases(cases(32)))]
 
     #[test]
     fn generated_blocks_resolve_lexically(seed in any::<u64>()) {

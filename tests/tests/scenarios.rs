@@ -1,11 +1,11 @@
 //! Integration tests of the scenario-driven simulation subsystem: the
 //! loader's structured diagnostics, the checked-in `*.sim.json` suite
-//! (the same files CI's sim gate runs), and sequential/sharded engine
-//! determinism on an 8-switch mesh.
+//! (the same files CI's sim gate runs), and agreement on every leg of
+//! the reference matrix, on the bundled scenarios and on an 8-switch
+//! mesh.
 
-use lucid_core::{
-    run_scenario_with, Compiler, Engine, ExecMode, Scenario, ScenarioError, SimOptions,
-};
+use lucid_core::{run_scenario_with, Compiler, Scenario, ScenarioError, SimOptions, SimReport};
+use lucid_tests::{legs, legs_with, Leg};
 use std::path::PathBuf;
 
 fn repo_root() -> PathBuf {
@@ -274,9 +274,9 @@ fn bundled_scenarios_all_pass() {
     );
 }
 
-/// Every bundled scenario must be engine-independent: identical final
-/// state digest and statistics under the sequential reference and the
-/// sharded worker-pool engine.
+/// Every bundled scenario must be leg-independent: identical final
+/// state digest, statistics and latency metrics on every leg of the
+/// reference matrix.
 #[test]
 fn bundled_scenarios_are_engine_deterministic() {
     let dir = repo_root().join("crates/apps/scenarios");
@@ -295,35 +295,11 @@ fn bundled_scenarios_are_engine_deterministic() {
                 .unwrap();
         let prog = checked(&src);
         let sc = Scenario::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let seq = run_scenario_with(
-            &prog,
-            &sc,
-            &SimOptions::new()
-                .engine(Engine::Sequential)
-                .exec(ExecMode::Ast),
-        )
-        .unwrap();
-        // Full engine x exec matrix against the sequential AST reference.
-        for engine in [
-            Engine::Sequential,
-            Engine::Sharded {
-                workers: 3,
-                epoch_ns: 0,
-            },
-        ] {
-            for exec in [ExecMode::Ast, ExecMode::Bytecode] {
-                let got =
-                    run_scenario_with(&prog, &sc, &SimOptions::new().engine(engine).exec(exec))
-                        .unwrap();
-                let combo = format!("{app} [{}/{}]", engine.label(), exec.label());
-                assert_eq!(seq.state_digest, got.state_digest, "{combo}: state differs");
-                assert_eq!(seq.stats, got.stats, "{combo}: statistics differ");
-                assert_eq!(
-                    seq.metrics.digest(),
-                    got.metrics.digest(),
-                    "{combo}: latency metrics differ"
-                );
-            }
+        let run = |leg: Leg| run_scenario_with(&prog, &sc, &leg.options(SimOptions::new()));
+        let reference = run(Leg::Walker).unwrap();
+        for leg in &legs()[1..] {
+            let got = run(*leg).unwrap();
+            same_run(&reference, &got, &format!("{app} [{leg}]"));
         }
     }
 }
@@ -331,8 +307,9 @@ fn bundled_scenarios_are_engine_deterministic() {
 // -------------------------------------------------- 8-switch determinism
 
 /// The satellite determinism gate: a cross-traffic-heavy 8-switch mesh
-/// where the sharded engine must reproduce the sequential engine's final
-/// array state exactly.
+/// where every leg, the sharded one at 2, 4 and 8 workers, must
+/// reproduce the walker's final array state, statistics and metrics
+/// exactly.
 #[test]
 fn sharded_equals_sequential_on_eight_switch_mesh() {
     let prog = checked(
@@ -368,34 +345,10 @@ fn sharded_equals_sequential_on_eight_switch_mesh() {
     ))
     .unwrap();
 
-    let seq = run_scenario_with(&prog, &sc, &SimOptions::new().engine(Engine::Sequential)).unwrap();
-    for workers in [2, 4, 8] {
-        for exec in [ExecMode::Ast, ExecMode::Bytecode] {
-            let sh = run_scenario_with(
-                &prog,
-                &sc,
-                &SimOptions::new()
-                    .engine(Engine::Sharded {
-                        workers,
-                        epoch_ns: 0,
-                    })
-                    .exec(exec),
-            )
-            .unwrap();
-            assert_eq!(
-                seq.state_digest,
-                sh.state_digest,
-                "{workers} workers ({}): final array state differs from sequential",
-                exec.label()
-            );
-            assert_eq!(seq.stats, sh.stats, "{workers} workers: stats differ");
-            assert_eq!(
-                seq.metrics.digest(),
-                sh.metrics.digest(),
-                "{workers} workers ({}): metric histograms differ from sequential",
-                exec.label()
-            );
-        }
+    let run = |leg: Leg| run_scenario_with(&prog, &sc, &leg.options(SimOptions::new()));
+    let seq = run(Leg::Walker).unwrap();
+    for leg in &legs_with(&[2, 4, 8])[1..] {
+        same_run(&seq, &run(*leg).unwrap(), &format!("mesh8 [{leg}]"));
     }
     // The workload really is distributed and cross-switch.
     assert!(seq.stats.sent_remote > 200, "{:?}", seq.stats);
@@ -411,4 +364,19 @@ fn sharded_equals_sequential_on_eight_switch_mesh() {
     assert_eq!(overall.count, seq.stats.processed);
     assert_eq!(overall.residency.count(), seq.stats.processed);
     assert_eq!(overall.dispatch.count(), 8 * 12 * 6);
+}
+
+/// Two reports of one scenario agree on the final state, the statistics
+/// and the latency metrics.
+fn same_run(reference: &SimReport, got: &SimReport, at: &str) {
+    assert_eq!(
+        reference.state_digest, got.state_digest,
+        "{at}: state differs"
+    );
+    assert_eq!(reference.stats, got.stats, "{at}: statistics differ");
+    assert_eq!(
+        reference.metrics.digest(),
+        got.metrics.digest(),
+        "{at}: latency metrics differ"
+    );
 }

@@ -7,7 +7,8 @@
 //! in the process-wide numbers it reads.
 
 use lucid_core::interp::scenario::Injection;
-use lucid_core::{CheckedProgram, Engine, ExecMode, Scenario, SimOptions, SimSession};
+use lucid_core::{CheckedProgram, Scenario, SimOptions, SimSession};
+use lucid_tests::legs_with;
 
 /// Cross-switch forwarding on a 4-switch mesh: every root spawns one
 /// child somewhere else, so buffers change shards (and, at four workers,
@@ -103,27 +104,19 @@ fn default_flood_memory_is_independent_of_its_length() {
     assert_flat("ingested in batches", &peaks);
 
     let sc = Scenario::from_json(FLOOD).expect("scenario parses");
-    let pool = Engine::Sharded {
-        workers: 4,
-        epoch_ns: 0,
-    };
-    let legs = [
-        (ExecMode::Bytecode, Engine::Sequential),
-        (ExecMode::Bytecode, pool),
-        (ExecMode::Ast, Engine::Sequential),
-        (ExecMode::Ast, pool),
-    ];
+    // The reference matrix, its sharded leg at one worker per switch.
+    let legs = legs_with(&[4]);
     // Every leg at the small size first: whatever a run needs that does
     // not depend on its length (code, shards, thread stacks, the arena,
     // the frontier) is resident before the long runs start.
     let mut peaks = Vec::new();
     for roots in [200_000u64, 2_000_000] {
         let mut digests = Vec::new();
-        for (exec, engine) in legs {
-            let opts = SimOptions::new().exec(exec).engine(engine).events(roots);
+        for &leg in &legs {
+            let opts = leg.options(SimOptions::new().events(roots));
             let mut session = SimSession::open(&prog, &sc, &opts).expect("scenario opens");
             let report = session.drain().expect("the flood quiesces");
-            assert_eq!(report.stats.processed, 2 * roots, "{exec:?} {engine:?}");
+            assert_eq!(report.stats.processed, 2 * roots, "{leg}");
             digests.push((report.state_digest, report.metrics.digest()));
         }
         assert!(

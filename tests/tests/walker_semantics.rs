@@ -7,9 +7,8 @@
 //! checker's: every literal carries the width it inferred, and every
 //! operator is `lucid_check::arith`'s, so a `const` folds to what the
 //! same expression computes at run time. Each row is a small program
-//! run under the walker and
-//! under bytecode at every opt level — on the sequential engine and,
-//! where it has two or more switches, sharded at two workers — and
+//! run on every leg of the reference matrix (`lucid_tests::legs`: the
+//! walker, bytecode at O0 and O2, and O2 sharded at two workers) and
 //! compared against a **pinned literal** of everything observable:
 //! final arrays, `Stats`, the full trace, printf lines and the fault
 //! with its location. Pinning literals (not just executor agreement) is
@@ -24,8 +23,7 @@
 //! bits beside a literal.
 
 use lucid_check::parse_and_check;
-use lucid_interp::{Engine, ExecMode, Interp, NetConfig, OptLevel};
-use std::fmt::Write as _;
+use lucid_tests::{legs, observe, Limits, Schedule};
 
 struct Row {
     name: &'static str,
@@ -44,83 +42,30 @@ enum Want {
     Rejected(&'static str),
 }
 
-/// Everything observable about a finished (or faulted) run, rendered
-/// deterministically.
-fn observe(row: &Row, engine: Engine, exec: ExecMode, opt: OptLevel) -> String {
-    let prog = parse_and_check(row.src).unwrap_or_else(|ds| panic!("{}: {ds}", row.name));
-    let mut cfg = NetConfig::mesh(row.switches);
-    cfg.engine = engine;
-    cfg.exec = exec;
-    cfg.opt = opt;
-    let mut sim = Interp::new(&prog, cfg);
-    for (sw, t, ev, args) in row.schedule {
-        sim.schedule(*sw, *t, ev, args).expect("schedule");
-    }
-    let res = sim.run(10_000, u64::MAX);
-    let mut out = String::new();
-    for s in 1..=row.switches {
-        for g in &prog.info.globals {
-            writeln!(out, "s{s} {}={:?}", g.name, sim.array(s, &g.name)).unwrap();
-        }
-    }
-    let st = &sim.stats;
-    let mut per: Vec<_> = st.per_event.iter().collect();
-    per.sort();
-    writeln!(
-        out,
-        "stats processed={} handled={} recirculated={} sent_remote={} exported={} dropped={} per_event={per:?}",
-        st.processed, st.handled, st.recirculated, st.sent_remote, st.exported, st.dropped
-    )
-    .unwrap();
-    for h in &sim.trace {
-        writeln!(
-            out,
-            "trace {}ns s{} {}{:?}",
-            h.time_ns, h.switch, h.event, h.args
-        )
-        .unwrap();
-    }
-    for line in &sim.output {
-        writeln!(out, "printf {line:?}").unwrap();
-    }
-    match res {
-        Ok(()) => writeln!(out, "fault none").unwrap(),
-        Err(e) => writeln!(out, "fault {:?} :: {e}", e.kind).unwrap(),
-    }
-    out
-}
-
 fn check_row(row: &Row) {
-    if let Want::Rejected(msg) = row.want {
-        let err = parse_and_check(row.src).expect_err(row.name).to_string();
-        assert!(err.contains(msg), "{}: diagnostic was:\n{err}", row.name);
-        return;
-    }
-    let mut engines = vec![(Engine::Sequential, "sequential")];
-    if row.switches >= 2 {
-        engines.push((
-            Engine::Sharded {
-                workers: 2,
-                epoch_ns: 0,
-            },
-            "sharded-w2",
-        ));
-    }
-    for (engine, elabel) in engines {
-        let mut combos = vec![(ExecMode::Ast, OptLevel::O2)];
-        combos.extend([OptLevel::O0, OptLevel::O2].map(|l| (ExecMode::Bytecode, l)));
-        for (exec, opt) in combos {
-            let Want::All(want) = row.want else {
-                unreachable!()
-            };
-            let got = observe(row, engine, exec, opt);
-            let label = format!("{} [{elabel}/{}/O{}]", row.name, exec.label(), opt.label());
-            assert_eq!(
-                got.trim(),
-                unindent(want).trim(),
-                "{label}\n--- got ---\n{got}"
-            );
+    let want = match row.want {
+        Want::All(want) => want,
+        Want::Rejected(msg) => {
+            let err = parse_and_check(row.src).expect_err(row.name).to_string();
+            assert!(err.contains(msg), "{}: diagnostic was:\n{err}", row.name);
+            return;
         }
+    };
+    let prog = parse_and_check(row.src).unwrap_or_else(|ds| panic!("{}: {ds}", row.name));
+    let schedule = row
+        .schedule
+        .iter()
+        .fold(Schedule::new(), |s, (sw, t, ev, args)| {
+            s.event(*sw, *t, ev, args)
+        });
+    for leg in legs() {
+        let got = observe(&prog, row.switches, leg, &schedule, Limits::events(10_000)).render();
+        assert_eq!(
+            got.trim(),
+            unindent(want).trim(),
+            "{} [{leg}]\n--- got ---\n{got}",
+            row.name
+        );
     }
 }
 

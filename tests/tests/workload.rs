@@ -1,12 +1,14 @@
 //! Integration tests of the streaming workload-generator subsystem:
-//! seed-determinism of generator scenarios across the full engine x
-//! executor matrix, lazy scaling through the `--events` override, and a
-//! property sweep over randomly drawn generator specs.
+//! seed-determinism of generator scenarios on every leg of the
+//! reference matrix (`lucid_tests::legs`), lazy scaling through the
+//! `--events` override, and a property sweep over randomly drawn
+//! generator specs.
 
 use lucid_core::{
-    run_scenario_with, ArgDist, Engine, ExecMode, GenSpec, Interp, InterpFault, NetConfig,
-    OptLevel, Phase, Scenario, SimOptions, SimReport, SimSession, Workload,
+    run_scenario_with, ArgDist, Engine, ExecMode, GenSpec, Interp, InterpFault, NetConfig, Phase,
+    Scenario, SimOptions, SimReport, SimSession, Workload,
 };
+use lucid_tests::{legs, legs_with, Leg};
 use proptest::prelude::*;
 
 /// A mesh program with cross-switch forwarding, so the sharded engine's
@@ -117,29 +119,26 @@ fn observe(sim: &Interp) -> (Vec<u8>, lucid_core::interp::Stats, usize, Vec<u64>
     )
 }
 
-/// The generated-traffic oracle: engine x worker count x executor x opt
-/// level on a cross-switch mesh, equal on every report field that is not
-/// wall-clock *and* on the full dispatch trace, the per-generator pull
-/// counters and the queue depth. The workload is uncapped and mixes one
-/// multi-switch generator with two single-switch ones, so where a source
-/// is pulled (which worker, how far ahead) must never show. The second
-/// case is the wide one — sixteen shards, two per worker at eight — that
-/// the app-level differential sweep (at most four switches) cannot reach.
+/// The generated-traffic oracle: every leg of the reference matrix, the
+/// sharded one at 2, 4 and 8 workers (and, on four switches, at a 250 ns
+/// epoch cap), on a cross-switch mesh, equal to the walker on every
+/// report field that is not wall-clock *and* on the full dispatch
+/// trace, the per-generator pull counters and the queue depth. The
+/// workload is uncapped and mixes one multi-switch generator with two
+/// single-switch ones, so where a source is pulled (which worker, how
+/// far ahead) must never show. The second case is the wide one —
+/// sixteen shards, two per worker at eight — that the app-level
+/// differential sweep (at most four switches) cannot reach.
 #[test]
 fn generator_matrix_is_bit_identical_and_seed_sensitive() {
-    let sharded = |workers, epoch_ns| Engine::Sharded { workers, epoch_ns };
-    let pool = [sharded(2, 0), sharded(4, 0), sharded(8, 0)];
-    let cases: [(u64, &[Engine]); 2] = [
-        (4, &[Engine::Sequential, pool[0], sharded(4, 250), pool[2]]),
-        (16, &pool),
-    ];
-    for (switches, engines) in cases {
+    let sharded = |workers| Engine::Sharded {
+        workers,
+        epoch_ns: 0,
+    };
+    for switches in [4, 16] {
         let (prog, sc) = mesh_case(switches);
-        let base = SimOptions::new()
-            .engine(Engine::Sequential)
-            .exec(ExecMode::Ast)
-            .record_trace(true);
-        let (reference, ref_world) = run_to_world(&prog, &sc, &base);
+        let base = SimOptions::new().record_trace(true);
+        let (reference, ref_world) = run_to_world(&prog, &sc, &Leg::Walker.options(base));
         let ref_trace = &ref_world.world().trace;
         assert_eq!(ref_world.world().source_counts(), [4000, 2000, 1500]);
         assert_eq!(ref_world.world().pending(), 0);
@@ -167,34 +166,37 @@ fn generator_matrix_is_bit_identical_and_seed_sensitive() {
         // would make the metrics-digest equality below vacuous.
         let latency = reference.metrics.overall().unwrap_or_default().dispatch;
         assert!(latency.p50() > 0, "{switches} switches: no causal chains");
-        for &engine in engines {
-            for (exec, opt) in [
-                (ExecMode::Ast, OptLevel::O2),
-                (ExecMode::Bytecode, OptLevel::O0),
-                (ExecMode::Bytecode, OptLevel::O2),
-            ] {
-                let opts = base.engine(engine).exec(exec).opt(opt);
-                let (got, world) = run_to_world(&prog, &sc, &opts);
-                let world = world.world();
-                let at = format!(
-                    "{switches} switches [{:?}/{}/O{}] vs sequential/ast",
-                    engine,
-                    exec.label(),
-                    opt.label()
-                );
-                assert_eq!(fingerprint(&reference), fingerprint(&got), "{at}");
-                assert_eq!(world.trace.len() as u64, got.stats.processed, "{at}");
-                assert!(*ref_trace == world.trace, "{at}: dispatch traces differ");
-                assert_eq!(world.source_counts(), [4000, 2000, 1500], "{at}");
-                assert_eq!(world.pending(), 0, "{at}");
-            }
+        let mut runs: Vec<(Leg, SimOptions)> = legs_with(&[2, 4, 8])[1..]
+            .iter()
+            .map(|&leg| (leg, leg.options(base)))
+            .collect();
+        if switches == 4 {
+            let capped = Engine::Sharded {
+                workers: 4,
+                epoch_ns: 250,
+            };
+            let leg = Leg::Sharded { workers: 4 };
+            runs.push((leg, leg.options(base.engine(capped))));
+        }
+        for (leg, opts) in runs {
+            let (got, world) = run_to_world(&prog, &sc, &opts);
+            let world = world.world();
+            let at = format!(
+                "{switches} switches [{leg}, {:?}] vs the walker",
+                opts.engine
+            );
+            assert_eq!(fingerprint(&reference), fingerprint(&got), "{at}");
+            assert_eq!(world.trace.len() as u64, got.stats.processed, "{at}");
+            assert!(*ref_trace == world.trace, "{at}: dispatch traces differ");
+            assert_eq!(world.source_counts(), [4000, 2000, 1500], "{at}");
+            assert_eq!(world.pending(), 0, "{at}");
         }
         // Pause every worker count at the same instant in the middle of
         // all three streams: the paused worlds — snapshot bytes included
         // — are one world. Then carry each on under a different worker
         // count (1 -> 4, 2 -> 8, 4 -> 1, 8 -> 2): every one lands on the
         // one-shot result.
-        let engines = [Engine::Sequential, pool[0], pool[1], pool[2]];
+        let engines = [Engine::Sequential, sharded(2), sharded(4), sharded(8)];
         let mut oneshot = mesh_world(&prog, &sc, Engine::Sequential);
         oneshot.run_to_quiescence().unwrap();
         assert!(
@@ -227,7 +229,7 @@ fn generator_matrix_is_bit_identical_and_seed_sensitive() {
         }
         // Same seed, same run (every row above) — different seed,
         // different traffic.
-        let reseeded = run_scenario_with(&prog, &sc, &base.seed(6)).unwrap();
+        let reseeded = run_scenario_with(&prog, &sc, &Leg::Walker.options(base).seed(6)).unwrap();
         assert_ne!(reference.state_digest, reseeded.state_digest);
         assert_eq!(
             reseeded.stats.processed, reference.stats.processed,
@@ -251,19 +253,7 @@ fn events_override_scales_lazily_and_engines_still_agree() {
     assert_eq!(injected, 60_000);
     assert_eq!(seq.gens[0].1, 32_000, "{:?}", seq.gens);
     assert_eq!(seq.gens[1].1, 16_000, "{:?}", seq.gens);
-    let sh = run_scenario_with(
-        &prog,
-        &sc,
-        &SimOptions {
-            engine: Some(Engine::Sharded {
-                workers: 3,
-                epoch_ns: 0,
-            }),
-            exec: Some(ExecMode::Bytecode),
-            ..ov
-        },
-    )
-    .unwrap();
+    let sh = run_scenario_with(&prog, &sc, &Leg::Sharded { workers: 3 }.options(ov)).unwrap();
     assert_eq!(fingerprint(&seq), fingerprint(&sh));
 }
 
@@ -315,7 +305,7 @@ fn budget_stop_mid_stream_is_engine_independent_at_one_worker() {
 }
 
 /// The bundled generator scenarios must be reproducible from their files
-/// alone: same file, same seed, same digest on every engine x executor.
+/// alone: same file, same seed, same digest on every leg.
 #[test]
 fn bundled_generator_scenarios_are_matrix_deterministic() {
     let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..");
@@ -336,34 +326,12 @@ fn bundled_generator_scenarios_are_matrix_deterministic() {
             &std::fs::read_to_string(root.join(format!("crates/apps/programs/{app}.lucid")))
                 .unwrap(),
         );
-        let reference = run_scenario_with(
-            &prog,
-            &sc,
-            &SimOptions::new()
-                .engine(Engine::Sequential)
-                .exec(ExecMode::Ast),
-        )
-        .unwrap();
+        let run = |leg: Leg| run_scenario_with(&prog, &sc, &leg.options(SimOptions::new()));
+        let reference = run(Leg::Walker).unwrap();
         assert!(reference.passed(), "{name}: {:?}", reference.mismatches);
-        for engine in [
-            Engine::Sequential,
-            Engine::Sharded {
-                workers: 2,
-                epoch_ns: 0,
-            },
-        ] {
-            for exec in [ExecMode::Ast, ExecMode::Bytecode] {
-                let got =
-                    run_scenario_with(&prog, &sc, &SimOptions::new().engine(engine).exec(exec))
-                        .unwrap();
-                assert_eq!(
-                    fingerprint(&reference),
-                    fingerprint(&got),
-                    "{name} [{}/{}]",
-                    engine.label(),
-                    exec.label()
-                );
-            }
+        for leg in &legs()[1..] {
+            let got = run(*leg).unwrap();
+            assert_eq!(fingerprint(&reference), fingerprint(&got), "{name} [{leg}]");
         }
     }
     assert!(found >= 2, "expected >= 2 bundled generator scenarios");
@@ -398,8 +366,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random generator specs (every distribution kind, random rates,
-    /// jitter, windows, phases): the engine x executor matrix must stay
-    /// bit-identical, and injection counts must satisfy the spec bounds.
+    /// jitter, windows, phases): every leg, sharded at two and three
+    /// workers, must stay bit-identical, and injection counts must
+    /// satisfy the spec bounds.
     #[test]
     fn random_generator_specs_stay_deterministic(
         switches in 1u64..=4,
@@ -444,17 +413,12 @@ proptest! {
             .collect();
         let total: u64 = gens.iter().map(|g| g.count.unwrap()).sum();
         let sc = scenario_of(switches, seed, gens);
-        let reference =
-            run_scenario_with(&prog, &sc, &SimOptions::new().engine(Engine::Sequential).exec(ExecMode::Ast)).unwrap();
+        let run = |leg: Leg| run_scenario_with(&prog, &sc, &leg.options(SimOptions::new())).unwrap();
+        let reference = run(Leg::Walker);
         let injected: u64 = reference.gens.iter().map(|(_, n)| n).sum();
         prop_assert_eq!(injected, total);
-        for (engine, exec) in [
-            (Engine::Sequential, ExecMode::Bytecode),
-            (Engine::Sharded { workers: 2, epoch_ns: 0 }, ExecMode::Ast),
-            (Engine::Sharded { workers: 3, epoch_ns: 0 }, ExecMode::Bytecode),
-        ] {
-            let got = run_scenario_with(&prog, &sc, &SimOptions::new().engine(engine).exec(exec)).unwrap();
-            prop_assert_eq!(&fingerprint(&reference), &fingerprint(&got));
+        for leg in &legs_with(&[2, 3])[1..] {
+            prop_assert_eq!(&fingerprint(&reference), &fingerprint(&run(*leg)));
         }
     }
 }
