@@ -118,14 +118,17 @@ UPDATE_GOLDEN=1 GOLDEN_DIR="$golden_tmp" \
   cargo test -q -p lucid-tests --test golden_bytecode >/dev/null
 UPDATE_GOLDEN=1 GOLDEN_DIR="$golden_tmp" \
   cargo test -q -p lucid-tests --test golden_lints >/dev/null
+UPDATE_GOLDEN=1 GOLDEN_DIR="$golden_tmp" \
+  cargo test -q -p lucid-tests --test golden_p4 >/dev/null
 if ! diff -ru tests/golden "$golden_tmp"; then
   echo "golden drift: tests/golden is stale; regenerate with" >&2
   echo "  UPDATE_GOLDEN=1 cargo test -p lucid-tests --test golden_bytecode" >&2
   echo "  UPDATE_GOLDEN=1 cargo test -p lucid-tests --test golden_lints" >&2
+  echo "  UPDATE_GOLDEN=1 cargo test -p lucid-tests --test golden_p4" >&2
   echo "and review the diff like any other code change" >&2
   exit 1
 fi
-echo "-- 30 golden listings match"
+echo "-- 40 golden listings match"
 # Disassembly stability: a listing is a pure function of the source
 # program, so dumping the same app twice at the same opt level must
 # produce byte-identical text. This catches nondeterminism the golden
