@@ -27,11 +27,16 @@ use lucid_frontend::ast::*;
 use lucid_frontend::diag::{Diagnostic, Diagnostics};
 use lucid_frontend::span::Span;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A fully checked program: the AST plus every table later phases need.
 #[derive(Debug, Clone)]
 pub struct CheckedProgram {
-    pub program: Program,
+    /// The parsed program the checker read, shared with whoever parsed it
+    /// (a `lucid_core::Build` keeps the same allocation as its parse
+    /// artifact). Every literal's `width` is set where the checker
+    /// reached it.
+    pub program: Arc<Program>,
     pub info: ProgramInfo,
     /// Validated memops by name.
     pub memops: HashMap<String, MemopIr>,
@@ -92,7 +97,7 @@ pub struct Analysis {
 /// Parse-tree in, checked program out. Runs, in order: symbol construction,
 /// memop validation, then the combined type-and-effect pass over every
 /// handler. Collects as many diagnostics as it can.
-pub fn check(program: Program) -> Result<CheckedProgram, Diagnostics> {
+pub fn check(program: impl Into<Arc<Program>>) -> Result<CheckedProgram, Diagnostics> {
     let analysis = analyze(program, &CheckOptions::default());
     match analysis.program {
         Some(p) => Ok(p),
@@ -105,7 +110,14 @@ pub fn check(program: Program) -> Result<CheckedProgram, Diagnostics> {
 /// handler's violations, and all type errors are reported in one pass.
 /// (Symbol-table errors still gate the later phases — a broken symbol table
 /// would only produce cascades.)
-pub fn analyze(program: Program, opts: &CheckOptions) -> Analysis {
+///
+/// The checker reads `program` in place: pass the `Arc` a caller already
+/// holds to share it rather than copy it. It writes only the literal
+/// widths (each a `OnceLock`, set at most once), and the width it decides
+/// depends on nothing in `opts`, so checking one program twice decides
+/// the same widths.
+pub fn analyze(program: impl Into<Arc<Program>>, opts: &CheckOptions) -> Analysis {
+    let program: Arc<Program> = program.into();
     let (info, mut diags) = ProgramInfo::build_all(&program);
     if diags.has_errors() {
         return Analysis {

