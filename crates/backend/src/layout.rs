@@ -23,7 +23,7 @@
 //! Figure 12 ratio can be reproduced, and per-stage ALU-op counts for
 //! Figure 13.
 
-use crate::ir::{AtomicTable, HandlerIr};
+use crate::ir::{AtomicTable, Cond, HandlerIr};
 use lucid_check::{CheckedProgram, GlobalId};
 use lucid_frontend::diag::{Diagnostic, Diagnostics};
 use lucid_tofino::spec::PipelineSpec;
@@ -55,7 +55,8 @@ impl Default for LayoutOptions {
 /// A placed table: which handler, which table id, which stage.
 #[derive(Debug, Clone)]
 pub struct Placement {
-    pub handler: String,
+    /// Index of the handler in the slice [`place`] was given.
+    pub handler: usize,
     pub table: usize,
     pub stage: usize,
 }
@@ -138,15 +139,18 @@ pub fn place(
     spec: &PipelineSpec,
     opts: LayoutOptions,
 ) -> Result<Layout, Diagnostics> {
+    // The data-flow graph depends only on the tables, so it is built once,
+    // outside the floor fixpoint.
+    let deps: Vec<_> = handlers
+        .iter()
+        .map(|h| handler_deps(&h.tables, opts.rearrange))
+        .collect();
     let mut floors: HashMap<GlobalId, usize> = HashMap::new();
     // Outer fixpoint on array stage floors (see module docs).
     for _round in 0..4096 {
-        match try_place(prog, handlers, spec, opts, &floors) {
+        match try_place(prog, handlers, &deps, spec, opts, &floors) {
             Ok(layout) => return Ok(layout),
             Err(PlaceError::BumpArray { array, to }) => {
-                if std::env::var_os("LUCID_LAYOUT_DEBUG").is_some() {
-                    eprintln!("layout: bump array {} to stage {to}", array.0);
-                }
                 let f = floors.entry(array).or_insert(0);
                 if to <= *f {
                     break; // no progress; fall through to hard error
@@ -181,9 +185,11 @@ enum PlaceError {
     Hard(Diagnostic),
 }
 
+/// `deps[h]` is [`handler_deps`] of `handlers[h]`.
 fn try_place(
     _prog: &CheckedProgram,
     handlers: &[HandlerIr],
+    deps: &[Vec<Vec<(usize, Edge)>>],
     spec: &PipelineSpec,
     opts: LayoutOptions,
     floors: &HashMap<GlobalId, usize>,
@@ -192,8 +198,7 @@ fn try_place(
     let mut stages: Vec<StageBuild> = Vec::new();
     let mut placements = Vec::new();
 
-    for h in handlers {
-        let deps = handler_deps(&h.tables, opts.rearrange);
+    for (hi, (h, deps)) in handlers.iter().zip(deps).enumerate() {
         // Stage of each table in this handler, by table id.
         let mut stage_of: Vec<usize> = vec![0; h.tables.len()];
         for t in &h.tables {
@@ -241,7 +246,7 @@ fn try_place(
             commit(&mut stages, stage, t, opts);
             stage_of[t.id] = stage;
             placements.push(Placement {
-                handler: h.name.clone(),
+                handler: hi,
                 table: t.id,
                 stage,
             });
@@ -276,11 +281,15 @@ fn try_place(
 
 /// Per-handler dependency edges: `deps[i]` lists `(j, edge)` with `j < i`.
 fn handler_deps(tables: &[AtomicTable], rearrange: bool) -> Vec<Vec<(usize, Edge)>> {
+    // Each table's operands, read once: the pair loop below only compares.
+    let uses: Vec<Vec<&str>> = tables.iter().map(|t| t.op.uses()).collect();
+    // Does table `k` read `var`, as an operand or as a guard key?
+    let reads = |k: usize, var: &str| {
+        uses[k].contains(&var) || tables[k].guard.iter().any(|c| c.var == var)
+    };
     let mut deps: Vec<Vec<(usize, Edge)>> = vec![Vec::new(); tables.len()];
     for (i, t) in tables.iter().enumerate() {
-        let uses: Vec<&str> = t.op.uses();
         let def = t.op.def();
-        let guard_vars: Vec<&str> = t.guard.iter().map(|c| c.var.as_str()).collect();
         for (j, p) in tables.iter().enumerate().take(i) {
             if t.excludes(p) {
                 // Mutually exclusive tables never observe each other's
@@ -290,15 +299,13 @@ fn handler_deps(tables: &[AtomicTable], rearrange: bool) -> Vec<Vec<(usize, Edge
                 continue;
             }
             let p_def = p.op.def();
-            let p_uses: Vec<&str> = p.op.uses();
-            let p_guards: Vec<&str> = p.guard.iter().map(|c| c.var.as_str()).collect();
             let mut edge: Option<Edge> = None;
             if !rearrange {
                 edge = Some(Edge::Strict);
             }
             if let Some(d) = p_def {
                 // RAW on operand or guard key.
-                if uses.contains(&d) || guard_vars.contains(&d) {
+                if reads(i, d) {
                     edge = Some(Edge::Strict);
                 }
             }
@@ -312,7 +319,7 @@ fn handler_deps(tables: &[AtomicTable], rearrange: bool) -> Vec<Vec<(usize, Edge
                 if let Some(d) = def {
                     // WAR: reader (earlier) may share the stage (it reads
                     // the incoming PHV) but must not come after the writer.
-                    if p_uses.contains(&d) || p_guards.contains(&d) {
+                    if reads(j, d) {
                         edge = Some(Edge::Weak);
                     }
                 }
@@ -327,15 +334,16 @@ fn handler_deps(tables: &[AtomicTable], rearrange: bool) -> Vec<Vec<(usize, Edge
 
 /// A stage being filled: resource stats plus merge groups.
 #[derive(Debug, Clone, Default)]
-struct StageBuild {
+struct StageBuild<'a> {
     stats: StageStats,
-    /// Merged logical tables: the set of match-key variables each carries.
-    merge_groups: Vec<Vec<String>>,
+    /// Merged logical tables: the match-key variables each carries,
+    /// borrowed from the guards of the tables placed in it.
+    merge_groups: Vec<Vec<&'a str>>,
 }
 
 /// Find the earliest stage ≥ `min_stage` with room for `t`.
 fn find_stage(
-    stages: &mut Vec<StageBuild>,
+    stages: &mut Vec<StageBuild<'_>>,
     spec: &PipelineSpec,
     opts: LayoutOptions,
     min_stage: usize,
@@ -369,28 +377,29 @@ fn find_stage(
 /// Would `t` fit into an existing merge group of `st`, or is there room for
 /// a new logical table?
 fn can_merge(st: &StageBuild, t: &AtomicTable, spec: &PipelineSpec, opts: LayoutOptions) -> bool {
-    let keys: Vec<String> = t.guard.iter().map(|c| c.var.clone()).collect();
-    for g in &st.merge_groups {
-        let combined = union_len(g, &keys);
-        if combined <= opts.merge_key_budget {
-            return true;
-        }
-    }
-    st.merge_groups.len() < spec.tables_per_stage
+    st.merge_groups
+        .iter()
+        .any(|g| union_len(g, &t.guard) <= opts.merge_key_budget)
+        || st.merge_groups.len() < spec.tables_per_stage
 }
 
-fn union_len(a: &[String], b: &[String]) -> usize {
-    let mut n = a.len();
-    for k in b {
-        if !a.contains(k) {
-            n += 1;
-        }
-    }
-    n
+/// Keys in a group after adding a guard's: each guard key not already in
+/// the group counts (a key the guard names twice counts twice).
+fn union_len(group: &[&str], guard: &[Cond]) -> usize {
+    group.len()
+        + guard
+            .iter()
+            .filter(|c| !group.contains(&c.var.as_str()))
+            .count()
 }
 
 /// Record `t` in `stage`, updating stats and merge groups.
-fn commit(stages: &mut Vec<StageBuild>, stage: usize, t: &AtomicTable, opts: LayoutOptions) {
+fn commit<'a>(
+    stages: &mut Vec<StageBuild<'a>>,
+    stage: usize,
+    t: &'a AtomicTable,
+    opts: LayoutOptions,
+) {
     while stages.len() <= stage {
         stages.push(StageBuild::default());
     }
@@ -403,20 +412,20 @@ fn commit(stages: &mut Vec<StageBuild>, stage: usize, t: &AtomicTable, opts: Lay
             st.stats.arrays.push(a);
         }
     }
-    let keys: Vec<String> = t.guard.iter().map(|c| c.var.clone()).collect();
     // Greedy merge (Figure 8): join the first group whose key union fits.
     for g in &mut st.merge_groups {
-        if union_len(g, &keys) <= opts.merge_key_budget {
-            for k in keys {
-                if !g.contains(&k) {
-                    g.push(k);
+        if union_len(g, &t.guard) <= opts.merge_key_budget {
+            for c in &t.guard {
+                if !g.contains(&c.var.as_str()) {
+                    g.push(&c.var);
                 }
             }
             st.stats.merged_tables = st.merge_groups.len();
             return;
         }
     }
-    st.merge_groups.push(keys);
+    st.merge_groups
+        .push(t.guard.iter().map(|c| c.var.as_str()).collect());
     st.stats.merged_tables = st.merge_groups.len();
 }
 

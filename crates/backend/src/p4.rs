@@ -26,7 +26,6 @@ use crate::ir::*;
 use crate::layout::Layout;
 use lucid_check::{CheckedProgram, MemopAtom, MemopBody, MemopCell, MemopIr};
 use lucid_frontend::ast::BinOp;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Figure 10's line categories.
@@ -64,53 +63,82 @@ pub struct P4Program {
     pub loc: P4Loc,
 }
 
+/// The output buffer, written one line at a time, and the line count of
+/// each category, kept as lines are written.
 struct Emitter {
     out: String,
     loc: P4Loc,
+    /// The category the next lines count under.
+    cat: Category,
+}
+
+/// Write one formatted line (no `\n` inside) under the current category.
+macro_rules! line {
+    ($e:expr, $($arg:tt)*) => {
+        $e.line(format_args!($($arg)*))
+    };
 }
 
 impl Emitter {
-    fn new() -> Self {
+    fn new(tables: usize) -> Self {
         Emitter {
-            out: String::new(),
+            // The bundled apps' P4 runs ~3.5 KB of fixed text plus ~400
+            // bytes per atomic table, so this is usually the only allocation.
+            out: String::with_capacity(4096 + 512 * tables),
             loc: P4Loc::default(),
+            cat: Category::Control,
         }
     }
 
-    /// Emit `text` (possibly multi-line), attributing every non-blank line
-    /// to `cat`.
-    fn emit(&mut self, cat: Category, text: &str) {
-        for line in text.lines() {
-            if !line.trim().is_empty() {
-                match cat {
-                    Category::Header => self.loc.headers += 1,
-                    Category::Parser => self.loc.parsers += 1,
-                    Category::Action => self.loc.actions += 1,
-                    Category::RegAction => self.loc.reg_actions += 1,
-                    Category::Table => self.loc.tables += 1,
-                    Category::Control => self.loc.control += 1,
-                }
-            }
-            self.out.push_str(line);
-            self.out.push('\n');
+    /// Count the lines that follow under `cat`.
+    fn section(&mut self, cat: Category) {
+        self.cat = cat;
+    }
+
+    /// Write one non-blank line and count it.
+    fn line(&mut self, args: std::fmt::Arguments) {
+        let start = self.out.len();
+        let _ = self.out.write_fmt(args);
+        self.end_line(start);
+    }
+
+    /// End the line written into `out` since `start`, and count it.
+    fn end_line(&mut self, start: usize) {
+        debug_assert!(
+            !self.out[start..].contains('\n') && !self.out[start..].trim().is_empty(),
+            "one non-blank line at a time: {:?}",
+            &self.out[start..]
+        );
+        self.out.push('\n');
+        *match self.cat {
+            Category::Header => &mut self.loc.headers,
+            Category::Parser => &mut self.loc.parsers,
+            Category::Action => &mut self.loc.actions,
+            Category::RegAction => &mut self.loc.reg_actions,
+            Category::Table => &mut self.loc.tables,
+            Category::Control => &mut self.loc.control,
+        } += 1;
+    }
+
+    /// Write a fixed block of lines.
+    fn text(&mut self, block: &str) {
+        for l in block.lines() {
+            line!(self, "{l}");
         }
     }
 }
 
 /// Generate Tofino-style P4_16 for a checked, elaborated, placed program.
 pub fn generate(prog: &CheckedProgram, handlers: &[HandlerIr], layout: &Layout) -> P4Program {
-    let mut e = Emitter::new();
-    e.emit(Category::Control, "#include <core.p4>\n#include <tna.p4>");
-    e.emit(
-        Category::Control,
-        "// generated by lucid-rs (Lucid, SIGCOMM 2021 reproduction)",
-    );
+    let mut e = Emitter::new(handlers.iter().map(|h| h.tables.len()).sum());
+    e.text("#include <core.p4>\n#include <tna.p4>");
+    e.text("// generated by lucid-rs (Lucid, SIGCOMM 2021 reproduction)");
 
     headers(&mut e, prog);
     parser(&mut e, prog);
-    let reg_names = registers_and_actions(&mut e, prog, handlers);
-    let table_names = actions_and_tables(&mut e, prog, handlers, &reg_names);
-    ingress_apply(&mut e, handlers, layout, &table_names);
+    registers_and_actions(&mut e, prog, handlers);
+    actions_and_tables(&mut e, handlers);
+    ingress_apply(&mut e, handlers, layout);
     scheduler(&mut e);
     deparser(&mut e, prog);
 
@@ -121,118 +149,98 @@ pub fn generate(prog: &CheckedProgram, handlers: &[HandlerIr], layout: &Layout) 
 }
 
 fn headers(e: &mut Emitter, prog: &CheckedProgram) {
-    e.emit(
-        Category::Header,
-        "header ethernet_t {\n    bit<48> dst;\n    bit<48> src;\n    bit<16> ethertype;\n}",
-    );
-    e.emit(
-        Category::Header,
-        "header lucid_event_t {\n    bit<16> event_id;\n    bit<32> delay;\n    bit<32> location;\n    bit<8>  mcast_group;\n}",
-    );
+    e.section(Category::Header);
+    e.text("header ethernet_t {\n    bit<48> dst;\n    bit<48> src;\n    bit<16> ethertype;\n}");
+    e.text("header lucid_event_t {\n    bit<16> event_id;\n    bit<32> delay;\n    bit<32> location;\n    bit<8>  mcast_group;\n}");
     for ev in &prog.info.events {
-        let mut h = format!("header ev_{}_t {{\n", ev.name);
+        line!(e, "header ev_{}_t {{", ev.name);
         for p in &ev.params {
             let w = p.ty.int_width().unwrap_or(32).max(8);
-            let _ = writeln!(h, "    bit<{w}> {};", p.name.name);
+            line!(e, "    bit<{w}> {};", p.name.name);
         }
         if ev.params.is_empty() {
-            h.push_str("    bit<8> pad;\n");
+            line!(e, "    bit<8> pad;");
         }
-        h.push('}');
-        e.emit(Category::Header, &h);
+        line!(e, "}}");
     }
-    let mut s =
-        String::from("struct headers_t {\n    ethernet_t ethernet;\n    lucid_event_t lucid;\n");
+    e.text("struct headers_t {\n    ethernet_t ethernet;\n    lucid_event_t lucid;");
     for ev in &prog.info.events {
-        let _ = writeln!(s, "    ev_{}_t ev_{};", ev.name, ev.name);
+        line!(e, "    ev_{}_t ev_{};", ev.name, ev.name);
     }
-    s.push('}');
-    e.emit(Category::Header, &s);
+    line!(e, "}}");
 
     // Handler-local metadata: every temp and parameter is a PHV field.
-    e.emit(
-        Category::Header,
-        "struct metadata_t {\n    bit<32> lucid_self;\n    bit<32> lucid_ts;\n    bit<32> lucid_port;\n}",
-    );
+    e.text("struct metadata_t {\n    bit<32> lucid_self;\n    bit<32> lucid_ts;\n    bit<32> lucid_port;\n}");
 }
 
 fn parser(e: &mut Emitter, prog: &CheckedProgram) {
-    let mut p = String::new();
-    p.push_str(
-        "parser LucidParser(packet_in pkt, out headers_t hdr, out metadata_t md,\n                   out ingress_intrinsic_metadata_t ig) {\n",
-    );
-    p.push_str("    state start {\n        pkt.extract(hdr.ethernet);\n        transition select(hdr.ethernet.ethertype) {\n            0x6666: parse_lucid;\n            default: accept;\n        }\n    }\n");
-    p.push_str("    state parse_lucid {\n        pkt.extract(hdr.lucid);\n        transition select(hdr.lucid.event_id) {\n");
+    e.section(Category::Parser);
+    e.text("parser LucidParser(packet_in pkt, out headers_t hdr, out metadata_t md,\n                   out ingress_intrinsic_metadata_t ig) {");
+    e.text("    state start {\n        pkt.extract(hdr.ethernet);\n        transition select(hdr.ethernet.ethertype) {\n            0x6666: parse_lucid;\n            default: accept;\n        }\n    }");
+    e.text("    state parse_lucid {\n        pkt.extract(hdr.lucid);\n        transition select(hdr.lucid.event_id) {");
     for ev in &prog.info.events {
-        let _ = writeln!(p, "            {}: parse_ev_{};", ev.id, ev.name);
+        line!(e, "            {}: parse_ev_{};", ev.id, ev.name);
     }
-    p.push_str("            default: accept;\n        }\n    }\n");
+    e.text("            default: accept;\n        }\n    }");
     for ev in &prog.info.events {
-        let _ = writeln!(
-            p,
-            "    state parse_ev_{} {{\n        pkt.extract(hdr.ev_{});\n        transition accept;\n    }}",
-            ev.name, ev.name
-        );
+        line!(e, "    state parse_ev_{} {{", ev.name);
+        line!(e, "        pkt.extract(hdr.ev_{});", ev.name);
+        line!(e, "        transition accept;");
+        line!(e, "    }}");
     }
-    p.push('}');
-    e.emit(Category::Parser, &p);
+    line!(e, "}}");
 }
 
-/// Emit register declarations and one RegisterAction per memory table.
-/// Returns memory-table → RegisterAction instance name.
-fn registers_and_actions(
-    e: &mut Emitter,
-    prog: &CheckedProgram,
-    handlers: &[HandlerIr],
-) -> HashMap<(String, usize), String> {
+/// Emit register declarations and one RegisterAction per memory table,
+/// named `ra_<handler>_<table id>`.
+fn registers_and_actions(e: &mut Emitter, prog: &CheckedProgram, handlers: &[HandlerIr]) {
+    e.section(Category::RegAction);
     for g in &prog.info.globals {
-        e.emit(
-            Category::RegAction,
-            &format!(
-                "Register<bit<{}>, bit<32>>({}) reg_{};",
-                g.cell_width, g.len, g.name
-            ),
+        line!(
+            e,
+            "Register<bit<{}>, bit<32>>({}) reg_{};",
+            g.cell_width,
+            g.len,
+            g.name
         );
     }
-    let mut names = HashMap::new();
     for h in handlers {
         for t in &h.tables {
             let AtomicOp::Mem { kind, array, .. } = &t.op else {
                 continue;
             };
             let g = &prog.info.globals[array.0];
-            let ra = format!("ra_{}_{}", h.name, t.id);
             let w = g.cell_width;
-            let body = reg_action_body(prog, kind, w);
-            e.emit(
-                Category::RegAction,
-                &format!(
-                    "RegisterAction<bit<{w}>, bit<32>, bit<{w}>>(reg_{}) {ra} = {{\n    void apply(inout bit<{w}> mem, out bit<{w}> rv) {{\n{body}    }}\n}};",
-                    g.name
-                ),
+            line!(
+                e,
+                "RegisterAction<bit<{w}>, bit<32>, bit<{w}>>(reg_{}) ra_{}_{} = {{",
+                g.name,
+                h.name,
+                t.id
             );
-            names.insert((h.name.clone(), t.id), ra);
+            line!(e, "    void apply(inout bit<{w}> mem, out bit<{w}> rv) {{");
+            reg_action_body(e, prog, kind);
+            line!(e, "    }}");
+            line!(e, "}};");
         }
     }
-    names
 }
 
-fn reg_action_body(prog: &CheckedProgram, kind: &MemKind, w: u32) -> String {
-    let memop = |name: &str| prog.memops.get(name).cloned().expect("validated memop");
+fn reg_action_body(e: &mut Emitter, prog: &CheckedProgram, kind: &MemKind) {
+    let memop = |name: &str| prog.memops.get(name).expect("validated memop");
     match kind {
-        MemKind::Get => "        rv = mem;\n".to_string(),
-        MemKind::Getm { memop: m, arg } => memop_code(&memop(m), "rv", &operand_p4(arg), w),
-        MemKind::Set { value } => format!("        mem = {};\n", operand_p4(value)),
-        MemKind::Setm { memop: m, arg } => memop_code(&memop(m), "mem", &operand_p4(arg), w),
+        MemKind::Get => line!(e, "        rv = mem;"),
+        MemKind::Getm { memop: m, arg } => memop_code(e, memop(m), "rv", arg),
+        MemKind::Set { value } => line!(e, "        mem = {};", P4Operand(value)),
+        MemKind::Setm { memop: m, arg } => memop_code(e, memop(m), "mem", arg),
         MemKind::Update {
             getop,
             getarg,
             setop,
             setarg,
         } => {
-            let mut s = memop_code(&memop(getop), "rv", &operand_p4(getarg), w);
-            s.push_str(&memop_code(&memop(setop), "mem", &operand_p4(setarg), w));
-            s
+            memop_code(e, memop(getop), "rv", getarg);
+            memop_code(e, memop(setop), "mem", setarg);
         }
     }
 }
@@ -240,43 +248,86 @@ fn reg_action_body(prog: &CheckedProgram, kind: &MemKind, w: u32) -> String {
 /// Translate a validated memop into the body of a RegisterAction assignment
 /// to `target` — this is the direct consequence of the §4.2 guarantee:
 /// every memop fits one sALU, so the translation is local and total.
-fn memop_code(m: &MemopIr, target: &str, local: &str, _w: u32) -> String {
-    let atom = |a: &MemopAtom| -> String {
-        match a {
-            MemopAtom::Mem => "mem".into(),
-            MemopAtom::Local => local.to_string(),
-            MemopAtom::Const(c) => c.to_string(),
-        }
-    };
-    let cell = |c: &MemopCell| -> String {
-        match c {
-            MemopCell::Atom(a) => atom(a),
-            MemopCell::Binop { op, lhs, rhs } => {
-                format!("{} {} {}", atom(lhs), op.symbol(), atom(rhs))
-            }
-        }
-    };
-    let cmp_str = |c: &(MemopAtom, lucid_frontend::ast::BinOp, MemopAtom)| {
-        format!("{} {} {}", atom(&c.0), c.1.symbol(), atom(&c.2))
-    };
+fn memop_code(e: &mut Emitter, m: &MemopIr, target: &str, local: &Operand) {
+    let atom = |a| Atom(a, local);
+    let cell = |c| Cell(c, local);
     match &m.body {
-        MemopBody::Return(c) => format!("        {target} = {};\n", cell(c)),
-        MemopBody::Cond { lhs, cmp, rhs, then_val, else_val } => format!(
-            "        if ({} {} {}) {{\n            {target} = {};\n        }} else {{\n            {target} = {};\n        }}\n",
-            atom(lhs),
-            cmp.symbol(),
-            atom(rhs),
-            cell(then_val),
-            cell(else_val)
-        ),
-        MemopBody::CondCompound { and, a, b, then_val, else_val } => format!(
-            "        if ({} {} {}) {{\n            {target} = {};\n        }} else {{\n            {target} = {};\n        }}\n",
-            cmp_str(a),
-            if *and { "&&" } else { "||" },
-            cmp_str(b),
-            cell(then_val),
-            cell(else_val)
-        ),
+        MemopBody::Return(c) => line!(e, "        {target} = {};", cell(c)),
+        MemopBody::Cond {
+            lhs,
+            cmp,
+            rhs,
+            then_val,
+            else_val,
+        } => {
+            line!(
+                e,
+                "        if ({} {} {}) {{",
+                atom(lhs),
+                cmp.symbol(),
+                atom(rhs)
+            );
+            if_else_arms(e, target, cell(then_val), cell(else_val));
+        }
+        MemopBody::CondCompound {
+            and,
+            a,
+            b,
+            then_val,
+            else_val,
+        } => {
+            line!(
+                e,
+                "        if ({} {} {} {} {} {} {}) {{",
+                atom(&a.0),
+                a.1.symbol(),
+                atom(&a.2),
+                if *and { "&&" } else { "||" },
+                atom(&b.0),
+                b.1.symbol(),
+                atom(&b.2)
+            );
+            if_else_arms(e, target, cell(then_val), cell(else_val));
+        }
+    }
+}
+
+fn if_else_arms(e: &mut Emitter, target: &str, then_val: Cell, else_val: Cell) {
+    line!(e, "            {target} = {then_val};");
+    line!(e, "        }} else {{");
+    line!(e, "            {target} = {else_val};");
+    line!(e, "        }}");
+}
+
+/// A memop atom as P4: the register cell, the table's argument, or a
+/// constant.
+struct Atom<'a>(&'a MemopAtom, &'a Operand);
+
+impl std::fmt::Display for Atom<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            MemopAtom::Mem => f.write_str("mem"),
+            MemopAtom::Local => P4Operand(self.1).fmt(f),
+            MemopAtom::Const(c) => write!(f, "{c}"),
+        }
+    }
+}
+
+/// A memop cell expression as P4.
+struct Cell<'a>(&'a MemopCell, &'a Operand);
+
+impl std::fmt::Display for Cell<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            MemopCell::Atom(a) => Atom(a, self.1).fmt(f),
+            MemopCell::Binop { op, lhs, rhs } => write!(
+                f,
+                "{} {} {}",
+                Atom(lhs, self.1),
+                op.symbol(),
+                Atom(rhs, self.1)
+            ),
+        }
     }
 }
 
@@ -284,77 +335,99 @@ fn memop_code(m: &MemopIr, target: &str, local: &str, _w: u32) -> String {
 /// range syntax for order comparisons, and a ternary wildcard-with-priority
 /// encoding for `!=` (the Tofino idiom: entry for the excluded value maps
 /// to nop, wildcard falls through — see Figure 7's branch table).
-fn guard_pattern(c: &Cond) -> String {
-    match c.cmp {
-        BinOp::Eq => c.value.to_string(),
-        BinOp::Neq => format!("_ /* != {} via prio rule */", c.value),
-        BinOp::Lt => format!("0..{}", c.value.saturating_sub(1)),
-        BinOp::Le => format!("0..{}", c.value),
-        BinOp::Gt => format!("{}..max", c.value + 1),
-        BinOp::Ge => format!("{}..max", c.value),
-        _ => "_".into(),
+struct GuardPattern<'a>(&'a Cond);
+
+impl std::fmt::Display for GuardPattern<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let c = self.0;
+        match c.cmp {
+            BinOp::Eq => write!(f, "{}", c.value),
+            BinOp::Neq => write!(f, "_ /* != {} via prio rule */", c.value),
+            BinOp::Lt => write!(f, "0..{}", c.value.saturating_sub(1)),
+            BinOp::Le => write!(f, "0..{}", c.value),
+            BinOp::Gt => write!(f, "{}..max", c.value + 1),
+            BinOp::Ge => write!(f, "{}..max", c.value),
+            _ => f.write_str("_"),
+        }
     }
 }
 
-fn operand_p4(o: &Operand) -> String {
-    match o {
-        Operand::Var(v) => format!("md.{v}"),
-        Operand::Const(c) => c.to_string(),
+/// An operand as P4: a metadata field or a constant.
+struct P4Operand<'a>(&'a Operand);
+
+impl std::fmt::Display for P4Operand<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            Operand::Var(v) => write!(f, "md.{v}"),
+            Operand::Const(c) => write!(f, "{c}"),
+        }
     }
 }
 
-/// Emit action + table per atomic table. Returns table apply names in
-/// handler/table order.
-fn actions_and_tables(
-    e: &mut Emitter,
-    _prog: &CheckedProgram,
-    handlers: &[HandlerIr],
-    reg_names: &HashMap<(String, usize), String>,
-) -> HashMap<(String, usize), String> {
-    let mut names = HashMap::new();
+/// `items` rendered by `show` and joined with `, `.
+struct Joined<'a, T, D>(&'a [T], fn(&'a T) -> D);
+
+impl<'a, T, D: std::fmt::Display> std::fmt::Display for Joined<'a, T, D> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, item) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            (self.1)(item).fmt(f)?;
+        }
+        Ok(())
+    }
+}
+
+/// Emit action `do_<handler>_<id>` + table `tbl_<handler>_<id>` per
+/// atomic table.
+fn actions_and_tables(e: &mut Emitter, handlers: &[HandlerIr]) {
     for h in handlers {
         for t in &h.tables {
-            let base = format!("{}_{}", h.name, t.id);
-            let action_body = match &t.op {
-                AtomicOp::Mov { dst, src } => format!("md.{dst} = {};", operand_p4(src)),
-                AtomicOp::Bin { dst, op, a, b } => {
-                    let expr = match op {
-                        BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge => {
-                            format!(
-                                "(bit<32>)(({} {} {}) ? 1w1 : 1w0)",
-                                operand_p4(a),
-                                op.symbol(),
-                                operand_p4(b)
-                            )
-                        }
-                        _ => format!("{} {} {}", operand_p4(a), op.symbol(), operand_p4(b)),
-                    };
-                    format!("md.{dst} = {expr};")
-                }
+            let (hn, id) = (&h.name, t.id);
+            e.section(Category::Action);
+            line!(e, "action do_{hn}_{id}() {{");
+            match &t.op {
+                AtomicOp::Mov { dst, src } => line!(e, "    md.{dst} = {};", P4Operand(src)),
+                AtomicOp::Bin { dst, op, a, b } => match op {
+                    BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge => {
+                        line!(
+                            e,
+                            "    md.{dst} = (bit<32>)(({} {} {}) ? 1w1 : 1w0);",
+                            P4Operand(a),
+                            op.symbol(),
+                            P4Operand(b)
+                        );
+                    }
+                    _ => line!(
+                        e,
+                        "    md.{dst} = {} {} {};",
+                        P4Operand(a),
+                        op.symbol(),
+                        P4Operand(b)
+                    ),
+                },
                 AtomicOp::Un { dst, op, a } => {
-                    format!("md.{dst} = {}{};", op.symbol(), operand_p4(a))
+                    line!(e, "    md.{dst} = {}{};", op.symbol(), P4Operand(a));
                 }
                 AtomicOp::Hash {
                     dst,
                     width,
                     seed,
                     args,
-                } => {
-                    let fields: Vec<String> = args.iter().map(operand_p4).collect();
-                    format!(
-                        "md.{dst} = (bit<32>)hash_{width}_{seed}.get({{{}}});",
-                        fields.join(", ")
-                    )
-                }
-                AtomicOp::Mem { dst, index, .. } => {
-                    let ra = &reg_names[&(h.name.clone(), t.id)];
-                    match dst {
-                        Some(d) => {
-                            format!("md.{d} = (bit<32>){ra}.execute({});", operand_p4(index))
-                        }
-                        None => format!("{ra}.execute({});", operand_p4(index)),
-                    }
-                }
+                } => line!(
+                    e,
+                    "    md.{dst} = (bit<32>)hash_{width}_{seed}.get({{{}}});",
+                    Joined(args, P4Operand)
+                ),
+                AtomicOp::Mem { dst, index, .. } => match dst {
+                    Some(d) => line!(
+                        e,
+                        "    md.{d} = (bit<32>)ra_{hn}_{id}.execute({});",
+                        P4Operand(index)
+                    ),
+                    None => line!(e, "    ra_{hn}_{id}.execute({});", P4Operand(index)),
+                },
                 AtomicOp::Generate {
                     event_id,
                     event_name,
@@ -362,128 +435,103 @@ fn actions_and_tables(
                     delay,
                     location,
                 } => {
-                    let mut s = format!(
-                        "hdr.lucid.setValid(); hdr.lucid.event_id = {event_id}; hdr.ev_{event_name}.setValid();"
+                    let start = e.out.len();
+                    let _ = write!(
+                        e.out,
+                        "    hdr.lucid.setValid(); hdr.lucid.event_id = {event_id}; hdr.ev_{event_name}.setValid();"
                     );
                     for (i, a) in args.iter().enumerate() {
-                        let _ = write!(s, " hdr.ev_{event_name}.f{i} = {};", operand_p4(a));
+                        let _ = write!(e.out, " hdr.ev_{event_name}.f{i} = {};", P4Operand(a));
                     }
                     match delay {
                         Some(d) => {
-                            let _ = write!(s, " hdr.lucid.delay = {};", operand_p4(d));
+                            let _ = write!(e.out, " hdr.lucid.delay = {};", P4Operand(d));
                         }
-                        None => {
-                            let _ = write!(s, " hdr.lucid.delay = 0;");
-                        }
+                        None => e.out.push_str(" hdr.lucid.delay = 0;"),
                     }
                     match location {
-                        LocSpec::Here => {
-                            let _ = write!(s, " hdr.lucid.location = md.lucid_self;");
-                        }
+                        LocSpec::Here => e.out.push_str(" hdr.lucid.location = md.lucid_self;"),
                         LocSpec::Switch(o) => {
-                            let _ = write!(s, " hdr.lucid.location = {};", operand_p4(o));
+                            let _ = write!(e.out, " hdr.lucid.location = {};", P4Operand(o));
                         }
                         LocSpec::Group(g) => {
-                            let _ = write!(s, " hdr.lucid.mcast_group = {};", g.len());
+                            let _ = write!(e.out, " hdr.lucid.mcast_group = {};", g.len());
                         }
                     }
-                    s
+                    e.end_line(start);
                 }
-            };
-            e.emit(
-                Category::Action,
-                &format!("action do_{base}() {{\n    {action_body}\n}}"),
-            );
+            }
+            line!(e, "}}");
             // Table: guard conditions become static ternary rules (§6.2,
             // Figure 7 right).
-            let mut tbl = format!("table tbl_{base} {{\n");
+            e.section(Category::Table);
+            line!(e, "table tbl_{hn}_{id} {{");
             if t.guard.is_empty() {
-                tbl.push_str("    actions = { do_");
-                tbl.push_str(&base);
-                tbl.push_str("; }\n    const default_action = do_");
-                tbl.push_str(&base);
-                tbl.push_str("();\n}");
+                line!(e, "    actions = {{ do_{hn}_{id}; }}");
+                line!(e, "    const default_action = do_{hn}_{id}();");
             } else {
-                tbl.push_str("    key = {\n");
+                line!(e, "    key = {{");
                 for c in &t.guard {
-                    let _ = writeln!(tbl, "        md.{}: ternary;", c.var);
+                    line!(e, "        md.{}: ternary;", c.var);
                 }
-                tbl.push_str("    }\n    actions = { do_");
-                tbl.push_str(&base);
-                tbl.push_str("; nop; }\n    const entries = {\n");
-                let pattern: Vec<String> = t.guard.iter().map(guard_pattern).collect();
-                let _ = writeln!(tbl, "        ({}): do_{base}();", pattern.join(", "));
-                tbl.push_str("    }\n    const default_action = nop();\n}");
+                line!(e, "    }}");
+                line!(e, "    actions = {{ do_{hn}_{id}; nop; }}");
+                line!(e, "    const entries = {{");
+                line!(
+                    e,
+                    "        ({}): do_{hn}_{id}();",
+                    Joined(&t.guard, GuardPattern)
+                );
+                line!(e, "    }}");
+                line!(e, "    const default_action = nop();");
             }
-            e.emit(Category::Table, &tbl);
-            names.insert((h.name.clone(), t.id), format!("tbl_{base}"));
+            line!(e, "}}");
         }
     }
-    names
 }
 
-fn ingress_apply(
-    e: &mut Emitter,
-    handlers: &[HandlerIr],
-    layout: &Layout,
-    table_names: &HashMap<(String, usize), String>,
-) {
-    let mut s = String::from(
-        "control LucidIngress(inout headers_t hdr, inout metadata_t md,\n                     in ingress_intrinsic_metadata_t ig) {\n    action nop() { }\n    apply {\n        // event dispatcher (static scheduler code)\n        lucid_dispatch.apply();\n",
-    );
+fn ingress_apply(e: &mut Emitter, handlers: &[HandlerIr], layout: &Layout) {
+    e.section(Category::Control);
+    e.text("control LucidIngress(inout headers_t hdr, inout metadata_t md,\n                     in ingress_intrinsic_metadata_t ig) {\n    action nop() { }\n    apply {\n        // event dispatcher (static scheduler code)\n        lucid_dispatch.apply();");
     // Apply tables stage by stage so the textual order matches placement.
-    let mut by_stage: Vec<Vec<&crate::layout::Placement>> = Vec::new();
-    for p in &layout.placements {
-        while by_stage.len() <= p.stage {
-            by_stage.push(Vec::new());
-        }
-        by_stage[p.stage].push(p);
-    }
-    for (stage, ps) in by_stage.iter().enumerate() {
-        if ps.is_empty() {
+    let stages = layout
+        .placements
+        .iter()
+        .map(|p| p.stage + 1)
+        .max()
+        .unwrap_or(0);
+    for stage in 0..stages {
+        let mut placed = layout.placements.iter().filter(|p| p.stage == stage);
+        let Some(first) = placed.next() else {
             continue;
-        }
-        let _ = writeln!(s, "        // --- stage {stage} ---");
-        for p in ps {
-            let _ = writeln!(
-                s,
-                "        {}.apply();",
-                table_names[&(p.handler.clone(), p.table)]
-            );
+        };
+        line!(e, "        // --- stage {stage} ---");
+        for p in std::iter::once(first).chain(placed) {
+            line!(e, "        tbl_{}_{}.apply();", handlers[p.handler].name, p.table);
         }
     }
-    let _ = handlers;
-    s.push_str("    }\n}");
-    e.emit(Category::Control, &s);
+    e.text("    }\n}");
 }
 
 /// The event scheduler's static code (§3.2): dispatcher table and egress
 /// serializer. In the real compiler this is hand-written Tofino code inlined
 /// into every program; we emit the same fixed skeleton.
 fn scheduler(e: &mut Emitter) {
-    e.emit(
-        Category::Table,
-        "table lucid_dispatch {\n    key = {\n        hdr.lucid.event_id: exact;\n        hdr.lucid.location: ternary;\n        hdr.lucid.delay: ternary;\n    }\n    actions = { dispatch_local; dispatch_forward; dispatch_delay; }\n    const default_action = dispatch_local();\n}",
-    );
-    e.emit(
-        Category::Action,
-        "action dispatch_local() { }\naction dispatch_forward() {\n    ig_tm.ucast_egress_port = lucid_fwd_port(hdr.lucid.location);\n}\naction dispatch_delay() {\n    ig_tm.ucast_egress_port = RECIRC_PORT;\n    ig_tm.qid = LUCID_DELAY_QUEUE;\n}",
-    );
-    e.emit(
-        Category::Control,
-        "control LucidEgress(inout headers_t hdr, inout metadata_t md) {\n    apply {\n        // event serializer: split multi-event packets using clone id,\n        // update delay from queue residence time (§3.2)\n        if (hdr.lucid.isValid() && hdr.lucid.delay > 0) {\n            hdr.lucid.delay = hdr.lucid.delay |-| eg_qtime();\n        }\n    }\n}",
-    );
+    e.section(Category::Table);
+    e.text("table lucid_dispatch {\n    key = {\n        hdr.lucid.event_id: exact;\n        hdr.lucid.location: ternary;\n        hdr.lucid.delay: ternary;\n    }\n    actions = { dispatch_local; dispatch_forward; dispatch_delay; }\n    const default_action = dispatch_local();\n}");
+    e.section(Category::Action);
+    e.text("action dispatch_local() { }\naction dispatch_forward() {\n    ig_tm.ucast_egress_port = lucid_fwd_port(hdr.lucid.location);\n}\naction dispatch_delay() {\n    ig_tm.ucast_egress_port = RECIRC_PORT;\n    ig_tm.qid = LUCID_DELAY_QUEUE;\n}");
+    e.section(Category::Control);
+    e.text("control LucidEgress(inout headers_t hdr, inout metadata_t md) {\n    apply {\n        // event serializer: split multi-event packets using clone id,\n        // update delay from queue residence time (§3.2)\n        if (hdr.lucid.isValid() && hdr.lucid.delay > 0) {\n            hdr.lucid.delay = hdr.lucid.delay |-| eg_qtime();\n        }\n    }\n}");
 }
 
 fn deparser(e: &mut Emitter, prog: &CheckedProgram) {
-    let mut s = String::from(
-        "control LucidDeparser(packet_out pkt, in headers_t hdr) {\n    apply {\n        pkt.emit(hdr.ethernet);\n        pkt.emit(hdr.lucid);\n",
-    );
+    e.section(Category::Parser);
+    e.text("control LucidDeparser(packet_out pkt, in headers_t hdr) {\n    apply {\n        pkt.emit(hdr.ethernet);\n        pkt.emit(hdr.lucid);");
     for ev in &prog.info.events {
-        let _ = writeln!(s, "        pkt.emit(hdr.ev_{});", ev.name);
+        line!(e, "        pkt.emit(hdr.ev_{});", ev.name);
     }
-    s.push_str("    }\n}");
-    e.emit(Category::Parser, &s);
+    e.text("    }\n}");
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@ fn placement_respects_data_dependencies() {
             .layout
             .placements
             .iter()
-            .map(|p| ((p.handler.clone(), p.table), p.stage))
+            .map(|p| ((c.handlers[p.handler].name.clone(), p.table), p.stage))
             .collect();
         for h in &c.handlers {
             for t in &h.tables {
