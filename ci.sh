@@ -407,6 +407,55 @@ for opts in [{"engine": "sequential"}, {"engine": "sharded", "workers": 4}]:
           f"(state {got[0]}, metrics {got[1]})")
 EOF
 
+# A program at the checker's depth limits must not kill the socket
+# daemon: 63 chained functions, each wrapping the next call in 120
+# nested `if`s, is answered on one connection (connection threads get
+# the stack the stdin daemon runs on), and a normal `open` on a second
+# connection is answered after it.
+PROBE_SOCK="$probe_tmp/deep.sock" python3 - <<'EOF'
+import json, os, socket, subprocess, time
+
+LUCIDC = "target/release/lucidc"
+SOCK = os.environ["PROBE_SOCK"]
+
+def chain(n, nest):
+    funs = []
+    for i in range(n, 0, -1):
+        s = "return v + 1;" if i == n else f"return f{i + 1}(v);"
+        for _ in range(nest):
+            s = "if (v < 1000000) { " + s + " }"
+        funs.append(f"fun int f{i}(int v) {{ {s} return v; }}")
+    return "\n".join(funs + ["event go(int v);",
+                             "handle go(int v) { int r = f1(v); }"])
+
+daemon = subprocess.Popen([LUCIDC, "serve", f"--socket={SOCK}"])
+for _ in range(200):
+    if os.path.exists(SOCK):
+        break
+    time.sleep(0.05)
+
+def ask(req):
+    with socket.socket(socket.AF_UNIX) as c:
+        c.connect(SOCK)
+        f = c.makefile("rw")
+        f.write(json.dumps(req) + "\n")
+        f.flush()
+        line = f.readline()
+    assert line, f"serve [probe]: no reply to `{req['op']}`: the daemon died"
+    return json.loads(line)
+
+scenario = json.dumps({"events": [
+    {"time_ns": 0, "switch": 1, "event": "go", "args": [5]}]})
+deep = ask({"op": "open", "program": chain(63, 120), "scenario": scenario})
+assert deep.get("ok"), f"serve [probe]: deep open refused: {deep}"
+after = ask({"op": "open", "program_path": "crates/apps/programs/nat.lucid",
+             "scenario_path": "crates/apps/scenarios/nat.sim.json"})
+assert after.get("ok"), f"serve [probe]: open after the deep one failed: {after}"
+assert ask({"op": "shutdown"}).get("shutdown") is True
+assert daemon.wait(timeout=30) == 0, "serve [probe]: daemon exit code"
+print("-- serve [probe] a 63-deep call chain x 120 nested ifs leaves the socket daemon up")
+EOF
+
 echo "== bench smoke"
 # Every figure binary must run in smoke mode and emit parseable JSON.
 json_check() {

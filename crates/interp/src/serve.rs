@@ -647,6 +647,16 @@ pub mod socket {
         host: H,
     }
 
+    /// Stack of each connection thread: the main thread's default, not a
+    /// spawned thread's 2 MiB. Checking, walking and lowering a program
+    /// recurse through its call chain and its nesting, and the deepest
+    /// program the limits accept (a 64-deep call chain, each function 125
+    /// `if`s deep) passes `lucidc check` and `lucidc sim` under both
+    /// executors on a 7 MiB stack and aborts on 6 MiB (release build,
+    /// `ulimit -s`). A stack overflow aborts the process, every session
+    /// with it, so a connection gets what the stdin daemon gets.
+    const CONN_STACK_BYTES: usize = 8 << 20;
+
     /// Bind `path` and serve until some connection issues `shutdown`.
     /// Connections are handled on their own threads; request handling is
     /// serialized over the shared state, so interleaved clients see a
@@ -669,9 +679,16 @@ pub mod socket {
             let shared = Arc::clone(&shared);
             let done = Arc::clone(&done);
             let sock = path.to_path_buf();
-            workers.push(std::thread::spawn(move || {
-                let _ = serve_conn(stream, &shared, &done, &sock);
-            }));
+            let spawned = std::thread::Builder::new()
+                .stack_size(CONN_STACK_BYTES)
+                .spawn(move || {
+                    let _ = serve_conn(stream, &shared, &done, &sock);
+                });
+            // A thread the system refuses drops its connection (the
+            // client reads EOF), not the daemon.
+            if let Ok(worker) = spawned {
+                workers.push(worker);
+            }
         }
         for w in workers {
             let _ = w.join();
