@@ -20,6 +20,7 @@ use crate::ir::*;
 use lucid_check::{CheckedProgram, GlobalId};
 use lucid_frontend::ast::*;
 use lucid_frontend::diag::{Diagnostic, Diagnostics};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Elaborate every handler of a checked program.
@@ -46,7 +47,7 @@ pub fn elaborate(prog: &CheckedProgram) -> Result<Vec<HandlerIr>, Diagnostics> {
                     Binding::Value(Operand::Var(p.name.name.clone())),
                 );
             }
-            let body = normalize_returns(body.clone(), None);
+            let body = normalized(body, None);
             cx.block(&body, &mut env);
             let unoptimized_depth = control_graph_depth(&body);
             out.push(HandlerIr {
@@ -84,6 +85,16 @@ fn stmt_depth(s: &Stmt) -> usize {
         StmtKind::Printf { .. } => 0,
         StmtKind::Return(_) => 0,
         _ => 1,
+    }
+}
+
+/// [`normalize_returns`] of `b`, borrowing `b` itself when that rewrite
+/// is the identity: a handler body (`ret_var` is `None`) with no `return`.
+fn normalized<'b>(b: &'b Block, ret_var: Option<&str>) -> Cow<'b, Block> {
+    if ret_var.is_none() && !may_return(b) {
+        Cow::Borrowed(b)
+    } else {
+        Cow::Owned(normalize_returns(b.clone(), ret_var))
     }
 }
 
@@ -686,11 +697,11 @@ impl Elab<'_, '_> {
         env: &mut Env,
         span: lucid_frontend::Span,
     ) {
-        let Some((_, params, body)) = self.prog.fun_body(&callee.name) else {
+        let prog = self.prog;
+        let Some((_, params, body)) = prog.fun_body(&callee.name) else {
             self.err(format!("unknown function `{}`", callee.name), span);
             return;
         };
-        let (params, body) = (params.clone(), body.clone());
         let mut inner = Env::default();
         for (p, a) in params.iter().zip(args) {
             match p.ty {
@@ -704,7 +715,7 @@ impl Elab<'_, '_> {
                 }
             }
         }
-        let body = normalize_returns(body, Some(dst));
+        let body = normalized(body, Some(dst));
         // The return slot starts live so Assign writes through.
         inner.bind(dst, Binding::Value(Operand::Var(dst.to_string())));
         self.block(&body, &mut inner);
