@@ -79,13 +79,13 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 
 const STAGES: [&str; 6] = ["parse", "check", "elaborate", "layout", "p4", "bytecode"];
 
-/// Allocations one sweep of the ten apps may make. The sweep made
-/// 35 613 before the compiler stopped copying its own artifacts (the
-/// parser cloned every token, the build deep-copied the AST into the
-/// checker and the checked program into a shared handle, layout rebuilt
-/// each table's dependences per pair and per floor retry, the P4 emitter
-/// formatted and re-scanned every chunk).
-const MAX_ALLOCS: u64 = 40_000;
+/// Allocations one sweep of the ten apps may make: the 16 915 it makes,
+/// plus 3 %. The sweep made 35 613 before the compiler stopped copying
+/// its own artifacts (the parser cloned every token, the build
+/// deep-copied the AST into the checker and the checked program into a
+/// shared handle, layout rebuilt each table's dependences per pair and
+/// per floor retry, the P4 emitter formatted and re-scanned every chunk).
+const MAX_ALLOCS: u64 = 17_400;
 
 #[test]
 fn one_compile_sweep_stays_under_its_allocation_ceiling() {
