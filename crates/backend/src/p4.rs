@@ -73,7 +73,7 @@ struct Emitter {
 }
 
 /// Write one formatted line (no `\n` inside) under the current category.
-macro_rules! line {
+macro_rules! emit {
     ($e:expr, $($arg:tt)*) => {
         $e.line(format_args!($($arg)*))
     };
@@ -123,7 +123,9 @@ impl Emitter {
     /// Write a fixed block of lines.
     fn text(&mut self, block: &str) {
         for l in block.lines() {
-            line!(self, "{l}");
+            let start = self.out.len();
+            self.out.push_str(l);
+            self.end_line(start);
         }
     }
 }
@@ -153,21 +155,21 @@ fn headers(e: &mut Emitter, prog: &CheckedProgram) {
     e.text("header ethernet_t {\n    bit<48> dst;\n    bit<48> src;\n    bit<16> ethertype;\n}");
     e.text("header lucid_event_t {\n    bit<16> event_id;\n    bit<32> delay;\n    bit<32> location;\n    bit<8>  mcast_group;\n}");
     for ev in &prog.info.events {
-        line!(e, "header ev_{}_t {{", ev.name);
+        emit!(e, "header ev_{}_t {{", ev.name);
         for p in &ev.params {
             let w = p.ty.int_width().unwrap_or(32).max(8);
-            line!(e, "    bit<{w}> {};", p.name.name);
+            emit!(e, "    bit<{w}> {};", p.name.name);
         }
         if ev.params.is_empty() {
-            line!(e, "    bit<8> pad;");
+            emit!(e, "    bit<8> pad;");
         }
-        line!(e, "}}");
+        emit!(e, "}}");
     }
     e.text("struct headers_t {\n    ethernet_t ethernet;\n    lucid_event_t lucid;");
     for ev in &prog.info.events {
-        line!(e, "    ev_{}_t ev_{};", ev.name, ev.name);
+        emit!(e, "    ev_{}_t ev_{};", ev.name, ev.name);
     }
-    line!(e, "}}");
+    emit!(e, "}}");
 
     // Handler-local metadata: every temp and parameter is a PHV field.
     e.text("struct metadata_t {\n    bit<32> lucid_self;\n    bit<32> lucid_ts;\n    bit<32> lucid_port;\n}");
@@ -179,16 +181,16 @@ fn parser(e: &mut Emitter, prog: &CheckedProgram) {
     e.text("    state start {\n        pkt.extract(hdr.ethernet);\n        transition select(hdr.ethernet.ethertype) {\n            0x6666: parse_lucid;\n            default: accept;\n        }\n    }");
     e.text("    state parse_lucid {\n        pkt.extract(hdr.lucid);\n        transition select(hdr.lucid.event_id) {");
     for ev in &prog.info.events {
-        line!(e, "            {}: parse_ev_{};", ev.id, ev.name);
+        emit!(e, "            {}: parse_ev_{};", ev.id, ev.name);
     }
     e.text("            default: accept;\n        }\n    }");
     for ev in &prog.info.events {
-        line!(e, "    state parse_ev_{} {{", ev.name);
-        line!(e, "        pkt.extract(hdr.ev_{});", ev.name);
-        line!(e, "        transition accept;");
-        line!(e, "    }}");
+        emit!(e, "    state parse_ev_{} {{", ev.name);
+        emit!(e, "        pkt.extract(hdr.ev_{});", ev.name);
+        emit!(e, "        transition accept;");
+        emit!(e, "    }}");
     }
-    line!(e, "}}");
+    emit!(e, "}}");
 }
 
 /// Emit register declarations and one RegisterAction per memory table,
@@ -196,7 +198,7 @@ fn parser(e: &mut Emitter, prog: &CheckedProgram) {
 fn registers_and_actions(e: &mut Emitter, prog: &CheckedProgram, handlers: &[HandlerIr]) {
     e.section(Category::RegAction);
     for g in &prog.info.globals {
-        line!(
+        emit!(
             e,
             "Register<bit<{}>, bit<32>>({}) reg_{};",
             g.cell_width,
@@ -211,17 +213,17 @@ fn registers_and_actions(e: &mut Emitter, prog: &CheckedProgram, handlers: &[Han
             };
             let g = &prog.info.globals[array.0];
             let w = g.cell_width;
-            line!(
+            emit!(
                 e,
                 "RegisterAction<bit<{w}>, bit<32>, bit<{w}>>(reg_{}) ra_{}_{} = {{",
                 g.name,
                 h.name,
                 t.id
             );
-            line!(e, "    void apply(inout bit<{w}> mem, out bit<{w}> rv) {{");
+            emit!(e, "    void apply(inout bit<{w}> mem, out bit<{w}> rv) {{");
             reg_action_body(e, prog, kind);
-            line!(e, "    }}");
-            line!(e, "}};");
+            emit!(e, "    }}");
+            emit!(e, "}};");
         }
     }
 }
@@ -229,9 +231,9 @@ fn registers_and_actions(e: &mut Emitter, prog: &CheckedProgram, handlers: &[Han
 fn reg_action_body(e: &mut Emitter, prog: &CheckedProgram, kind: &MemKind) {
     let memop = |name: &str| prog.memops.get(name).expect("validated memop");
     match kind {
-        MemKind::Get => line!(e, "        rv = mem;"),
+        MemKind::Get => emit!(e, "        rv = mem;"),
         MemKind::Getm { memop: m, arg } => memop_code(e, memop(m), "rv", arg),
-        MemKind::Set { value } => line!(e, "        mem = {};", P4Operand(value)),
+        MemKind::Set { value } => emit!(e, "        mem = {};", P4Operand(value)),
         MemKind::Setm { memop: m, arg } => memop_code(e, memop(m), "mem", arg),
         MemKind::Update {
             getop,
@@ -252,7 +254,7 @@ fn memop_code(e: &mut Emitter, m: &MemopIr, target: &str, local: &Operand) {
     let atom = |a| Atom(a, local);
     let cell = |c| Cell(c, local);
     match &m.body {
-        MemopBody::Return(c) => line!(e, "        {target} = {};", cell(c)),
+        MemopBody::Return(c) => emit!(e, "        {target} = {};", cell(c)),
         MemopBody::Cond {
             lhs,
             cmp,
@@ -260,7 +262,7 @@ fn memop_code(e: &mut Emitter, m: &MemopIr, target: &str, local: &Operand) {
             then_val,
             else_val,
         } => {
-            line!(
+            emit!(
                 e,
                 "        if ({} {} {}) {{",
                 atom(lhs),
@@ -276,7 +278,7 @@ fn memop_code(e: &mut Emitter, m: &MemopIr, target: &str, local: &Operand) {
             then_val,
             else_val,
         } => {
-            line!(
+            emit!(
                 e,
                 "        if ({} {} {} {} {} {} {}) {{",
                 atom(&a.0),
@@ -293,10 +295,10 @@ fn memop_code(e: &mut Emitter, m: &MemopIr, target: &str, local: &Operand) {
 }
 
 fn if_else_arms(e: &mut Emitter, target: &str, then_val: Cell, else_val: Cell) {
-    line!(e, "            {target} = {then_val};");
-    line!(e, "        }} else {{");
-    line!(e, "            {target} = {else_val};");
-    line!(e, "        }}");
+    emit!(e, "            {target} = {then_val};");
+    emit!(e, "        }} else {{");
+    emit!(e, "            {target} = {else_val};");
+    emit!(e, "        }}");
 }
 
 /// A memop atom as P4: the register cell, the table's argument, or a
@@ -386,12 +388,12 @@ fn actions_and_tables(e: &mut Emitter, handlers: &[HandlerIr]) {
         for t in &h.tables {
             let (hn, id) = (&h.name, t.id);
             e.section(Category::Action);
-            line!(e, "action do_{hn}_{id}() {{");
+            emit!(e, "action do_{hn}_{id}() {{");
             match &t.op {
-                AtomicOp::Mov { dst, src } => line!(e, "    md.{dst} = {};", P4Operand(src)),
+                AtomicOp::Mov { dst, src } => emit!(e, "    md.{dst} = {};", P4Operand(src)),
                 AtomicOp::Bin { dst, op, a, b } => match op {
                     BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge => {
-                        line!(
+                        emit!(
                             e,
                             "    md.{dst} = (bit<32>)(({} {} {}) ? 1w1 : 1w0);",
                             P4Operand(a),
@@ -399,7 +401,7 @@ fn actions_and_tables(e: &mut Emitter, handlers: &[HandlerIr]) {
                             P4Operand(b)
                         );
                     }
-                    _ => line!(
+                    _ => emit!(
                         e,
                         "    md.{dst} = {} {} {};",
                         P4Operand(a),
@@ -408,25 +410,25 @@ fn actions_and_tables(e: &mut Emitter, handlers: &[HandlerIr]) {
                     ),
                 },
                 AtomicOp::Un { dst, op, a } => {
-                    line!(e, "    md.{dst} = {}{};", op.symbol(), P4Operand(a));
+                    emit!(e, "    md.{dst} = {}{};", op.symbol(), P4Operand(a));
                 }
                 AtomicOp::Hash {
                     dst,
                     width,
                     seed,
                     args,
-                } => line!(
+                } => emit!(
                     e,
                     "    md.{dst} = (bit<32>)hash_{width}_{seed}.get({{{}}});",
                     Joined(args, P4Operand)
                 ),
                 AtomicOp::Mem { dst, index, .. } => match dst {
-                    Some(d) => line!(
+                    Some(d) => emit!(
                         e,
                         "    md.{d} = (bit<32>)ra_{hn}_{id}.execute({});",
                         P4Operand(index)
                     ),
-                    None => line!(e, "    ra_{hn}_{id}.execute({});", P4Operand(index)),
+                    None => emit!(e, "    ra_{hn}_{id}.execute({});", P4Operand(index)),
                 },
                 AtomicOp::Generate {
                     event_id,
@@ -461,31 +463,31 @@ fn actions_and_tables(e: &mut Emitter, handlers: &[HandlerIr]) {
                     e.end_line(start);
                 }
             }
-            line!(e, "}}");
+            emit!(e, "}}");
             // Table: guard conditions become static ternary rules (§6.2,
             // Figure 7 right).
             e.section(Category::Table);
-            line!(e, "table tbl_{hn}_{id} {{");
+            emit!(e, "table tbl_{hn}_{id} {{");
             if t.guard.is_empty() {
-                line!(e, "    actions = {{ do_{hn}_{id}; }}");
-                line!(e, "    const default_action = do_{hn}_{id}();");
+                emit!(e, "    actions = {{ do_{hn}_{id}; }}");
+                emit!(e, "    const default_action = do_{hn}_{id}();");
             } else {
-                line!(e, "    key = {{");
+                emit!(e, "    key = {{");
                 for c in &t.guard {
-                    line!(e, "        md.{}: ternary;", c.var);
+                    emit!(e, "        md.{}: ternary;", c.var);
                 }
-                line!(e, "    }}");
-                line!(e, "    actions = {{ do_{hn}_{id}; nop; }}");
-                line!(e, "    const entries = {{");
-                line!(
+                emit!(e, "    }}");
+                emit!(e, "    actions = {{ do_{hn}_{id}; nop; }}");
+                emit!(e, "    const entries = {{");
+                emit!(
                     e,
                     "        ({}): do_{hn}_{id}();",
                     Joined(&t.guard, GuardPattern)
                 );
-                line!(e, "    }}");
-                line!(e, "    const default_action = nop();");
+                emit!(e, "    }}");
+                emit!(e, "    const default_action = nop();");
             }
-            line!(e, "}}");
+            emit!(e, "}}");
         }
     }
 }
@@ -505,9 +507,9 @@ fn ingress_apply(e: &mut Emitter, handlers: &[HandlerIr], layout: &Layout) {
         let Some(first) = placed.next() else {
             continue;
         };
-        line!(e, "        // --- stage {stage} ---");
+        emit!(e, "        // --- stage {stage} ---");
         for p in std::iter::once(first).chain(placed) {
-            line!(e, "        tbl_{}_{}.apply();", handlers[p.handler].name, p.table);
+            emit!(e, "        tbl_{}_{}.apply();", handlers[p.handler].name, p.table);
         }
     }
     e.text("    }\n}");
@@ -529,7 +531,7 @@ fn deparser(e: &mut Emitter, prog: &CheckedProgram) {
     e.section(Category::Parser);
     e.text("control LucidDeparser(packet_out pkt, in headers_t hdr) {\n    apply {\n        pkt.emit(hdr.ethernet);\n        pkt.emit(hdr.lucid);");
     for ev in &prog.info.events {
-        line!(e, "        pkt.emit(hdr.ev_{});", ev.name);
+        emit!(e, "        pkt.emit(hdr.ev_{});", ev.name);
     }
     e.text("    }\n}");
 }
