@@ -90,11 +90,6 @@ impl Emitter {
         }
     }
 
-    /// Count the lines that follow under `cat`.
-    fn section(&mut self, cat: Category) {
-        self.cat = cat;
-    }
-
     /// Write one non-blank line and count it.
     fn line(&mut self, args: std::fmt::Arguments) {
         let start = self.out.len();
@@ -151,7 +146,7 @@ pub fn generate(prog: &CheckedProgram, handlers: &[HandlerIr], layout: &Layout) 
 }
 
 fn headers(e: &mut Emitter, prog: &CheckedProgram) {
-    e.section(Category::Header);
+    e.cat = Category::Header;
     e.text("header ethernet_t {\n    bit<48> dst;\n    bit<48> src;\n    bit<16> ethertype;\n}");
     e.text("header lucid_event_t {\n    bit<16> event_id;\n    bit<32> delay;\n    bit<32> location;\n    bit<8>  mcast_group;\n}");
     for ev in &prog.info.events {
@@ -176,7 +171,7 @@ fn headers(e: &mut Emitter, prog: &CheckedProgram) {
 }
 
 fn parser(e: &mut Emitter, prog: &CheckedProgram) {
-    e.section(Category::Parser);
+    e.cat = Category::Parser;
     e.text("parser LucidParser(packet_in pkt, out headers_t hdr, out metadata_t md,\n                   out ingress_intrinsic_metadata_t ig) {");
     e.text("    state start {\n        pkt.extract(hdr.ethernet);\n        transition select(hdr.ethernet.ethertype) {\n            0x6666: parse_lucid;\n            default: accept;\n        }\n    }");
     e.text("    state parse_lucid {\n        pkt.extract(hdr.lucid);\n        transition select(hdr.lucid.event_id) {");
@@ -196,7 +191,7 @@ fn parser(e: &mut Emitter, prog: &CheckedProgram) {
 /// Emit register declarations and one RegisterAction per memory table,
 /// named `ra_<handler>_<table id>`.
 fn registers_and_actions(e: &mut Emitter, prog: &CheckedProgram, handlers: &[HandlerIr]) {
-    e.section(Category::RegAction);
+    e.cat = Category::RegAction;
     for g in &prog.info.globals {
         emit!(
             e,
@@ -387,7 +382,7 @@ fn actions_and_tables(e: &mut Emitter, handlers: &[HandlerIr]) {
     for h in handlers {
         for t in &h.tables {
             let (hn, id) = (&h.name, t.id);
-            e.section(Category::Action);
+            e.cat = Category::Action;
             emit!(e, "action do_{hn}_{id}() {{");
             match &t.op {
                 AtomicOp::Mov { dst, src } => emit!(e, "    md.{dst} = {};", P4Operand(src)),
@@ -466,7 +461,7 @@ fn actions_and_tables(e: &mut Emitter, handlers: &[HandlerIr]) {
             emit!(e, "}}");
             // Table: guard conditions become static ternary rules (§6.2,
             // Figure 7 right).
-            e.section(Category::Table);
+            e.cat = Category::Table;
             emit!(e, "table tbl_{hn}_{id} {{");
             if t.guard.is_empty() {
                 emit!(e, "    actions = {{ do_{hn}_{id}; }}");
@@ -493,7 +488,7 @@ fn actions_and_tables(e: &mut Emitter, handlers: &[HandlerIr]) {
 }
 
 fn ingress_apply(e: &mut Emitter, handlers: &[HandlerIr], layout: &Layout) {
-    e.section(Category::Control);
+    e.cat = Category::Control;
     e.text("control LucidIngress(inout headers_t hdr, inout metadata_t md,\n                     in ingress_intrinsic_metadata_t ig) {\n    action nop() { }\n    apply {\n        // event dispatcher (static scheduler code)\n        lucid_dispatch.apply();");
     // Apply tables stage by stage so the textual order matches placement.
     let stages = layout
@@ -509,7 +504,12 @@ fn ingress_apply(e: &mut Emitter, handlers: &[HandlerIr], layout: &Layout) {
         };
         emit!(e, "        // --- stage {stage} ---");
         for p in std::iter::once(first).chain(placed) {
-            emit!(e, "        tbl_{}_{}.apply();", handlers[p.handler].name, p.table);
+            emit!(
+                e,
+                "        tbl_{}_{}.apply();",
+                handlers[p.handler].name,
+                p.table
+            );
         }
     }
     e.text("    }\n}");
@@ -519,16 +519,16 @@ fn ingress_apply(e: &mut Emitter, handlers: &[HandlerIr], layout: &Layout) {
 /// serializer. In the real compiler this is hand-written Tofino code inlined
 /// into every program; we emit the same fixed skeleton.
 fn scheduler(e: &mut Emitter) {
-    e.section(Category::Table);
+    e.cat = Category::Table;
     e.text("table lucid_dispatch {\n    key = {\n        hdr.lucid.event_id: exact;\n        hdr.lucid.location: ternary;\n        hdr.lucid.delay: ternary;\n    }\n    actions = { dispatch_local; dispatch_forward; dispatch_delay; }\n    const default_action = dispatch_local();\n}");
-    e.section(Category::Action);
+    e.cat = Category::Action;
     e.text("action dispatch_local() { }\naction dispatch_forward() {\n    ig_tm.ucast_egress_port = lucid_fwd_port(hdr.lucid.location);\n}\naction dispatch_delay() {\n    ig_tm.ucast_egress_port = RECIRC_PORT;\n    ig_tm.qid = LUCID_DELAY_QUEUE;\n}");
-    e.section(Category::Control);
+    e.cat = Category::Control;
     e.text("control LucidEgress(inout headers_t hdr, inout metadata_t md) {\n    apply {\n        // event serializer: split multi-event packets using clone id,\n        // update delay from queue residence time (§3.2)\n        if (hdr.lucid.isValid() && hdr.lucid.delay > 0) {\n            hdr.lucid.delay = hdr.lucid.delay |-| eg_qtime();\n        }\n    }\n}");
 }
 
 fn deparser(e: &mut Emitter, prog: &CheckedProgram) {
-    e.section(Category::Parser);
+    e.cat = Category::Parser;
     e.text("control LucidDeparser(packet_out pkt, in headers_t hdr) {\n    apply {\n        pkt.emit(hdr.ethernet);\n        pkt.emit(hdr.lucid);");
     for ev in &prog.info.events {
         emit!(e, "        pkt.emit(hdr.ev_{});", ev.name);

@@ -8,9 +8,8 @@
 //! noisy for `compile_apps` to tell.
 //!
 //! `cargo test -p lucid-tests --test compile_allocations -- --nocapture`
-//! prints the per-stage table. The ceiling is the count after the
-//! copy-free compile rewrite plus a small margin; raise it only with a
-//! reason recorded next to it.
+//! prints the per-stage table. The ceiling is today's count plus a
+//! small margin; raise it only with a reason recorded next to it.
 //!
 //! The one test lives alone in this binary: the counting allocator is
 //! process-wide, and although it counts only on the thread that switched
@@ -70,21 +69,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (
-        out,
-        ALLOCS.with(Cell::get) - a0,
-        BYTES.with(Cell::get) - b0,
-    )
+    (out, ALLOCS.with(Cell::get) - a0, BYTES.with(Cell::get) - b0)
 }
 
 const STAGES: [&str; 6] = ["parse", "check", "elaborate", "layout", "p4", "bytecode"];
 
 /// Allocations one sweep of the ten apps may make: the 16 915 it makes,
-/// plus 3 %. The sweep made 35 613 before the compiler stopped copying
-/// its own artifacts (the parser cloned every token, the build
-/// deep-copied the AST into the checker and the checked program into a
-/// shared handle, layout rebuilt each table's dependences per pair and
-/// per floor retry, the P4 emitter formatted and re-scanned every chunk).
+/// plus 3 %. Copying a stage's input instead of reading it in place (a
+/// token per `bump`, the AST per check) costs hundreds to thousands.
 const MAX_ALLOCS: u64 = 17_400;
 
 #[test]

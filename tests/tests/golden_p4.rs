@@ -32,7 +32,11 @@ fn bundled_app_p4_matches_golden_files() {
             lucid_core::Compiler::new().build(&format!("{}.lucid", app.key), app.source);
         let p4 = match build.p4() {
             Ok(p4) => p4.source.clone(),
-            Err(_) => panic!("{} does not compile:\n{}", app.key, build.render_diagnostics()),
+            Err(_) => panic!(
+                "{} does not compile:\n{}",
+                app.key,
+                build.render_diagnostics()
+            ),
         };
         let path = dir.join(format!("{}.p4", app.key));
         if update {
