@@ -457,19 +457,24 @@ print("-- serve [probe] a 63-deep call chain x 120 nested ifs leaves the socket 
 EOF
 
 echo "== bench smoke"
-# Every figure binary must run in smoke mode and emit parseable JSON.
-json_check() {
+# One figures run in smoke mode must print nine JSON lines, one per paper
+# figure, each parseable and each carrying its `paper` claims array.
+paper_check() {
   if command -v jq >/dev/null 2>&1; then
-    jq -e . >/dev/null
+    jq -e '.paper | type == "array"' >/dev/null
   else
-    python3 -c 'import json,sys; json.load(sys.stdin)'
+    python3 -c 'import json,sys; assert isinstance(json.load(sys.stdin)["paper"], list)'
   fi
 }
-for bin in fig09_apps fig10_loc_breakdown fig11_compile_times fig12_stage_ratio \
-           fig13_parallelism fig14_delay_queue fig15_recirc_uses fig16_sfw_model \
-           fig17_sfw_install; do
-  echo "-- bench $bin"
-  target/release/"$bin" --smoke --json | json_check
+figures_out=$(target/release/figures --smoke --json)
+figures_lines=$(printf '%s\n' "$figures_out" | wc -l)
+if [ "$figures_lines" -ne 9 ]; then
+  echo "bench smoke: figures printed $figures_lines lines, want 9" >&2
+  exit 1
+fi
+printf '%s\n' "$figures_out" | while IFS= read -r line; do
+  printf '%s\n' "$line" | paper_check
+  echo "-- bench $(printf '%s\n' "$line" | cut -c12-16): parses, carries its paper claims"
 done
 
 echo "== repo benchmark (benchmark/)"
