@@ -46,7 +46,7 @@ const USAGE: &str = "usage: figures [--smoke] [--json] [NN ...]  (NN: 09 to 17; 
 
 impl Args {
     /// Parse the arguments after the program name; anything that is not
-    /// a flag above or a figure number is an error carrying [`USAGE`].
+    /// a flag above or a figure number is an error carrying the usage line.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut out = Args::default();
         for a in args {
@@ -176,20 +176,24 @@ impl Claim {
             .map_or("n/a", |ok| if ok { "yes" } else { "NO" })
     }
 
-    /// A range as shown: `a–b`, one value, or one open bound.
-    fn show(&self, (lo, hi): (f64, f64)) -> String {
+    /// The paper's range and ours as shown: `a–b`, one value, one open
+    /// bound, or `-` when unmeasured.
+    fn shown(&self) -> (String, String) {
         let p = self.places;
-        if lo.is_nan() {
-            "-".into()
-        } else if lo == hi {
-            format!("{lo:.p$}")
-        } else if lo == f64::NEG_INFINITY {
-            format!("< {hi:.p$}")
-        } else if hi == f64::INFINITY {
-            format!("> {lo:.p$}")
-        } else {
-            format!("{lo:.p$}–{hi:.p$}")
-        }
+        let show = |(lo, hi): (f64, f64)| {
+            if lo.is_nan() {
+                "-".into()
+            } else if lo == hi {
+                format!("{lo:.p$}")
+            } else if lo == f64::NEG_INFINITY {
+                format!("< {hi:.p$}")
+            } else if hi == f64::INFINITY {
+                format!("> {lo:.p$}")
+            } else {
+                format!("{lo:.p$}–{hi:.p$}")
+            }
+        };
+        (show(self.paper), show(self.ours))
     }
 }
 
@@ -273,7 +277,7 @@ impl Figure {
         }
         out.push_str("\npaper:\n");
         for c in &self.claims {
-            let (paper, ours) = (c.show(c.paper), c.show(c.ours));
+            let (paper, ours) = c.shown();
             let _ = writeln!(
                 out,
                 "  {:<3}  {}: paper {paper}, ours {ours} — {}",
@@ -303,10 +307,10 @@ impl Figure {
                 });
                 w.key("paper").arr(|w| {
                     for c in &self.claims {
+                        let (paper, ours) = c.shown();
                         w.obj(|w| {
-                            w.key("claim").str(c.claim);
-                            w.key("paper_range").str(&c.show(c.paper));
-                            w.key("ours").str(&c.show(c.ours)).key("in_range");
+                            w.key("claim").str(c.claim).key("paper_range").str(&paper);
+                            w.key("ours").str(&ours).key("in_range");
                             match c.in_range() {
                                 Some(ok) => w.bool(ok),
                                 None => w.null(),
@@ -328,7 +332,7 @@ pub fn ledger(figures: &[Figure]) -> String {
         .iter()
         .flat_map(|f| f.claims.iter().map(|c| (f.no, c)))
     {
-        let (paper, ours, verdict) = (c.show(c.paper), c.show(c.ours), c.verdict());
+        let ((paper, ours), verdict) = (c.shown(), c.verdict());
         let _ = writeln!(
             out,
             "| Fig {no} | {} | {paper} | {ours} | {verdict} | {} |",
@@ -432,7 +436,7 @@ fn fig10(rows: &[Fig09Row]) -> Figure {
     let shorter = rows.iter().filter(|r| r.lucid_loc < r.p4.reg_actions).count() as f64;
     Figure::new(10, "Figure 10 — breakdown of P4 code vs Lucid", &columns, rows, vec![
         Claim::new("apps whose Lucid program is shorter than its P4 RegisterActions (of 10)",
-            (6.0, 10.0), one(shorter), 0).note("\"for most apps\": more than half"),
+            (6.0, 10.0), one(shorter), 0).note("\"for most apps\", read as more than half"),
     ])
 }
 
@@ -619,7 +623,7 @@ fn fig14(points: &[Fig14Point]) -> Figure {
     let (base, dq) = (last.baseline_gbps, last.delay_queue_gbps);
     Figure::new(14, "Figure 14 — pausable queue overhead and accuracy", &columns, points, vec![
         Claim::new("baseline Gb/s at 90 events", (95.0, f64::INFINITY), one(base), 2)
-            .note("\">95 Gb/s\": the baseline saturates the port"),
+            .note("\">95 Gb/s\", the baseline saturating the port"),
         Claim::new("delay-queue Gb/s at 90 events", about(5.5, 0.2), one(dq), 2)
             .note("\"~5.5 Gb/s\" read off the plot, ±20 %"),
         Claim::new("bandwidth reduction at 90 events (×)", about(20.0, 0.2), one(base / dq), 1)
