@@ -73,10 +73,10 @@ impl Args {
 }
 
 /// Builds one figure's table; the flag is `--smoke`.
-type Builder = fn(bool) -> Figure;
+type MakeFigure = fn(bool) -> Figure;
 
-/// Every figure's number and builder.
-const FIGURES: [(u8, Builder); 9] = [
+/// Every figure's number and the function that makes it.
+const FIGURES: [(u8, MakeFigure); 9] = [
     (9, |_| fig09(&figure09())),
     (10, |_| fig10(&figure09())),
     (11, |_| fig11(&figure11())),
