@@ -107,6 +107,65 @@ if grep -rn 'ExecMode::Ast, OptLevel::' tests/tests crates/interp/src/bytecode/t
   exit 1
 fi
 echo "-- differential legs listed only in lucid_tests::legs"
+# No dead public functions: every `pub fn` in the non-test code of a
+# first-party library crate must be named by some other file under
+# crates/, tests/, examples/ or benchmark/src/. A name counts as a use only
+# as a whole identifier outside `//` comments and one-line string
+# literals. Code only its own file calls is private. The allow-list holds
+# `file:fn` glob patterns, each with the reason it stays.
+dead_fn_allowed=(
+  # ROADMAP item 18: the appendix calculus, exercised by its own
+  # soundness tests until the checker is derived from it.
+  "crates/check/src/calculus.rs:*"
+  # ROADMAP item 22: StageUsage is the per-stage budget the placer is to
+  # share with the resource model.
+  "crates/tofino/src/spec.rs:fits"
+)
+dead_fns=$(
+  for src in $(find crates/*/src -name '*.rs' ! -name tests.rs ! -path '*/bin/*' | sort); do
+    [ -f "${src%%/src/*}/src/lib.rs" ] || continue
+    awk '/#\[cfg\(test\)\]/ { exit } match($0, /^[ \t]*pub (const )?fn [a-z_0-9]+/) {
+      n = split(substr($0, RSTART, RLENGTH), w, " "); print FILENAME " " w[n] }' "$src"
+  done | awk '
+    NR == FNR { file[NR] = $1; name[NR] = $2; want[$2] = 1; n = NR; next }
+    {
+      line = $0
+      sub(/\/\/.*/, "", line)
+      gsub(/"([^"\\]|\\.)*"/, "", line)
+      while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+        w = substr(line, RSTART, RLENGTH)
+        if (w in want) used[w, FILENAME] = 1
+        line = substr(line, RSTART + RLENGTH)
+      }
+    }
+    END {
+      for (i = 1; i <= n; i++) {
+        other = 0
+        for (k in used) {
+          split(k, p, SUBSEP)
+          if (p[1] == name[i] && p[2] != file[i]) { other = 1; break }
+        }
+        if (!other) print file[i] ":" name[i]
+      }
+    }' - $(find crates tests examples benchmark/src -name '*.rs' | sort)
+)
+dead_fn_found=0
+for hit in $dead_fns; do
+  allowed=0
+  for pattern in "${dead_fn_allowed[@]}"; do
+    if [[ "$hit" == $pattern ]]; then
+      allowed=1
+    fi
+  done
+  if [ "$allowed" -eq 0 ]; then
+    echo "static analysis: pub fn $hit is named in no other file (delete it or make it private)" >&2
+    dead_fn_found=1
+  fi
+done
+if [ "$dead_fn_found" -ne 0 ]; then
+  exit 1
+fi
+echo "-- every pub fn in a library crate is named outside its file"
 
 echo "== golden drift guard"
 # Regenerate the per-opt-level bytecode disassembly into a temp dir and

@@ -27,7 +27,7 @@ pub enum Operand {
 }
 
 impl Operand {
-    pub fn var_name(&self) -> Option<&str> {
+    fn var_name(&self) -> Option<&str> {
         match self {
             Operand::Var(v) => Some(v),
             Operand::Const(_) => None,
@@ -242,7 +242,7 @@ impl Cond {
 
     /// Conservative contradiction test: can `self` and `other` both hold?
     /// Only clearly-contradictory pairs over the same variable return true.
-    pub fn contradicts(&self, other: &Cond) -> bool {
+    fn contradicts(&self, other: &Cond) -> bool {
         if self.var != other.var {
             return false;
         }

@@ -29,28 +29,12 @@ use lucid_frontend::diag::{Diagnostic, Diagnostics};
 use lucid_tofino::spec::PipelineSpec;
 use std::collections::HashMap;
 
-/// Knobs for ablating the optimizations (DESIGN.md §4).
-#[derive(Debug, Clone, Copy)]
-pub struct LayoutOptions {
-    /// §6.2 "Rearranging tables": when false, every table additionally
-    /// depends on its program-order predecessor, serializing the layout.
-    pub rearrange: bool,
-    /// Maximum distinct match-key variables a merged table may carry.
-    pub merge_key_budget: usize,
-    /// Extra stages consumed by the event scheduler's dispatcher in
-    /// ingress (static code shared by all Lucid programs).
-    pub dispatcher_stages: usize,
-}
+/// Maximum distinct match-key variables a merged table may carry.
+const MERGE_KEY_BUDGET: usize = 4;
 
-impl Default for LayoutOptions {
-    fn default() -> Self {
-        LayoutOptions {
-            rearrange: true,
-            merge_key_budget: 4,
-            dispatcher_stages: 1,
-        }
-    }
-}
+/// Stages the event scheduler's dispatcher takes in ingress (static code
+/// shared by all Lucid programs).
+const DISPATCHER_STAGES: usize = 1;
 
 /// A placed table: which handler, which table id, which stage.
 #[derive(Debug, Clone)]
@@ -78,7 +62,7 @@ pub struct StageStats {
 
 impl StageStats {
     /// Total ALU instructions (stateful + action) — the Figure 13 metric.
-    pub fn alu_ops(&self) -> usize {
+    fn alu_ops(&self) -> usize {
         self.salus + self.action_ops
     }
 }
@@ -86,7 +70,7 @@ impl StageStats {
 /// The result of compiling a whole program onto the pipeline.
 #[derive(Debug, Clone)]
 pub struct Layout {
-    /// Stages used by handler logic (excludes `dispatcher_stages`).
+    /// Stages used by handler logic (excludes the dispatcher's).
     pub body_stages: usize,
     /// Total stages including the event scheduler's dispatcher.
     pub total_stages: usize,
@@ -132,23 +116,26 @@ enum Edge {
     Weak,
 }
 
-/// Compile the elaborated handlers onto a pipeline.
+/// Compile the elaborated handlers onto a pipeline. `rearrange` is §6.2's
+/// "Rearranging tables": when false, every table additionally depends on
+/// its program-order predecessor, serializing the layout (Figure 12's
+/// unrearranged column).
 pub fn place(
     prog: &CheckedProgram,
     handlers: &[HandlerIr],
     spec: &PipelineSpec,
-    opts: LayoutOptions,
+    rearrange: bool,
 ) -> Result<Layout, Diagnostics> {
     // The data-flow graph depends only on the tables, so it is built once,
     // outside the floor fixpoint.
     let deps: Vec<_> = handlers
         .iter()
-        .map(|h| handler_deps(&h.tables, opts.rearrange))
+        .map(|h| handler_deps(&h.tables, rearrange))
         .collect();
     let mut floors: HashMap<GlobalId, usize> = HashMap::new();
     // Outer fixpoint on array stage floors (see module docs).
     for _round in 0..4096 {
-        match try_place(prog, handlers, &deps, spec, opts, &floors) {
+        match try_place(prog, handlers, &deps, spec, &floors) {
             Ok(layout) => return Ok(layout),
             Err(PlaceError::BumpArray { array, to }) => {
                 let f = floors.entry(array).or_insert(0);
@@ -191,7 +178,6 @@ fn try_place(
     handlers: &[HandlerIr],
     deps: &[Vec<Vec<(usize, Edge)>>],
     spec: &PipelineSpec,
-    opts: LayoutOptions,
     floors: &HashMap<GlobalId, usize>,
 ) -> Result<Layout, PlaceError> {
     let mut array_stage: HashMap<GlobalId, usize> = HashMap::new();
@@ -227,23 +213,16 @@ fn try_place(
                         s
                     }
                     None => {
-                        let s = find_stage(
-                            &mut stages,
-                            spec,
-                            opts,
-                            min_stage.max(floor),
-                            t,
-                            Some(array),
-                        )
-                        .map_err(PlaceError::Hard)?;
+                        let s = find_stage(&mut stages, spec, min_stage.max(floor), t, Some(array))
+                            .map_err(PlaceError::Hard)?;
                         array_stage.insert(array, s);
                         s
                     }
                 }
             } else {
-                find_stage(&mut stages, spec, opts, min_stage, t, None).map_err(PlaceError::Hard)?
+                find_stage(&mut stages, spec, min_stage, t, None).map_err(PlaceError::Hard)?
             };
-            commit(&mut stages, stage, t, opts);
+            commit(&mut stages, stage, t);
             stage_of[t.id] = stage;
             placements.push(Placement {
                 handler: hi,
@@ -257,7 +236,7 @@ fn try_place(
         .iter()
         .rposition(|s| s.stats.tables > 0)
         .map_or(0, |i| i + 1);
-    let total_stages = body_stages + opts.dispatcher_stages;
+    let total_stages = body_stages + DISPATCHER_STAGES;
     if total_stages > spec.stages {
         return Err(PlaceError::Hard(Diagnostic::error_global(format!(
             "program needs {total_stages} stages but the pipeline has {}",
@@ -272,7 +251,7 @@ fn try_place(
     Ok(Layout {
         body_stages,
         total_stages,
-        unoptimized_stages: unopt_body + opts.dispatcher_stages,
+        unoptimized_stages: unopt_body + DISPATCHER_STAGES,
         placements,
         stage_stats: stages.into_iter().map(|s| s.stats).collect(),
         array_stage,
@@ -345,12 +324,11 @@ struct StageBuild<'a> {
 fn find_stage(
     stages: &mut Vec<StageBuild<'_>>,
     spec: &PipelineSpec,
-    opts: LayoutOptions,
     min_stage: usize,
     t: &AtomicTable,
     array: Option<GlobalId>,
 ) -> Result<usize, Diagnostic> {
-    for s in min_stage..spec.stages.saturating_sub(opts.dispatcher_stages) {
+    for s in min_stage..spec.stages.saturating_sub(DISPATCHER_STAGES) {
         while stages.len() <= s {
             stages.push(StageBuild::default());
         }
@@ -363,7 +341,7 @@ fn find_stage(
             None => true,
         };
         let act_ok = st.stats.action_ops + t.op.action_slots() <= spec.action_slots_per_stage;
-        let merge_ok = can_merge(st, t, spec, opts);
+        let merge_ok = can_merge(st, t, spec);
         if salu_ok && act_ok && merge_ok {
             return Ok(s);
         }
@@ -376,10 +354,10 @@ fn find_stage(
 
 /// Would `t` fit into an existing merge group of `st`, or is there room for
 /// a new logical table?
-fn can_merge(st: &StageBuild, t: &AtomicTable, spec: &PipelineSpec, opts: LayoutOptions) -> bool {
+fn can_merge(st: &StageBuild, t: &AtomicTable, spec: &PipelineSpec) -> bool {
     st.merge_groups
         .iter()
-        .any(|g| union_len(g, &t.guard) <= opts.merge_key_budget)
+        .any(|g| union_len(g, &t.guard) <= MERGE_KEY_BUDGET)
         || st.merge_groups.len() < spec.tables_per_stage
 }
 
@@ -394,12 +372,7 @@ fn union_len(group: &[&str], guard: &[Cond]) -> usize {
 }
 
 /// Record `t` in `stage`, updating stats and merge groups.
-fn commit<'a>(
-    stages: &mut Vec<StageBuild<'a>>,
-    stage: usize,
-    t: &'a AtomicTable,
-    opts: LayoutOptions,
-) {
+fn commit<'a>(stages: &mut Vec<StageBuild<'a>>, stage: usize, t: &'a AtomicTable) {
     while stages.len() <= stage {
         stages.push(StageBuild::default());
     }
@@ -414,7 +387,7 @@ fn commit<'a>(
     }
     // Greedy merge (Figure 8): join the first group whose key union fits.
     for g in &mut st.merge_groups {
-        if union_len(g, &t.guard) <= opts.merge_key_budget {
+        if union_len(g, &t.guard) <= MERGE_KEY_BUDGET {
             for c in &t.guard {
                 if !g.contains(&c.var.as_str()) {
                     g.push(&c.var);
@@ -429,11 +402,6 @@ fn commit<'a>(
     st.stats.merged_tables = st.merge_groups.len();
 }
 
-/// Convenience: [`crate::lower`] with default options on the Tofino.
-pub fn compile_layout(prog: &CheckedProgram) -> Result<(Vec<HandlerIr>, Layout), Diagnostics> {
-    crate::lower(prog, &crate::BackendOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,13 +411,7 @@ mod tests {
     fn layout_of(src: &str) -> Layout {
         let prog = parse_and_check(src).expect("checks");
         let handlers = elaborate(&prog).expect("elaborates");
-        place(
-            &prog,
-            &handlers,
-            &PipelineSpec::tofino(),
-            LayoutOptions::default(),
-        )
-        .expect("places")
+        place(&prog, &handlers, &PipelineSpec::tofino(), true).expect("places")
     }
 
     const FIG6: &str = r#"
@@ -511,23 +473,8 @@ mod tests {
     fn rearrangement_ablation_costs_stages() {
         let prog = parse_and_check(FIG6).unwrap();
         let handlers = elaborate(&prog).unwrap();
-        let with = place(
-            &prog,
-            &handlers,
-            &PipelineSpec::tofino(),
-            LayoutOptions::default(),
-        )
-        .unwrap();
-        let without = place(
-            &prog,
-            &handlers,
-            &PipelineSpec::tofino(),
-            LayoutOptions {
-                rearrange: false,
-                ..LayoutOptions::default()
-            },
-        )
-        .unwrap();
+        let with = place(&prog, &handlers, &PipelineSpec::tofino(), true).unwrap();
+        let without = place(&prog, &handlers, &PipelineSpec::tofino(), false).unwrap();
         assert!(
             without.total_stages > with.total_stages,
             "serialized {} vs rearranged {}",
@@ -603,11 +550,8 @@ mod tests {
         // assume a nonempty placement.
         let l = layout_of("event noop(); handle noop() { }");
         assert_eq!(l.body_stages, 0);
-        assert_eq!(l.total_stages, LayoutOptions::default().dispatcher_stages);
-        assert_eq!(
-            l.unoptimized_stages,
-            LayoutOptions::default().dispatcher_stages
-        );
+        assert_eq!(l.total_stages, DISPATCHER_STAGES);
+        assert_eq!(l.unoptimized_stages, DISPATCHER_STAGES);
         assert!(l.placements.is_empty());
         assert_eq!(l.max_alu_per_stage(), 0);
         assert_eq!(l.mean_alu_per_stage(), 0.0);
@@ -633,13 +577,7 @@ mod tests {
         );
         let prog = parse_and_check(&src).unwrap();
         let handlers = elaborate(&prog).unwrap();
-        let err = place(
-            &prog,
-            &handlers,
-            &PipelineSpec::tofino(),
-            LayoutOptions::default(),
-        )
-        .unwrap_err();
+        let err = place(&prog, &handlers, &PipelineSpec::tofino(), true).unwrap_err();
         assert!(err.items[0].message.contains("stages"), "{}", err.items[0]);
     }
 }

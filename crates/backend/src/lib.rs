@@ -10,12 +10,13 @@
 //!    subexpression elimination down to atomic (one-ALU) statements, with
 //!    branch conditions inlined as table guards (§6.1 and §6.2 step 1).
 //! 2. [`layout`] — dataflow-driven rearrangement, greedy merging, and stage
-//!    placement against the [`PipelineSpec`]
+//!    placement against the [`PipelineSpec`](lucid_tofino::PipelineSpec)
 //!    resource model (§6.2 steps 2–3).
 //! 3. [`p4`] — P4_16 text generation with Figure 10's per-category line
 //!    accounting.
 //!
-//! [`compile`] runs all three.
+//! `lucid_core::Build` is the only code that runs them in order, caching
+//! each stage's artifact; this crate exports the stages themselves.
 
 #![forbid(unsafe_code)]
 
@@ -27,70 +28,6 @@ pub mod p4;
 
 pub use elaborate::elaborate;
 pub use ir::{AtomicOp, AtomicTable, Cond, HandlerIr, LocSpec, MemKind, Operand};
-pub use layout::{compile_layout, place, Layout, LayoutOptions, Placement, StageStats};
+pub use layout::{place, Layout, Placement, StageStats};
 pub use opt::{optimize, OptStats};
 pub use p4::{generate, P4Loc, P4Program};
-
-use lucid_check::CheckedProgram;
-use lucid_frontend::diag::Diagnostics;
-use lucid_tofino::PipelineSpec;
-
-/// A complete compilation artifact.
-#[derive(Debug, Clone)]
-pub struct Compiled {
-    pub handlers: Vec<HandlerIr>,
-    pub layout: Layout,
-    pub p4: P4Program,
-}
-
-/// Backend configuration: the target pipeline, the layout knobs, and
-/// whether the IR clean-up pass (copy propagation + dead-table
-/// elimination) runs. `lucid_core::Compiler` threads one of these through
-/// every build session.
-#[derive(Debug, Clone)]
-pub struct BackendOptions {
-    pub target: PipelineSpec,
-    pub layout: LayoutOptions,
-    pub optimize: bool,
-}
-
-impl Default for BackendOptions {
-    fn default() -> Self {
-        BackendOptions {
-            target: PipelineSpec::tofino(),
-            layout: LayoutOptions::default(),
-            optimize: true,
-        }
-    }
-}
-
-/// Run the full backend with default options on the Tofino target.
-pub fn compile(prog: &CheckedProgram) -> Result<Compiled, Diagnostics> {
-    compile_with(prog, &BackendOptions::default())
-}
-
-/// Run the full backend against an explicit target and layout
-/// configuration.
-pub fn compile_with(prog: &CheckedProgram, opts: &BackendOptions) -> Result<Compiled, Diagnostics> {
-    let (handlers, layout) = lower(prog, opts)?;
-    let p4 = generate(prog, &handlers, &layout);
-    Ok(Compiled {
-        handlers,
-        layout,
-        p4,
-    })
-}
-
-/// The shared backend driver short of code generation: elaborate,
-/// optionally clean up the IR, and place onto the target pipeline.
-pub fn lower(
-    prog: &CheckedProgram,
-    opts: &BackendOptions,
-) -> Result<(Vec<HandlerIr>, Layout), Diagnostics> {
-    let mut handlers = elaborate(prog)?;
-    if opts.optimize {
-        optimize(&mut handlers);
-    }
-    let layout = place(prog, &handlers, &opts.target, opts.layout)?;
-    Ok((handlers, layout))
-}

@@ -539,12 +539,17 @@ fn deparser(e: &mut Emitter, prog: &CheckedProgram) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::compile_layout;
+    use crate::{elaborate, optimize, place};
     use lucid_check::parse_and_check;
+    use lucid_tofino::PipelineSpec;
 
+    /// The backend stages in the order `lucid_core::Build` runs them, with
+    /// its defaults: clean-up on, Tofino target, rearrangement on.
     fn gen(src: &str) -> P4Program {
         let prog = parse_and_check(src).expect("checks");
-        let (handlers, layout) = compile_layout(&prog).expect("compiles");
+        let mut handlers = elaborate(&prog).expect("elaborates");
+        optimize(&mut handlers);
+        let layout = place(&prog, &handlers, &PipelineSpec::tofino(), true).expect("places");
         generate(&prog, &handlers, &layout)
     }
 

@@ -5,29 +5,29 @@
 //! one [`Figure`] table per figure that the `figures` binary prints. A
 //! figure lists its columns once; [`Figure::text`] and [`Figure::json`]
 //! both render from that list. Each figure carries the paper's claims
-//! beside our values ([`Claim`]), and [`ledger`] collects them into
+//! beside our values ([`Claim`]), and a unit test keeps them in
 //! `docs/paper-fidelity.md`. Wall-clock measurement of the compiler,
 //! simulator and serve daemon lives in the repository's `benchmark/`
 //! package, not here.
 //!
 //! | paper artifact | rows | `figures` id |
 //! |---|---|---|
-//! | Figure 9 (app table) | [`figure09`] | `09` |
-//! | Figure 10 (P4 LoC breakdown) | [`figure09`] | `10` |
-//! | Figure 11 (dev time — see note) | [`figure11`] | `11` |
-//! | Figure 12 (stage ratio) | [`figure12`] | `12` |
-//! | Figure 13 (ALUs per stage) | [`figure12`] | `13` |
-//! | Figure 14 (delay queue) | [`figure14`] | `14` |
-//! | Figure 15 (recirc uses) | [`figure15`] | `15` |
-//! | Figure 16 (SFW recirc model) | [`figure16`] | `16` |
-//! | Figure 17 (install time CDF) | [`figure17`] | `17` |
+//! | Figure 9 (app table) | `figure09` | `09` |
+//! | Figure 10 (P4 LoC breakdown) | `figure09` | `10` |
+//! | Figure 11 (dev time — see note) | `figure11` | `11` |
+//! | Figure 12 (stage ratio) | `figure12` | `12` |
+//! | Figure 13 (ALUs per stage) | `figure12` | `13` |
+//! | Figure 14 (delay queue) | `figure14` | `14` |
+//! | Figure 15 (recirc uses) | `figure15` | `15` |
+//! | Figure 16 (SFW recirc model) | `figure16` | `16` |
+//! | Figure 17 (install time CDF) | `figure17` | `17` |
 
 #![forbid(unsafe_code)]
 
 use lucid_apps::{AppInfo, RecircUse};
 use lucid_backend::P4Loc;
 use lucid_core::frontend::json::{self, Writer};
-use lucid_core::{Build, Compiler, LayoutOptions, PipelineSpec};
+use lucid_core::{Build, Compiler, PipelineSpec};
 use lucid_tofino::{ecdf, figure16_rows, DelayQueue, RecircPort, RemoteControlModel, SfwModelRow};
 use std::fmt::Write as _;
 
@@ -165,7 +165,7 @@ impl Claim {
     }
 
     /// Every one of our values lies in the paper's range (`None`: not measured).
-    pub fn in_range(&self) -> Option<bool> {
+    fn in_range(&self) -> Option<bool> {
         let ((lo, hi), (a, b)) = (self.paper, self.ours);
         (!lo.is_nan()).then_some(lo <= a && b <= hi)
     }
@@ -323,25 +323,6 @@ impl Figure {
     }
 }
 
-/// The table of the paper-fidelity ledger (`docs/paper-fidelity.md`):
-/// one row per claim of the given figures.
-pub fn ledger(figures: &[Figure]) -> String {
-    let mut out = "| figure | claim | paper | ours | in range | note |\n".to_string();
-    out.push_str("|---|---|---|---|---|---|\n");
-    for (no, c) in figures
-        .iter()
-        .flat_map(|f| f.claims.iter().map(|c| (f.no, c)))
-    {
-        let ((paper, ours), verdict) = (c.shown(), c.verdict());
-        let _ = writeln!(
-            out,
-            "| Fig {no} | {} | {paper} | {ours} | {verdict} | {} |",
-            c.claim, c.note
-        );
-    }
-    out
-}
-
 /// Open a default-target build session for a bundled app.
 fn session(app: &AppInfo) -> Build {
     Compiler::new().build(app.key, app.source)
@@ -377,7 +358,7 @@ pub struct Fig09Row {
 }
 
 /// Compile every bundled app and report the Figure 9 and 10 columns.
-pub fn figure09() -> Vec<Fig09Row> {
+fn figure09() -> Vec<Fig09Row> {
     lucid_apps::all()
         .into_iter()
         .map(|app| {
@@ -450,7 +431,7 @@ pub struct Fig11Row {
     pub paper_dev_time: Option<&'static str>,
 }
 
-pub fn figure11() -> Vec<Fig11Row> {
+fn figure11() -> Vec<Fig11Row> {
     lucid_apps::all()
         .into_iter()
         .map(|app| Fig11Row {
@@ -482,8 +463,8 @@ fn fig11(rows: &[Fig11Row]) -> Figure {
     ])
 }
 
-/// One app's row of Figures 12 and 13 (and the ablation column from
-/// DESIGN.md §4).
+/// One app's row of Figures 12 and 13, with the ablation column that
+/// turns table rearrangement off.
 #[derive(Debug, Clone)]
 pub struct Fig12Row {
     pub key: &'static str,
@@ -498,7 +479,7 @@ pub struct Fig12Row {
     pub max_alu_per_stage: usize,
 }
 
-pub fn figure12() -> Vec<Fig12Row> {
+fn figure12() -> Vec<Fig12Row> {
     lucid_apps::all()
         .into_iter()
         .map(|app| {
@@ -513,10 +494,7 @@ pub fn figure12() -> Vec<Fig12Row> {
                 stages: 256,
                 ..PipelineSpec::tofino()
             };
-            build.reconfigure(&Compiler::new().target(tall).layout(LayoutOptions {
-                rearrange: false,
-                ..LayoutOptions::default()
-            }));
+            build.reconfigure(&Compiler::new().target(tall).rearrange(false));
             let no_rearrange = build.layout().ok().map(|l| l.total_stages);
             Fig12Row {
                 key: app.key,
@@ -583,7 +561,7 @@ pub struct Fig14Point {
 
 /// Sweep 0..=90 concurrent delayed events, reproducing both panels of
 /// Figure 14 (bandwidth and relative timing error).
-pub fn figure14() -> Vec<Fig14Point> {
+fn figure14() -> Vec<Fig14Point> {
     let port = RecircPort::default();
     let queue = DelayQueue::default();
     (0..=90)
@@ -632,7 +610,7 @@ fn fig14(points: &[Fig14Point]) -> Figure {
 }
 
 /// Figure 15 rows: recirculation-use classes and which apps exhibit them.
-pub fn figure15() -> Vec<(RecircUse, Vec<&'static str>)> {
+fn figure15() -> Vec<(RecircUse, Vec<&'static str>)> {
     use RecircUse::*;
     [Maintenance, FlowSetup, StateSync]
         .into_iter()
@@ -664,7 +642,7 @@ fn fig15(rows: &[(RecircUse, Vec<&'static str>)]) -> Figure {
 
 /// Figure 16: the worst-case SFW recirculation model on the idealized
 /// PISA processor.
-pub fn figure16() -> Vec<SfwModelRow> {
+fn figure16() -> Vec<SfwModelRow> {
     figure16_rows(&PipelineSpec::idealized_pisa())
 }
 
@@ -715,7 +693,7 @@ pub struct Fig17 {
     pub frac_inline: f64,
 }
 
-pub fn figure17(trials: usize, seed: u64) -> Fig17 {
+fn figure17(trials: usize, seed: u64) -> Fig17 {
     let bench = lucid_apps::sfw::install_benchmark(trials, 0.3125, seed);
     let remote = RemoteControlModel::default().sample(trials, seed);
     let integrated_mean = bench.times_ns.iter().sum::<f64>() / bench.times_ns.len().max(1) as f64;
@@ -917,6 +895,25 @@ mod tests {
             let err = parse(&[bad]).unwrap_err();
             assert!(err.contains(bad) && err.contains(USAGE), "{err}");
         }
+    }
+
+    /// The table of the paper-fidelity ledger (`docs/paper-fidelity.md`):
+    /// one row per claim of the given figures.
+    fn ledger(figures: &[Figure]) -> String {
+        let mut out = "| figure | claim | paper | ours | in range | note |\n".to_string();
+        out.push_str("|---|---|---|---|---|---|\n");
+        for (no, c) in figures
+            .iter()
+            .flat_map(|f| f.claims.iter().map(|c| (f.no, c)))
+        {
+            let ((paper, ours), verdict) = (c.shown(), c.verdict());
+            let _ = writeln!(
+                out,
+                "| Fig {no} | {} | {paper} | {ours} | {verdict} | {} |",
+                c.claim, c.note
+            );
+        }
+        out
     }
 
     #[test]

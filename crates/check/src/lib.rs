@@ -5,11 +5,14 @@
 //! together implement the paper's "correct-by-construction" approach to
 //! data-plane state.
 //!
-//! The entry point is [`check`], which takes a parsed
-//! [`Program`](lucid_frontend::Program) and returns a [`CheckedProgram`]
-//! carrying the symbol tables ([`ProgramInfo`]) and validated memop IR that
-//! the interpreter (`lucid-interp`) and compiler backend (`lucid-backend`)
-//! both consume.
+//! [`analyze`] takes a parsed [`Program`](lucid_frontend::Program) and
+//! returns every diagnostic, warnings included, with a [`CheckedProgram`]
+//! when there is no error: the symbol tables ([`ProgramInfo`]) and
+//! validated memop IR that the interpreter (`lucid-interp`) and compiler
+//! backend (`lucid-backend`) both consume. `lucid_core::Build`, the one
+//! way into the compiler, calls it as its check stage; [`check`] is the
+//! same pass in `Result` form for callers that want the program or the
+//! errors.
 //!
 //! The [`calculus`] module is an executable rendition of the appendix's
 //! formal system, with property tests standing in for the paper-and-pencil
@@ -29,7 +32,7 @@ pub use lint::lint;
 pub use lucid_frontend::diag::{Diagnostic, Diagnostics, Level};
 pub use memop::{eval_memop, validate_memops, MemopAtom, MemopBody, MemopCell, MemopIr};
 pub use symbols::{ConstInfo, EventInfo, GlobalId, GlobalInfo, GroupInfo, ProgramInfo};
-pub use typecheck::{analyze, check, Analysis, CheckOptions, CheckedProgram};
+pub use typecheck::{analyze, check, Analysis, CheckedProgram};
 
 /// The deepest chain of nested function calls a handler may make
 /// (`E0404` beyond it). Functions are inlined per call site, so this

@@ -69,22 +69,6 @@ impl CheckedProgram {
     }
 }
 
-/// Options threaded through semantic analysis (configured per-session by
-/// `lucid_core::Compiler`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckOptions {
-    /// Emit warnings for uncalled functions and unreachable statements.
-    pub warn_dead_code: bool,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        CheckOptions {
-            warn_dead_code: true,
-        }
-    }
-}
-
 /// Outcome of [`analyze`]: the checked program (when error-free) plus every
 /// diagnostic — errors *and* warnings — accumulated across all phases.
 #[derive(Debug, Clone)]
@@ -98,7 +82,7 @@ pub struct Analysis {
 /// memop validation, then the combined type-and-effect pass over every
 /// handler. Collects as many diagnostics as it can.
 pub fn check(program: impl Into<Arc<Program>>) -> Result<CheckedProgram, Diagnostics> {
-    let analysis = analyze(program, &CheckOptions::default());
+    let analysis = analyze(program);
     match analysis.program {
         Some(p) => Ok(p),
         None => Err(analysis.diagnostics),
@@ -113,10 +97,9 @@ pub fn check(program: impl Into<Arc<Program>>) -> Result<CheckedProgram, Diagnos
 ///
 /// The checker reads `program` in place: pass the `Arc` a caller already
 /// holds to share it rather than copy it. It writes only the literal
-/// widths (each a `OnceLock`, set at most once), and the width it decides
-/// depends on nothing in `opts`, so checking one program twice decides
-/// the same widths.
-pub fn analyze(program: impl Into<Arc<Program>>, opts: &CheckOptions) -> Analysis {
+/// widths (each a `OnceLock`, set at most once), so checking one program
+/// twice decides the same widths.
+pub fn analyze(program: impl Into<Arc<Program>>) -> Analysis {
     let program: Arc<Program> = program.into();
     let (info, mut diags) = ProgramInfo::build_all(&program);
     if diags.has_errors() {
@@ -144,7 +127,6 @@ pub fn analyze(program: impl Into<Arc<Program>>, opts: &CheckOptions) -> Analysi
         memops: &memops,
         diags: Diagnostics::new(),
         call_stack: Vec::new(),
-        opts: opts.clone(),
     };
     checker.check_all();
     diags.extend(checker.diags.or_code_all("E0400"));
@@ -237,7 +219,6 @@ struct Checker<'a> {
     memops: &'a HashMap<String, MemopIr>,
     diags: Diagnostics,
     call_stack: Vec<String>,
-    opts: CheckOptions,
 }
 
 impl<'a> Checker<'a> {
@@ -276,18 +257,16 @@ impl<'a> Checker<'a> {
         // from a handler would require instantiation choices for their array
         // parameters, so uncalled functions are only syntax-checked (the
         // parser already did that). Warn so dead code is visible.
-        if self.opts.warn_dead_code {
-            for decl in &self.program.decls {
-                if let DeclKind::Fun { name, .. } = &decl.kind {
-                    if !program_calls(self.program, &name.name) {
-                        self.diags.push(
-                            Diagnostic::warning(
-                                format!("function `{name}` is never called"),
-                                name.span,
-                            )
-                            .with_code("W0001"),
-                        );
-                    }
+        for decl in &self.program.decls {
+            if let DeclKind::Fun { name, .. } = &decl.kind {
+                if !program_calls(self.program, &name.name) {
+                    self.diags.push(
+                        Diagnostic::warning(
+                            format!("function `{name}` is never called"),
+                            name.span,
+                        )
+                        .with_code("W0001"),
+                    );
                 }
             }
         }
@@ -482,7 +461,7 @@ impl<'a> Checker<'a> {
         scopes.push();
         let mut returns = false;
         for stmt in &block.stmts {
-            if returns && self.opts.warn_dead_code {
+            if returns {
                 self.diags.push(
                     Diagnostic::warning("unreachable statement", stmt.span).with_code("W0002"),
                 );

@@ -40,9 +40,9 @@
 //!                             rendered at the `--opt` level (default 2, so
 //!                             fused superinstructions and the post-regalloc
 //!                             register frames show); with a scenario, dumps
-//!                             and then runs it (under `--json` the listing
-//!                             goes to stderr so stdout stays one JSON
-//!                             document)
+//!                             and then runs it (under `--json` or
+//!                             `--metrics=json` the listing goes to stderr
+//!                             so stdout stays one JSON document)
 //!   --verify-bytecode         run the bytecode verifier over every handler
 //!                             after every compiler pass before simulating
 //!                             (`sim`); violations report with stable V0xxx
@@ -68,8 +68,8 @@
 
 use lucid_core::frontend::json;
 use lucid_core::{
-    Build, BuildHost, Compiler, Engine, ExecMode, LayoutOptions, OptLevel, PipelineSpec, Scenario,
-    ServeState, SimError, SimOptions,
+    Build, BuildHost, Compiler, Engine, ExecMode, OptLevel, PipelineSpec, Scenario, ServeState,
+    SimError, SimOptions,
 };
 use std::process::ExitCode;
 
@@ -135,7 +135,6 @@ fn main() -> ExitCode {
             };
             let compiler = Compiler::new()
                 .target(opts.target.clone())
-                .layout(LayoutOptions::default())
                 .optimize(opts.optimize);
             let mut build = compiler.build(&opts.file, &src);
             match cmd.as_str() {
@@ -147,13 +146,17 @@ fn main() -> ExitCode {
         "sim" => run_sim(&args[1..]),
         "serve" => run_serve(&args[1..]),
         "apps" => {
+            if let Some(extra) = args.get(1) {
+                eprintln!("error: unexpected argument `{extra}` to `apps`\n{USAGE}");
+                return ExitCode::from(EXIT_USAGE);
+            }
             for app in lucid_apps::all() {
-                println!(
-                    "{:<12} {:<36} {} Lucid lines",
+                out(&format!(
+                    "{:<12} {:<36} {} Lucid lines\n",
                     app.key,
                     app.name,
                     app.lucid_loc()
-                );
+                ));
             }
             ExitCode::SUCCESS
         }
@@ -162,9 +165,13 @@ fn main() -> ExitCode {
                 eprintln!("error: missing <key>; try `lucidc apps`");
                 return ExitCode::from(EXIT_USAGE);
             };
+            if let Some(extra) = args.get(2) {
+                eprintln!("error: unexpected argument `{extra}` to `app`\n{USAGE}");
+                return ExitCode::from(EXIT_USAGE);
+            }
             match lucid_apps::by_key(key) {
                 Some(app) => {
-                    print!("{}", app.source);
+                    out(app.source);
                     ExitCode::SUCCESS
                 }
                 None => {
@@ -328,7 +335,7 @@ fn run_sim(args: &[String]) -> ExitCode {
                 return code;
             }
         }
-        return match dump_listing(&mut build, level, opts.json) {
+        return match dump_listing(&mut build, level, &opts) {
             Ok(()) => ExitCode::SUCCESS,
             Err(code) => code,
         };
@@ -345,7 +352,7 @@ fn run_sim(args: &[String]) -> ExitCode {
         Ok(sc) => sc,
         Err(e) => {
             if opts.json {
-                println!("{}", e.to_json());
+                out(&format!("{}\n", e.to_json()));
             } else {
                 eprintln!("error in {scenario_path}: {e}");
             }
@@ -367,11 +374,8 @@ fn run_sim(args: &[String]) -> ExitCode {
     // the scenario's own level so the dump describes the bytecode that
     // actually runs below.
     if opts.dump_bytecode {
-        if let Err(code) = dump_listing(
-            &mut build,
-            opts.options.opt.unwrap_or(scenario.opt),
-            opts.json,
-        ) {
+        if let Err(code) = dump_listing(&mut build, opts.options.opt.unwrap_or(scenario.opt), &opts)
+        {
             return code;
         }
     }
@@ -399,7 +403,7 @@ fn run_sim(args: &[String]) -> ExitCode {
             }
             Err(e) => {
                 if opts.json {
-                    println!("{}", e.to_json());
+                    out(&format!("{}\n", e.to_json()));
                 } else {
                     eprintln!("error in --gen spec: {e}");
                 }
@@ -410,13 +414,13 @@ fn run_sim(args: &[String]) -> ExitCode {
     match build.interp(&scenario, &opts.options) {
         Ok(report) => {
             if opts.json {
-                println!("{}", report.to_json());
+                out(&format!("{}\n", report.to_json()));
             } else if opts.metrics == MetricsOut::Json {
-                println!("{}", report.metrics.to_json());
+                out(&format!("{}\n", report.metrics.to_json()));
             } else {
-                print!("{}", report.render());
+                out(&report.render());
                 if opts.metrics == MetricsOut::Table {
-                    print!("{}", report.metrics.render());
+                    out(&report.metrics.render());
                 }
             }
             if report.passed() {
@@ -428,7 +432,7 @@ fn run_sim(args: &[String]) -> ExitCode {
         Err(SimError::Diagnostics(_)) => program_diagnostics(&build, opts.json),
         Err(SimError::Scenario(e)) => {
             if opts.json {
-                println!("{}", e.to_json());
+                out(&format!("{}\n", e.to_json()));
             } else {
                 eprintln!("error in {scenario_path}: {e}");
             }
@@ -443,7 +447,7 @@ fn run_sim(args: &[String]) -> ExitCode {
                         w.key("kind").str("runtime").key("fault").raw(&e.to_json());
                     });
                 });
-                println!("{doc}");
+                out(&format!("{doc}\n"));
             } else {
                 eprintln!("runtime fault: {e}");
             }
@@ -514,7 +518,22 @@ fn print_failure(kind: &str, msg: &str) {
             w.key("kind").str(kind).key("msg").str(msg);
         });
     });
-    println!("{doc}");
+    out(&format!("{doc}\n"));
+}
+
+/// Write `text` to stdout: every byte this binary prints there goes
+/// through here. A reader that closed the pipe early (`lucidc apps | head
+/// -2`) ends the run quietly with exit 0; any other write failure is an
+/// I/O error (exit 2).
+fn out(text: &str) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_all(text.as_bytes()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(EXIT_USAGE.into());
+    }
 }
 
 /// Report the program's own diagnostics and yield the exit code: rendered
@@ -555,20 +574,21 @@ fn verify_listing(build: &mut Build, level: OptLevel, json: bool) -> Result<(), 
 }
 
 /// Print the bytecode listing at `level` (`sim --dump-bytecode`). Under
-/// `--json`, stdout stays one machine-readable document, so the listing
-/// goes to stderr; a program with diagnostics reports them in the same
-/// shape as the run path and yields the exit code to return.
-fn dump_listing(build: &mut Build, level: OptLevel, json: bool) -> Result<(), ExitCode> {
+/// `--json` or `--metrics=json`, stdout stays one machine-readable
+/// document, so the listing goes to stderr; a program with diagnostics
+/// reports them in the same shape as the run path and yields the exit
+/// code to return.
+fn dump_listing(build: &mut Build, level: OptLevel, opts: &SimArgs) -> Result<(), ExitCode> {
     match build.disassemble_opt(level) {
-        Ok(listing) if json => {
+        Ok(listing) if opts.json || opts.metrics == MetricsOut::Json => {
             eprint!("{listing}");
             Ok(())
         }
         Ok(listing) => {
-            print!("{listing}");
+            out(&listing);
             Ok(())
         }
-        Err(_) => Err(program_diagnostics(build, json)),
+        Err(_) => Err(program_diagnostics(build, opts.json)),
     }
 }
 
@@ -661,13 +681,13 @@ fn diag_failure(build: &Build, opts: &Options) -> ExitCode {
 fn run_check(build: &mut Build, opts: &Options) -> ExitCode {
     match build.checked() {
         Ok(p) => {
-            println!(
-                "ok: {} globals, {} events, {} handlers, {} memops",
+            out(&format!(
+                "ok: {} globals, {} events, {} handlers, {} memops\n",
                 p.info.globals.len(),
                 p.info.events.len(),
                 p.info.handlers.len(),
                 p.memops.len()
-            );
+            ));
             emit_success_warnings(build, opts)
         }
         Err(_) => diag_failure(build, opts),
@@ -675,7 +695,7 @@ fn run_check(build: &mut Build, opts: &Options) -> ExitCode {
 }
 
 fn run_compile(build: &mut Build, opts: &Options) -> ExitCode {
-    let out = match opts.emit {
+    let artifact = match opts.emit {
         Emit::Ast => build
             .ast()
             .map(lucid_core::frontend::pretty::program)
@@ -705,11 +725,11 @@ fn run_compile(build: &mut Build, opts: &Options) -> ExitCode {
         Emit::Layout => build.layout().map(render_layout).map_err(|_| ()),
         Emit::P4 => build.p4().map(|p4| p4.source.clone()).map_err(|_| ()),
     };
-    match out {
+    match artifact {
         Ok(text) => {
-            print!("{text}");
+            out(&text);
             if !text.ends_with('\n') {
-                println!();
+                out("\n");
             }
             // The human stats line stays off stderr under --json-diagnostics
             // so that stream parses as one JSON document.
@@ -732,8 +752,7 @@ fn run_compile(build: &mut Build, opts: &Options) -> ExitCode {
 fn run_stages(build: &mut Build, opts: &Options) -> ExitCode {
     match build.layout() {
         Ok(_) => {
-            let text = render_layout(build.layout().expect("just succeeded"));
-            print!("{text}");
+            out(&render_layout(build.layout().expect("just succeeded")));
             emit_success_warnings(build, opts)
         }
         Err(_) => diag_failure(build, opts),

@@ -405,8 +405,10 @@ fn sim_dump_bytecode_prints_listing() {
     assert!(s.contains("; array g0 `cts`: 64 x 32-bit"), "{s}");
 
     // The CLI surface and the library agree on the listing.
-    let lib =
-        lucid_core::disassemble(&lucid_core::check::parse_and_check(GOOD).expect("GOOD checks"));
+    let lib = lucid_core::disassemble_opt(
+        &lucid_core::check::parse_and_check(GOOD).expect("GOOD checks"),
+        lucid_core::OptLevel::default(),
+    );
     assert_eq!(s, lib);
 
     // With a scenario, the dump precedes the run's report.
@@ -842,6 +844,62 @@ fn serve_rejects_unknown_arguments() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown `serve` argument"), "{stderr}");
+}
+
+#[test]
+fn apps_and_app_refuse_extra_arguments() {
+    for args in [&["apps", "bogus"][..], &["app", "nat", "bogus"]] {
+        let out = lucidc(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unexpected argument `bogus`"), "{stderr}");
+        assert!(stderr.contains("usage: lucidc"), "{stderr}");
+    }
+}
+
+#[test]
+fn metrics_json_moves_the_listing_to_stderr() {
+    let prog = write_temp("metrics-dump.lucid", GOOD);
+    let sc = write_temp(
+        "metrics-dump.sim.json",
+        r#"{"events": [{"time_ns": 0, "switch": 1, "event": "pkt", "args": [1]}]}"#,
+    );
+    let out = lucidc(&[
+        "sim",
+        "--dump-bytecode",
+        "--metrics=json",
+        prog.to_str().unwrap(),
+        sc.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    lucid_core::interp::scenario::json::parse(&stdout)
+        .unwrap_or_else(|e| panic!("stdout is not one JSON document ({e:?}):\n{stdout}"));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("handler `pkt`"),
+        "{out:?}"
+    );
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    // `lucidc apps | head -2` and friends: the reader is gone before the
+    // binary writes, so every write fails with a broken pipe.
+    let prog = write_temp("closed-stdout.lucid", GOOD);
+    let dump = ["sim", "--dump-bytecode", prog.to_str().unwrap()];
+    for args in [&["apps"][..], &dump[..]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_lucidc"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("lucidc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+    }
 }
 
 /// Quote a string as a JSON string literal (tests only need the common

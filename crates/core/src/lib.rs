@@ -4,14 +4,15 @@
 //! Control in the Data Plane* (SIGCOMM 2021). It re-exports the pipeline
 //! stages and provides the staged driver API:
 //!
-//! * [`Compiler`] — a reusable configuration (target [`PipelineSpec`],
-//!   [`LayoutOptions`], optimization toggle, [`CheckOptions`]);
-//! * [`Build`] — a per-source compilation session with lazily computed,
-//!   cached stage artifacts: [`ast`](Build::ast), [`checked`](Build::checked),
-//!   [`handlers`](Build::handlers), [`layout`](Build::layout),
-//!   [`p4`](Build::p4). Callers pay only for the stages they ask for, and
-//!   can re-run the backend under a different target without re-parsing
-//!   ([`reconfigure`](Build::reconfigure));
+//! * [`Compiler`] — a reusable configuration with three settings: the
+//!   target [`PipelineSpec`], the IR clean-up toggle, and §6.2's table
+//!   rearrangement (off only for Figure 12's ablation column);
+//! * [`Build`] — the one way into the compiler: a per-source session with
+//!   lazily computed, cached stage artifacts: [`ast`](Build::ast),
+//!   [`checked`](Build::checked), [`handlers`](Build::handlers),
+//!   [`layout`](Build::layout), [`p4`](Build::p4). Callers pay only for
+//!   the stages they ask for, and can re-run the backend under a different
+//!   target without re-parsing ([`reconfigure`](Build::reconfigure));
 //! * structured diagnostics: every failure is a set of
 //!   [`Diagnostic`]s with severity, stable
 //!   code, and spans, rendered rustc-style
@@ -58,18 +59,18 @@ pub use lucid_frontend as frontend;
 pub use lucid_interp as interp;
 pub use lucid_tofino as tofino;
 
-pub use lucid_backend::{BackendOptions, Compiled, HandlerIr, Layout, LayoutOptions, P4Program};
-pub use lucid_check::{Analysis, CheckOptions, CheckedProgram};
+pub use lucid_backend::{HandlerIr, Layout, P4Program};
+pub use lucid_check::{Analysis, CheckedProgram};
 // Kept for `benchmark/`, which imports the escaper from this path.
 pub use lucid_frontend::json::escape as json_escape;
 pub use lucid_frontend::{Diagnostic, Diagnostics, Program, SourceMap};
 pub use lucid_interp::{
-    disassemble, disassemble_opt, handle_line, run_scenario_with, serve_lines, ArgDist, CheckHost,
-    ClassHists, ClassMetrics, CmpOp, Engine, ErrorKind, EventSource, ExecMode, FaultAt, GenSpec,
-    Histogram, Interp, InterpError, InterpFault, MetricExpect, MetricSel, Metrics, Mismatch,
-    NetConfig, OptLevel, Outcome, Phase, ProgramHost, Scenario, ScenarioError, ServeError,
-    ServeState, SessionStatus, SimOptions, SimReport, SimRunError, SimSession, SnapError,
-    SourcedEvent, SwapStats, Violation, Workload,
+    disassemble_opt, handle_line, run_scenario_with, serve_lines, ArgDist, CheckHost, ClassHists,
+    ClassMetrics, CmpOp, Engine, ErrorKind, EventSource, ExecMode, FaultAt, GenSpec, Histogram,
+    Interp, InterpError, InterpFault, MetricExpect, MetricSel, Metrics, Mismatch, NetConfig,
+    OptLevel, Outcome, Phase, ProgramHost, Scenario, ScenarioError, ServeError, ServeState,
+    SessionStatus, SimOptions, SimReport, SimRunError, SimSession, SnapError, SourcedEvent,
+    SwapStats, Violation, Workload,
 };
 pub use lucid_tofino::PipelineSpec;
 
@@ -77,45 +78,51 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A reusable compiler configuration. `Compiler` is a builder: chain
-/// [`target`](Compiler::target), [`layout`](Compiler::layout),
-/// [`optimize`](Compiler::optimize), and
-/// [`check_options`](Compiler::check_options), then call
+/// [`target`](Compiler::target), [`optimize`](Compiler::optimize) and
+/// [`rearrange`](Compiler::rearrange), then call
 /// [`build`](Compiler::build) once per source file to open a session.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Compiler {
-    backend: BackendOptions,
-    check: CheckOptions,
+    target: PipelineSpec,
+    optimize: bool,
+    rearrange: bool,
+}
+
+impl Default for Compiler {
+    fn default() -> Self {
+        Compiler {
+            target: PipelineSpec::tofino(),
+            optimize: true,
+            rearrange: true,
+        }
+    }
 }
 
 impl Compiler {
-    /// Default configuration: the Tofino target, default layout options,
-    /// optimizations on.
+    /// Default configuration: the Tofino target, clean-up pass on, tables
+    /// rearranged.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Compile against `spec` instead of the default Tofino pipeline.
     pub fn target(mut self, spec: PipelineSpec) -> Self {
-        self.backend.target = spec;
-        self
-    }
-
-    /// Override the layout knobs (rearrangement, merge budget, dispatcher).
-    pub fn layout(mut self, opts: LayoutOptions) -> Self {
-        self.backend.layout = opts;
+        self.target = spec;
         self
     }
 
     /// Toggle the IR clean-up pass (copy propagation + dead-table
     /// elimination). On by default.
     pub fn optimize(mut self, on: bool) -> Self {
-        self.backend.optimize = on;
+        self.optimize = on;
         self
     }
 
-    /// Override the semantic-analysis options.
-    pub fn check_options(mut self, opts: CheckOptions) -> Self {
-        self.check = opts;
+    /// Toggle §6.2's table rearrangement. On by default; off serializes
+    /// every handler's tables in program order, which is Figure 12's
+    /// unrearranged column.
+    pub fn rearrange(mut self, on: bool) -> Self {
+        self.rearrange = on;
         self
     }
 
@@ -216,8 +223,7 @@ impl Build {
     /// The check artifact as a shared handle — the form long-lived
     /// simulation sessions hold. The handle is the artifact itself, so a
     /// call is a reference-count increment, not a copy: every call (and
-    /// every session opened from this build) shares one allocation until
-    /// [`Build::reconfigure`] invalidates the check stage.
+    /// every session opened from this build) shares one allocation.
     pub fn checked_arc(&mut self) -> Result<Arc<CheckedProgram>, Diagnostics> {
         self.ensure_checked();
         as_result(self.checked.as_ref()).map(Arc::clone)
@@ -262,14 +268,7 @@ impl Build {
     }
 
     /// Compile this session's checked program to interpreter bytecode at
-    /// the default optimization level and render the listing
-    /// (`lucidc sim --dump-bytecode`).
-    pub fn disassemble(&mut self) -> Result<String, Diagnostics> {
-        self.disassemble_opt(OptLevel::default())
-    }
-
-    /// [`Build::disassemble`] at an explicit optimization level
-    /// (`lucidc sim --opt=N --dump-bytecode`).
+    /// `level` and render the listing (`lucidc sim --dump-bytecode`).
     pub fn disassemble_opt(&mut self, level: OptLevel) -> Result<String, Diagnostics> {
         self.checked()
             .map(|p| lucid_interp::disassemble_opt(p, level))
@@ -303,18 +302,12 @@ impl Build {
         )
     }
 
-    /// Swap in a different configuration, keeping every cache the new
-    /// configuration cannot invalidate. The parse artifact always
-    /// survives; the check artifact survives unless the check options
-    /// changed; elaboration, layout, and P4 are recomputed on next access
-    /// — this is how one session compiles the same (already-checked)
-    /// program for several targets.
+    /// Swap in a different configuration. No setting reaches the front
+    /// end, so the parse and check artifacts (and their warnings) survive;
+    /// elaboration, layout, and P4 are recomputed on next access — this is
+    /// how one session compiles the same (already-checked) program for
+    /// several targets.
     pub fn reconfigure(&mut self, cfg: &Compiler) {
-        if self.cfg.check != cfg.check {
-            self.checked = None;
-            self.lint = None;
-            self.warnings = Diagnostics::new();
-        }
         self.cfg = cfg.clone();
         self.handlers = None;
         self.layout = None;
@@ -360,25 +353,6 @@ impl Build {
         self.diagnostics().to_json(&self.sm)
     }
 
-    /// Drive the whole pipeline and bundle owned artifacts (the shape the
-    /// pre-session API returned). Prefer the borrowing accessors unless the
-    /// artifacts must outlive the session.
-    pub fn artifacts(&mut self) -> Result<Artifacts, Diagnostics> {
-        self.ensure_p4();
-        let checked = CheckedProgram::clone(as_result(self.checked.as_ref())?);
-        let handlers = as_result(self.handlers.as_ref())?.clone();
-        let layout = as_result(self.layout.as_ref())?.clone();
-        let p4 = as_result(self.p4.as_ref())?.clone();
-        Ok(Artifacts {
-            checked,
-            compiled: Compiled {
-                handlers,
-                layout,
-                p4,
-            },
-        })
-    }
-
     // ------------------------------------------------------ stage drivers
 
     fn ensure_ast(&mut self) {
@@ -406,7 +380,7 @@ impl Build {
             Err(ds) => Err(ds.clone()),
             Ok(program) => {
                 self.stats.check_runs += 1;
-                let analysis = lucid_check::analyze(Arc::clone(program), &self.cfg.check);
+                let analysis = lucid_check::analyze(Arc::clone(program));
                 match analysis.program {
                     Some(p) => {
                         self.warnings.extend(analysis.diagnostics);
@@ -444,7 +418,7 @@ impl Build {
             Ok(prog) => {
                 self.stats.elaborate_runs += 1;
                 lucid_backend::elaborate(prog).map(|mut handlers| {
-                    if self.cfg.backend.optimize {
+                    if self.cfg.optimize {
                         lucid_backend::optimize(&mut handlers);
                     }
                     handlers
@@ -462,12 +436,7 @@ impl Build {
         let result = match (self.checked.as_ref(), self.handlers.as_ref()) {
             (Some(Ok(prog)), Some(Ok(handlers))) => {
                 self.stats.layout_runs += 1;
-                lucid_backend::place(
-                    prog,
-                    handlers,
-                    &self.cfg.backend.target,
-                    self.cfg.backend.layout,
-                )
+                lucid_backend::place(prog, handlers, &self.cfg.target, self.cfg.rearrange)
             }
             (_, Some(Err(ds))) => Err(ds.clone()),
             _ => Err(self
@@ -553,13 +522,6 @@ impl std::fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
-
-/// Everything produced by a successful compile.
-#[derive(Debug, Clone)]
-pub struct Artifacts {
-    pub checked: CheckedProgram,
-    pub compiled: Compiled,
-}
 
 /// A [`ProgramHost`] backed by [`Build`] sessions: the host `lucidc
 /// serve` runs with. Each serve session owns one compilation session,
@@ -691,12 +653,12 @@ mod tests {
             stages: 256,
             ..PipelineSpec::tofino()
         };
-        b.reconfigure(&Compiler::new().target(tall).layout(LayoutOptions {
-            dispatcher_stages: 3,
-            ..LayoutOptions::default()
-        }));
+        b.reconfigure(&Compiler::new().target(tall).rearrange(false));
         let stages_tall = b.layout().unwrap().total_stages;
-        assert_eq!(stages_tall, stages_default + 2, "dispatcher grew by 2");
+        assert_eq!(
+            stages_tall, stages_default,
+            "one table: nothing to serialize"
+        );
         let s = *b.stats();
         assert_eq!(
             (s.parse_runs, s.check_runs),

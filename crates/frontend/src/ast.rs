@@ -325,11 +325,6 @@ impl Expr {
         let width = OnceLock::new();
         Expr::new(ExprKind::Int { value, width }, Span::DUMMY)
     }
-
-    /// A variable reference with a dummy span.
-    pub fn synth_var(name: impl Into<String>) -> Self {
-        Expr::new(ExprKind::Var(Ident::synth(name)), Span::DUMMY)
-    }
 }
 
 /// The different kinds of expression.

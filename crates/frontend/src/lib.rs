@@ -36,10 +36,3 @@ pub use ast::{
 pub use diag::{Diagnostic, Diagnostics, Level};
 pub use parser::{parse_expr, parse_program};
 pub use span::{LineCol, SourceMap, Span};
-
-/// Convenience: parse `src` named `name`, returning the program together
-/// with a [`SourceMap`] for rendering later-phase diagnostics.
-pub fn parse_named(name: &str, src: &str) -> Result<(Program, SourceMap), Diagnostic> {
-    let program = parser::parse_program(src)?;
-    Ok((program, SourceMap::new(name, src)))
-}

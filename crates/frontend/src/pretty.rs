@@ -150,7 +150,7 @@ pub fn stmt(out: &mut String, s: &Stmt, depth: usize) {
 /// Render an expression, parenthesizing conservatively: any nested binary or
 /// unary expression is wrapped, which keeps the printer simple and always
 /// correct with respect to precedence.
-pub fn expr_str(e: &Expr) -> String {
+fn expr_str(e: &Expr) -> String {
     match &e.kind {
         ExprKind::Int { value, width } => match width.get() {
             None => format!("{value}"),

@@ -124,16 +124,6 @@ impl SourceMap {
             .map_or(self.src.len(), |&e| e as usize);
         self.src[start..end].trim_end_matches('\n')
     }
-
-    /// The source text covered by `span`.
-    pub fn snippet(&self, span: Span) -> &str {
-        &self.src[span.start as usize..span.end as usize]
-    }
-
-    /// Number of lines in the file.
-    pub fn line_count(&self) -> usize {
-        self.line_starts.len()
-    }
 }
 
 #[cfg(test)]
@@ -173,13 +163,20 @@ mod tests {
 
     #[test]
     fn snippet_roundtrip() {
-        let sm = SourceMap::new("t", "hello world");
-        assert_eq!(sm.snippet(Span::new(6, 11)), "world");
+        // A span's bytes and its start's line and column name one text,
+        // which is what a rendered diagnostic relies on.
+        let sm = SourceMap::new("t", "hello\nbig world");
+        let span = Span::new(10, 15);
+        assert_eq!(&sm.src[span.start as usize..span.end as usize], "world");
+        let at = sm.line_col(span.start);
+        assert_eq!(at, LineCol { line: 2, col: 5 });
+        assert_eq!(&sm.line_text(at.line)[at.col as usize - 1..], "world");
     }
 
     #[test]
     fn line_count_counts_final_partial_line() {
         let sm = SourceMap::new("t", "a\nb\nc");
-        assert_eq!(sm.line_count(), 3);
+        assert_eq!(sm.line_col(4), LineCol { line: 3, col: 1 });
+        assert_eq!(sm.line_text(3), "c");
     }
 }

@@ -9,11 +9,6 @@ use super::{CompiledProg, Instr, OptLevel};
 use lucid_check::CheckedProgram;
 use std::fmt::Write as _;
 
-/// Compile `prog` at the default level and render the listing.
-pub fn disassemble(prog: &CheckedProgram) -> String {
-    disassemble_opt(prog, OptLevel::default())
-}
-
 /// Compile `prog` at `level` and render the listing.
 pub fn disassemble_opt(prog: &CheckedProgram, level: OptLevel) -> String {
     CompiledProg::compile_opt(prog, level).disasm()

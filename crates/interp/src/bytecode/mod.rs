@@ -68,7 +68,7 @@ mod lower;
 mod opt;
 pub mod verify;
 
-pub use disasm::{disassemble, disassemble_opt};
+pub use disasm::disassemble_opt;
 pub use verify::{violations_to_diagnostics, Violation};
 
 use crate::machine::Emitted;

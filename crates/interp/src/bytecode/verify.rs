@@ -96,7 +96,7 @@ pub struct Violation {
 impl Violation {
     /// Render as a span-less diagnostic through the shared machinery
     /// (so `--json-diagnostics` and plain rendering both work).
-    pub fn to_diagnostic(&self) -> Diagnostic {
+    fn to_diagnostic(&self) -> Diagnostic {
         Diagnostic::error_global(format!(
             "bytecode verifier: handler `{}`, pc {} (after {}): {}",
             self.handler, self.pc, self.pass, self.message

@@ -43,8 +43,7 @@ pub mod value;
 pub mod workload;
 
 pub use bytecode::{
-    disassemble, disassemble_opt, violations_to_diagnostics, CompiledProg, ExecMode, OptLevel,
-    Violation,
+    disassemble_opt, violations_to_diagnostics, CompiledProg, ExecMode, OptLevel, Violation,
 };
 pub use machine::SwapStats;
 pub use machine::{

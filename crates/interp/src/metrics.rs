@@ -186,15 +186,15 @@ impl Histogram {
         self.quantile(50, 100)
     }
 
-    pub fn p90(&self) -> u64 {
+    fn p90(&self) -> u64 {
         self.quantile(90, 100)
     }
 
-    pub fn p99(&self) -> u64 {
+    fn p99(&self) -> u64 {
         self.quantile(99, 100)
     }
 
-    pub fn p999(&self) -> u64 {
+    fn p999(&self) -> u64 {
         self.quantile(999, 1000)
     }
 

@@ -178,7 +178,7 @@ impl Rng {
 /// Mix a scenario-level seed with a per-generator one into the effective
 /// stream seed. Both levels matter: `--seed` reshuffles every source, a
 /// generator's own `seed` decorrelates it from its siblings.
-pub fn mix_seed(scenario_seed: u64, gen_seed: u64) -> u64 {
+fn mix_seed(scenario_seed: u64, gen_seed: u64) -> u64 {
     let mut s = scenario_seed ^ gen_seed.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
     splitmix64(&mut s)
 }

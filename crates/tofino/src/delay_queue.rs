@@ -159,7 +159,7 @@ impl DelayQueue {
     }
 
     /// Bandwidth of the PFC pause/unpause frame pairs themselves.
-    pub fn pfc_bandwidth_bps(&self) -> f64 {
+    fn pfc_bandwidth_bps(&self) -> f64 {
         let bits = (2 * (self.pfc_frame_bytes + WIRE_OVERHEAD_BYTES) * 8) as f64;
         bits / (self.release_interval_ns as f64 * 1e-9)
     }

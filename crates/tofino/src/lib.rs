@@ -1,8 +1,8 @@
 //! # lucid-tofino
 //!
 //! A software model of the paper's hardware target — the Intel Tofino /
-//! PISA pipeline — standing in for the testbed we do not have (see
-//! DESIGN.md §2 for the substitution argument). Four pieces:
+//! PISA pipeline — standing in for the testbed we do not have. Four
+//! pieces:
 //!
 //! * [`spec`] — the static resource model (stages, tables, stateful ALUs,
 //!   register SRAM) that the compiler backend allocates against.

@@ -47,11 +47,6 @@ impl RemoteControlModel {
             .map(|_| self.floor_ns + exp.sample(&mut rng))
             .collect()
     }
-
-    /// Theoretical mean of the model.
-    pub fn mean_ns(&self) -> f64 {
-        self.floor_ns + self.excess_mean_ns
-    }
 }
 
 /// Minimal exponential distribution (avoids pulling in `rand_distr`).

@@ -57,12 +57,6 @@ impl PipelineSpec {
         }
     }
 
-    /// Fair share of packet buffer per port (§7.2 quotes "a bit more than
-    /// 320KB per port" for the Tofino).
-    pub fn buffer_per_port_bytes(&self) -> u64 {
-        self.packet_buffer_bytes / (self.front_panel_ports as u64)
-    }
-
     /// Aggregate front-panel bandwidth in bits/second.
     pub fn front_panel_bps(&self) -> u64 {
         self.front_panel_ports as u64 * self.port_gbps * 1_000_000_000
@@ -105,9 +99,11 @@ mod tests {
         let t = PipelineSpec::tofino();
         assert_eq!(t.stages, 12);
         assert_eq!(t.packet_buffer_bytes, 22 * 1024 * 1024);
-        // §7.2: "a bit more than 320KB per port".
-        assert!(t.buffer_per_port_bytes() > 320 * 500); // > 160 KB sanity
-        assert_eq!(t.buffer_per_port_bytes(), 22 * 1024 * 1024 / 128);
+        // §7.2: "a bit more than 320KB per port" — the fair share of
+        // packet buffer per port.
+        let per_port = t.packet_buffer_bytes / t.front_panel_ports as u64;
+        assert!(per_port > 320 * 500); // > 160 KB sanity
+        assert_eq!(per_port, 22 * 1024 * 1024 / 128);
     }
 
     #[test]

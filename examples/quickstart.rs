@@ -37,19 +37,21 @@ fn main() {
     //    effects), lay out against the Tofino pipeline model, and generate
     //    P4_16 — each stage computed once, on demand.
     let mut build = Compiler::new().build("quickstart.lucid", PROGRAM);
-    let art = build
-        .artifacts()
-        .unwrap_or_else(|_| panic!("program compiles:\n{}", build.render_diagnostics()));
+    let Ok(p4) = build.p4().cloned() else {
+        panic!("program compiles:\n{}", build.render_diagnostics());
+    };
+    let layout = build.layout().expect("placed on the way to P4");
     println!(
         "compiled: {} pipeline stages ({} before optimization), {} lines of P4",
-        art.compiled.layout.total_stages,
-        art.compiled.layout.unoptimized_stages,
-        art.compiled.p4.loc.total(),
+        layout.total_stages,
+        layout.unoptimized_stages,
+        p4.loc.total(),
     );
 
     // 2. Run the same program in the interpreter: 1000 packets to a few
     //    destinations, with the aging thread running concurrently.
-    let mut sim = Interp::single(&art.checked);
+    let prog = build.checked_arc().expect("checked on the way to P4");
+    let mut sim = Interp::single(&prog);
     sim.schedule(1, 0, "reset", &[0]).expect("reset scheduled");
     for i in 0..1000u64 {
         sim.schedule(1, 1_000 + i * 977, "pkt", &[i % 7])
@@ -67,9 +69,7 @@ fn main() {
     );
 
     // 3. A peek at the generated P4.
-    let p4_head: String = art
-        .compiled
-        .p4
+    let p4_head: String = p4
         .source
         .lines()
         .filter(|l| l.contains("RegisterAction") || l.contains("table tbl_"))

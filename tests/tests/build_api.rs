@@ -2,7 +2,8 @@
 //! cached stage artifacts; multi-error accumulation with structured
 //! diagnostics; and backend retargeting without re-parsing.
 
-use lucid_core::{CheckOptions, Compiler, LayoutOptions, PipelineSpec};
+use lucid_core::{Compiler, PipelineSpec};
+use std::sync::Arc;
 
 const COUNTER: &str = r#"
     global cts = new Array<<32>>(64);
@@ -146,14 +147,14 @@ fn check_shares_the_parsed_ast_and_writes_literal_widths_into_it() {
     // ...so after it, `ast()` shows the widths the checker decided.
     let after = lucid_core::frontend::pretty::program(build.ast().unwrap());
     assert!(after.contains("x + (int<<8>>) 1;"), "{after}");
-    // Re-checking the same tree under other options decides the same widths.
-    build.reconfigure(&Compiler::new().check_options(CheckOptions {
-        warn_dead_code: false,
-    }));
-    build.checked().unwrap();
-    let again = lucid_core::frontend::pretty::program(build.ast().unwrap());
-    assert_eq!(again, after);
     assert_eq!(build.stats().parse_runs, 1);
+    // One tree checked twice decides the same widths both times.
+    let tree = Arc::new(lucid_core::frontend::parse_program(src).unwrap());
+    lucid_core::check::check(Arc::clone(&tree)).unwrap();
+    let once = lucid_core::frontend::pretty::program(&tree);
+    lucid_core::check::check(Arc::clone(&tree)).unwrap();
+    assert_eq!(lucid_core::frontend::pretty::program(&tree), once);
+    assert_eq!(once, after);
 }
 
 #[test]
@@ -161,19 +162,15 @@ fn checked_arc_is_a_handle_on_the_check_artifact() {
     let mut build = Compiler::new().build("arc.lucid", COUNTER);
     let a = build.checked_arc().unwrap();
     let b = build.checked_arc().unwrap();
-    assert!(std::sync::Arc::ptr_eq(&a, &b), "one allocation per build");
+    assert!(Arc::ptr_eq(&a, &b), "one allocation per build");
     assert!(
         std::ptr::eq(&*a, build.checked().unwrap()),
         "the handle is the artifact `checked()` borrows"
     );
-    // A check-options change invalidates the artifact; sessions already
-    // holding the old handle keep it.
-    build.reconfigure(&Compiler::new().check_options(CheckOptions {
-        warn_dead_code: false,
-    }));
+    // Retargeting reaches only the backend: the handle survives it.
+    build.reconfigure(&Compiler::new().target(PipelineSpec::idealized_pisa()));
     let c = build.checked_arc().unwrap();
-    assert!(!std::sync::Arc::ptr_eq(&a, &c));
-    assert!(std::ptr::eq(&*a.program, &*c.program), "the parse survives");
+    assert!(Arc::ptr_eq(&a, &c), "reconfigure keeps the check artifact");
 }
 
 // --- retargeting ---------------------------------------------------------
@@ -221,49 +218,28 @@ fn no_opt_configuration_is_honored() {
 }
 
 #[test]
-fn reconfigure_with_new_check_options_reruns_the_check() {
+fn reconfigure_keeps_the_check_and_its_warnings() {
     let src = "event go(int x);\n\
                fun int unused(int x) { return x; }\n\
                handle go(int x) { generate go(x); }\n";
+    let dead_code = |build: &lucid_core::Build| {
+        build
+            .diagnostics()
+            .items
+            .iter()
+            .any(|d| d.code == Some("W0001"))
+    };
     let mut build = Compiler::new().build("rc.lucid", src);
-    build.checked().unwrap();
-    assert!(
-        !build.diagnostics().is_empty(),
-        "dead-code warning under default options"
-    );
-    build.reconfigure(&Compiler::new().check_options(CheckOptions {
-        warn_dead_code: false,
-    }));
-    build.checked().unwrap();
-    assert!(
-        build.diagnostics().is_empty(),
-        "new check options applied on reconfigure"
-    );
-    assert_eq!(build.stats().check_runs, 2, "check re-ran; parse did not");
-    assert_eq!(build.stats().parse_runs, 1);
-}
-
-#[test]
-fn check_options_silence_warnings() {
-    let src = "event go(int x);\n\
-               fun int unused(int x) { return x; }\n\
-               handle go(int x) { generate go(x); }\n";
-    let mut warned = Compiler::new().build("w.lucid", src);
-    warned.checked().unwrap();
-    assert!(
-        !warned.diagnostics().is_empty(),
-        "dead-code warning expected"
-    );
-    let mut silent = Compiler::new()
-        .check_options(CheckOptions {
-            warn_dead_code: false,
-        })
-        .build("s.lucid", src);
-    silent.checked().unwrap();
-    assert!(
-        silent.diagnostics().is_empty(),
-        "{:?}",
-        silent.diagnostics()
+    build.layout().unwrap();
+    assert!(dead_code(&build), "dead-code warning is always on");
+    build.reconfigure(&Compiler::new().target(PipelineSpec::idealized_pisa()));
+    build.layout().unwrap();
+    assert!(dead_code(&build), "the warning survives a retarget");
+    let s = *build.stats();
+    assert_eq!(
+        (s.parse_runs, s.check_runs, s.layout_runs),
+        (1, 1, 2),
+        "{s:?}"
     );
 }
 
@@ -276,10 +252,7 @@ fn layout_options_thread_through_the_session() {
             stages: 256,
             ..PipelineSpec::tofino()
         })
-        .layout(LayoutOptions {
-            rearrange: false,
-            ..LayoutOptions::default()
-        })
+        .rearrange(false)
         .build("fig6.lucid", FIG6);
     let mut rearranged = Compiler::new()
         .target(PipelineSpec {

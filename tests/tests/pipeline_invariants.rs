@@ -4,22 +4,42 @@
 //! consistent.
 
 use lucid_backend::ir::{MemKind, Operand};
-use lucid_core::{Artifacts, Compiler, LayoutOptions, PipelineSpec};
+use lucid_core::{CheckedProgram, Compiler, HandlerIr, Layout, P4Program, PipelineSpec};
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Compile one bundled app through a build session.
-fn build_app(app: &lucid_apps::AppInfo) -> Artifacts {
-    let mut build = Compiler::new().build(app.key, app.source);
-    build
-        .artifacts()
-        .unwrap_or_else(|_| panic!("{} compiles:\n{}", app.key, build.render_diagnostics()))
+/// Every stage's artifact of one compile, copied out of its build session
+/// so a test can hold several at once.
+struct Compiled {
+    checked: Arc<CheckedProgram>,
+    handlers: Vec<HandlerIr>,
+    layout: Layout,
+    p4: P4Program,
+}
+
+/// Compile `src` through a build session to P4.
+fn compile(name: &str, src: &str) -> Compiled {
+    let mut build = Compiler::new().build(name, src);
+    let Ok(p4) = build.p4().cloned() else {
+        panic!("{name} compiles:\n{}", build.render_diagnostics());
+    };
+    Compiled {
+        checked: build.checked_arc().expect("checked on the way to P4"),
+        handlers: build.handlers().expect("elaborated").to_vec(),
+        layout: build.layout().expect("placed").clone(),
+        p4,
+    }
+}
+
+/// Compile one bundled app.
+fn build_app(app: &lucid_apps::AppInfo) -> Compiled {
+    compile(app.key, app.source)
 }
 
 #[test]
 fn every_array_lives_in_exactly_one_stage() {
     for app in lucid_apps::all() {
-        let art = build_app(&app);
-        let c = art.compiled;
+        let c = build_app(&app);
         // Each array appears in the stage map once, and in stage_stats in
         // exactly that stage.
         for (gid, stage) in &c.layout.array_stage {
@@ -42,8 +62,7 @@ fn placement_respects_data_dependencies() {
     // committed placement honors them (writer strictly before reader on
     // non-exclusive paths).
     for app in lucid_apps::all() {
-        let art = build_app(&app);
-        let c = art.compiled;
+        let c = build_app(&app);
         let stage_of: HashMap<(String, usize), usize> = c
             .layout
             .placements
@@ -82,8 +101,7 @@ fn placement_respects_data_dependencies() {
 fn stage_resources_stay_within_the_spec() {
     let spec = PipelineSpec::tofino();
     for app in lucid_apps::all() {
-        let art = build_app(&app);
-        let c = art.compiled;
+        let c = build_app(&app);
         for (i, st) in c.layout.stage_stats.iter().enumerate() {
             assert!(
                 st.arrays.len() <= spec.salus_per_stage,
@@ -111,8 +129,8 @@ fn stage_resources_stay_within_the_spec() {
 #[test]
 fn generated_p4_is_structurally_complete() {
     for app in lucid_apps::all() {
-        let art = build_app(&app);
-        let (prog, c) = (art.checked, art.compiled);
+        let c = build_app(&app);
+        let prog = &c.checked;
         let p4 = &c.p4.source;
         // One header + one parser state per event.
         for ev in &prog.info.events {
@@ -156,60 +174,10 @@ fn generated_p4_is_structurally_complete() {
 #[test]
 fn loc_classification_is_complete_and_disjoint() {
     for app in lucid_apps::all() {
-        let art = build_app(&app);
-        let c = art.compiled;
+        let c = build_app(&app);
         let nonblank = c.p4.source.lines().filter(|l| !l.trim().is_empty()).count();
         assert_eq!(c.p4.loc.total(), nonblank, "{}", app.key);
     }
-}
-
-#[test]
-fn merge_key_budget_trades_tables_for_stages() {
-    // DESIGN.md §4 ablation: a tighter merge budget means more logical
-    // tables per stage are needed, which can only lengthen the pipeline.
-    // One session, retargeted: the front end runs once for both layouts.
-    let app = lucid_apps::by_key("dns").unwrap();
-    let tall = PipelineSpec {
-        stages: 256,
-        ..PipelineSpec::tofino()
-    };
-    let mut build = Compiler::new()
-        .target(tall.clone())
-        .layout(LayoutOptions {
-            merge_key_budget: 1,
-            ..LayoutOptions::default()
-        })
-        .build(app.key, app.source);
-    let tight = build.layout().unwrap().total_stages;
-    build.reconfigure(&Compiler::new().target(tall).layout(LayoutOptions {
-        merge_key_budget: 8,
-        ..LayoutOptions::default()
-    }));
-    let loose = build.layout().unwrap().total_stages;
-    assert!(tight >= loose, "tight {tight} vs loose {loose}");
-    assert_eq!(
-        build.stats().check_runs,
-        1,
-        "front end ran once for both targets"
-    );
-}
-
-#[test]
-fn dispatcher_overhead_is_exactly_configured() {
-    let app = lucid_apps::by_key("cm").unwrap();
-    let mut build = Compiler::new()
-        .layout(LayoutOptions {
-            dispatcher_stages: 0,
-            ..LayoutOptions::default()
-        })
-        .build(app.key, app.source);
-    let with0 = build.layout().unwrap().total_stages;
-    build.reconfigure(&Compiler::new().layout(LayoutOptions {
-        dispatcher_stages: 2,
-        ..LayoutOptions::default()
-    }));
-    let with2 = build.layout().unwrap().total_stages;
-    assert_eq!(with2, with0 + 2);
 }
 
 #[test]
@@ -246,8 +214,7 @@ fn stage_counts_are_in_the_papers_range() {
     // Figure 9 reports 5–12 stages across the suite; our model should land
     // every app in 4–12 (SRO is naturally small).
     for app in lucid_apps::all() {
-        let art = build_app(&app);
-        let c = art.compiled;
+        let c = build_app(&app);
         assert!(
             (4..=12).contains(&c.layout.total_stages),
             "{}: {} stages",
@@ -264,8 +231,7 @@ fn lucid_shorter_than_generated_register_actions_plus_tables() {
     let mut total_lucid = 0usize;
     let mut total_p4 = 0usize;
     for app in lucid_apps::all() {
-        let art = build_app(&app);
-        let c = art.compiled;
+        let c = build_app(&app);
         total_lucid += app.lucid_loc();
         total_p4 += c.p4.loc.total();
     }
@@ -296,15 +262,12 @@ fn folded_immediates_store_what_the_interpreter_stores() {
             Array.set(m, 0, wide & 0xFFFFFFFFFF);
         }
     "#;
-    let mut build = Compiler::new().build("probe", src);
-    let art = build
-        .artifacts()
-        .unwrap_or_else(|_| panic!("probe compiles:\n{}", build.render_diagnostics()));
+    let art = compile("probe", src);
     let mut sim = lucid_interp::Interp::new(&art.checked, lucid_interp::NetConfig::single());
     sim.schedule(1, 0, "go", &[]).unwrap();
     sim.run_to_quiescence().unwrap();
     let mut stored = Vec::new();
-    for t in art.compiled.handlers.iter().flat_map(|h| &h.tables) {
+    for t in art.handlers.iter().flat_map(|h| &h.tables) {
         let lucid_backend::ir::AtomicOp::Mem {
             array,
             index: Operand::Const(i),
@@ -326,7 +289,7 @@ fn folded_immediates_store_what_the_interpreter_stores() {
             g.name
         );
         assert!(
-            art.compiled.p4.source.contains(&format!("mem = {v};")),
+            art.p4.source.contains(&format!("mem = {v};")),
             "`{}`: P4 stores {v}",
             g.name
         );
