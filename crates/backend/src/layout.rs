@@ -24,7 +24,7 @@
 //! Figure 13.
 
 use crate::ir::{AtomicTable, Cond, HandlerIr};
-use lucid_check::{CheckedProgram, GlobalId};
+use lucid_check::GlobalId;
 use lucid_frontend::diag::{Diagnostic, Diagnostics};
 use lucid_tofino::spec::PipelineSpec;
 use std::collections::HashMap;
@@ -121,7 +121,6 @@ enum Edge {
 /// its program-order predecessor, serializing the layout (Figure 12's
 /// unrearranged column).
 pub fn place(
-    prog: &CheckedProgram,
     handlers: &[HandlerIr],
     spec: &PipelineSpec,
     rearrange: bool,
@@ -135,7 +134,7 @@ pub fn place(
     let mut floors: HashMap<GlobalId, usize> = HashMap::new();
     // Outer fixpoint on array stage floors (see module docs).
     for _round in 0..4096 {
-        match try_place(prog, handlers, &deps, spec, &floors) {
+        match try_place(handlers, &deps, spec, &floors) {
             Ok(layout) => return Ok(layout),
             Err(PlaceError::BumpArray { array, to }) => {
                 let f = floors.entry(array).or_insert(0);
@@ -174,7 +173,6 @@ enum PlaceError {
 
 /// `deps[h]` is [`handler_deps`] of `handlers[h]`.
 fn try_place(
-    _prog: &CheckedProgram,
     handlers: &[HandlerIr],
     deps: &[Vec<Vec<(usize, Edge)>>],
     spec: &PipelineSpec,
@@ -411,7 +409,7 @@ mod tests {
     fn layout_of(src: &str) -> Layout {
         let prog = parse_and_check(src).expect("checks");
         let handlers = elaborate(&prog).expect("elaborates");
-        place(&prog, &handlers, &PipelineSpec::tofino(), true).expect("places")
+        place(&handlers, &PipelineSpec::tofino(), true).expect("places")
     }
 
     const FIG6: &str = r#"
@@ -473,8 +471,8 @@ mod tests {
     fn rearrangement_ablation_costs_stages() {
         let prog = parse_and_check(FIG6).unwrap();
         let handlers = elaborate(&prog).unwrap();
-        let with = place(&prog, &handlers, &PipelineSpec::tofino(), true).unwrap();
-        let without = place(&prog, &handlers, &PipelineSpec::tofino(), false).unwrap();
+        let with = place(&handlers, &PipelineSpec::tofino(), true).unwrap();
+        let without = place(&handlers, &PipelineSpec::tofino(), false).unwrap();
         assert!(
             without.total_stages > with.total_stages,
             "serialized {} vs rearranged {}",
@@ -577,7 +575,7 @@ mod tests {
         );
         let prog = parse_and_check(&src).unwrap();
         let handlers = elaborate(&prog).unwrap();
-        let err = place(&prog, &handlers, &PipelineSpec::tofino(), true).unwrap_err();
+        let err = place(&handlers, &PipelineSpec::tofino(), true).unwrap_err();
         assert!(err.items[0].message.contains("stages"), "{}", err.items[0]);
     }
 }

@@ -549,7 +549,7 @@ mod tests {
         let prog = parse_and_check(src).expect("checks");
         let mut handlers = elaborate(&prog).expect("elaborates");
         optimize(&mut handlers);
-        let layout = place(&prog, &handlers, &PipelineSpec::tofino(), true).expect("places");
+        let layout = place(&handlers, &PipelineSpec::tofino(), true).expect("places");
         generate(&prog, &handlers, &layout)
     }
 

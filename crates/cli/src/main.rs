@@ -62,7 +62,7 @@
 //!
 //! Exit codes: 0 success, 1 the program had diagnostics or the scenario
 //! failed (bad scenario, runtime fault, or expectation mismatch), 2 usage
-//! or I/O error.
+//! or I/O error, 141 stdout closed early (the shell's SIGPIPE status).
 
 #![forbid(unsafe_code)]
 
@@ -75,6 +75,8 @@ use std::process::ExitCode;
 
 const EXIT_DIAGNOSTICS: u8 = 1;
 const EXIT_USAGE: u8 = 2;
+/// 128 + SIGPIPE: what a shell reports for a writer its reader left.
+const EXIT_CLOSED_PIPE: u8 = 141;
 
 const USAGE: &str = "usage: lucidc <check|compile|stages> [--emit=ast|ir|layout|p4] \
 [--target=tofino|pisa] [--opt=0|2] [--lint] [--deny-lints] \
@@ -523,13 +525,13 @@ fn print_failure(kind: &str, msg: &str) {
 
 /// Write `text` to stdout: every byte this binary prints there goes
 /// through here. A reader that closed the pipe early (`lucidc apps | head
-/// -2`) ends the run quietly with exit 0; any other write failure is an
-/// I/O error (exit 2).
+/// -2`) ends the run quietly with exit 141, so `pipefail` still sees that
+/// the run did not finish; any other write failure is an I/O error (exit 2).
 fn out(text: &str) {
     use std::io::Write as _;
     if let Err(e) = std::io::stdout().lock().write_all(text.as_bytes()) {
         if e.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
+            std::process::exit(EXIT_CLOSED_PIPE.into());
         }
         eprintln!("error: cannot write to stdout: {e}");
         std::process::exit(EXIT_USAGE.into());

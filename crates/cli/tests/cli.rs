@@ -898,7 +898,7 @@ fn a_closed_stdout_ends_the_run_quietly() {
             .expect("lucidc runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(141), "{args:?}: {stderr}");
     }
 }
 

@@ -433,17 +433,12 @@ impl Build {
             return;
         }
         self.ensure_handlers();
-        let result = match (self.checked.as_ref(), self.handlers.as_ref()) {
-            (Some(Ok(prog)), Some(Ok(handlers))) => {
+        let result = match self.handlers.as_ref().expect("ensured") {
+            Err(ds) => Err(ds.clone()),
+            Ok(handlers) => {
                 self.stats.layout_runs += 1;
-                lucid_backend::place(prog, handlers, &self.cfg.target, self.cfg.rearrange)
+                lucid_backend::place(handlers, &self.cfg.target, self.cfg.rearrange)
             }
-            (_, Some(Err(ds))) => Err(ds.clone()),
-            _ => Err(self
-                .checked
-                .as_ref()
-                .and_then(|r| r.as_ref().err().cloned())
-                .unwrap_or_default()),
         };
         self.layout = Some(result);
     }
@@ -647,17 +642,32 @@ mod tests {
 
     #[test]
     fn reconfigure_keeps_front_end() {
-        let mut b = Compiler::new().build("t.lucid", COUNTER);
+        // `x` and `y` are independent, so rearrangement shares a stage
+        // that program order would serialize.
+        let src = "event go(int a, int b); event out(int x, int y);\n\
+                   handle go(int a, int b) { int x = a + 1; int y = b + 2; generate out(x, y); }";
+        let mut b = Compiler::new().build("t.lucid", src);
         let stages_default = b.layout().unwrap().total_stages;
         let tall = PipelineSpec {
             stages: 256,
             ..PipelineSpec::tofino()
         };
         b.reconfigure(&Compiler::new().target(tall).rearrange(false));
-        let stages_tall = b.layout().unwrap().total_stages;
-        assert_eq!(
-            stages_tall, stages_default,
-            "one table: nothing to serialize"
+        let stages_serial = b.layout().unwrap().total_stages;
+        assert!(
+            stages_serial > stages_default,
+            "rearrange(false) reaches layout: {stages_serial} vs {stages_default}"
+        );
+        let short = PipelineSpec {
+            stages: stages_serial - 1,
+            ..PipelineSpec::tofino()
+        };
+        b.reconfigure(&Compiler::new().target(short).rearrange(false));
+        let err = b.layout().unwrap_err();
+        assert!(
+            err.items[0].message.contains("stages"),
+            "the new target reaches layout: {}",
+            err.items[0]
         );
         let s = *b.stats();
         assert_eq!(
@@ -665,7 +675,7 @@ mod tests {
             (1, 1),
             "front end not re-run: {s:?}"
         );
-        assert_eq!(s.layout_runs, 2);
+        assert_eq!(s.layout_runs, 3);
     }
 
     #[test]
